@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -116,12 +117,22 @@ def _json_arg_or_id(value: str):
     return s
 
 
+#: largest beta grid ``kms sweep`` accepts
+MAX_BETAS = 10_000
+
+
 def _parse_betas(text: str):
     try:
         lo, hi, step = (float(p) for p in text.split(":"))
     except ValueError:
         raise FormatError(f"--betas expects lo:hi:step, got {text!r}") \
             from None
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0:
+        raise FormatError(f"--betas needs finite bounds and a positive "
+                          f"step, got {text!r}")
+    if (hi - lo) / step + 1 > MAX_BETAS:
+        raise FormatError(f"--betas {text!r} has more than {MAX_BETAS} "
+                          "points")
     out = []
     b = lo
     while b <= hi + 1e-12:

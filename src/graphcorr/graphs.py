@@ -88,6 +88,10 @@ class FiniteGraph:
         # edge indices grouped by source vertex, in edge order
         self._edges_from = [np.flatnonzero(self.src_idx == i)
                             for i in range(len(vertices))]
+        # the same as lists, for path enumeration
+        self._succ = [a.tolist() for a in self._edges_from]
+        self._rng_list = self.rng_idx.tolist()
+        self._max_out = max(map(len, self._succ), default=0)
 
     @property
     def n_vertices(self) -> int:
@@ -175,26 +179,62 @@ def path_counts(graph: FiniteGraph, v, n: int) -> list[int]:
     return counts
 
 
-def enumerate_paths(graph: FiniteGraph, v, n: int) -> list[Path]:
-    """All paths of length ``n`` with source ``v``, in deterministic order.
+def _check_path_budget(graph: FiniteGraph, v, n: int) -> None:
+    """Raise ``SizeLimitError`` when ``n * |E^n v| > MAX_PATHS``."""
+    count = path_counts(graph, v, min(n, graph.n_vertices))[-1]
+    if n > graph.n_vertices and count:
+        # a path of length |V| runs through a cycle, so there are paths of
+        # every greater length too
+        if n > MAX_PATHS:
+            raise SizeLimitError(
+                f"paths of length {n} exceed the {MAX_PATHS} limit")
+        count = path_counts(graph, v, n)[-1]
+    if n * count > MAX_PATHS:
+        raise SizeLimitError(
+            f"paths of length {n} exceed the {MAX_PATHS} limit")
+
+
+def path_index_tuples(graph: FiniteGraph, vi: int, n: int) -> list[tuple]:
+    """Edge-index tuples ``(f_1, ..., f_n)`` of the length-``n`` paths with
+    source vertex index ``vi``, so ``src(f_i) = rng(f_{i+1})`` and
+    ``src(f_n) = vi``.
 
     Paths grow at the front: an edge ``f`` with ``src(f) = rng(mu)`` extends
-    ``mu`` to ``f mu``.  Refuses enumerations beyond ``MAX_PATHS``.
+    ``mu`` to ``f mu``.  Level by level, the extensions of a path stay
+    together in edge order.  Refuses, before building any tuple, when the
+    tuples would hold more than ``MAX_PATHS`` edge indices in all
+    (``n * |E^n v| > MAX_PATHS``).
     """
     if n < 0:
         raise FormatError("path length must be nonnegative")
-    path_counts(graph, v, n)        # size guard
-    vi = graph.vertex_index(v)
-    # items: (edge-index tuple, front range vertex index)
-    items = [((), vi)]
+    # |E^n v| <= d^n for the largest out-degree d settles short requests
+    if not (n <= 20 and n * graph._max_out ** n <= MAX_PATHS):
+        _check_path_budget(graph, graph.vertices[vi], n)
+    succ, rng = graph._succ, graph._rng_list
+    # per level, (position of the parent path, front edge) for every path;
+    # tuples are read back at the end, so long paths cost no re-copying
+    fronts, links = [vi], []
     for _ in range(n):
-        new_items = []
-        for edges, front in items:
-            for f in graph._edges_from[front]:
-                new_items.append(((int(f),) + edges, int(graph.rng_idx[f])))
-        items = new_items
+        if not fronts:
+            return []
+        link = [(i, f) for i, u in enumerate(fronts) for f in succ[u]]
+        links.append(link)
+        fronts = [rng[f] for _, f in link]
+    out = []
+    for j in range(len(fronts)):
+        edges = []
+        for link in reversed(links):
+            j, f = link[j]
+            edges.append(f)
+        out.append(tuple(edges))
+    return out
+
+
+def enumerate_paths(graph: FiniteGraph, v, n: int) -> list[Path]:
+    """All paths of length ``n`` with source ``v``, in the deterministic
+    order of :func:`path_index_tuples`, as id-level :class:`Path` objects."""
     return [Path(vertex=v, edges=tuple(graph.edges[i] for i in idx))
-            for idx, _ in items]
+            for idx in path_index_tuples(graph, graph.vertex_index(v), n)]
 
 
 def fiber_count(graph, v) -> int:

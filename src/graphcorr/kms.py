@@ -90,6 +90,8 @@ def partition_tail_bound(graph: FiniteGraph, beta: float, depth: int,
 
     Submultiplicativity gives ``a_n <= a_B g^n`` for ``g = a_B^{1/B}``, so
     the tail is below ``a_B (e^{-beta} g)^{depth+1} / (1 - e^{-beta} g)``.
+    When ``a_B = 0`` the graph is acyclic, no path is longer than
+    ``|V| - 1``, and the tail is the finite sum itself.
     """
     A = graph.adjacency().astype(np.float64)
     counts = np.ones(graph.n_vertices)
@@ -97,7 +99,13 @@ def partition_tail_bound(graph: FiniteGraph, beta: float, depth: int,
         counts = counts @ A
     a_block = float(counts.max())
     if a_block == 0.0:
-        return 0.0
+        tail = 0.0
+        counts = np.ones(graph.n_vertices)
+        for n in range(1, graph.n_vertices):
+            counts = counts @ A
+            if n > depth:
+                tail += math.exp(-beta * n) * float(counts.max())
+        return tail
     g = max(a_block ** (1.0 / block), 1.0)
     q = math.exp(-beta) * g
     if q >= 1.0:

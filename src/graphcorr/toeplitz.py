@@ -18,7 +18,12 @@ identities verified here then cancel to exactly zero in floating point.
 Vertex representations are realized as matrices on the span of the paths
 of length at most ``L`` with a fixed source.  A matrix column is exact
 when the word cannot create past the window: column ``mu`` is flagged
-valid iff ``|mu| + (number of creations) <= L``.
+valid iff ``|mu| + (number of creations) <= L``.  Words act on path
+indices through two tables of :class:`TruncatedFock`, a prepend table for
+creation and a strip table for annihilation, with the words of an element
+batched by shape; numeric checks evaluate only the valid window columns.
+:meth:`TruncatedFock.word_matrix`, the dense product of the factor
+matrices, is the reference the tests compare against.
 """
 from __future__ import annotations
 
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, MismatchError, SizeLimitError
-from .graphs import FiniteGraph, Path, enumerate_paths, path_counts
+from .graphs import FiniteGraph, path_counts, path_index_tuples
 from .modules import (ModuleElement, VertexFunction, delta_edge,
                       inner_product, left_action, module_norm, right_action)
 
@@ -97,13 +102,17 @@ class Word:
         return Word(self.coeff * c, self.left, self.middle, self.right)
 
     def is_zero(self) -> bool:
-        if self.coeff == 0:
-            return True
-        if any(x.is_zero() for x in self.left):
-            return True
-        if self.middle is not None and not self.middle.values.any():
-            return True
-        return any(y.is_zero() for y in self.right)
+        # scanned once per word: a product is checked by ``word_multiply``
+        # and again when it enters a ``ToeplitzElement``
+        zero = self.__dict__.get("_zero")
+        if zero is None:
+            zero = self.__dict__["_zero"] = (
+                self.coeff == 0
+                or any(x.is_zero() for x in self.left)
+                or (self.middle is not None
+                    and not self.middle.values.any())
+                or any(y.is_zero() for y in self.right))
+        return zero
 
 
 def word(coeff, left=(), middle=None, right=()) -> Word:
@@ -276,30 +285,6 @@ def vacuum_projection(graph: FiniteGraph) -> ToeplitzElement:
 # canonical delta-basis expansion (finite graphs)
 
 
-def _left_paths(graph: FiniteGraph, m: int):
-    """Edge-index tuples ``(f_1, ..., f_m)`` with ``src(f_i) = rng(f_{i+1})``.
-
-    Grouped by the source vertex of the whole path (``src(f_m)``).
-    """
-    if m == 0:
-        return {}
-    by_source: dict = {vi: [] for vi in range(graph.n_vertices)}
-    # build from the last factor forward: choose f_m, then f_{m-1} with
-    # src(f_{m-1}) = rng(f_m), keeping the final tuple in path order
-    partial = [(int(f),) for f in range(graph.n_edges)]
-    for _ in range(m - 1):
-        nxt = []
-        for tup in partial:
-            first = tup[0]
-            target = graph.rng_idx[first]
-            for f in graph.edges_from_index(int(target)):
-                nxt.append((int(f),) + tup)
-        partial = nxt
-    for tup in partial:
-        by_source[int(graph.src_idx[tup[-1]])].append(tup)
-    return by_source
-
-
 def word_delta_basis(w: Word, graph: FiniteGraph) -> dict:
     """Expand a word over the spanning delta-basis words.
 
@@ -307,63 +292,103 @@ def word_delta_basis(w: Word, graph: FiniteGraph) -> dict:
     ``v`` a vertex index; the value is the complex coefficient.  Each key
     stands for ``C(delta_mu) P(delta_v) C(delta_nu)*``.
     """
-    m, n = len(w.left), len(w.right)
-    lefts = _left_paths(graph, m)
-    rights = _left_paths(graph, n)
+    return _delta_expansion((w,), graph)
+
+
+def element_delta_basis(elem: ToeplitzElement) -> dict:
+    return _delta_expansion(elem.words, elem.graph)
+
+
+def _delta_expansion(words, graph: FiniteGraph) -> dict:
+    """Sum of the delta-basis expansions of ``words``, keys in first-seen
+    order.  Every coefficient entered is nonzero, so each key's sum runs
+    over the words in order."""
+    paths: dict = {}
+
+    def paths_from(vi, k):
+        if (vi, k) not in paths:
+            paths[vi, k] = path_index_tuples(graph, vi, k)
+        return paths[vi, k]
+
     out: dict = {}
-    mid = w.middle.values if w.middle is not None else None
-    for vi in range(graph.n_vertices):
-        lts = lefts[vi] if m else [()]
-        rts = rights[vi] if n else [()]
-        for mu in lts:
-            base = w.coeff
-            ok = True
-            for i, fi in enumerate(mu):
-                base = base * w.left[i].values[fi]
-                if base == 0:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if mid is not None:
-                base = base * mid[vi]
-                if base == 0:
-                    continue
-            for nu in rts:
-                c = base
+    for w in words:
+        mid = w.middle.values if w.middle is not None else None
+        for vi in range(graph.n_vertices):
+            rts = paths_from(vi, len(w.right))
+            for mu in paths_from(vi, len(w.left)):
+                base = w.coeff
                 ok = True
-                for j, fj in enumerate(nu):
-                    c = c * np.conj(w.right[j].values[fj])
-                    if c == 0:
+                for i, fi in enumerate(mu):
+                    base = base * w.left[i].values[fi]
+                    if base == 0:
                         ok = False
                         break
                 if not ok:
                     continue
-                key = (mu, vi, nu)
-                out[key] = out.get(key, 0.0) + c
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def element_delta_basis(elem: ToeplitzElement) -> dict:
-    out: dict = {}
-    for w in elem.words:
-        for k, c in word_delta_basis(w, elem.graph).items():
-            out[k] = out.get(k, 0.0) + c
+                if mid is not None:
+                    base = base * mid[vi]
+                    if base == 0:
+                        continue
+                for nu in rts:
+                    c = base
+                    ok = True
+                    for j, fj in enumerate(nu):
+                        c = c * np.conj(w.right[j].values[fj])
+                        if c == 0:
+                            ok = False
+                            break
+                    if not ok:
+                        continue
+                    key = (mu, vi, nu)
+                    out[key] = out.get(key, 0.0) + c
     return {k: v for k, v in out.items() if v != 0}
 
 
 def delta_basis_multiply(m1: dict, m2: dict, graph: FiniteGraph) -> dict:
-    """Product of two delta-basis expansions; structure constants are 0/1."""
-    src = graph.src_idx
-    rng = graph.rng_idx
+    """Product of two delta-basis expansions; structure constants are 0/1.
+
+    ``(mu, v, nu) (mu2, v2, nu2)`` can be nonzero only when one of ``nu``
+    and ``mu2`` is a prefix of the other, so the terms of ``m2`` are looked
+    up by ``mu2``.  Matching pairs are visited in ``m1`` order, then ``m2``
+    order, as a scan of all pairs would visit them, so every coefficient
+    sums in the same order.
+    """
+    src = graph.src_idx.tolist()
+    rng = graph.rng_idx.tolist()
+    items2 = list(m2.items())
+    starting: dict = {}     # (prefix of mu2, joint vertex) -> positions
+    exact: dict = {}        # nonempty mu2 -> positions
+    bare: dict = {}         # v2 -> positions of the terms with mu2 = ()
+    for pos, ((mu2, v2, _), _) in enumerate(items2):
+        if mu2:
+            exact.setdefault(mu2, []).append(pos)
+        else:
+            bare.setdefault(v2, []).append(pos)
+        for k in range(len(mu2) + 1):
+            # a term (mu, v, nu) with |nu| = k meets this one only when v
+            # is the range of the rest of mu2, or v2 if nothing is left
+            joint = rng[mu2[k]] if k < len(mu2) else v2
+            starting.setdefault((mu2[:k], joint), []).append(pos)
+    matches: dict = {}
+
+    def matching(nu, v):
+        """The ``m2`` terms, in order, whose ``mu2`` starts with ``nu`` at
+        the joint ``v``, or is a proper prefix of ``nu`` (an empty one
+        only with ``v2`` at the range of ``nu``)."""
+        pos = starting.get((nu, v), [])
+        if nu:
+            pos = pos + bare.get(rng[nu[0]], []) + [
+                i for p in range(1, len(nu)) for i in exact.get(nu[:p], ())]
+        return [items2[i] for i in sorted(pos)]
+
     out: dict = {}
     for (mu, v, nu), c1 in m1.items():
         n = len(nu)
-        for (mu2, v2, nu2), c2 in m2.items():
+        if (nu, v) not in matches:
+            matches[nu, v] = matching(nu, v)
+        for (mu2, v2, nu2), c2 in matches[nu, v]:
             p = len(mu2)
             if n <= p:
-                if nu != mu2[:n]:
-                    continue
                 rem = mu2[n:]
                 if rem:
                     if v != rng[rem[0]]:
@@ -374,8 +399,6 @@ def delta_basis_multiply(m1: dict, m2: dict, graph: FiniteGraph) -> dict:
                         continue
                     key = (mu, v, nu2)
             else:
-                if nu[:p] != mu2:
-                    continue
                 rem = nu[p:]
                 if p == 0 and v2 != rng[rem[0]]:
                     continue
@@ -409,8 +432,18 @@ def symbolically_equal(a: ToeplitzElement, b: ToeplitzElement) -> bool:
 class TruncatedFock:
     """Matrices on ``span{e_mu : mu path, src(mu) = v, |mu| <= L}``.
 
-    The vertex coefficient acts diagonally by the range of the path; the
-    creation operator of a module element prepends edges.
+    The basis lists the edge-index tuples of the paths by length, each
+    length in :func:`~graphcorr.graphs.path_index_tuples` order, so the
+    vacuum comes first and every window ``|mu| <= k`` is a prefix.  The
+    vertex coefficient acts diagonally by the range of the path; creation
+    prepends edges and annihilation strips them, both through index tables:
+
+    - strip table: ``parent[i]`` is path ``i`` without its front edge
+      ``first[i]`` (both ``-1`` on the vacuum);
+    - prepend table: the one-edge extensions of path ``i`` inside the basis
+      are the consecutive rows ``child_start[i] : child_start[i] +
+      n_children[i]``.  Every path but the vacuum is the extension of
+      exactly one path, so no two extensions share a row.
     """
 
     def __init__(self, graph: FiniteGraph, v, depth: int):
@@ -419,36 +452,33 @@ class TruncatedFock:
         self.graph = graph
         self.vertex = v
         self.depth = depth
+        vi = graph.vertex_index(v)
         counts = path_counts(graph, v, depth)
         if sum(counts) > 200_000:
             raise SizeLimitError("truncated basis would be too large")
-        self.basis: list[Path] = []
-        for n in range(depth + 1):
-            self.basis.extend(enumerate_paths(graph, v, n))
-        self.index = {p.edges and tuple(graph.edge_index(e) for e in p.edges)
-                      or (): i for i, p in enumerate(self.basis)}
-        self.lengths = np.array([len(p) for p in self.basis])
-        self.ranges = np.array(
-            [graph.vertex_index(p.range(graph)) for p in self.basis])
+        self.basis: list[tuple] = [mu for n in range(depth + 1)
+                                   for mu in path_index_tuples(graph, vi, n)]
+        self.index = {mu: i for i, mu in enumerate(self.basis)}
         self.dim = len(self.basis)
-        # prepend table: (column, row, edge) triples for creation operators
-        cols, rows, edges = [], [], []
-        for ci, p in enumerate(self.basis):
-            if len(p) == depth:
-                continue
-            key = tuple(graph.edge_index(e) for e in p.edges)
-            for f in graph.edges_from_index(int(self.ranges[ci])):
-                rows.append(self.index[(int(f),) + key])
-                cols.append(ci)
-                edges.append(int(f))
-        self._prepend = (np.array(rows, dtype=np.intp),
-                         np.array(cols, dtype=np.intp),
-                         np.array(edges, dtype=np.intp))
+        self.lengths = np.array([len(mu) for mu in self.basis])
+        self.parent = np.array([self.index[mu[1:]] if mu else -1
+                                for mu in self.basis], dtype=np.intp)
+        self.first = np.array([mu[0] if mu else -1 for mu in self.basis],
+                              dtype=np.intp)
+        self.ranges = np.full(self.dim, vi, dtype=np.intp)
+        self.ranges[1:] = graph.rng_idx[self.first[1:]]
+        self.n_children = np.bincount(self.parent[1:], minlength=self.dim)
+        self.child_start = 1 + np.cumsum(self.n_children) - self.n_children
+        self._plans: dict = {}
+
+    def window_size(self, creations: int) -> int:
+        """Number of columns ``|mu| + creations <= depth`` (a prefix)."""
+        return int(np.searchsorted(self.lengths, self.depth - creations,
+                                   side="right"))
 
     def creation_matrix(self, x: ModuleElement) -> np.ndarray:
-        rows, cols, edges = self._prepend
         M = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        np.add.at(M, (rows, cols), x.values[edges])
+        M[np.arange(1, self.dim), self.parent[1:]] = x.values[self.first[1:]]
         return M
 
     def coefficient_matrix(self, a: VertexFunction | None) -> np.ndarray:
@@ -457,6 +487,8 @@ class TruncatedFock:
         return np.diag(a.values[self.ranges])
 
     def word_matrix(self, w: Word) -> np.ndarray:
+        """Dense product of the word's factor matrices; the reference the
+        table-driven :func:`fock_matrix` is tested against."""
         M = np.eye(self.dim, dtype=np.complex128) * w.coeff
         for x in w.left:
             M = M @ self.creation_matrix(x)
@@ -468,6 +500,79 @@ class TruncatedFock:
 
     def vacuum_index(self) -> int:
         return self.index[()]
+
+    def _plan(self, m: int, n: int, ncols: int):
+        """Index arrays for words with ``m`` creations and ``n``
+        annihilations on the columns ``0 .. ncols-1``.
+
+        A column ``mu`` with ``|mu| >= n`` is stripped to a path ``s`` and
+        then extended by every ``m``-edge path ``f_1 ... f_m`` that fits in
+        the basis; each extension gives one entry ``(f_1 ... f_m s, mu)``.
+        Returns the stripped edges (one array per annihilation, over the
+        surviving columns), the range index of each ``s``, the surviving
+        column behind each entry, the created edges (one array per
+        creation, over the entries) and the entries' rows and columns.
+        """
+        key = (m, n, ncols)
+        if key not in self._plans:
+            cols = np.arange(np.searchsorted(self.lengths, n), ncols)
+            cur, stripped = cols, []
+            for _ in range(n):
+                stripped.append(self.first[cur])
+                cur = self.parent[cur]
+            ranges = self.ranges[cur]
+            rows, source = cur, np.arange(cur.size)
+            for _ in range(m):
+                counts = self.n_children[rows]
+                rep = np.repeat(np.arange(rows.size), counts)
+                offset = np.cumsum(counts) - counts
+                rows = (np.repeat(self.child_start[rows] - offset, counts)
+                        + np.arange(rep.size))
+                source = source[rep]
+            created, cur = [], rows
+            for _ in range(m):
+                created.append(self.first[cur])
+                cur = self.parent[cur]
+            self._plans[key] = (stripped, ranges, source, created, rows,
+                                cols[source])
+        return self._plans[key]
+
+
+def _shape_batches(elem: ToeplitzElement) -> list:
+    """The words of ``elem`` grouped by ``(creations, annihilations,
+    has middle)``, each group's factor values stacked into ``(words, *)``
+    arrays: ``(m, n, coeffs, lefts, middles or None, rights)``."""
+    groups: dict = {}
+    for w in elem.words:
+        groups.setdefault(
+            (w.creations, w.annihilations, w.middle is not None), []).append(w)
+    out = []
+    for (m, n, has_middle), ws in groups.items():
+        out.append((
+            m, n, np.array([w.coeff for w in ws]),
+            [np.stack([w.left[i].values for w in ws]) for i in range(m)],
+            np.stack([w.middle.values for w in ws]) if has_middle else None,
+            [np.stack([w.right[j].values for w in ws]) for j in range(n)]))
+    return out
+
+
+def _apply_batches(fock: TruncatedFock, batches, ncols: int) -> np.ndarray:
+    """Columns ``0 .. ncols-1`` of the matrix of the element whose
+    :func:`_shape_batches` are ``batches``, words of one shape at once."""
+    out = np.zeros((fock.dim, ncols), dtype=np.complex128)
+    for m, n, coeffs, lefts, middles, rights in batches:
+        stripped, ranges, source, created, rows, cols = fock._plan(m, n, ncols)
+        c = np.broadcast_to(coeffs[:, None], (coeffs.size, ranges.size))
+        for y, edges in zip(rights, stripped):
+            c = c * y[:, edges].conj()
+        if middles is not None:
+            c = c * middles[:, ranges]
+        if m:
+            c = c[:, source]
+            for x, edges in zip(lefts, created):
+                c = c * x[:, edges]
+        out[rows, cols] += c.sum(axis=0)
+    return out
 
 
 @dataclass
@@ -507,9 +612,7 @@ def fock_matrix(elem, v=None, depth: int | None = None,
     if depth < m_max:
         raise SizeLimitError(
             f"depth {depth} below creation length {m_max}; no valid window")
-    M = np.zeros((fock.dim, fock.dim), dtype=np.complex128)
-    for w in elem.words:
-        M += fock.word_matrix(w)
+    M = _apply_batches(fock, _shape_batches(elem), fock.dim)
     valid = fock.lengths + m_max <= depth
     return FockMatrix(matrix=M, valid_cols=valid, fock=fock)
 
@@ -573,14 +676,14 @@ def reconstruct_module_check(graph: FiniteGraph, trials: int = 100,
     (iv)  ``P(a) C(xi) p = C(a . xi) p``.
 
     Each identity is checked exactly in the delta-basis expansion (products
-    taken at the basis level) and numerically on truncated matrices at
-    every vertex.
+    taken at the basis level) and numerically at every vertex on the valid
+    window columns of the truncated matrices, the only columns read.
     """
     from .modules import random_module_element, random_vertex_function
     rng = np.random.default_rng(seed)
     p = vacuum_projection(graph)
     report = ReconstructionReport()
-    focks = {v: TruncatedFock(graph, v, depth) for v in graph.vertices}
+    focks = [TruncatedFock(graph, v, depth) for v in graph.vertices]
 
     def record(name, lhs_factors, rhs_factors, sym_lhs=None, sym_rhs=None):
         # the symbolic sides may pre-reduce adjacent factors with the
@@ -598,10 +701,11 @@ def reconstruct_module_check(graph: FiniteGraph, trials: int = 100,
         diff = lhs - rhs
         m_max = max((w.creations for w in diff.words), default=0)
         if m_max <= depth:
-            for v in graph.vertices:
-                fm = fock_matrix(diff, fock=focks[v])
-                if fm.valid_cols.any():
-                    num = max(num, float(np.max(np.abs(fm.window()))))
+            batches = _shape_batches(diff)
+            for fock in focks:
+                window = _apply_batches(fock, batches,
+                                        fock.window_size(m_max))
+                num = max(num, float(np.max(np.abs(window))))
         ok = sym == 0.0 and num <= tol
         report.checks.append(CheckRecord(
             name=name, passed=ok, residual=max(sym, num)))

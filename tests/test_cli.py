@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import time
 
 from graphcorr.cli import COMMAND_TABLE, build_parser, dispatch
 from graphcorr.fixtures import fixture_path
@@ -44,6 +48,38 @@ def test_beta_below_threshold_is_check_failure(capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "domain" in out
+
+
+def test_zero_or_negative_beta_step_is_input_error(capsys):
+    for betas in ("1:2:0", "1:2:-0.5"):
+        assert run("kms", "sweep", FIB, "--vertex", "a",
+                   "--betas", betas) == 2
+        assert "positive step" in capsys.readouterr().err
+
+
+def test_oversized_beta_grid_is_input_error(capsys):
+    assert run("kms", "sweep", FIB, "--vertex", "a",
+               "--betas", "1:10000:0.5") == 2
+    assert "points" in capsys.readouterr().err
+
+
+def test_overlong_path_request_refused_at_once(capsys):
+    t0 = time.perf_counter()
+    code = run("graph", "paths", LOOP, "--vertex", "v",
+               "--length", "3000000")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert "domain" in capsys.readouterr().out
+
+
+def test_import_does_not_load_scipy():
+    # scipy's import time would land on every command
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    subprocess.run([sys.executable, "-c",
+                    "import graphcorr, graphcorr.cli, sys; "
+                    "assert 'scipy' not in sys.modules"],
+                   env=env, check=True)
 
 
 def test_localconj_certificate(capsys):

@@ -10,9 +10,10 @@ from graphcorr.fixtures import (circle_double_cover, circle_triple_cover,
                                 circle_two_loops, edgeless, fibonacci,
                                 k_loops, single_loop, ten_edge)
 from graphcorr.graphs import (Arc, CircleCoveringGraph, EdgeComponent,
-                              FiniteGraph, TWO_PI, arcs_cover_circle,
-                              enumerate_paths, graph_from_dict, graph_to_dict,
-                              growth_sequence, s_section_decomposition,
+                              FiniteGraph, MAX_PATHS, TWO_PI,
+                              arcs_cover_circle, enumerate_paths,
+                              graph_from_dict, graph_to_dict, growth_sequence,
+                              path_index_tuples, s_section_decomposition,
                               spectral_radius, wrap_angle)
 
 # ---------------------------------------------------------------------------
@@ -146,6 +147,38 @@ def test_path_enumeration_size_guard():
     g = k_loops(10)
     with pytest.raises(SizeLimitError):
         enumerate_paths(g, "v", 7)    # 10^7 paths
+
+
+def test_path_budget_counts_edge_indices():
+    # one path per length, so the budget is the length itself
+    g = single_loop()
+    assert path_index_tuples(g, 0, 1000) == [(0,) * 1000]
+    with pytest.raises(SizeLimitError):
+        path_index_tuples(g, 0, MAX_PATHS + 1)
+    with pytest.raises(SizeLimitError):
+        path_index_tuples(g, 0, 3_000_000)
+    g = k_loops(2)     # 2^16 paths of 16 edges exceed the budget
+    assert len(path_index_tuples(g, 0, 15)) == 2 ** 15
+    with pytest.raises(SizeLimitError):
+        path_index_tuples(g, 0, 16)
+
+
+def test_long_paths_on_acyclic_graph_are_empty():
+    g = FiniteGraph(vertices=["a", "b", "c"], edges=["ab", "bc"],
+                    src=["a", "b"], rng=["b", "c"])
+    assert path_index_tuples(g, 0, 2) == [(1, 0)]
+    assert path_index_tuples(g, 0, 3) == []
+    assert path_index_tuples(g, 0, 10**12) == []
+
+
+def test_index_tuples_ordered_from_the_source_end():
+    # extensions of a path stay together in edge order, so the tuples are
+    # sorted lexicographically when read from the source end
+    g = ten_edge()
+    for vi in range(g.n_vertices):
+        for n in range(5):
+            tuples = path_index_tuples(g, vi, n)
+            assert tuples == sorted(tuples, key=lambda t: t[::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from graphcorr.errors import DomainError
 from graphcorr.fixtures import edgeless, fibonacci, k_loops, single_loop
+from graphcorr.graphs import FiniteGraph
 from graphcorr.kms import (KMSInftyState, KMSParameters, KMSState,
                            choose_truncation_depth, extremal_separation_check,
                            kms_condition_check, kms_eval, kms_eval_truncated,
@@ -74,6 +75,29 @@ def test_truncation_depth_chooser():
     depth = choose_truncation_depth(g, 1.0, eps=1e-13)
     assert partition_tail_bound(g, 1.0, depth) < 1e-13
     assert partition_tail_bound(g, 1.0, depth - 1) >= 1e-13
+
+
+def test_truncation_depth_on_acyclic_graph():
+    # a directed path has nilpotent adjacency: the tail bound must not read
+    # A^20 = 0 as "no tail" while paths of length up to 3 remain
+    g = FiniteGraph(vertices=["v0", "v1", "v2", "v3"],
+                    edges=["e0", "e1", "e2"], src=["v0", "v1", "v2"],
+                    rng=["v1", "v2", "v3"])
+    beta = 0.5
+    assert partition_tail_bound(g, beta, 1) > 0.0
+    assert partition_tail_bound(g, beta, 3) == 0.0
+    depth = choose_truncation_depth(g, beta)
+    assert depth == 3
+    rng = np.random.default_rng(3)
+    for v in g.vertices:
+        st = point_state(g, beta, v)
+        for k in range(3):
+            w = ToeplitzElement(g, [word(
+                1.0, tuple(random_module_element(g, rng) for _ in range(k)),
+                random_vertex_function(g, rng) if k == 0 else None,
+                tuple(random_module_element(g, rng) for _ in range(k)))])
+            assert abs(kms_eval(st, w)
+                       - kms_eval_truncated(st, w, depth)) <= 1e-12
 
 
 def test_beta_domain_enforced():

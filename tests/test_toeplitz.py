@@ -3,13 +3,14 @@ import pytest
 
 from graphcorr.conjugacy import GraphIsomorphism
 from graphcorr.errors import FormatError, SizeLimitError
-from graphcorr.fixtures import (edgeless, fibonacci, k_loops, single_loop,
-                                ten_edge)
+from graphcorr.fixtures import (FINITE_FIXTURES, edgeless, fibonacci,
+                                k_loops, single_loop, ten_edge)
 from graphcorr.modules import (delta_edge, delta_vertex,
                                random_module_element, random_vertex_function,
                                unit_vertex_function)
-from graphcorr.suite import relabeled_copy
-from graphcorr.toeplitz import (ToeplitzElement, TruncatedFock,
+from graphcorr.suite import RECONSTRUCT_FIXTURES, relabeled_copy
+from graphcorr.toeplitz import (ToeplitzElement, TruncatedFock, Word,
+                                _apply_batches, _shape_batches,
                                 basis_product, delta_basis_multiply,
                                 delta_basis_residual, element_delta_basis,
                                 fock_matrix, gauge_scale, iota_word, pi_word,
@@ -348,3 +349,107 @@ def test_adjoint_matches_matrix_adjoint():
         ma = sum(f.word_matrix(w) for w in e.adjoint().words)
         block = np.ix_(interior, interior)
         assert np.max(np.abs(m.conj().T[block] - ma[block])) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# table-driven matrices and indexed products against their slow oracles
+
+
+def _mixed_element(g, rng, n_words):
+    """Words of every shape up to three creations and annihilations,
+    including non-normal words that keep a middle next to creations."""
+    words = []
+    for _ in range(n_words):
+        m, n = (int(k) for k in rng.integers(0, 4, size=2))
+        middle = (random_vertex_function(g, rng)
+                  if rng.random() < 0.5 else None)
+        words.append(Word(
+            complex(*rng.standard_normal(2)),
+            tuple(random_module_element(g, rng) for _ in range(m)), middle,
+            tuple(random_module_element(g, rng) for _ in range(n))))
+    return ToeplitzElement(g, words)
+
+
+@pytest.mark.parametrize("name", RECONSTRUCT_FIXTURES)
+@pytest.mark.parametrize("depth", [3, 4, 5])
+def test_fock_matrix_matches_dense_word_products(name, depth):
+    g = FINITE_FIXTURES[name]()
+    rng = np.random.default_rng(depth)
+    for v in g.vertices:
+        f = TruncatedFock(g, v, depth)
+        for _ in range(4):
+            e = _mixed_element(g, rng, n_words=8)
+            dense = sum(f.word_matrix(w) for w in e.words)
+            got = fock_matrix(e, fock=f).matrix
+            scale = max(np.max(np.abs(dense)), 1.0)
+            assert np.max(np.abs(got - dense)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", RECONSTRUCT_FIXTURES)
+def test_window_columns_match_full_matrix(name):
+    # the reconstruction check evaluates only the valid window columns
+    g = FINITE_FIXTURES[name]()
+    rng = np.random.default_rng(13)
+    for v in g.vertices:
+        f = TruncatedFock(g, v, 4)
+        e = _mixed_element(g, rng, n_words=6)
+        fm = fock_matrix(e, fock=f)
+        m_max = max(w.creations for w in e.words)
+        window = _apply_batches(f, _shape_batches(e), f.window_size(m_max))
+        assert np.array_equal(window, fm.window())
+
+
+def _scan_multiply(m1, m2, graph):
+    """Every pair of terms, in order: the product before indexing by mu2."""
+    src, rng = graph.src_idx, graph.rng_idx
+    out = {}
+    for (mu, v, nu), c1 in m1.items():
+        n = len(nu)
+        for (mu2, v2, nu2), c2 in m2.items():
+            p = len(mu2)
+            if n <= p:
+                if nu != mu2[:n]:
+                    continue
+                rem = mu2[n:]
+                if rem:
+                    if v != rng[rem[0]]:
+                        continue
+                    key = (mu + rem, v2, nu2)
+                else:
+                    if v != v2:
+                        continue
+                    key = (mu, v, nu2)
+            else:
+                if nu[:p] != mu2:
+                    continue
+                rem = nu[p:]
+                if p == 0 and v2 != rng[rem[0]]:
+                    continue
+                if nu2 and src[nu2[-1]] != rng[rem[0]]:
+                    continue
+                key = (mu, v, nu2 + rem)
+            c = c1 * c2
+            if c != 0:
+                out[key] = out.get(key, 0.0) + c
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _bits(c):
+    c = complex(c)
+    return c.real.hex(), c.imag.hex()
+
+
+@pytest.mark.parametrize("name", RECONSTRUCT_FIXTURES)
+def test_indexed_basis_multiply_matches_pair_scan(name):
+    g = FINITE_FIXTURES[name]()
+    rng = np.random.default_rng(14)
+    p = element_delta_basis(vacuum_projection(g))
+    for _ in range(10):
+        a = element_delta_basis(_random_element(g, rng, n_words=3))
+        b = element_delta_basis(_random_element(g, rng, n_words=3))
+        for m1, m2 in [(a, b), (b, a), (a, p), (p, a), (a, a)]:
+            got = delta_basis_multiply(m1, m2, g)
+            want = _scan_multiply(m1, m2, g)
+            assert list(got) == list(want)
+            assert [_bits(c) for c in got.values()] \
+                == [_bits(c) for c in want.values()]
