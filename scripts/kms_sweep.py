@@ -4,14 +4,18 @@ point-mass equilibrium states approach the vacuum vector state.
 
 Usage: python scripts/kms_sweep.py [--fixture fibonacci] [--vertex a]
        [--betas 1:10:0.5] [--out sweep.csv]
+
+The beta grid is read by the CLI's parser (exit 2 on a malformed grid, a
+step <= 0 or too many points) and the word set is the one ``graphcorr kms
+sweep`` uses.
 """
 import argparse
+import sys
 
 from graphcorr import fixtures as fx
-from graphcorr.kms import kms_limit_sweep
-from graphcorr.modules import delta_edge, delta_vertex
-from graphcorr.toeplitz import (ToeplitzElement, pi_word, vacuum_projection,
-                                word)
+from graphcorr.cli import _parse_betas
+from graphcorr.errors import FormatError
+from graphcorr.kms import kms_limit_sweep, limit_sweep_words
 
 
 def main():
@@ -25,20 +29,12 @@ def main():
 
     g = fx.FINITE_FIXTURES[args.fixture]()
     v = args.vertex if args.vertex is not None else g.vertices[0]
-    lo, hi, step = (float(p) for p in args.betas.split(":"))
-    betas = []
-    b = lo
-    while b <= hi + 1e-12:
-        betas.append(round(b, 10))
-        b += step
-
-    words = {}
-    for u in g.vertices:
-        words[f"pi[{u}]"] = ToeplitzElement(g, [pi_word(delta_vertex(g, u))])
-    for e in g.edges:
-        d = delta_edge(g, e)
-        words[f"cc*[{e}]"] = ToeplitzElement(g, [word(1.0, (d,), None, (d,))])
-    words["p"] = vacuum_projection(g)
+    try:
+        betas = _parse_betas(args.betas)
+    except FormatError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        sys.exit(2)
+    words = limit_sweep_words(g)
 
     table = kms_limit_sweep(g, v, words, betas)
     print(f"fixture {args.fixture}, base vertex {v}")

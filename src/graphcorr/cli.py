@@ -28,7 +28,8 @@ from .graphs import (FiniteGraph, enumerate_paths, graph_to_dict,
                      load_graph, s_section_decomposition, spectral_radius)
 from .kms import (KMSInftyState, KMSParameters, KMSState, kms_condition_check,
                   kms_eval, kms_infty_eval, kms_limit_sweep,
-                  extremal_separation_check, path_partition_sum)
+                  extremal_separation_check, limit_sweep_words,
+                  path_partition_sum)
 from .modules import (element_from_dict, fiber_evaluation, inner_product,
                       left_action, module_norm, right_action,
                       tensor_inner_product, vertex_function_from_dict)
@@ -36,7 +37,7 @@ from .report import RunReport, Timer
 from .serialize import (digest_file, element_from_json, element_to_json,
                         load_json, matrix_from_json)
 from .suite import run_all
-from .toeplitz import (ToeplitzElement, fock_matrix, spectral_component,
+from .toeplitz import (fock_matrix, spectral_component,
                        reconstruct_module_check, triple_iso_transport,
                        vacuum_projection)
 
@@ -337,9 +338,15 @@ def cmd_kms_eval(args, report):
         m = np.full(g.n_vertices, 1.0 / g.n_vertices)
     else:
         data = _json_arg(args.measure)
+        if not isinstance(data, dict):
+            raise FormatError("--measure expects a JSON object mapping "
+                              "vertex ids to weights")
         m = np.zeros(g.n_vertices)
         for vid, wt in data.items():
-            m[g.vertex_index(vid)] = float(wt)
+            if isinstance(wt, bool) or not isinstance(wt, (int, float)):
+                raise FormatError(f"--measure weight for {vid!r} is not a "
+                                  f"number: {wt!r}")
+            m[g.vertex_index(vid)] = wt
     state = KMSState(params, m)
     elem = element_from_json(g, _json_arg(args.word))
     val = kms_eval(state, elem)
@@ -368,17 +375,8 @@ def cmd_kms_infty(args, report):
 
 def cmd_kms_sweep(args, report):
     g = _load_finite(args.graph, report)
-    from .modules import delta_edge, delta_vertex
-    from .toeplitz import pi_word, word
-    words = {}
-    for v in g.vertices:
-        words[f"pi[{v}]"] = ToeplitzElement(g, [pi_word(delta_vertex(g, v))])
-    for e in g.edges:
-        d = delta_edge(g, e)
-        words[f"cc*[{e}]"] = ToeplitzElement(g, [word(1.0, (d,), None, (d,))])
-    words["p"] = vacuum_projection(g)
     betas = _parse_betas(args.betas)
-    table = kms_limit_sweep(g, args.vertex, words, betas)
+    table = kms_limit_sweep(g, args.vertex, limit_sweep_words(g), betas)
     lines = ["beta,word-id,value,residual"]
     for row in table.rows:
         lines.append(f"{row.beta},{row.word_id},{row.value!r},"

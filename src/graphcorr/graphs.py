@@ -245,43 +245,49 @@ def fiber_count(graph, v) -> int:
 def spectral_radius(graph: FiniteGraph, tol: float = 1e-10) -> float:
     """Spectral radius of the adjacency matrix.
 
-    Power iteration on ``A + I`` (shift keeps periodic graphs converging)
-    with Rayleigh-quotient stopping; for graphs with at most 64 vertices a
-    dense eigenvalue computation is used as fallback and cross-check.
+    Graphs with at most 64 vertices get ``max |eigvals(A)|`` from one dense
+    eigenvalue computation.  Larger graphs iterate on ``B = A + I`` (the
+    shift keeps periodic graphs converging) until the Collatz-Wielandt
+    bracket of :func:`_collatz_wielandt` closes to ``tol * max(1, hi)``;
+    the midpoint, less the shift, is returned.  A bracket that does not
+    close (typically a reducible graph whose vertices see different
+    radii) raises :class:`SizeLimitError`.
     """
     if tol <= 0:
         raise FormatError("tol must be positive")
     if graph.n_edges == 0:
         return 0.0
     A = graph._adj.astype(np.float64)
-    n = A.shape[0]
-    B = A + np.eye(n)
-    x = np.full(n, 1.0 / math.sqrt(n))
-    lam_old = 0.0
-    converged = False
-    streak = 0
+    if A.shape[0] <= 64:
+        return float(np.max(np.abs(np.linalg.eigvals(A))))
+    lo, hi = _collatz_wielandt(A, tol)
+    return max(0.5 * (lo + hi) - 1.0, 0.0)
+
+
+def _collatz_wielandt(A: np.ndarray, tol: float) -> tuple[float, float]:
+    """Bracket ``lo <= rho(A + I) <= hi`` with ``hi - lo <= tol * max(1, hi)``.
+
+    For a positive vector ``x`` and the nonnegative ``B = A + I``,
+    ``min_i (Bx)_i / x_i <= rho(B) <= max_i (Bx)_i / x_i``.  Since
+    ``B >= I`` the power iterates stay positive; an entry that falls below
+    the smallest normal float (a vertex the dominant part of the graph
+    does not reach) ends the iteration, as does the step budget.
+    """
+    B = A + np.eye(A.shape[0])
+    x = np.ones(A.shape[0])
     for _ in range(50_000):
         y = B @ x
-        ny = float(np.linalg.norm(y))
-        x = y / ny
-        lam = float(x @ (B @ x))
-        if abs(lam - lam_old) <= 0.01 * tol * max(1.0, abs(lam)):
-            streak += 1
-            if streak >= 3:
-                converged = True
-                break
-        else:
-            streak = 0
-        lam_old = lam
-    rho = max(lam - 1.0, 0.0)
-    if n <= 64:
-        rho_dense = float(np.max(np.abs(np.linalg.eigvals(A))))
-        if not converged or abs(rho - rho_dense) > tol:
-            rho = rho_dense
-    elif not converged:
-        raise SizeLimitError("power iteration did not converge; "
-                             "graph too large for dense fallback")
-    return rho
+        ratios = y / x
+        lo, hi = float(ratios.min()), float(ratios.max())
+        if hi - lo <= tol * max(1.0, hi):
+            return lo, hi
+        x = y / y.max()
+        if x.min() < np.finfo(np.float64).tiny:
+            raise SizeLimitError("Collatz-Wielandt iterate underflowed; "
+                                 "graph too large for the dense radius")
+    raise SizeLimitError(f"Collatz-Wielandt bracket did not close to {tol} "
+                         "in 50000 steps; graph too large for the dense "
+                         "radius")
 
 
 def growth_sequence(graph: FiniteGraph, n_max: int, v=None) -> list[float]:

@@ -10,10 +10,13 @@ and the state attached to a probability vector ``Omega`` on vertices
 evaluates a word ``C^k(x) P(a) C^l(y)*`` to zero unless ``k = l``, and
 otherwise to
 
-    e^{-beta k} sum_v Omega(v) N_v^{-1} [g^T (I - e^{-beta} A)^{-1} delta_v],
+    e^{-beta k} sum_v Omega(v) N_v^{-1} [g^T (I - e^{-beta} A)^{-1} delta_v]
+        = e^{-beta k} u^T g,    u = (I - e^{-beta} A)^{-1} (Omega / N),
 
-with ``g = <y, x>`` the tensor inner product (``g = a`` for scalar words).
-Evaluation is exact via linear solves; truncated path sums are kept as an
+with ``g = <y, x>`` the tensor inner product (``g = a`` for scalar words,
+``g = 1`` for the unit word).  Each state solves for its dual vector ``u``
+once, so a word costs one dot product; each word computes its profile
+``(g, k)`` once and keeps it.  Truncated path sums are kept as an
 independent cross-check oracle.  The ``beta -> infinity`` limit states are
 the vacuum vector states: they see only the scalar part of a word.
 """
@@ -26,9 +29,9 @@ import numpy as np
 
 from .errors import DomainError, FormatError, MismatchError
 from .graphs import FiniteGraph, spectral_radius
-from .modules import tensor_inner_product
+from .modules import delta_edge, delta_vertex, tensor_inner_product
 from .toeplitz import (CheckRecord, ToeplitzElement, Word, gauge_scale,
-                       pi_word, word)
+                       pi_word, vacuum_projection, word)
 
 
 @dataclass
@@ -53,10 +56,6 @@ class KMSParameters:
 
     def partition_sum(self, v) -> float:
         return float(self.partition[self.graph.vertex_index(v)])
-
-    def weighted_sum(self, g: np.ndarray) -> np.ndarray:
-        """``v -> sum_mu e^{-beta |mu|} g(r(mu))`` over paths from ``v``."""
-        return np.linalg.solve(self.resolvent_t, g)
 
 
 def path_partition_sum(params: KMSParameters, v) -> float:
@@ -124,18 +123,24 @@ def choose_truncation_depth(graph: FiniteGraph, beta: float,
 
 @dataclass
 class KMSState:
-    """State attached to a finitely supported probability measure."""
+    """State attached to a finitely supported probability measure.
+
+    ``dual`` is ``(I - e^{-beta} A)^{-1} (Omega / N)``: the state of a
+    balanced word with profile ``(g, k)`` is ``e^{-beta k} dual @ g``.
+    """
     params: KMSParameters
     measure: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.measure, dtype=np.float64)
-        g = self.params.graph
-        if m.shape != (g.n_vertices,):
+        p = self.params
+        if m.shape != (p.graph.n_vertices,):
             raise MismatchError("measure must assign a weight to each vertex")
-        if np.any(m < -1e-15) or abs(m.sum() - 1.0) > 1e-12:
+        if (not np.isfinite(m).all() or np.any(m < -1e-15)
+                or abs(m.sum() - 1.0) > 1e-12):
             raise FormatError("measure must be a probability vector")
         self.measure = m
+        self.dual = np.linalg.solve(p.resolvent_t.T, m / p.partition)
 
     @classmethod
     def point_mass(cls, params: KMSParameters, v) -> "KMSState":
@@ -145,35 +150,36 @@ class KMSState:
 
 
 def _word_profile(w: Word):
-    """``g`` as a plain vector for the evaluation formula, or None if the
-    word has unequal creation/annihilation length."""
-    k, l = w.creations, w.annihilations
-    if k != l:
-        return None, 0
-    if k == 0:
-        if w.middle is None:
-            g = None
-        else:
-            g = w.middle.values
+    """``(g, k)`` for the evaluation formula (``g`` None for the unit
+    word), or None if the word has unequal creation/annihilation length
+    and so vanishes in every state.  Computed once per word: the memo sits
+    in the frozen word's instance dict, as :meth:`Word.is_zero`'s does."""
+    try:
+        return w.__dict__["_profile"]
+    except KeyError:
+        pass
+    k = w.creations
+    if k != w.annihilations:
+        profile = None
+    elif k:
+        profile = tensor_inner_product(w.right, w.left).values, k
     else:
-        g = tensor_inner_product(list(w.right), list(w.left)).values
-    return g, k
+        profile = (None if w.middle is None else w.middle.values), 0
+    w.__dict__["_profile"] = profile
+    return profile
 
 
 def kms_eval(state: KMSState, elem) -> complex:
     """Exact evaluation of an element in the state."""
     if isinstance(elem, Word):
         elem = ToeplitzElement(state.params.graph, [elem])
-    p = state.params
+    x, u = state.params.x, state.dual
     total = 0.0 + 0.0j
-    weights = state.measure / p.partition
-    ones = np.ones(p.graph.n_vertices)
     for w in elem.words:
-        g, k = _word_profile(w)
-        if w.creations != w.annihilations:
-            continue
-        z = p.weighted_sum(ones if g is None else g)
-        total += w.coeff * (p.x ** k) * complex(weights @ z)
+        profile = _word_profile(w)
+        if profile is not None:
+            g, k = profile
+            total += w.coeff * (x ** k) * (u.sum() if g is None else u @ g)
     return complex(total)
 
 
@@ -182,6 +188,7 @@ def kms_eval_truncated(state: KMSState, elem, depth: int) -> complex:
 
     Sums ``sum_{|mu| <= depth} e^{-beta |mu|} g(r(mu))`` by accumulating
     damped adjacency powers instead of solving the resolvent system.
+    Reads only ``graph``, ``x`` and ``partition`` from ``state.params``.
     """
     if isinstance(elem, Word):
         elem = ToeplitzElement(state.params.graph, [elem])
@@ -190,9 +197,10 @@ def kms_eval_truncated(state: KMSState, elem, depth: int) -> complex:
     total = 0.0 + 0.0j
     weights = state.measure / p.partition
     for w in elem.words:
-        g, k = _word_profile(w)
-        if w.creations != w.annihilations:
+        profile = _word_profile(w)
+        if profile is None:
             continue
+        g, k = profile
         z = np.ones(p.graph.n_vertices, dtype=np.complex128) if g is None \
             else np.asarray(g, dtype=np.complex128)
         acc = np.zeros_like(z)
@@ -271,6 +279,21 @@ class SweepTable:
             if any(res[i + 1] > res[i] + slack for i in range(len(res) - 1)):
                 return False
         return True
+
+
+def limit_sweep_words(graph: FiniteGraph) -> dict:
+    """The sweep's word set: every vertex projection ``pi[v]``, every edge
+    word ``cc*[e] = C(delta_e) C(delta_e)*`` and the vacuum projection."""
+    words = {}
+    for v in graph.vertices:
+        words[f"pi[{v}]"] = ToeplitzElement(
+            graph, [pi_word(delta_vertex(graph, v))])
+    for e in graph.edges:
+        d = delta_edge(graph, e)
+        words[f"cc*[{e}]"] = ToeplitzElement(
+            graph, [word(1.0, (d,), None, (d,))])
+    words["p"] = vacuum_projection(graph)
+    return words
 
 
 def kms_limit_sweep(graph: FiniteGraph, v, words: dict,

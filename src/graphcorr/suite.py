@@ -23,14 +23,14 @@ from .errors import NoMatchingError, SingularMatrixError
 from .graphs import FiniteGraph, growth_sequence, spectral_radius
 from .kms import (KMSInftyState, KMSParameters, KMSState, kms_condition_check,
                   kms_eval, kms_infty_eval, kms_limit_sweep,
-                  path_partition_sum)
-from .modules import (ModuleElement, delta_edge, delta_vertex,
-                      random_module_element, random_vertex_function)
+                  limit_sweep_words, path_partition_sum)
+from .modules import (ModuleElement, delta_edge, random_module_element,
+                      random_vertex_function)
 from .report import Check, RunReport, Timer
 from .toeplitz import (ToeplitzElement, delta_basis_multiply,
                        delta_basis_residual, element_delta_basis, fock_matrix,
-                       pi_word, reconstruct_module_check,
-                       triple_iso_transport, vacuum_projection, word)
+                       reconstruct_module_check, triple_iso_transport,
+                       vacuum_projection, word)
 
 KMS_FIXTURES = ("single-loop", "three-loops", "fibonacci")
 RECONSTRUCT_FIXTURES = ("single-loop", "three-loops", "fibonacci", "ten-edge")
@@ -94,14 +94,8 @@ def _random_homogeneous(g, rng, degree=None) -> ToeplitzElement:
 def criterion_3_kms_limits():
     """Residuals to the vacuum states decrease and obey the e^{-beta} bound."""
     g = fx.fibonacci()
-    words = {}
-    for v in g.vertices:
-        words[f"pi[{v}]"] = ToeplitzElement(g, [pi_word(delta_vertex(g, v))])
-    for e in g.edges:
-        d = delta_edge(g, e)
-        words[f"cc*[{e}]"] = ToeplitzElement(g, [word(1.0, (d,), None, (d,))])
-    p = vacuum_projection(g)
-    words["p"] = p
+    words = limit_sweep_words(g)
+    p = words["p"]
     checks = []
     table = kms_limit_sweep(g, "a", words, range(1, 11))
     checks.append(Check("3.residuals-monotone", table.monotone_decreasing(),

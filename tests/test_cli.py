@@ -4,6 +4,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from graphcorr.cli import COMMAND_TABLE, build_parser, dispatch
 from graphcorr.fixtures import fixture_path
 
@@ -80,6 +82,28 @@ def test_import_does_not_load_scipy():
                     "import graphcorr, graphcorr.cli, sys; "
                     "assert 'scipy' not in sys.modules"],
                    env=env, check=True)
+
+
+@pytest.mark.parametrize("measure", ['{"a":NaN,"b":1}', '{"a":"x"}',
+                                     "[1,2]"])
+def test_malformed_measure_is_input_error(measure, capsys):
+    code = run("kms", "eval", FIB, "--beta", "2", "--word", '{"coeff":[1,0]}',
+               "--measure", measure)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "input error" in captured.err and "PASS" not in captured.out
+
+
+def test_kms_sweep_script_refuses_zero_beta_step():
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.abspath(os.path.join(root, "src")))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "kms_sweep.py"),
+         "--betas", "1:2:0"],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert "input error" in proc.stderr
 
 
 def test_localconj_certificate(capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from graphcorr.fixtures import (circle_double_cover, circle_triple_cover,
                                 k_loops, single_loop, ten_edge)
 from graphcorr.graphs import (Arc, CircleCoveringGraph, EdgeComponent,
                               FiniteGraph, MAX_PATHS, TWO_PI,
-                              arcs_cover_circle, enumerate_paths,
-                              graph_from_dict, graph_to_dict, growth_sequence,
-                              path_index_tuples, s_section_decomposition,
-                              spectral_radius, wrap_angle)
+                              _collatz_wielandt, arcs_cover_circle,
+                              enumerate_paths, graph_from_dict, graph_to_dict,
+                              growth_sequence, path_index_tuples,
+                              s_section_decomposition, spectral_radius,
+                              wrap_angle)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -208,6 +210,47 @@ def test_spectral_radius_eigenvalue_oracle_random():
         oracle = max(abs(np.linalg.eigvals(g.adjacency().astype(float))),
                      default=0.0)
         assert abs(rho - oracle) <= 1e-9
+
+
+def graph_from_arcs(n, arcs) -> FiniteGraph:
+    return FiniteGraph([f"v{i}" for i in range(n)],
+                       [f"e{i}" for i in range(len(arcs))],
+                       [f"v{s}" for s, _ in arcs], [f"v{r}" for _, r in arcs])
+
+
+def test_collatz_wielandt_bracket_on_100_vertices():
+    # a Hamiltonian cycle plus random chords is strongly connected, so the
+    # bracket closes; the dense eigenvalues are the oracle
+    rng = np.random.default_rng(12)
+    tol = 1e-10
+    arcs = [(i, (i + 1) % 100) for i in range(100)]
+    arcs += [tuple(int(v) for v in rng.integers(100, size=2))
+             for _ in range(150)]
+    g = graph_from_arcs(100, arcs)
+    A = g.adjacency().astype(float)
+    oracle = max(abs(np.linalg.eigvals(A)))
+    lo, hi = _collatz_wielandt(A, tol)
+    assert lo <= oracle + 1.0 + 1e-12 and oracle + 1.0 <= hi + 1e-12
+    assert hi - lo <= tol * max(1.0, hi)
+    assert abs(spectral_radius(g, tol=tol) - oracle) <= tol * max(1.0, oracle)
+
+
+def test_collatz_wielandt_refuses_unclosed_bracket_quickly():
+    rng = np.random.default_rng(13)
+    base = [(i, (i + 1) % 50) for i in range(50)]
+    base += [tuple(int(v) for v in rng.integers(50, size=2))
+             for _ in range(20)]
+    copy = [(s + 50, r + 50) for s, r in base]
+    cycle = [(s + 50, (s + 1) % 50 + 50) for s in range(50)]
+    # tied copies: the bracket narrows like 1/steps and never reaches tol;
+    # a plain cycle feeding the denser half: the cycle's entries underflow
+    for arcs, why in ((base + copy + [(0, 50)], "did not close"),
+                      (base + cycle + [(50, 0)], "underflow")):
+        g = graph_from_arcs(100, arcs)
+        t0 = time.perf_counter()
+        with pytest.raises(SizeLimitError, match=why):
+            spectral_radius(g)
+        assert time.perf_counter() - t0 < 2.0
 
 
 def test_growth_sequence_upper_bounds_radius():

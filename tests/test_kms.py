@@ -3,18 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from graphcorr.errors import DomainError
-from graphcorr.fixtures import edgeless, fibonacci, k_loops, single_loop
+from graphcorr.errors import DomainError, FormatError
+from graphcorr.fixtures import (FINITE_FIXTURES, edgeless, fibonacci, k_loops,
+                                single_loop)
 from graphcorr.graphs import FiniteGraph
 from graphcorr.kms import (KMSInftyState, KMSParameters, KMSState,
-                           choose_truncation_depth, extremal_separation_check,
-                           kms_condition_check, kms_eval, kms_eval_truncated,
-                           kms_infty_eval, kms_limit_sweep,
-                           partition_tail_bound, path_partition_sum,
-                           truncated_partition_sum)
+                           _word_profile, choose_truncation_depth,
+                           extremal_separation_check, kms_condition_check,
+                           kms_eval, kms_eval_truncated, kms_infty_eval,
+                           kms_limit_sweep, partition_tail_bound,
+                           path_partition_sum, truncated_partition_sum)
 from graphcorr.modules import (delta_edge, delta_vertex,
                                random_module_element, random_vertex_function,
-                               unit_vertex_function)
+                               tensor_inner_product, unit_vertex_function)
 from graphcorr.toeplitz import (ToeplitzElement, iota_word, pi_word,
                                 vacuum_projection, word)
 
@@ -28,6 +29,61 @@ def edge_word(g, e, f=None):
     d1 = delta_edge(g, e)
     d2 = d1 if f is None else delta_edge(g, f)
     return ToeplitzElement(g, [word(1.0, (d1,), None, (d2,))])
+
+
+def resolvent_loop_eval(state, elem) -> complex:
+    """One resolvent solve per word, with ``g`` rebuilt from the factors:
+    the evaluation loop that ``kms_eval``'s dual vector replaced."""
+    p = state.params
+    weights = state.measure / p.partition
+    total = 0.0 + 0.0j
+    for w in elem.words:
+        k = w.creations
+        if k != w.annihilations:
+            continue
+        if k:
+            g = tensor_inner_product(list(w.right), list(w.left)).values
+        elif w.middle is None:
+            g = np.ones(p.graph.n_vertices)
+        else:
+            g = w.middle.values
+        z = np.linalg.solve(p.resolvent_t, g)
+        total += w.coeff * (p.x ** k) * complex(weights @ z)
+    return complex(total)
+
+
+def tied_graph():
+    """Two copies of a primitive 3-vertex graph joined by one arc: the
+    dominant eigenvalue is tied and has a Jordan block."""
+    base = [(0, 1), (1, 2), (2, 0), (1, 1), (0, 2)]
+    arcs = base + [(s + 3, r + 3) for s, r in base] + [(2, 4)]
+    return FiniteGraph([f"v{i}" for i in range(6)],
+                       [f"e{i}" for i in range(len(arcs))],
+                       [f"v{s}" for s, _ in arcs], [f"v{r}" for _, r in arcs])
+
+
+def acyclic_graph():
+    arcs = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (1, 4), (0, 3)]
+    return FiniteGraph([f"v{i}" for i in range(5)],
+                       [f"e{i}" for i in range(len(arcs))],
+                       [f"v{s}" for s, _ in arcs], [f"v{r}" for _, r in arcs])
+
+
+def mixed_element(g, rng) -> ToeplitzElement:
+    """Balanced words with k = 0..3 creations, unbalanced words, a scalar
+    word and the unit word."""
+    words = [word(complex(*rng.standard_normal(2)))]
+    for k in range(4):
+        for _ in range(2):
+            words.append(word(
+                complex(*rng.standard_normal(2)),
+                tuple(random_module_element(g, rng) for _ in range(k)),
+                random_vertex_function(g, rng),
+                tuple(random_module_element(g, rng) for _ in range(k))))
+    words.append(word(1.0, (random_module_element(g, rng),), None, ()))
+    words.append(word(1.0, (), None, tuple(
+        random_module_element(g, rng) for _ in range(2))))
+    return ToeplitzElement(g, words)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +237,39 @@ def test_eval_matches_truncated_oracle_fibonacci():
                    - kms_eval_truncated(st, w, depth)) <= 1e-11
 
 
+@pytest.mark.parametrize("name", ["single-loop", "three-loops", "fibonacci",
+                                  "ten-edge", "tied", "acyclic"])
+def test_dual_vector_matches_per_word_solves(name):
+    graph_of = dict(FINITE_FIXTURES, tied=tied_graph, acyclic=acyclic_graph)
+    g = graph_of[name]()
+    rho = max(abs(np.linalg.eigvals(g.adjacency().astype(float))))
+    beta = (math.log(rho) if rho > 1.0 else 0.0) + 0.7
+    params = KMSParameters(g, beta)
+    rng = np.random.default_rng(7)
+    elems = [mixed_element(g, rng) for _ in range(3)]
+    measures = [np.eye(g.n_vertices)[i] for i in range(g.n_vertices)]
+    for _ in range(3):
+        m = rng.random(g.n_vertices) + 0.1
+        measures.append(m / m.sum())
+    for m in measures:
+        st = KMSState(params, m)
+        for elem in elems:
+            want = resolvent_loop_eval(st, elem)
+            assert abs(kms_eval(st, elem) - want) \
+                <= 1e-12 * max(1.0, abs(want))
+
+
+def test_word_profile_computed_once():
+    g = fibonacci()
+    rng = np.random.default_rng(8)
+    xs = (random_module_element(g, rng), random_module_element(g, rng))
+    w = word(1.0, xs, None, xs[::-1])
+    g_w, k = _word_profile(w)
+    assert k == 2 and _word_profile(w)[0] is g_w
+    assert _word_profile(word(2.0)) == (None, 0)
+    assert _word_profile(word(1.0, xs, None, xs[:1])) is None
+
+
 # ---------------------------------------------------------------------------
 # the equilibrium condition
 
@@ -331,6 +420,7 @@ def test_affinity_exact_identity():
 def test_measure_validation():
     g = fibonacci()
     params = KMSParameters(g, 1.0)
-    from graphcorr.errors import FormatError
-    with pytest.raises(FormatError):
-        KMSState(params, np.array([0.7, 0.7]))
+    # NaN compares false with every bound, so it is refused explicitly
+    for m in ([0.7, 0.7], [math.nan, 1.0], [math.inf, 1.0]):
+        with pytest.raises(FormatError):
+            KMSState(params, np.array(m))
