@@ -23,10 +23,9 @@ def main():
         print(f"{grid:6d} {rep.isometry:12.3e} {rep.action_right:12.3e} "
               f"{rep.action_left:12.3e} {rep.surjectivity:12.3e} "
               f"{'ok' if rep.endpoint_exact else 'BAD':>6}")
-    w = nonisomorphism_witness()
-    print(f"edge-space components: {w.two_loops_components} (two loops) vs "
-          f"{w.double_cover_components} (double cover); graphs isomorphic: "
-          f"{w.graphs_isomorphic}")
+    two_loops, cover = nonisomorphism_witness()
+    print(f"edge-space components: {two_loops} (two loops) vs {cover} "
+          "(double cover), so the graphs are not isomorphic")
 
 
 if __name__ == "__main__":

@@ -11,12 +11,11 @@ circle.
 __version__ = "0.1.0"
 
 from .graphs import (Arc, CircleCoveringGraph, EdgeComponent, FiniteGraph,
-                     Path, enumerate_paths, fiber_count, graph_from_dict,
-                     graph_to_dict, load_graph, s_section_decomposition,
-                     spectral_radius)
+                     Path, enumerate_paths, graph_from_dict, graph_to_dict,
+                     load_graph, s_section_decomposition, spectral_radius)
 
 __all__ = [
     "Arc", "CircleCoveringGraph", "EdgeComponent", "FiniteGraph", "Path",
-    "enumerate_paths", "fiber_count", "graph_from_dict", "graph_to_dict",
+    "enumerate_paths", "graph_from_dict", "graph_to_dict",
     "load_graph", "s_section_decomposition", "spectral_radius",
 ]

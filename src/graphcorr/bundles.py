@@ -16,19 +16,19 @@ what distinguishes a connected double cover from two disjoint loops.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError
 from .graphs import (ANGLE_TOL, TWO_PI, Arc, CircleCoveringGraph,
                      EdgeComponent, angle_dist, arcs_cover_circle,
-                     sections_over_arc, wrap_angle)
+                     load_json, sections_over_arc, wrap_angle)
+from .report import Check
 
 __all__ = [
-    "ArcCover", "PermCocycle", "Monodromy", "CocycleReport", "cocycle_check",
+    "ArcCover", "PermCocycle", "Monodromy", "cocycle_check",
     "cocycle_from_graph", "monodromy", "graph_from_cocycle",
     "global_frame_over_circle", "refine_cover", "has_global_basis",
     "cocycle_to_dict", "cocycle_from_dict", "load_cocycle",
@@ -128,14 +128,12 @@ class PermCocycle:
         return self.transitions[(j, i, comp)]
 
 
-@dataclass
-class CocycleReport:
-    passed: bool
-    violations: list = field(default_factory=list)
+def cocycle_check(c: PermCocycle) -> Check:
+    """Verify identity, inversion and the triple-overlap cocycle law.
 
-
-def cocycle_check(c: PermCocycle) -> CocycleReport:
-    """Verify identity, inversion and the triple-overlap cocycle law."""
+    The ``cocycle-check`` returned names each violation on its own line
+    of the detail.
+    """
     violations = []
     m = len(c.cover.arcs)
     for (i, j), comps in c.cover.overlaps.items():
@@ -143,9 +141,8 @@ def cocycle_check(c: PermCocycle) -> CocycleReport:
             s_ji = c.sigma(j, i, cidx)
             s_ij = c.sigma(i, j, cidx)
             if compose(s_ij, s_ji) != tuple(range(c.rank)):
-                violations.append(
-                    (f"inverse law fails on overlap ({i},{j}) "
-                     f"component {cidx}", (i, j, cidx)))
+                violations.append(f"inverse law fails on overlap ({i},{j}) "
+                                  f"component {cidx}")
     for i in range(m):
         for j in range(m):
             for k in range(m):
@@ -162,9 +159,9 @@ def cocycle_check(c: PermCocycle) -> CocycleReport:
                     rhs = c.sigma(k, i, cik)
                     if lhs != rhs:
                         violations.append(
-                            (f"cocycle law fails on triple ({i},{j},{k}) "
-                             f"at angle {t:.4f}", (i, j, k, t)))
-    return CocycleReport(passed=not violations, violations=violations)
+                            f"cocycle law fails on triple ({i},{j},{k}) "
+                            f"at angle {t:.4f}")
+    return Check("cocycle-check", not violations, detail="\n".join(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +272,7 @@ def monodromy(c: PermCocycle) -> Monodromy:
     """Ordered product of transitions along one positive traversal."""
     check = cocycle_check(c)
     if not check.passed:
-        raise FormatError(f"invalid cocycle: {check.violations[0][0]}")
+        raise FormatError(f"invalid cocycle: {check.detail.splitlines()[0]}")
     total = tuple(range(c.rank))
     for i, j, comp in _traversal(c.cover):
         total = compose(c.sigma(j, i, comp), total)
@@ -344,6 +341,13 @@ class FrameResult:
     unitarity: float
     transition_residual: float
     endpoint_exact: bool
+
+    def check(self) -> Check:
+        """``global-frame``: unitary, compatible with the transitions to
+        1e-12, and bitwise continuous at the seam."""
+        res = max(self.unitarity, self.transition_residual)
+        return Check("global-frame", res <= 1e-12 and self.endpoint_exact,
+                     res)
 
 
 def _sheet_positions(mono: Monodromy):
@@ -486,10 +490,4 @@ def cocycle_from_dict(data: dict) -> PermCocycle:
 
 
 def load_cocycle(path: str) -> PermCocycle:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON at line {exc.lineno}, "
-                              f"column {exc.colno}") from None
-    return cocycle_from_dict(data)
+    return cocycle_from_dict(load_json(path))

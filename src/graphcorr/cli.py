@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -25,21 +26,21 @@ from .double_cover import run_verification
 from .errors import (DomainError, FormatError, MismatchError, NoMatchingError,
                      SingularMatrixError, SizeLimitError, WorkbenchError)
 from .graphs import (FiniteGraph, enumerate_paths, graph_to_dict,
-                     load_graph, s_section_decomposition, spectral_radius)
+                     load_graph, load_json, s_section_decomposition,
+                     spectral_radius)
 from .kms import (KMSInftyState, KMSParameters, KMSState, kms_condition_check,
                   kms_eval, kms_infty_eval, kms_limit_sweep,
-                  extremal_separation_check, limit_sweep_words,
-                  path_partition_sum)
+                  extremal_separation_check, limit_sweep_words)
 from .modules import (element_from_dict, fiber_evaluation, inner_product,
                       left_action, module_norm, right_action,
                       tensor_inner_product, vertex_function_from_dict)
 from .report import RunReport, Timer
 from .serialize import (digest_file, element_from_json, element_to_json,
-                        load_json, matrix_from_json)
+                        matrix_from_json)
 from .suite import run_all
 from .toeplitz import (fock_matrix, spectral_component,
                        reconstruct_module_check, triple_iso_transport,
-                       vacuum_projection)
+                       vacuum_projection_checks)
 
 #: operation -> subcommand that reaches it (coverage-tested)
 COMMAND_TABLE = {
@@ -85,17 +86,16 @@ COMMAND_TABLE = {
 }
 
 
-def _load_finite(path: str, report: RunReport) -> FiniteGraph:
-    g = load_graph(path)
-    report.inputs.append((path, digest_file(path)))
-    if not isinstance(g, FiniteGraph):
-        raise FormatError(f"{path}: a finite graph is required here")
-    return g
-
-
 def _load_any(path: str, report: RunReport):
     g = load_graph(path)
     report.inputs.append((path, digest_file(path)))
+    return g
+
+
+def _load_finite(path: str, report: RunReport) -> FiniteGraph:
+    g = _load_any(path, report)
+    if not isinstance(g, FiniteGraph):
+        raise FormatError(f"{path}: a finite graph is required here")
     return g
 
 
@@ -108,13 +108,11 @@ def _json_arg(value: str):
 
 
 def _json_arg_or_id(value: str):
-    """Like :func:`_json_arg`, but a bare token is an edge/vertex id."""
-    import os
+    """Like :func:`_json_arg`, but a bare token that names no file is an
+    edge/vertex id."""
     s = value.strip()
-    if s.startswith("{") or s.startswith("["):
-        return json.loads(s)
-    if os.path.exists(s):
-        return load_json(s)
+    if s.startswith(("{", "[")) or os.path.exists(s):
+        return _json_arg(s)
     return s
 
 
@@ -286,30 +284,17 @@ def cmd_fock_component(args, report):
 
 def cmd_fock_p_check(args, report):
     g = _load_finite(args.graph, report)
-    p = vacuum_projection(g)
-    from .toeplitz import (delta_basis_multiply, delta_basis_residual,
-                           element_delta_basis)
-    pb = element_delta_basis(p)
-    r_idem = delta_basis_residual(delta_basis_multiply(pb, pb, g), pb)
-    r_adj = delta_basis_residual(element_delta_basis(p.adjoint()), pb)
-    report.add("p-idempotent", r_idem == 0.0, r_idem)
-    report.add("p-selfadjoint", r_adj == 0.0, r_adj)
-    exact = True
-    for v in g.vertices:
-        fm = fock_matrix(p, v, args.depth)
-        target = np.zeros_like(fm.matrix)
-        target[fm.fock.vacuum_index(), fm.fock.vacuum_index()] = 1.0
-        exact = exact and bool(np.array_equal(fm.matrix, target))
-    report.add("p-rank-one-everywhere", exact)
+    idem, adj, rank = vacuum_projection_checks(g, args.depth)
+    report.add("p-idempotent", idem.passed, idem.residual)
+    report.add("p-selfadjoint", adj.passed, adj.residual)
+    report.add("p-rank-one-everywhere", rank.passed)
 
 
 def cmd_fock_reconstruct(args, report):
     g = _load_finite(args.graph, report)
-    rep = reconstruct_module_check(g, trials=args.trials, tol=args.tol,
-                                   seed=args.seed, depth=args.depth)
-    report.add("reconstruction", rep.passed, rep.max_residual(),
-               detail=(rep.first_violation.name if rep.first_violation
-                       else f"{len(rep.checks)} identities"))
+    report.checks.append(reconstruct_module_check(
+        g, trials=args.trials, tol=args.tol, seed=args.seed,
+        depth=args.depth))
 
 
 def cmd_fock_transport(args, report):
@@ -319,14 +304,14 @@ def cmd_fock_transport(args, report):
     if isinstance(res, Refutation):
         report.add("transport", False, detail=f"not isomorphic: {res.reason}")
         return
-    rep = triple_iso_transport(res, E, F, trials=args.trials, seed=args.seed)
-    report.add("transport", rep.passed, rep.max_residual())
+    report.checks.append(triple_iso_transport(res, E, F, trials=args.trials,
+                                              seed=args.seed))
 
 
 def cmd_kms_partition(args, report):
     g = _load_finite(args.graph, report)
     params = KMSParameters(g, args.beta)
-    n_v = path_partition_sum(params, args.vertex)
+    n_v = params.partition_sum(args.vertex)
     print(f"partition sum: {n_v!r}")
     report.add("partition-sum", True, detail=repr(n_v))
 
@@ -360,8 +345,7 @@ def cmd_kms_condition(args, report):
     state = KMSState.point_mass(params, args.vertex or g.vertices[0])
     b1 = element_from_json(g, _json_arg(args.w1))
     b2 = element_from_json(g, _json_arg(args.w2))
-    rec = kms_condition_check(state, b1, b2, tol=args.tol)
-    report.add("kms-condition", rec.passed, rec.residual)
+    report.checks.append(kms_condition_check(state, b1, b2, tol=args.tol))
 
 
 def cmd_kms_infty(args, report):
@@ -396,9 +380,8 @@ def cmd_kms_sweep(args, report):
 def cmd_kms_separation(args, report):
     g = _load_finite(args.graph, report)
     params = KMSParameters(g, args.beta)
-    recs = extremal_separation_check(params, trials=args.trials,
-                                     seed=args.seed)
-    report.extend(recs)
+    report.checks += extremal_separation_check(params, trials=args.trials,
+                                               seed=args.seed)
 
 
 def cmd_iso_check(args, report):
@@ -456,28 +439,13 @@ def cmd_localconj_frame(args, report):
         raise FormatError("the bump-frame construction needs a circle graph")
     fd = bump_frame(g, base_n=args.grid_n, center=args.center,
                     width=args.width)
-    rep = frame_verify(g, fd, tol=args.tol)
-    report.add("frame-verify", rep.passed,
-               max(rep.max_residuals.values(), default=0.0),
-               detail=rep.failed_condition or
-               f"{len(rep.anchors)} anchors extracted")
+    report.checks.append(frame_verify(g, fd, tol=args.tol).check())
 
 
 def cmd_example_s5(args, report):
     rep = run_verification(grid=args.grid, trials=args.trials,
                            seed=args.seed)
-    report.add("twist-boundary",
-               max(rep.boundary_start, rep.boundary_end) <= 1e-14,
-               max(rep.boundary_start, rep.boundary_end))
-    report.add("twist-unitary", rep.unitarity <= 1e-12, rep.unitarity)
-    report.add("isometry", rep.isometry <= args.tol, rep.isometry)
-    report.add("module-actions",
-               max(rep.action_right, rep.action_left) <= args.tol,
-               max(rep.action_right, rep.action_left))
-    report.add("surjectivity", rep.surjectivity <= 1e-13, rep.surjectivity)
-    report.add("seam-exact", rep.endpoint_exact)
-    report.add("component-counts", rep.components == (2, 1),
-               detail=f"{rep.components}")
+    report.checks += rep.checks(args.tol)
 
 
 def cmd_bundle(args, report):
@@ -493,10 +461,11 @@ def cmd_bundle(args, report):
     report.inputs.append((args.file, digest_file(args.file)))
     if args.bundle_cmd == "check":
         res = cocycle_check(c)
-        for v, _ in res.violations:
+        violations = res.detail.splitlines()
+        for v in violations:
             print(f"violation: {v}")
         report.add("cocycle-check", res.passed,
-                   detail=f"{len(res.violations)} violations")
+                   detail=f"{len(violations)} violations")
     elif args.bundle_cmd == "monodromy":
         m = monodromy(c)
         print(f"permutation: {list(m.permutation)}  "
@@ -508,16 +477,14 @@ def cmd_bundle(args, report):
         report.add("to-graph", True)
     elif args.bundle_cmd == "frame":
         fr = global_frame_over_circle(c, args.grid)
-        res = max(fr.unitarity, fr.transition_residual)
         print(f"unitarity {fr.unitarity:.3e}, transitions "
               f"{fr.transition_residual:.3e}, seam exact: "
               f"{fr.endpoint_exact}")
-        report.add("global-frame", res <= 1e-12 and fr.endpoint_exact, res)
+        report.checks.append(fr.check())
 
 
 def cmd_suite(args, report):
-    rep = run_all(seed=args.seed)
-    report.checks.extend(rep.checks)
+    report.checks += run_all(seed=args.seed).checks
 
 
 # ---------------------------------------------------------------------------

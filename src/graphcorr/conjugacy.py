@@ -23,6 +23,7 @@ from .graphs import (ANGLE_TOL, TWO_PI, Arc, CircleCoveringGraph, FiniteGraph,
                      angle_dist, s_section_decomposition, wrap_angle)
 from .modules import (DEFAULT_BASE_GRID, ModuleElement, VertexFunction,
                       inner_product, left_action, right_action)
+from .report import Check
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +278,14 @@ class FrameReport:
     max_residuals: dict = field(default_factory=dict)
     anchors: list = field(default_factory=list)
 
+    def check(self) -> Check:
+        """``frame-verify`` with the largest residual; the detail names the
+        failed condition or counts the extracted anchors."""
+        return Check("frame-verify", self.passed,
+                     max(self.max_residuals.values(), default=0.0),
+                     self.failed_condition
+                     or f"{len(self.anchors)} anchors extracted")
+
 
 def _support_indices(h: VertexFunction, floor: float):
     return np.flatnonzero(np.abs(h.values) > floor)
@@ -396,8 +405,9 @@ def frame_verify(graph, fd: FrameData, tol: float = 1e-9) -> FrameReport:
             report.anchors.append((v, witness.sigma))
         else:
             v = TWO_PI * idx / base_n
-            W, sections = s_section_decomposition(
-                graph, v, width=_support_arc_width(fd.h, idx))
+            # a safe section width: stay inside a half circle
+            W, sections = s_section_decomposition(graph, v,
+                                                  width=math.pi * 0.9)
             # columns ordered like the sections, so the matching indexes them
             B = np.zeros((k, len(sections)), dtype=np.complex128)
             for jsec, sec in enumerate(sections):
@@ -421,11 +431,6 @@ def frame_verify(graph, fd: FrameData, tol: float = 1e-9) -> FrameReport:
         return FrameReport(False, "extraction",
                            f"alpha residual {resa:.3e}", report.max_residuals)
     return report
-
-
-def _support_arc_width(h: VertexFunction, idx: int) -> float:
-    """A safe section width: stay inside a half circle."""
-    return math.pi * 0.9
 
 
 def _grid_indices_in_arc(W: Arc, base_n: int, h: VertexFunction, tol: float):

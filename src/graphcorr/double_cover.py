@@ -20,8 +20,10 @@ because ``U(t)`` is unitary, and intertwines both module actions.
 
 Grids: the base circle carries ``N`` samples ``t_j = 2pi j / N``; functions
 on the double cover carry ``2N`` samples at ``pi j / N`` so both square
-root branches of every base grid point are sample points.  All identities
-here are checked pointwise on these aligned grids, with no interpolation.
+root branches of every base grid point are sample points.  These are the
+grids of :mod:`~graphcorr.modules` on the double-cover fixture, whose inner
+product and actions the checks below use.  All identities here are checked
+pointwise on these aligned grids, with no interpolation.
 """
 from __future__ import annotations
 
@@ -31,8 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, MismatchError
+from .fixtures import circle_double_cover, circle_two_loops
+from .graphs import TWO_PI
+from .modules import (ModuleElement, VertexFunction, inner_product,
+                      left_action, right_action)
+from .report import Check
 
-TWO_PI = 2.0 * math.pi
+#: the connected double cover ``F``, over which the cover samples live
+COVER = circle_double_cover()
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
@@ -47,10 +55,6 @@ class TwistPath:
         prods = np.einsum("tij,tkj->tik", self.matrices,
                           self.matrices.conj())
         return float(np.max(np.abs(prods - np.eye(2))))
-
-    def det_residual(self) -> float:
-        dets = np.linalg.det(self.matrices)
-        return float(np.max(np.abs(np.abs(dets) - 1.0)))
 
 
 def build_twist(n: int) -> TwistPath:
@@ -112,13 +116,10 @@ def endpoint_identity_exact(twist: TwistPath, f: np.ndarray) -> bool:
     return bool(np.all(at0 == at2pi))
 
 
-def cover_inner_product(f1: np.ndarray, f2: np.ndarray, n: int) -> np.ndarray:
-    """``<f1, f2>`` in the double-cover correspondence, on the base grid."""
-    f1 = _check_cover_samples(f1, n)
-    f2 = _check_cover_samples(f2, n)
-    j = np.arange(n)
-    return (f1[j].conj() * f2[j]
-            + f1[(j + n) % (2 * n)].conj() * f2[(j + n) % (2 * n)])
+def cover_element(f: np.ndarray, n: int) -> ModuleElement:
+    """The cover samples ``f`` as an element of the correspondence of
+    :data:`COVER` over the size-``n`` base grid."""
+    return ModuleElement(COVER, (f,), n)
 
 
 def verify_isometry(twist: TwistPath, f1: np.ndarray,
@@ -126,7 +127,8 @@ def verify_isometry(twist: TwistPath, f1: np.ndarray,
     """Max residual of ``<rho f1, rho f2> = <f1, f2>`` over the grid."""
     r1, r2 = rho_map(twist, f1), rho_map(twist, f2)
     lhs = np.einsum("ti,ti->t", r1.conj(), r2)
-    rhs = cover_inner_product(f1, f2, twist.n)
+    rhs = inner_product(cover_element(f1, twist.n),
+                        cover_element(f2, twist.n)).values
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -139,17 +141,13 @@ def verify_bimodule(twist: TwistPath, f: np.ndarray,
     are pointwise multiplication by ``a``.
     """
     n = twist.n
-    f = _check_cover_samples(f, n)
-    a = np.asarray(a, dtype=np.complex128)
-    if a.shape != (n,):
-        raise MismatchError(f"base samples must have length {n}")
-    jj = np.arange(2 * n)
-    fa = f * a[jj % n]          # w = e^{i pi j / N} has w^2 at base index j mod N
-    lhs_right = rho_map(twist, fa)
-    rhs_right = rho_map(twist, f) * a[:, None]
+    x = cover_element(f, n)
+    a = VertexFunction(COVER, a, n)
+    lhs_right = rho_map(twist, right_action(x, a).components[0])
+    rhs_right = rho_map(twist, f) * a.values[:, None]
     res_right = float(np.max(np.abs(lhs_right - rhs_right)))
-    lhs_left = rho_map(twist, a[jj % n] * f)
-    rhs_left = a[:, None] * rho_map(twist, f)
+    lhs_left = rho_map(twist, left_action(a, x).components[0])
+    rhs_left = a.values[:, None] * rho_map(twist, f)
     res_left = float(np.max(np.abs(lhs_left - rhs_left)))
     return res_right, res_left
 
@@ -165,30 +163,15 @@ def surjectivity_solve(twist: TwistPath, j: int, h: np.ndarray):
     return sol, residual
 
 
-@dataclass
-class WitnessReport:
-    two_loops_components: int
-    double_cover_components: int
-    graphs_isomorphic: bool
-    notes: str = ""
-
-
-def nonisomorphism_witness() -> WitnessReport:
-    """Component counts of the two edge spaces: 2 against 1.
+def nonisomorphism_witness() -> tuple[int, int]:
+    """Component counts of the two edge spaces, two loops then double
+    cover: 2 against 1.
 
     A graph isomorphism would carry edge-space components bijectively, so
     the graphs are not isomorphic even though the correspondence checks in
     this module certify an isomorphism of their bimodules.
     """
-    from .fixtures import circle_double_cover, circle_two_loops
-    e = circle_two_loops()
-    f = circle_double_cover()
-    return WitnessReport(
-        two_loops_components=e.component_count(),
-        double_cover_components=f.component_count(),
-        graphs_isomorphic=False,
-        notes="edge-space component counts differ; bimodules are "
-              "nevertheless isomorphic via the unitary twist path")
+    return circle_two_loops().component_count(), COVER.component_count()
 
 
 def random_trig_poly(rng: np.random.Generator, n_samples: int,
@@ -221,6 +204,24 @@ class VerificationReport:
                    self.isometry, self.action_right, self.action_left,
                    self.surjectivity)
 
+    def checks(self, tol: float) -> list:
+        """The verdicts: boundary, unitarity, surjectivity and the seam at
+        their pinned tolerances, isometry and module actions within
+        ``tol``, and the component counts ``(2, 1)``."""
+        boundary = max(self.boundary_start, self.boundary_end)
+        actions = max(self.action_right, self.action_left)
+        return [
+            Check("twist-boundary", boundary <= 1e-14, boundary),
+            Check("twist-unitary", self.unitarity <= 1e-12, self.unitarity),
+            Check("isometry", self.isometry <= tol, self.isometry),
+            Check("module-actions", actions <= tol, actions),
+            Check("surjectivity", self.surjectivity <= 1e-13,
+                  self.surjectivity),
+            Check("seam-exact", self.endpoint_exact),
+            Check("component-counts", self.components == (2, 1),
+                  detail=f"{self.components}"),
+        ]
+
 
 def run_verification(grid: int = 1024, trials: int = 100,
                      degree: int = 16, seed: int = 0) -> VerificationReport:
@@ -245,6 +246,5 @@ def run_verification(grid: int = 1024, trials: int = 100,
         h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         _, res = surjectivity_solve(tw, j, h)
         rep.surjectivity = max(rep.surjectivity, res)
-    w = nonisomorphism_witness()
-    rep.components = (w.two_loops_components, w.double_cover_components)
+    rep.components = nonisomorphism_witness()
     return rep

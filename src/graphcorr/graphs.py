@@ -153,16 +153,6 @@ class Path:
         return graph.rng[graph.edge_index(self.edges[0])]
 
 
-def validate_path(graph: FiniteGraph, path: Path) -> None:
-    idx = [graph.edge_index(e) for e in path.edges]
-    for i in range(len(idx) - 1):
-        if graph.src_idx[idx[i]] != graph.rng_idx[idx[i + 1]]:
-            raise FormatError(f"edges {path.edges[i]!r},{path.edges[i+1]!r} "
-                              "do not concatenate")
-    if idx and graph.src[idx[-1]] != path.vertex:
-        raise FormatError("path source does not match its stated vertex")
-
-
 def path_counts(graph: FiniteGraph, v, n: int) -> list[int]:
     """``[|E^0 v|, ..., |E^n v|]`` computed from adjacency powers."""
     vi = graph.vertex_index(v)
@@ -235,11 +225,6 @@ def enumerate_paths(graph: FiniteGraph, v, n: int) -> list[Path]:
     order of :func:`path_index_tuples`, as id-level :class:`Path` objects."""
     return [Path(vertex=v, edges=tuple(graph.edges[i] for i in idx))
             for idx in path_index_tuples(graph, graph.vertex_index(v), n)]
-
-
-def fiber_count(graph, v) -> int:
-    """``|s^{-1}(v)|`` for either graph kind; constant on circle graphs."""
-    return graph.fiber_count(v)
 
 
 def spectral_radius(graph: FiniteGraph, tol: float = 1e-10) -> float:
@@ -547,11 +532,15 @@ def graph_from_dict(data: dict):
     raise FormatError(f"unknown graph kind {kind!r}")
 
 
-def load_graph(path: str):
+def load_json(path: str):
+    """The JSON document in the file ``path``; the one JSON file reader."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON at line {exc.lineno}, "
                               f"column {exc.colno}") from None
-    return graph_from_dict(data)
+
+
+def load_graph(path: str):
+    return graph_from_dict(load_json(path))

@@ -29,9 +29,11 @@ import numpy as np
 
 from .errors import DomainError, FormatError, MismatchError
 from .graphs import FiniteGraph, spectral_radius
-from .modules import delta_edge, delta_vertex, tensor_inner_product
-from .toeplitz import (CheckRecord, ToeplitzElement, Word, gauge_scale,
-                       pi_word, vacuum_projection, word)
+from .modules import (delta_edge, delta_vertex, random_module_element,
+                      tensor_inner_product)
+from .report import Check
+from .toeplitz import (ToeplitzElement, Word, gauge_scale, pi_word,
+                       vacuum_projection, word)
 
 
 @dataclass
@@ -55,12 +57,8 @@ class KMSParameters:
                                          np.ones(A.shape[0]))
 
     def partition_sum(self, v) -> float:
+        """``N_v`` via the resolvent; converges since ``e^{-beta} rho < 1``."""
         return float(self.partition[self.graph.vertex_index(v)])
-
-
-def path_partition_sum(params: KMSParameters, v) -> float:
-    """``N_v`` via the resolvent; converges since ``e^{-beta} rho < 1``."""
-    return params.partition_sum(v)
 
 
 def truncated_partition_sum(graph: FiniteGraph, beta: float, v,
@@ -212,7 +210,7 @@ def kms_eval_truncated(state: KMSState, elem, depth: int) -> complex:
 
 
 def kms_condition_check(state: KMSState, b1: ToeplitzElement,
-                        b2: ToeplitzElement, tol: float = 1e-9):
+                        b2: ToeplitzElement, tol: float = 1e-9) -> Check:
     """Residual of ``phi(b1 * sigma(b2)) = phi(b2 * b1)`` where ``sigma``
     scales a degree-``n`` element by ``e^{-beta n}``.
 
@@ -226,7 +224,7 @@ def kms_condition_check(state: KMSState, b1: ToeplitzElement,
     lhs = kms_eval(state, b1 * twisted)
     rhs = kms_eval(state, b2 * b1)
     residual = abs(lhs - rhs)
-    return CheckRecord("kms-condition", residual <= tol, residual)
+    return Check("kms-condition", residual <= tol, residual)
 
 
 @dataclass
@@ -320,7 +318,7 @@ def kms_limit_sweep(graph: FiniteGraph, v, words: dict,
 
 
 def extremal_separation_check(params: KMSParameters, trials: int = 100,
-                              seed: int = 0, tol: float = 1e-12):
+                              seed: int = 0, tol: float = 1e-12) -> list:
     """Point-mass states separate vertices, and evaluation is affine.
 
     Separation: for each pair of distinct vertices some vertex indicator
@@ -328,7 +326,6 @@ def extremal_separation_check(params: KMSParameters, trials: int = 100,
     random measures ``Omega`` and random scalar-or-balanced words, the
     state of ``Omega`` equals the ``Omega``-average of point-mass states.
     """
-    from .modules import delta_vertex, random_module_element
     g = params.graph
     rng = np.random.default_rng(seed)
     checks = []
@@ -340,9 +337,8 @@ def extremal_separation_check(params: KMSParameters, trials: int = 100,
                 ind = ToeplitzElement(g, [pi_word(delta_vertex(g, u))])
                 sep = max(sep, abs(kms_eval(point_states[v], ind)
                                    - kms_eval(point_states[w_], ind)))
-            checks.append(CheckRecord(
-                f"separate[{v},{w_}]", sep > 1e-9, sep,
-                detail="max indicator gap"))
+            checks.append(Check(f"separate[{v},{w_}]", sep > 1e-9, sep,
+                                detail="max indicator gap"))
     for t in range(trials):
         m = rng.random(g.n_vertices)
         m /= m.sum()
@@ -355,5 +351,5 @@ def extremal_separation_check(params: KMSParameters, trials: int = 100,
         rhs = sum(m[g.vertex_index(v)] * kms_eval(point_states[v], elem)
                   for v in g.vertices)
         res = abs(lhs - rhs)
-        checks.append(CheckRecord(f"affine[{t}]", res <= tol, res))
+        checks.append(Check(f"affine[{t}]", res <= tol, res))
     return checks

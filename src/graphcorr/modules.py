@@ -66,9 +66,6 @@ class VertexFunction:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
-    def min_real(self) -> float:
-        return float(np.min(self.values.real)) if self.values.size else 0.0
-
     def __repr__(self):
         return f"VertexFunction({self.values!r})"
 
@@ -103,11 +100,6 @@ class ModuleElement:
     @property
     def is_circle(self) -> bool:
         return self.base_n is not None
-
-    def conj_values(self):
-        if self.is_circle:
-            return tuple(a.conj() for a in self.components)
-        return self.values.conj()
 
     def is_zero(self) -> bool:
         if self.is_circle:
@@ -275,15 +267,6 @@ def unit_vertex_function(graph, base_n: int | None = None) -> VertexFunction:
     return VertexFunction(graph, np.ones(base_n), base_n)
 
 
-def zero_element(graph, base_n: int | None = None) -> ModuleElement:
-    if isinstance(graph, FiniteGraph):
-        return ModuleElement(graph, np.zeros(graph.n_edges))
-    return ModuleElement(
-        graph,
-        tuple(np.zeros(c.source_degree * base_n) for c in graph.components),
-        base_n)
-
-
 def element_from_function(graph: CircleCoveringGraph, base_n: int,
                           funcs) -> ModuleElement:
     """Sample callables (one per component, argument = angle) on the grids."""
@@ -328,6 +311,26 @@ def random_vertex_function(graph, rng: np.random.Generator,
 # JSON
 
 
+def complex_from_json(pair) -> complex:
+    """A JSON ``[re, im]`` pair as a complex number; ``FormatError`` for
+    any other shape."""
+    try:
+        return complex(pair[0], pair[1])
+    except (TypeError, IndexError, KeyError) as exc:
+        raise FormatError(f"expected [re, im], got {pair!r}") from None
+
+
+def _by_id(data, ids_to_index, size: int, what: str) -> np.ndarray:
+    """Vector from a JSON object of ``id: [re, im]`` entries."""
+    if not isinstance(data, dict):
+        raise FormatError(f"{what} JSON must be an object of [re, im] "
+                          f"pairs, got {data!r}")
+    v = np.zeros(size, dtype=np.complex128)
+    for key, pair in data.items():
+        v[ids_to_index(key)] = complex_from_json(pair)
+    return v
+
+
 def element_to_dict(x: ModuleElement) -> dict:
     if not x.is_circle:
         return {eid: [float(z.real), float(z.imag)]
@@ -341,15 +344,13 @@ def element_from_dict(graph, data) -> ModuleElement:
     if isinstance(graph, FiniteGraph):
         if isinstance(data, str):
             return delta_edge(graph, data)
-        v = np.zeros(graph.n_edges, dtype=np.complex128)
-        for eid, pair in data.items():
-            v[graph.edge_index(eid)] = complex(pair[0], pair[1])
-        return ModuleElement(graph, v)
+        return ModuleElement(graph, _by_id(data, graph.edge_index,
+                                           graph.n_edges, "module element"))
     try:
         n = int(data["n"])
-        comps = tuple(np.array([complex(p[0], p[1]) for p in arr])
+        comps = tuple(np.array([complex_from_json(p) for p in arr])
                       for arr in data["components"])
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise FormatError(f"bad circle element JSON: {exc!r}") from None
     return ModuleElement(graph, comps, n)
 
@@ -366,13 +367,12 @@ def vertex_function_from_dict(graph, data) -> VertexFunction:
     if isinstance(graph, FiniteGraph):
         if isinstance(data, str):
             return delta_vertex(graph, data)
-        v = np.zeros(graph.n_vertices, dtype=np.complex128)
-        for vid, pair in data.items():
-            v[graph.vertex_index(vid)] = complex(pair[0], pair[1])
-        return VertexFunction(graph, v)
+        return VertexFunction(graph, _by_id(data, graph.vertex_index,
+                                            graph.n_vertices,
+                                            "vertex function"))
     try:
         n = int(data["n"])
-        vals = np.array([complex(p[0], p[1]) for p in data["values"]])
-    except (KeyError, TypeError, IndexError) as exc:
+        vals = np.array([complex_from_json(p) for p in data["values"]])
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise FormatError(f"bad vertex function JSON: {exc!r}") from None
     return VertexFunction(graph, vals, n)

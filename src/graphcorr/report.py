@@ -26,6 +26,14 @@ class Check:
             self.residual = float(self.residual)
 
 
+def summarize(name: str, checks, detail: str = "") -> Check:
+    """One check standing for ``checks``: it passes when all of them pass
+    and carries their largest residual (0.0 for none)."""
+    checks = list(checks)
+    return Check(name, all(c.passed for c in checks),
+                 max((c.residual for c in checks), default=0.0), detail)
+
+
 @dataclass
 class RunReport:
     command: str
@@ -36,14 +44,7 @@ class RunReport:
 
     def add(self, name: str, passed: bool, residual: float | None = None,
             detail: str = "") -> None:
-        self.checks.append(Check(name, bool(passed),
-                                 None if residual is None else float(residual),
-                                 detail))
-
-    def extend(self, records) -> None:
-        for r in records:
-            self.add(r.name, r.passed, getattr(r, "residual", None),
-                     getattr(r, "detail", ""))
+        self.checks.append(Check(name, passed, residual, detail))
 
     @property
     def passed(self) -> bool:

@@ -8,33 +8,30 @@ circle elements carry per-component sample arrays.  A word is
      "middle": vertex-function-or-null, "right": [element, ...]}
 
 and an algebra element is ``{"words": [word, ...]}`` (a bare word is also
-accepted).
+accepted).  Every ``[re, im]`` pair is read by
+:func:`~graphcorr.modules.complex_from_json`; a real coefficient may also
+be written ``[re]``, and a matrix entry a bare number.
 """
 from __future__ import annotations
 
 import hashlib
-import json
 
 import numpy as np
 
 from .errors import FormatError
-from .modules import (element_from_dict, element_to_dict,
+from .modules import (complex_from_json, element_from_dict, element_to_dict,
                       vertex_function_from_dict, vertex_function_to_dict)
 from .toeplitz import ToeplitzElement, Word, word
 
 
-def load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON at line {exc.lineno}, "
-                              f"column {exc.colno}") from None
-
-
 def word_from_dict(graph, data: dict) -> Word:
+    if not isinstance(data, dict):
+        raise FormatError(f"a word must be a JSON object, got {data!r}")
+    coeff = data.get("coeff", [1.0, 0.0])
+    if isinstance(coeff, list) and len(coeff) == 1:
+        coeff = [coeff[0], 0.0]
+    coeff = complex_from_json(coeff)
     try:
-        coeff = complex(*data.get("coeff", [1.0, 0.0]))
         left = tuple(element_from_dict(graph, x) for x in data.get("left", []))
         mid = data.get("middle")
         middle = None if mid is None else vertex_function_from_dict(graph, mid)
@@ -55,6 +52,8 @@ def word_to_dict(w: Word) -> dict:
 
 def element_from_json(graph, data) -> ToeplitzElement:
     if isinstance(data, dict) and "words" in data:
+        if not isinstance(data["words"], list):
+            raise FormatError("\"words\" must be a JSON array of words")
         words = [word_from_dict(graph, w) for w in data["words"]]
     elif isinstance(data, dict):
         words = [word_from_dict(graph, data)]
@@ -71,10 +70,10 @@ def matrix_from_json(data) -> np.ndarray:
     try:
         rows = []
         for row in data:
-            rows.append([complex(c[0], c[1]) if isinstance(c, (list, tuple))
+            rows.append([complex_from_json(c) if isinstance(c, list)
                          else complex(c) for c in row])
         return np.array(rows, dtype=np.complex128)
-    except (TypeError, IndexError) as exc:
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"bad matrix JSON: {exc!r}") from None
 
 

@@ -27,20 +27,24 @@ matrices, is the reference the tests compare against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, MismatchError, SizeLimitError
 from .graphs import FiniteGraph, path_counts, path_index_tuples
 from .modules import (ModuleElement, VertexFunction, delta_edge,
-                      inner_product, left_action, module_norm, right_action)
+                      inner_product, left_action, module_norm,
+                      random_module_element, random_vertex_function,
+                      right_action)
+from .report import Check, summarize
 
 __all__ = [
     "Word", "ToeplitzElement", "word", "unit", "pi_word", "iota_word",
-    "creation_word", "word_multiply", "vacuum_projection",
-    "spectral_component", "gauge_scale", "TruncatedFock", "fock_matrix",
-    "FockMatrix", "reconstruct_module_check", "triple_iso_transport",
+    "word_multiply", "vacuum_projection", "spectral_component",
+    "gauge_scale", "TruncatedFock", "fock_matrix", "FockMatrix",
+    "vacuum_projection_checks", "reconstruct_module_check",
+    "triple_iso_transport",
 ]
 
 
@@ -135,10 +139,6 @@ def pi_word(a: VertexFunction, coeff=1.0) -> Word:
 
 def iota_word(x: ModuleElement, coeff=1.0) -> Word:
     return word(coeff, (x,), None, ())
-
-
-def creation_word(xs, coeff=1.0) -> Word:
-    return word(coeff, tuple(xs), None, ())
 
 
 def word_multiply(w1: Word, w2: Word):
@@ -285,24 +285,16 @@ def vacuum_projection(graph: FiniteGraph) -> ToeplitzElement:
 # canonical delta-basis expansion (finite graphs)
 
 
-def word_delta_basis(w: Word, graph: FiniteGraph) -> dict:
-    """Expand a word over the spanning delta-basis words.
+def element_delta_basis(elem: ToeplitzElement) -> dict:
+    """Expand an element over the spanning delta-basis words.
 
     Keys are ``(mu, v, nu)`` with ``mu``/``nu`` edge-index path tuples and
-    ``v`` a vertex index; the value is the complex coefficient.  Each key
-    stands for ``C(delta_mu) P(delta_v) C(delta_nu)*``.
+    ``v`` a vertex index, in first-seen order; the value is the complex
+    coefficient.  Each key stands for ``C(delta_mu) P(delta_v)
+    C(delta_nu)*``.  Every coefficient entered is nonzero, so each key's
+    sum runs over the words in order.
     """
-    return _delta_expansion((w,), graph)
-
-
-def element_delta_basis(elem: ToeplitzElement) -> dict:
-    return _delta_expansion(elem.words, elem.graph)
-
-
-def _delta_expansion(words, graph: FiniteGraph) -> dict:
-    """Sum of the delta-basis expansions of ``words``, keys in first-seen
-    order.  Every coefficient entered is nonzero, so each key's sum runs
-    over the words in order."""
+    graph = elem.graph
     paths: dict = {}
 
     def paths_from(vi, k):
@@ -311,7 +303,7 @@ def _delta_expansion(words, graph: FiniteGraph) -> dict:
         return paths[vi, k]
 
     out: dict = {}
-    for w in words:
+    for w in elem.words:
         mid = w.middle.values if w.middle is not None else None
         for vi in range(graph.n_vertices):
             rts = paths_from(vi, len(w.right))
@@ -618,34 +610,27 @@ def fock_matrix(elem, v=None, depth: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# reconstruction identities
+# vacuum projection and reconstruction identities
 
 
-@dataclass
-class CheckRecord:
-    name: str
-    passed: bool
-    residual: float
-    detail: str = ""
-
-
-@dataclass
-class ReconstructionReport:
-    checks: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def first_violation(self) -> CheckRecord | None:
-        for c in self.checks:
-            if not c.passed:
-                return c
-        return None
-
-    def max_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
+def vacuum_projection_checks(graph: FiniteGraph, depth: int) -> list:
+    """``idempotent``, ``selfadjoint`` and ``rank-one`` checks of the
+    vacuum projection: the first two exactly in the delta basis, the last
+    as the bitwise rank-one vacuum matrix at every vertex to ``depth``."""
+    p = vacuum_projection(graph)
+    pb = element_delta_basis(p)
+    r_idem = delta_basis_residual(delta_basis_multiply(pb, pb, graph), pb)
+    r_adj = delta_basis_residual(element_delta_basis(p.adjoint()), pb)
+    exact = True
+    for v in graph.vertices:
+        fm = fock_matrix(p, v, depth)
+        target = np.zeros_like(fm.matrix)
+        vac = fm.fock.vacuum_index()
+        target[vac, vac] = 1.0
+        exact = exact and bool(np.array_equal(fm.matrix, target))
+    return [Check("idempotent", r_idem == 0.0, r_idem),
+            Check("selfadjoint", r_adj == 0.0, r_adj),
+            Check("rank-one", exact, 0.0 if exact else 1.0)]
 
 
 def basis_product(elems, graph: FiniteGraph) -> dict:
@@ -664,7 +649,7 @@ def basis_product(elems, graph: FiniteGraph) -> dict:
 
 def reconstruct_module_check(graph: FiniteGraph, trials: int = 100,
                              tol: float = 1e-12, seed: int = 0,
-                             depth: int = 4) -> ReconstructionReport:
+                             depth: int = 4) -> Check:
     """Verify the identities that cut the module back out of the algebra.
 
     For random module elements ``xi``, ``eta`` and coefficients ``a``:
@@ -677,12 +662,13 @@ def reconstruct_module_check(graph: FiniteGraph, trials: int = 100,
 
     Each identity is checked exactly in the delta-basis expansion (products
     taken at the basis level) and numerically at every vertex on the valid
-    window columns of the truncated matrices, the only columns read.
+    window columns of the truncated matrices, the only columns read.  The
+    ``reconstruction`` check returned carries the largest residual and
+    names the first identity that fails, or counts the identities.
     """
-    from .modules import random_module_element, random_vertex_function
     rng = np.random.default_rng(seed)
     p = vacuum_projection(graph)
-    report = ReconstructionReport()
+    checks = []
     focks = [TruncatedFock(graph, v, depth) for v in graph.vertices]
 
     def record(name, lhs_factors, rhs_factors, sym_lhs=None, sym_rhs=None):
@@ -706,9 +692,7 @@ def reconstruct_module_check(graph: FiniteGraph, trials: int = 100,
                 window = _apply_batches(fock, batches,
                                         fock.window_size(m_max))
                 num = max(num, float(np.max(np.abs(window))))
-        ok = sym == 0.0 and num <= tol
-        report.checks.append(CheckRecord(
-            name=name, passed=ok, residual=max(sym, num)))
+        checks.append(Check(name, sym == 0.0 and num <= tol, max(sym, num)))
 
     for t in range(trials):
         a = random_vertex_function(graph, rng)
@@ -731,7 +715,9 @@ def reconstruct_module_check(graph: FiniteGraph, trials: int = 100,
         crt_axi = ToeplitzElement(graph, [iota_word(left_action(a, xi))])
         record(f"bimodule[{t}]", [pa, crt_xi, p], [crt_axi, p],
                sym_lhs=[pa * crt_xi, p])
-    return report
+    first = next((c for c in checks if not c.passed), None)
+    return summarize("reconstruction", checks,
+                     first.name if first else f"{len(checks)} identities")
 
 
 def _elem_product(factors, graph: FiniteGraph) -> ToeplitzElement:
@@ -747,16 +733,16 @@ def _elem_product(factors, graph: FiniteGraph) -> ToeplitzElement:
 
 def triple_iso_transport(iso, E: FiniteGraph, F: FiniteGraph,
                          trials: int = 20, tol: float = 1e-12,
-                         seed: int = 0) -> ReconstructionReport:
+                         seed: int = 0) -> Check:
     """Relabel the algebra along a graph isomorphism and verify transport.
 
     Builds the induced module map ``theta_X(xi) = xi . (edge map)^{-1}``
     and checks that the vacuum projection maps to the vacuum projection,
     that gauge degrees are preserved, and that inner products and both
-    module actions intertwine.
+    module actions intertwine; the ``transport`` check returned carries
+    the largest residual.
     """
     from .conjugacy import GraphIsomorphism
-    from .modules import random_module_element, random_vertex_function
     if not isinstance(iso, GraphIsomorphism):
         raise FormatError("expected a GraphIsomorphism")
     iso.verify(E, F)
@@ -786,11 +772,10 @@ def triple_iso_transport(iso, E: FiniteGraph, F: FiniteGraph,
     def theta_elem(elem: ToeplitzElement) -> ToeplitzElement:
         return ToeplitzElement(F, [theta_word(w) for w in elem.words])
 
-    report = ReconstructionReport()
     pe, pf = vacuum_projection(E), vacuum_projection(F)
     res = delta_basis_residual(element_delta_basis(theta_elem(pe)),
                                element_delta_basis(pf))
-    report.checks.append(CheckRecord("theta(p) = p", res == 0.0, res))
+    checks = [Check("theta(p) = p", res == 0.0, res)]
 
     for t in range(trials):
         xi = random_module_element(E, rng)
@@ -799,20 +784,16 @@ def triple_iso_transport(iso, E: FiniteGraph, F: FiniteGraph,
         ip = np.max(np.abs(
             inner_product(theta_x(xi), theta_x(eta)).values
             - theta_m(inner_product(xi, eta)).values))
-        report.checks.append(CheckRecord(
-            f"inner-product[{t}]", ip <= tol, float(ip)))
+        checks.append(Check(f"inner-product[{t}]", ip <= tol, ip))
         la = np.max(np.abs(
             theta_x(left_action(a, xi)).values
             - left_action(theta_m(a), theta_x(xi)).values))
-        report.checks.append(CheckRecord(
-            f"left-action[{t}]", la <= tol, float(la)))
+        checks.append(Check(f"left-action[{t}]", la <= tol, la))
         ra = np.max(np.abs(
             theta_x(right_action(xi, a)).values
             - right_action(theta_x(xi), theta_m(a)).values))
-        report.checks.append(CheckRecord(
-            f"right-action[{t}]", ra <= tol, float(ra)))
+        checks.append(Check(f"right-action[{t}]", ra <= tol, ra))
         wdeg = word(1.0, (xi,), None, (eta, xi))
         ok = theta_word(wdeg).degree == wdeg.degree
-        report.checks.append(CheckRecord(
-            f"degree[{t}]", ok, 0.0 if ok else 1.0))
-    return report
+        checks.append(Check(f"degree[{t}]", ok, 0.0 if ok else 1.0))
+    return summarize("transport", checks)

@@ -73,7 +73,7 @@ def test_corrupted_transition_fails_with_location():
     corrupt.transitions[(0, 1, 0)] = (0, 1)      # no longer inverse of (1,0,0)
     rep = cocycle_check(corrupt)
     assert not rep.passed
-    assert any("overlap" in v[0] for v in rep.violations)
+    assert "overlap" in rep.detail
 
 
 def test_triple_overlap_cocycle_law():

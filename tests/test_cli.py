@@ -94,6 +94,32 @@ def test_malformed_measure_is_input_error(measure, capsys):
     assert "input error" in captured.err and "PASS" not in captured.out
 
 
+@pytest.mark.parametrize("argv", [
+    ("module", "norm", FIB, "--x", '{"aa":5}'),
+    ("module", "norm", FIB, "--x", '{"aa":[1]}'),
+    ("module", "norm", FIB, "--x", '{"aa":"x"}'),
+    ("module", "norm", FIB, "--x", "[1,2]"),
+    ("fock", "multiply", FIB, "--w1", '{"coeff":"x"}', "--w2", "{}"),
+    ("fock", "multiply", FIB, "--w1", '{"words":5}', "--w2", "{}"),
+])
+def test_malformed_complex_pairs_are_input_errors(argv, capsys):
+    assert run(*argv) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_double_cover_demo_script():
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.abspath(os.path.join(root, "src")))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "double_cover_demo.py"),
+         "--trials", "1"],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert "edge-space components: 2 (two loops) vs 1 (double cover)" \
+        in proc.stdout
+
+
 def test_kms_sweep_script_refuses_zero_beta_step():
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     env = dict(os.environ,
@@ -144,6 +170,49 @@ def test_sweep_csv_columns(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "beta,word-id,value,residual"
     assert len(lines) > 3
+
+
+#: residual stands for any value: pinned only where it is 0.0 or null
+ANY = object()
+
+#: (command, [(name, passed, detail, residual), ...]) as the checks read
+#: when each command had its own copy of the criterion it reports
+CHECK_VOCABULARY = [
+    (("fock", "p-check", FIB),
+     [("p-idempotent", True, "", 0.0), ("p-selfadjoint", True, "", 0.0),
+      ("p-rank-one-everywhere", True, "", None)]),
+    (("fock", "reconstruct-check", FIB, "--trials", "5"),
+     [("reconstruction", True, "25 identities", ANY)]),
+    (("fock", "transport", FIB, FIB, "--trials", "3"),
+     [("transport", True, "", 0.0)]),
+    (("example-s5", "verify", "--grid", "64", "--trials", "3"),
+     [("twist-boundary", True, "", 0.0), ("twist-unitary", True, "", ANY),
+      ("isometry", True, "", ANY), ("module-actions", True, "", ANY),
+      ("surjectivity", True, "", ANY), ("seam-exact", True, "", None),
+      ("component-counts", True, "(2, 1)", None)]),
+    (("bundle", "frame", SWAP), [("global-frame", True, "", ANY)]),
+    (("localconj", "frame", DOUBLE, "--grid-n", "256"),
+     [("frame-verify", True, "17 anchors extracted", ANY)]),
+    (("kms", "separation", FIB, "--trials", "5"),
+     [("separate[a,b]", True, "max indicator gap", ANY),
+      ("affine[0]", True, "", 0.0), ("affine[1]", True, "", 0.0),
+      ("affine[2]", True, "", ANY), ("affine[3]", True, "", ANY),
+      ("affine[4]", True, "", ANY)]),
+    (("kms", "condition", FIB, "--beta", "2", "--w1", '{"left":["aa"]}',
+      "--w2", '{"right":["aa"]}'),
+     [("kms-condition", True, "", 0.0)]),
+]
+
+
+def test_check_vocabulary_of_criterion_commands(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    for argv, expected in CHECK_VOCABULARY:
+        assert run("--json", str(out), *argv) == 0, argv
+        checks = json.loads(out.read_text())["checks"]
+        got = [(c["name"], c["passed"], c["detail"],
+                ANY if want[3] is ANY else c["residual"])
+               for c, want in zip(checks, expected)]
+        assert len(checks) == len(expected) and got == expected, argv
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from graphcorr.double_cover import (SWAP, build_twist, cover_inner_product,
+from graphcorr.double_cover import (COVER, SWAP, build_twist, cover_element,
                                     endpoint_identity_exact,
                                     nonisomorphism_witness, random_trig_poly,
                                     rho_map, run_verification,
                                     surjectivity_solve, verify_bimodule,
                                     verify_isometry)
 from graphcorr.errors import FormatError, MismatchError
-from graphcorr.graphs import CircleCoveringGraph, EdgeComponent
+from graphcorr.fixtures import circle_double_cover
+from graphcorr.graphs import CircleCoveringGraph, EdgeComponent, graph_to_dict
+from graphcorr.modules import (VertexFunction, inner_product, left_action,
+                               right_action)
 
 TWO_PI = 2.0 * math.pi
 
@@ -91,7 +94,8 @@ def test_isometry_constant():
     n = 32
     tw = build_twist(n)
     f = np.ones(2 * n, dtype=complex)
-    assert np.max(np.abs(cover_inner_product(f, f, n) - 2.0)) == 0.0
+    x = cover_element(f, n)
+    assert np.max(np.abs(inner_product(x, x).values - 2.0)) == 0.0
     assert verify_isometry(tw, f, f) <= 1e-14
 
 
@@ -114,7 +118,7 @@ def test_isometry_orthogonal_pair():
     t2 = np.pi * np.arange(2 * n) / n
     f1 = np.exp(1j * t2)               # odd: f1(-z) = -f1(z)
     f2 = np.exp(2j * t2)               # even: f2(-z) = f2(z)
-    rhs = cover_inner_product(f1, f2, n)
+    rhs = inner_product(cover_element(f1, n), cover_element(f2, n)).values
     assert np.max(np.abs(rhs)) < 1e-12
     assert verify_isometry(tw, f1, f2) < 1e-12
 
@@ -151,6 +155,29 @@ def test_bimodule_hand_check():
     for j in range(n):
         oracle = tw.matrices[j] @ np.array([a[j], a[j]])
         assert np.max(np.abs(lhs[j] - oracle)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [4, 64, 1024])
+def test_module_layer_matches_bare_array_formulas(n):
+    # the double-cover formulas on bare sample arrays are the oracle for
+    # the module layer on the fixture: w = e^{i pi j / N} lies over base
+    # index j mod N, and the branches over t_j are samples j and j + N
+    assert graph_to_dict(COVER) == graph_to_dict(circle_double_cover())
+    rng = np.random.default_rng(n)
+    j, jj = np.arange(n), np.arange(2 * n)
+    for _ in range(5):
+        f1 = random_trig_poly(rng, 2 * n, degree=3)
+        f2 = random_trig_poly(rng, 2 * n, degree=3)
+        a = random_trig_poly(rng, n, degree=3)
+        x1, x2 = cover_element(f1, n), cover_element(f2, n)
+        base = VertexFunction(COVER, a, n)
+        assert np.array_equal(
+            inner_product(x1, x2).values,
+            f1[j].conj() * f2[j] + f1[j + n].conj() * f2[j + n])
+        assert np.array_equal(right_action(x1, base).components[0],
+                              f1 * a[jj % n])
+        assert np.array_equal(left_action(base, x1).components[0],
+                              a[jj % n] * f1)
 
 
 def test_grid_mismatch_rejected():
@@ -196,10 +223,11 @@ def test_surjectivity_swap_at_seam():
 
 
 def test_component_counts():
-    rep = nonisomorphism_witness()
-    assert rep.two_loops_components == 2
-    assert rep.double_cover_components == 1
-    assert not rep.graphs_isomorphic
+    two_loops, cover = nonisomorphism_witness()
+    assert two_loops == 2
+    assert cover == 1
+    # an isomorphism would match the edge-space components
+    assert two_loops != cover
 
 
 def test_three_trivial_loops_components():

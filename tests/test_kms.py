@@ -12,7 +12,7 @@ from graphcorr.kms import (KMSInftyState, KMSParameters, KMSState,
                            extremal_separation_check, kms_condition_check,
                            kms_eval, kms_eval_truncated, kms_infty_eval,
                            kms_limit_sweep, partition_tail_bound,
-                           path_partition_sum, truncated_partition_sum)
+                           truncated_partition_sum)
 from graphcorr.modules import (delta_edge, delta_vertex,
                                random_module_element, random_vertex_function,
                                tensor_inner_product, unit_vertex_function)
@@ -94,7 +94,7 @@ def test_single_loop_geometric_series():
     g = single_loop()
     for beta in (0.5, 1.0, 2.0, 5.0):
         params = KMSParameters(g, beta)
-        assert abs(path_partition_sum(params, "v")
+        assert abs(params.partition_sum("v")
                    - 1.0 / (1.0 - math.exp(-beta))) <= 1e-12
 
 
@@ -102,7 +102,7 @@ def test_edgeless_partition_is_one():
     g = edgeless(2)
     params = KMSParameters(g, 0.25)     # any beta: spectral radius is 0
     for v in g.vertices:
-        assert path_partition_sum(params, v) == 1.0
+        assert params.partition_sum(v) == 1.0
 
 
 def test_partition_matches_truncated_sum():
@@ -110,7 +110,7 @@ def test_partition_matches_truncated_sum():
     params = KMSParameters(g, 1.0)
     depth = choose_truncation_depth(g, 1.0, eps=1e-13)
     for v in g.vertices:
-        exact = path_partition_sum(params, v)
+        exact = params.partition_sum(v)
         assert abs(exact - truncated_partition_sum(g, 1.0, v, 60)) <= 1e-12
         assert abs(exact - truncated_partition_sum(g, 1.0, v, depth)) <= 1e-12
 

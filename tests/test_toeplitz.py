@@ -250,7 +250,7 @@ def test_fourier_average_oracle():
 @pytest.mark.parametrize("builder", [single_loop, fibonacci])
 def test_reconstruction_identities(builder):
     rep = reconstruct_module_check(builder(), trials=20, tol=1e-12, seed=0)
-    assert rep.passed, rep.first_violation
+    assert rep.passed, rep.detail
 
 
 def test_reconstruction_compress_delta_case():
@@ -271,7 +271,7 @@ def test_transport_identity_isomorphism():
     iso = GraphIsomorphism(vertex_map={v: v for v in g.vertices},
                            edge_map={e: e for e in g.edges})
     rep = triple_iso_transport(iso, g, g, trials=3, seed=0)
-    assert rep.passed and rep.max_residual() == 0.0
+    assert rep.passed and rep.residual == 0.0
 
 
 def test_transport_random_relabeling():
