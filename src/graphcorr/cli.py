@@ -33,7 +33,8 @@ from .kms import (KMSInftyState, KMSParameters, KMSState, kms_condition_check,
                   extremal_separation_check, limit_sweep_words)
 from .modules import (element_from_dict, fiber_evaluation, inner_product,
                       left_action, module_norm, right_action,
-                      tensor_inner_product, vertex_function_from_dict)
+                      tensor_inner_product, vertex_function_from_dict,
+                      vertex_position)
 from .report import RunReport, Timer
 from .serialize import (digest_file, element_from_json, element_to_json,
                         matrix_from_json)
@@ -60,7 +61,7 @@ COMMAND_TABLE = {
     "spectral_component": "fock component",
     "reconstruct_module_check": "fock reconstruct-check",
     "triple_iso_transport": "fock transport",
-    "path_partition_sum": "kms partition",
+    "partition_sum": "kms partition",
     "kms_eval": "kms eval",
     "kms_condition_check": "kms condition",
     "kms_infty_eval": "kms infty",
@@ -114,6 +115,20 @@ def _json_arg_or_id(value: str):
     if s.startswith(("{", "[")) or os.path.exists(s):
         return _json_arg(s)
     return s
+
+
+def _vertex_arg(g, text: str):
+    """``--vertex``: a vertex id of a finite graph, a finite angle on a
+    circle graph."""
+    if isinstance(g, FiniteGraph):
+        return text
+    try:
+        angle = float(text)
+    except ValueError:
+        angle = math.nan
+    if not math.isfinite(angle):
+        raise FormatError(f"--vertex expects a finite angle, got {text!r}")
+    return angle
 
 
 #: largest beta grid ``kms sweep`` accepts
@@ -173,8 +188,7 @@ def cmd_graph_paths(args, report):
 
 def cmd_graph_fiber_count(args, report):
     g = _load_any(args.graph, report)
-    v = args.vertex if isinstance(g, FiniteGraph) else float(args.vertex)
-    n = g.fiber_count(v)
+    n = g.fiber_count(_vertex_arg(g, args.vertex))
     print(f"fiber count at {args.vertex}: {n}")
     report.add("fiber-count", True, detail=str(n))
 
@@ -183,7 +197,7 @@ def cmd_graph_sections(args, report):
     g = _load_any(args.graph, report)
     if isinstance(g, FiniteGraph):
         raise FormatError("sections apply to circle graphs")
-    W, secs = s_section_decomposition(g, float(args.vertex),
+    W, secs = s_section_decomposition(g, _vertex_arg(g, args.vertex),
                                       width=args.width)
     print(f"arc [{W.start:.6f}, {W.start + W.length:.6f})")
     worst = 0.0
@@ -229,15 +243,11 @@ def cmd_module_tensor_ip(args, report):
 def cmd_module_fiber_eval(args, report):
     g = _load_any(args.graph, report)
     x = element_from_dict(g, _json_arg_or_id(args.x))
-    v = args.vertex if isinstance(g, FiniteGraph) else float(args.vertex)
+    v = _vertex_arg(g, args.vertex)
     vec = fiber_evaluation(x, v)
     norm_sq = float(np.sum(np.abs(vec) ** 2))
     ip = inner_product(x, x)
-    if isinstance(g, FiniteGraph):
-        expect = float(ip.values[g.vertex_index(v)].real)
-    else:
-        j = int(round(float(v) * x.base_n / (2 * np.pi))) % x.base_n
-        expect = float(ip.values[j].real)
+    expect = float(ip.values[vertex_position(g, v, x.base_n)].real)
     print(np.round(vec, 12))
     report.add("fiber-norm-identity", abs(norm_sq - expect) <= 1e-12,
                abs(norm_sq - expect))
@@ -248,8 +258,7 @@ def cmd_module_act(args, report):
     x = element_from_dict(g, _json_arg_or_id(args.x))
     a = vertex_function_from_dict(g, _json_arg_or_id(args.a))
     out = left_action(a, x) if args.side == "left" else right_action(x, a)
-    print(np.round(out.values if not out.is_circle
-                   else np.concatenate(out.components), 12))
+    print(np.round(out.values, 12))
     report.add(f"{args.side}-action", True)
 
 
@@ -715,6 +724,9 @@ def dispatch(argv) -> int:
                        seed=getattr(args, "seed", None))
     try:
         with Timer() as t:
+            # a check over no random trials would pass vacuously
+            if getattr(args, "trials", 1) < 1:
+                raise FormatError(f"--trials {args.trials} is below 1")
             args.func(args, report)
         report.wall_time = t.elapsed
     except (FormatError, OSError, json.JSONDecodeError) as exc:

@@ -22,7 +22,8 @@ from .errors import (FormatError, NoMatchingError, SingularMatrixError,
 from .graphs import (ANGLE_TOL, TWO_PI, Arc, CircleCoveringGraph, FiniteGraph,
                      angle_dist, s_section_decomposition, wrap_angle)
 from .modules import (DEFAULT_BASE_GRID, ModuleElement, VertexFunction,
-                      inner_product, left_action, right_action)
+                      _grid_offset, fiber_evaluation, inner_product,
+                      left_action, right_action)
 from .report import Check
 
 
@@ -291,13 +292,6 @@ def _support_indices(h: VertexFunction, floor: float):
     return np.flatnonzero(np.abs(h.values) > floor)
 
 
-def _fiber_matrix(graph, gens, v, base_n=None):
-    """Rows = generators restricted to the source fiber over ``v``."""
-    from .modules import fiber_evaluation
-    rows = [fiber_evaluation(g, v) for g in gens]
-    return np.array(rows, dtype=np.complex128)
-
-
 def _test_functions(graph, base_n):
     """Callables spanning enough of the vertex functions for action tests."""
     if isinstance(graph, FiniteGraph):
@@ -349,7 +343,7 @@ def frame_verify(graph, fd: FrameData, tol: float = 1e-9) -> FrameReport:
     # (2) spanning: fiber matrices square and full rank on the support
     for idx in supp:
         v = graph.vertices[idx] if finite else TWO_PI * idx / base_n
-        B = _fiber_matrix(graph, fd.gens, v, base_n)
+        B = np.array([fiber_evaluation(g, v) for g in fd.gens])
         if B.shape[0] != B.shape[1]:
             return FrameReport(False, "(2) spanning",
                                f"fiber size {B.shape[1]} != {k} generators "
@@ -373,12 +367,7 @@ def frame_verify(graph, fd: FrameData, tol: float = 1e-9) -> FrameReport:
             atilde = _compose_with_alpha(graph, func, fd.alphas[i], fd.h,
                                          base_n, tol)
             rhs = right_action(fd.gens[i], atilde)
-            if finite:
-                res3 = max(res3, float(np.max(np.abs(lhs.values
-                                                     - rhs.values))))
-            else:
-                for c1, c2 in zip(lhs.components, rhs.components):
-                    res3 = max(res3, float(np.max(np.abs(c1 - c2))))
+            res3 = max(res3, float(np.max(np.abs(lhs.values - rhs.values))))
     report.max_residuals["action-transfer"] = res3
     if res3 > tol:
         return FrameReport(False, "(3) action transfer",
@@ -390,7 +379,7 @@ def frame_verify(graph, fd: FrameData, tol: float = 1e-9) -> FrameReport:
     for idx in anchor_idx:
         if finite:
             v = graph.vertices[idx]
-            B = _fiber_matrix(graph, fd.gens, v, base_n)
+            B = np.array([fiber_evaluation(g, v) for g in fd.gens])
             witness = nonzero_permutation(B, threshold=min(1e-12, tol))
             fiber_edges = graph.edges_from_index(graph.vertex_index(v))
             for i in range(k):
@@ -412,7 +401,7 @@ def frame_verify(graph, fd: FrameData, tol: float = 1e-9) -> FrameReport:
             B = np.zeros((k, len(sections)), dtype=np.complex128)
             for jsec, sec in enumerate(sections):
                 sz = graph.components[sec.component].source_degree * base_n
-                m = int(round(float(sec.lift(v)) * sz / TWO_PI)) % sz
+                m = _grid_offset(float(sec.lift(v)), sz, "section point")
                 for i in range(k):
                     B[i, jsec] = fd.gens[i].components[sec.component][m]
             witness = nonzero_permutation(B, threshold=min(1e-12, tol))
@@ -466,6 +455,8 @@ def bump_frame(graph: CircleCoveringGraph,
     ``h`` is a smooth bump of the given width around ``center``; each
     generator is supported on one branch of the source map over the bump
     and transfers the left action along range-after-inverse-section.
+    Fewer than two base-grid points in the open support of the bump leave
+    nothing to verify and raise ``FormatError``.
     """
     if not (0.0 < width < math.pi):
         raise FormatError("bump width must lie in (0, pi)")
@@ -478,7 +469,11 @@ def bump_frame(graph: CircleCoveringGraph,
         return out
 
     t = TWO_PI * np.arange(base_n) / base_n
-    h = VertexFunction(graph, h_func(t).astype(np.complex128), base_n)
+    h_vals = h_func(t)
+    if np.count_nonzero(h_vals) < 2:
+        raise FormatError(f"only {np.count_nonzero(h_vals)} of {base_n} "
+                          "base-grid points lie in the bump's support")
+    h = VertexFunction(graph, h_vals.astype(np.complex128), base_n)
     W, sections = s_section_decomposition(graph, center, width=width)
     gens = []
     alphas = []

@@ -169,8 +169,6 @@ def _word_profile(w: Word):
 
 def kms_eval(state: KMSState, elem) -> complex:
     """Exact evaluation of an element in the state."""
-    if isinstance(elem, Word):
-        elem = ToeplitzElement(state.params.graph, [elem])
     x, u = state.params.x, state.dual
     total = 0.0 + 0.0j
     for w in elem.words:
@@ -188,8 +186,6 @@ def kms_eval_truncated(state: KMSState, elem, depth: int) -> complex:
     damped adjacency powers instead of solving the resolvent system.
     Reads only ``graph``, ``x`` and ``partition`` from ``state.params``.
     """
-    if isinstance(elem, Word):
-        elem = ToeplitzElement(state.params.graph, [elem])
     p = state.params
     A = p.graph.adjacency().astype(np.float64)
     total = 0.0 + 0.0j
@@ -240,8 +236,6 @@ class KMSInftyState:
 def kms_infty_eval(state: KMSInftyState, elem) -> complex:
     """Words with any creation or annihilation evaluate to 0; scalar words
     evaluate their coefficient function at the base vertex."""
-    if isinstance(elem, Word):
-        elem = ToeplitzElement(state.graph, [elem])
     vi = state.graph.vertex_index(state.vertex)
     total = 0.0 + 0.0j
     for w in elem.words:

@@ -5,9 +5,10 @@ functions are vectors indexed by vertices.  Over a circle-covering graph a
 vertex function is sampled on the uniform base grid ``t_j = 2pi j / N`` and
 a module element on component ``c`` (source degree ``d``) is sampled on the
 grid ``u_i = 2pi i / (d N)`` of its own circle.  With that convention every
-source fiber of a base grid point consists of component grid points, so all
-operations below are exact pointwise evaluations (offsets must sit on the
-grid).  Range compositions additionally need ``d | m`` per component.
+source fiber of a base grid point consists of component grid points: the
+sampled graph is a finite graph with ``N`` vertices and ``sum_c d_c N``
+edges, on whose index maps all operations below are exact (offsets must sit
+on the grid; range compositions also need ``d | m`` per component).
 """
 from __future__ import annotations
 
@@ -32,6 +33,14 @@ def _grid_offset(angle: float, n: int, what: str) -> int:
     if abs(raw - k) > 1e-9 * max(1.0, n):
         raise MismatchError(f"{what} {angle} is not on the size-{n} grid")
     return k % n
+
+
+def vertex_position(graph, v, base_n: int | None = None) -> int:
+    """Base index of a vertex: the index of the vertex id ``v`` of a finite
+    graph, or the size-``base_n`` grid index of the on-grid angle ``v``."""
+    if base_n is None:
+        return graph.vertex_index(v)
+    return _grid_offset(float(v), base_n, "angle")
 
 
 class VertexFunction:
@@ -71,47 +80,63 @@ class VertexFunction:
 
 
 class ModuleElement:
-    """Element of the graph correspondence."""
+    """Element of the graph correspondence.
+
+    ``values`` is one flat array: by edge, or over a circle graph the
+    component sample arrays laid end to end (component-major).
+    """
 
     def __init__(self, graph, values, base_n: int | None = None):
-        self.graph = graph
         if isinstance(graph, FiniteGraph):
-            self.values = _as_complex(values)
-            if self.values.shape != (graph.n_edges,):
+            values = _as_complex(values)
+            if values.shape != (graph.n_edges,):
                 raise MismatchError("module element has wrong length")
-            self.base_n = None
-            self.components = None
+            base_n = None
         elif isinstance(graph, CircleCoveringGraph):
             if base_n is None:
                 raise MismatchError("circle module element needs base_n")
-            self.base_n = int(base_n)
-            comps = tuple(_as_complex(v) for v in values)
+            base_n = int(base_n)
+            comps = [np.asarray(v, dtype=np.complex128) for v in values]
             if len(comps) != graph.n_components:
                 raise MismatchError("one sample array per component required")
             for arr, comp in zip(comps, graph.components):
-                if arr.shape != (comp.source_degree * self.base_n,):
+                if arr.shape != (comp.source_degree * base_n,):
                     raise MismatchError(
                         "component grid must have d * base_n samples")
-            self.components = comps
-            self.values = None
+            values = np.concatenate(comps)
         else:
             raise FormatError(f"not a graph: {graph!r}")
+        self.graph, self.values, self.base_n = graph, values, base_n
+
+    @classmethod
+    def _from_values(cls, graph, values, base_n) -> "ModuleElement":
+        """Element whose flat ``values`` are already laid out as above."""
+        x = cls.__new__(cls)
+        x.graph, x.values, x.base_n = graph, values, base_n
+        return x
 
     @property
     def is_circle(self) -> bool:
         return self.base_n is not None
 
+    @property
+    def components(self):
+        """Read-only views of a circle element's per-component samples;
+        ``None`` over a finite graph."""
+        if not self.is_circle:
+            return None
+        sizes = [c.source_degree * self.base_n for c in self.graph.components]
+        views = np.split(self.values, np.cumsum(sizes)[:-1])
+        for v in views:
+            v.flags.writeable = False
+        return tuple(views)
+
     def is_zero(self) -> bool:
-        if self.is_circle:
-            return all(not a.any() for a in self.components)
         return not self.values.any()
 
     def scaled(self, c: complex) -> "ModuleElement":
-        if self.is_circle:
-            return ModuleElement(self.graph,
-                                 tuple(c * a for a in self.components),
-                                 self.base_n)
-        return ModuleElement(self.graph, c * self.values)
+        return ModuleElement._from_values(self.graph, c * self.values,
+                                          self.base_n)
 
     def __repr__(self):
         if self.is_circle:
@@ -127,13 +152,40 @@ def _check_same_base(a, b):
         raise MismatchError("operands use different sample grids")
 
 
-def _fiber_index(comp, j, base_n: int) -> np.ndarray:
-    """Component grid indices of the source fiber over base index ``j``."""
-    d = comp.source_degree
-    off = _grid_offset(comp.source_offset, base_n, "source offset")
-    j = np.asarray(j)
-    k = np.arange(d)[:, None]
-    return (j[None, :] - off + k * base_n) % (d * base_n)
+def _base_size(graph, base_n: int | None) -> int:
+    """Number of base points: vertices, or samples of the base grid."""
+    return graph.n_vertices if isinstance(graph, FiniteGraph) else base_n
+
+
+def _source_index(graph, base_n: int | None) -> np.ndarray:
+    """Base index of the source of every sample, in ``values`` order:
+    sample ``i`` of a circle component sits over ``(off + i) mod N``."""
+    if base_n is None:
+        return graph.src_idx
+    parts = []
+    for comp in graph.components:
+        off = _grid_offset(comp.source_offset, base_n, "source offset")
+        parts.append(np.tile(np.r_[off:base_n, :off], comp.source_degree))
+    return np.concatenate(parts)
+
+
+def _range_index(graph, base_n: int | None) -> np.ndarray:
+    """Base index of the range of every sample, in ``values`` order:
+    ``(roff + (m / d) i) mod N`` on a circle component, which needs ``d | m``
+    and, like the source, has period ``N`` in ``i``."""
+    if base_n is None:
+        return graph.rng_idx
+    parts = []
+    for ci, comp in enumerate(graph.components):
+        d, m = comp.source_degree, comp.range_degree
+        if m % d != 0:
+            raise MismatchError(
+                f"component {ci}: range degree {m} not divisible by source "
+                f"degree {d}; range composition leaves the sample grid")
+        roff = _grid_offset(comp.range_offset, base_n, "range offset")
+        parts.append(np.tile((roff + (m // d) * np.arange(base_n)) % base_n,
+                             d))
+    return np.concatenate(parts)
 
 
 def inner_product(x: ModuleElement, y: ModuleElement) -> VertexFunction:
@@ -142,37 +194,18 @@ def inner_product(x: ModuleElement, y: ModuleElement) -> VertexFunction:
     Conjugate-linear in ``x``, linear in ``y``; empty fibers contribute 0.
     """
     _check_same_base(x, y)
-    g = x.graph
-    if not x.is_circle:
-        out = np.zeros(g.n_vertices, dtype=np.complex128)
-        np.add.at(out, g.src_idx, x.values.conj() * y.values)
-        return VertexFunction(g, out)
-    n = x.base_n
-    out = np.zeros(n, dtype=np.complex128)
-    for ci, comp in enumerate(g.components):
-        d = comp.source_degree
-        off = _grid_offset(comp.source_offset, n, "source offset")
-        prod = x.components[ci].conj() * y.components[ci]
-        # sample i sits over base index (off + i) mod n
-        folded = prod.reshape(d, n).sum(axis=0)
-        out += np.roll(folded, off)
+    g, n = x.graph, x.base_n
+    out = np.zeros(_base_size(g, n), dtype=np.complex128)
+    np.add.at(out, _source_index(g, n), x.values.conj() * y.values)
     return VertexFunction(g, out, n)
 
 
 def right_action(x: ModuleElement, a: VertexFunction) -> ModuleElement:
     """``(x . a)(e) = x(e) a(s(e))``."""
     _check_same_base(x, a)
-    g = x.graph
-    if not x.is_circle:
-        return ModuleElement(g, x.values * a.values[g.src_idx])
-    n = x.base_n
-    comps = []
-    for ci, comp in enumerate(g.components):
-        d = comp.source_degree
-        off = _grid_offset(comp.source_offset, n, "source offset")
-        i = np.arange(d * n)
-        comps.append(x.components[ci] * a.values[(off + i) % n])
-    return ModuleElement(g, tuple(comps), n)
+    g, n = x.graph, x.base_n
+    return ModuleElement._from_values(
+        g, x.values * a.values[_source_index(g, n)], n)
 
 
 def left_action(a: VertexFunction, x: ModuleElement) -> ModuleElement:
@@ -182,21 +215,9 @@ def left_action(a: VertexFunction, x: ModuleElement) -> ModuleElement:
     source degree so that ranges of grid points are base grid points.
     """
     _check_same_base(x, a)
-    g = x.graph
-    if not x.is_circle:
-        return ModuleElement(g, a.values[g.rng_idx] * x.values)
-    n = x.base_n
-    comps = []
-    for ci, comp in enumerate(g.components):
-        d, m = comp.source_degree, comp.range_degree
-        if m % d != 0:
-            raise MismatchError(
-                f"component {ci}: range degree {m} not divisible by source "
-                f"degree {d}; range composition leaves the sample grid")
-        roff = _grid_offset(comp.range_offset, n, "range offset")
-        i = np.arange(d * n)
-        comps.append(a.values[(roff + (m // d) * i) % n] * x.components[ci])
-    return ModuleElement(g, tuple(comps), n)
+    g, n = x.graph, x.base_n
+    return ModuleElement._from_values(
+        g, a.values[_range_index(g, n)] * x.values, n)
 
 
 def module_norm(x: ModuleElement) -> float:
@@ -227,22 +248,21 @@ def tensor_inner_product(xs, ys) -> VertexFunction:
 def fiber_evaluation(x: ModuleElement, v) -> np.ndarray:
     """Restriction of ``x`` to the source fiber over ``v``.
 
-    The squared euclidean norm of the result equals ``<x, x>(v)``.
+    Entries are in edge order over a finite graph; over a circle graph
+    per component, branch ``k = 0 .. d-1``, where branch ``k`` over base
+    index ``j`` is sample ``(j - off + k N) mod d N``.  The squared
+    euclidean norm of the result equals ``<x, x>(v)``.
     """
-    g = x.graph
-    if not x.is_circle:
-        vi = g.vertex_index(v)
-        return x.values[g.edges_from_index(vi)].copy()
-    n = x.base_n
-    raw = float(v) * n / TWO_PI
-    j = int(round(raw)) % n
-    if abs(raw - round(raw)) > 1e-9 * max(1.0, n):
-        raise MismatchError(f"angle {v} is not on the size-{n} base grid")
+    g, n = x.graph, x.base_n
+    j = vertex_position(g, v, n)
+    if n is None:
+        return x.values[g.edges_from_index(j)]
     parts = []
-    for ci, comp in enumerate(g.components):
-        idx = _fiber_index(comp, np.array([j]), n)[:, 0]
-        parts.append(x.components[ci][idx])
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.complex128)
+    for comp, xc in zip(g.components, x.components):
+        d = comp.source_degree
+        off = _grid_offset(comp.source_offset, n, "source offset")
+        parts.append(xc[(j - off + n * np.arange(d)) % (d * n)])
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +282,7 @@ def delta_vertex(graph: FiniteGraph, v) -> VertexFunction:
 
 
 def unit_vertex_function(graph, base_n: int | None = None) -> VertexFunction:
-    if isinstance(graph, FiniteGraph):
-        return VertexFunction(graph, np.ones(graph.n_vertices))
-    return VertexFunction(graph, np.ones(base_n), base_n)
+    return VertexFunction(graph, np.ones(_base_size(graph, base_n)), base_n)
 
 
 def element_from_function(graph: CircleCoveringGraph, base_n: int,
@@ -299,11 +317,8 @@ def random_module_element(graph, rng: np.random.Generator,
 
 def random_vertex_function(graph, rng: np.random.Generator,
                            base_n: int | None = None) -> VertexFunction:
-    if isinstance(graph, FiniteGraph):
-        v = rng.standard_normal(graph.n_vertices) \
-            + 1j * rng.standard_normal(graph.n_vertices)
-        return VertexFunction(graph, v)
-    v = rng.standard_normal(base_n) + 1j * rng.standard_normal(base_n)
+    size = _base_size(graph, base_n)
+    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     return VertexFunction(graph, v, base_n)
 
 

@@ -40,7 +40,7 @@ from .modules import (ModuleElement, VertexFunction, delta_edge,
 from .report import Check, summarize
 
 __all__ = [
-    "Word", "ToeplitzElement", "word", "unit", "pi_word", "iota_word",
+    "Word", "ToeplitzElement", "word", "pi_word", "iota_word",
     "word_multiply", "vacuum_projection", "spectral_component",
     "gauge_scale", "TruncatedFock", "fock_matrix", "FockMatrix",
     "vacuum_projection_checks", "reconstruct_module_check",
@@ -127,10 +127,6 @@ def word(coeff, left=(), middle=None, right=()) -> Word:
         left = left[:-1] + (right_action(left[-1], middle),)
         middle = None
     return Word(complex(coeff), left, middle, right)
-
-
-def unit(graph) -> "ToeplitzElement":
-    return ToeplitzElement(graph, [word(1.0)])
 
 
 def pi_word(a: VertexFunction, coeff=1.0) -> Word:
@@ -574,31 +570,18 @@ class FockMatrix:
     valid_cols: np.ndarray
     fock: TruncatedFock
 
-    def window(self) -> np.ndarray:
-        """Restriction to valid columns."""
-        return self.matrix[:, self.valid_cols]
-
 
 def fock_matrix(elem, v=None, depth: int | None = None,
-                graph: FiniteGraph | None = None,
                 fock: TruncatedFock | None = None) -> FockMatrix:
-    """Matrix of a word or element on the depth-``L`` truncated basis.
+    """Matrix of an element on the depth-``L`` truncated basis.
 
     Raises when the window cannot hold even the empty path column, i.e.
     when ``L`` is smaller than the creation count of some word.
     """
-    if isinstance(elem, Word):
-        g = graph if graph is not None else elem.graph()
-        if g is None and fock is not None:
-            g = fock.graph
-        if g is None:
-            raise FormatError("a scalar word needs an explicit graph")
-        elem = ToeplitzElement(g, [elem])
-    g = elem.graph
     if fock is None:
         if v is None or depth is None:
             raise FormatError("vertex and depth required without a basis")
-        fock = TruncatedFock(g, v, depth)
+        fock = TruncatedFock(elem.graph, v, depth)
     depth = fock.depth
     m_max = max((w.creations for w in elem.words), default=0)
     if depth < m_max:

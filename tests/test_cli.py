@@ -107,6 +107,43 @@ def test_malformed_complex_pairs_are_input_errors(argv, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+#: a double-cover element on the size-4 grid (2 * 4 samples)
+DOUBLE_X = json.dumps({"n": 4, "components": [[[1, 0]] * 8]})
+
+
+@pytest.mark.parametrize("vertex", ["x", "inf", "nan"])
+@pytest.mark.parametrize("argv", [
+    ("graph", "fiber-count", DOUBLE),
+    ("graph", "sections", DOUBLE),
+    ("module", "fiber-eval", DOUBLE, "--x", DOUBLE_X),
+])
+def test_non_finite_circle_vertex_is_input_error(argv, vertex, capsys):
+    assert run(*argv, "--vertex", vertex) == 2
+    captured = capsys.readouterr()
+    assert "input error" in captured.err and "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ("fock", "reconstruct-check", FIB),
+    ("fock", "transport", FIB, FIB),
+    ("kms", "separation", FIB),
+    ("example-s5", "verify", "--grid", "64"),
+])
+def test_nonpositive_trials_is_input_error(argv, trials, capsys):
+    assert run(*argv, "--trials", trials) == 2
+    captured = capsys.readouterr()
+    assert "input error" in captured.err and "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("grid_n", ["0", "3"])
+def test_bump_frame_without_two_support_points_is_input_error(grid_n,
+                                                              capsys):
+    assert run("localconj", "frame", DOUBLE, "--grid-n", grid_n) == 2
+    captured = capsys.readouterr()
+    assert "input error" in captured.err and "PASS" not in captured.out
+
+
 def test_double_cover_demo_script():
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     env = dict(os.environ,
@@ -228,7 +265,7 @@ def test_every_operation_reachable():
         "word_multiply", "fock_matrix", "vacuum_projection",
         "spectral_component", "reconstruct_module_check",
         "triple_iso_transport",
-        "path_partition_sum", "kms_eval", "kms_condition_check",
+        "partition_sum", "kms_eval", "kms_condition_check",
         "kms_infty_eval", "kms_limit_sweep", "extremal_separation_check",
         "nonzero_permutation", "finite_graph_isomorphism",
         "bimodule_invariants", "frame_verify", "local_conjugacy_check",
@@ -239,12 +276,14 @@ def test_every_operation_reachable():
         "dispatch",
     }
     assert ops <= set(COMMAND_TABLE)
-    # and the listed subcommands actually exist in the parser tree
-    parser = build_parser()
-    tops = {a.dest: a for a in parser._subparsers._group_actions}
-    top_names = set(next(iter(tops.values())).choices)
+    # and the listed "group subcommand" paths exist in the parser tree
+    def choices(parser):
+        return parser._subparsers._group_actions[0].choices
+
+    groups = choices(build_parser())
     for op, path in COMMAND_TABLE.items():
-        assert path.split()[0] in top_names, (op, path)
+        group, command = path.split()
+        assert command in choices(groups[group]), (op, path)
 
 
 # ---------------------------------------------------------------------------

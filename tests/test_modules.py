@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from graphcorr.errors import MismatchError
 from graphcorr.fixtures import circle_double_cover, fibonacci, ten_edge
-from graphcorr.graphs import TWO_PI, FiniteGraph, enumerate_paths
-from graphcorr.modules import (ModuleElement, delta_edge,
+from graphcorr.graphs import (TWO_PI, CircleCoveringGraph, EdgeComponent,
+                              FiniteGraph, enumerate_paths)
+from graphcorr.modules import (ModuleElement, VertexFunction, delta_edge,
                                delta_vertex, element_from_dict,
                                element_from_function, element_to_dict,
                                fiber_evaluation, inner_product, left_action,
@@ -299,6 +300,113 @@ def test_circle_actions_pointwise():
     # range = source here, so both actions agree
     af = left_action(a, f)
     assert np.max(np.abs(af.components[0] - expected)) < 1e-12
+
+
+class SampledCircleOracle:
+    """Circle module operations from the source and range maps sampled as
+    angles, with no index arithmetic of the library."""
+
+    def __init__(self, g, n):
+        self.g, self.n = g, n
+        self.src, self.rng = [], []
+        for comp in g.components:
+            u = self.samples(comp)
+            self.src.append(self.base_index(comp.source_map(u)))
+            self.rng.append(self.base_index(comp.range_map(u)))
+
+    def samples(self, comp):
+        size = comp.source_degree * self.n
+        return TWO_PI * np.arange(size) / size
+
+    def base_index(self, angles):
+        return np.rint(angles * self.n / TWO_PI).astype(np.intp) % self.n
+
+    def inner(self, x, y):
+        out = np.zeros(self.n, dtype=np.complex128)
+        for s, xc, yc in zip(self.src, x.components, y.components):
+            for i in range(s.size):
+                out[s[i]] += np.conj(xc[i]) * yc[i]
+        return out
+
+    def left(self, a, x):
+        return [a.values[r] * xc for r, xc in zip(self.rng, x.components)]
+
+    def right(self, x, a):
+        return [xc * a.values[s] for s, xc in zip(self.src, x.components)]
+
+    def fiber(self, x, j):
+        """Per component, branch k: the lift ``(t_j - off + 2pi k) / d``."""
+        out = []
+        for comp, xc in zip(self.g.components, x.components):
+            d = comp.source_degree
+            for k in range(d):
+                u = ((TWO_PI * j / self.n - comp.source_offset + TWO_PI * k)
+                     / d) % TWO_PI
+                out.append(xc[int(np.rint(u * d * self.n / TWO_PI))
+                              % (d * self.n)])
+        return np.array(out)
+
+
+def _on_grid(n, k):
+    return TWO_PI * k / n
+
+
+def _multi_component_graphs(n):
+    """On-grid offsets; the later components have degree >= 2."""
+    return [
+        CircleCoveringGraph([
+            EdgeComponent(1, _on_grid(n, 3), 2, _on_grid(n, 5)),
+            EdgeComponent(2, _on_grid(n, 7), 4, _on_grid(n, 1)),
+            EdgeComponent(3, _on_grid(n, n - 2), -3, _on_grid(n, 2))]),
+        CircleCoveringGraph([
+            EdgeComponent(2, _on_grid(n, n - 1), 2, _on_grid(n, 9)),
+            EdgeComponent(1, _on_grid(n, 4), 1, _on_grid(n, 6))]),
+    ]
+
+
+def _close(got, want):
+    scale = max(1.0, float(np.max(np.abs(want))))
+    return float(np.max(np.abs(got - want))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_circle_operations_match_sampled_oracle(n):
+    rng = np.random.default_rng(n)
+    for g in _multi_component_graphs(n):
+        oracle = SampledCircleOracle(g, n)
+        x, y, z = (random_module_element(g, rng, n) for _ in range(3))
+        a = random_vertex_function(g, rng, n)
+        assert _close(inner_product(x, y).values, oracle.inner(x, y))
+        for got, want in zip(left_action(a, x).components,
+                             oracle.left(a, x)):
+            assert _close(got, want)
+        for got, want in zip(right_action(x, a).components,
+                             oracle.right(x, a)):
+            assert _close(got, want)
+        c = VertexFunction(g, oracle.inner(x, y), n)
+        ay = ModuleElement(g, oracle.left(c, z), n)
+        assert _close(tensor_inner_product([x, z], [y, z]).values,
+                      oracle.inner(z, ay))
+        ip = inner_product(x, x).values
+        for j in range(n):
+            vec = fiber_evaluation(x, TWO_PI * j / n)
+            assert np.array_equal(vec, oracle.fiber(x, j))
+            assert abs(np.sum(np.abs(vec) ** 2) - ip[j].real) \
+                <= 1e-12 * max(1.0, ip[j].real)
+
+
+def test_circle_layout_and_fiber_order():
+    # component-major flat samples; components are read-only views
+    n = 4
+    g = CircleCoveringGraph([EdgeComponent(1, 0.0, 1, 0.0),
+                             EdgeComponent(2, _on_grid(n, 3), 2, 0.0)])
+    x = ModuleElement(g, (np.arange(4), 4 + np.arange(8)), n)
+    assert np.array_equal(x.values, np.arange(12))
+    assert all(np.shares_memory(c, x.values) and not c.flags.writeable
+               for c in x.components)
+    # over j = 1 < off = 3: branch 0 is sample (1 - 3) mod 8 = 6, then 2
+    assert fiber_evaluation(x, _on_grid(n, 1)).real.tolist() == [1, 10, 6]
+    assert fiber_evaluation(x, _on_grid(n, 3)).real.tolist() == [3, 4, 8]
 
 
 def test_circle_grid_mismatch():
