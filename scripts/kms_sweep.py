@@ -47,9 +47,7 @@ def main():
           f"{table.fitted_constant:.4f}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("beta,word-id,value,residual\n")
-            for r in table.rows:
-                fh.write(f"{r.beta},{r.word_id},{r.value!r},{r.residual!r}\n")
+            fh.write(table.to_csv())
         print(f"wrote {args.out}")
 
 

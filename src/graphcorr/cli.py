@@ -43,54 +43,17 @@ from .toeplitz import (fock_matrix, spectral_component,
                        reconstruct_module_check, triple_iso_transport,
                        vacuum_projection_checks)
 
-#: operation -> subcommand that reaches it (coverage-tested)
-COMMAND_TABLE = {
-    "fiber_count": "graph fiber-count",
-    "enumerate_paths": "graph paths",
-    "spectral_radius": "graph spectral-radius",
-    "s_section_decomposition": "graph sections",
-    "inner_product": "module inner-product",
-    "right_action": "module act",
-    "left_action": "module act",
-    "module_norm": "module norm",
-    "tensor_inner_product": "module tensor-inner-product",
-    "fiber_evaluation": "module fiber-eval",
-    "word_multiply": "fock multiply",
-    "fock_matrix": "fock matrix",
-    "vacuum_projection": "fock p-check",
-    "spectral_component": "fock component",
-    "reconstruct_module_check": "fock reconstruct-check",
-    "triple_iso_transport": "fock transport",
-    "partition_sum": "kms partition",
-    "kms_eval": "kms eval",
-    "kms_condition_check": "kms condition",
-    "kms_infty_eval": "kms infty",
-    "kms_limit_sweep": "kms sweep",
-    "extremal_separation_check": "kms separation",
-    "nonzero_permutation": "iso nonzero-perm",
-    "finite_graph_isomorphism": "iso check",
-    "bimodule_invariants": "bimodule invariants",
-    "frame_verify": "localconj frame",
-    "local_conjugacy_check": "localconj check",
-    "build_twist": "example-s5 verify",
-    "rho_map": "example-s5 verify",
-    "verify_isometry": "example-s5 verify",
-    "verify_bimodule": "example-s5 verify",
-    "surjectivity_solve": "example-s5 verify",
-    "nonisomorphism_witness": "example-s5 verify",
-    "cocycle_check": "bundle check",
-    "cocycle_from_graph": "bundle from-graph",
-    "monodromy": "bundle monodromy",
-    "graph_from_cocycle": "bundle to-graph",
-    "global_frame_over_circle": "bundle frame",
-    "dispatch": "suite all",
-}
-
 
 def _load_any(path: str, report: RunReport):
     g = load_graph(path)
     report.inputs.append((path, digest_file(path)))
     return g
+
+
+def _load_cocycle(path: str, report: RunReport):
+    c = load_cocycle(path)
+    report.inputs.append((path, digest_file(path)))
+    return c
 
 
 def _load_finite(path: str, report: RunReport) -> FiniteGraph:
@@ -133,6 +96,8 @@ def _vertex_arg(g, text: str):
 
 #: largest beta grid ``kms sweep`` accepts
 MAX_BETAS = 10_000
+#: largest ``--grid``/``--grid-n`` any command accepts
+MAX_GRID = 2 ** 16
 
 
 def _parse_betas(text: str):
@@ -370,17 +335,12 @@ def cmd_kms_sweep(args, report):
     g = _load_finite(args.graph, report)
     betas = _parse_betas(args.betas)
     table = kms_limit_sweep(g, args.vertex, limit_sweep_words(g), betas)
-    lines = ["beta,word-id,value,residual"]
-    for row in table.rows:
-        lines.append(f"{row.beta},{row.word_id},{row.value!r},"
-                     f"{row.residual!r}")
-    csv_text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+            fh.write(table.to_csv())
         print(f"wrote {args.out}")
     else:
-        print(csv_text, end="")
+        print(table.to_csv(), end="")
     report.add("sweep-monotone", table.monotone_decreasing(),
                table.fitted_constant,
                detail=f"fitted C = {table.fitted_constant:.4f}")
@@ -434,11 +394,9 @@ def cmd_localconj_check(args, report):
               f"{len(res.matchings)} arc matchings")
         report.add("local-conjugacy", True,
                    detail=f"{kind} {res.vertex_map.offset:.6f}")
-    elif isinstance(res, Refutation):
-        print(f"refuted: {res.reason}")
-        report.add("local-conjugacy", False, detail=res.reason)
     else:
-        print(f"inconclusive: {res.reason}")
+        verdict = "refuted" if isinstance(res, Refutation) else "inconclusive"
+        print(f"{verdict}: {res.reason}")
         report.add("local-conjugacy", False, detail=res.reason)
 
 
@@ -457,39 +415,42 @@ def cmd_example_s5(args, report):
     report.checks += rep.checks(args.tol)
 
 
-def cmd_bundle(args, report):
-    if args.bundle_cmd == "from-graph":
-        g = _load_any(args.file, report)
-        if isinstance(g, FiniteGraph):
-            raise FormatError("a circle graph is required")
-        c = cocycle_from_graph(g)
-        print(json.dumps(cocycle_to_dict(c), indent=1, sort_keys=True))
-        report.add("from-graph", cocycle_check(c).passed)
-        return
-    c = load_cocycle(args.file)
-    report.inputs.append((args.file, digest_file(args.file)))
-    if args.bundle_cmd == "check":
-        res = cocycle_check(c)
-        violations = res.detail.splitlines()
-        for v in violations:
-            print(f"violation: {v}")
-        report.add("cocycle-check", res.passed,
-                   detail=f"{len(violations)} violations")
-    elif args.bundle_cmd == "monodromy":
-        m = monodromy(c)
-        print(f"permutation: {list(m.permutation)}  "
-              f"cycle type: {list(m.cycle_type)}")
-        report.add("monodromy", True, detail=f"cycle type {m.cycle_type}")
-    elif args.bundle_cmd == "to-graph":
-        g = graph_from_cocycle(c)
-        print(json.dumps(graph_to_dict(g), indent=1, sort_keys=True))
-        report.add("to-graph", True)
-    elif args.bundle_cmd == "frame":
-        fr = global_frame_over_circle(c, args.grid)
-        print(f"unitarity {fr.unitarity:.3e}, transitions "
-              f"{fr.transition_residual:.3e}, seam exact: "
-              f"{fr.endpoint_exact}")
-        report.checks.append(fr.check())
+def cmd_bundle_from_graph(args, report):
+    g = _load_any(args.file, report)
+    if isinstance(g, FiniteGraph):
+        raise FormatError("a circle graph is required")
+    c = cocycle_from_graph(g)
+    print(json.dumps(cocycle_to_dict(c), indent=1, sort_keys=True))
+    report.add("from-graph", cocycle_check(c).passed)
+
+
+def cmd_bundle_check(args, report):
+    res = cocycle_check(_load_cocycle(args.file, report))
+    violations = res.detail.splitlines()
+    for v in violations:
+        print(f"violation: {v}")
+    report.add("cocycle-check", res.passed,
+               detail=f"{len(violations)} violations")
+
+
+def cmd_bundle_monodromy(args, report):
+    m = monodromy(_load_cocycle(args.file, report))
+    print(f"permutation: {list(m.permutation)}  "
+          f"cycle type: {list(m.cycle_type)}")
+    report.add("monodromy", True, detail=f"cycle type {m.cycle_type}")
+
+
+def cmd_bundle_to_graph(args, report):
+    g = graph_from_cocycle(_load_cocycle(args.file, report))
+    print(json.dumps(graph_to_dict(g), indent=1, sort_keys=True))
+    report.add("to-graph", True)
+
+
+def cmd_bundle_frame(args, report):
+    fr = global_frame_over_circle(_load_cocycle(args.file, report), args.grid)
+    print(f"unitarity {fr.unitarity:.3e}, transitions "
+          f"{fr.transition_residual:.3e}, seam exact: {fr.endpoint_exact}")
+    report.checks.append(fr.check())
 
 
 def cmd_suite(args, report):
@@ -497,7 +458,124 @@ def cmd_suite(args, report):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table
+
+
+def _arg(*flags, **kwargs):
+    """One ``add_argument`` call, as data."""
+    return flags, kwargs
+
+
+def _required(*flags):
+    """Required string options."""
+    return tuple(_arg(f, required=True) for f in flags)
+
+
+def _opt(flag, default):
+    """An option of its default's type."""
+    return _arg(flag, type=type(default), default=default)
+
+
+GRAPH = (_arg("graph"),)
+GRAPH_PAIR = (_arg("graph_e"), _arg("graph_f"))
+VERTEX = _arg("--vertex", required=True)
+BETA = _arg("--beta", type=float, required=True)
+SEED = _opt("--seed", 0)
+FILE = (_arg("file"),)
+
+#: group -> help, in ``--help`` order
+GROUPS = {
+    "graph": "graph inspection",
+    "module": "correspondence operations",
+    "fock": "word algebra and truncated matrices",
+    "kms": "equilibrium states",
+    "iso": "graph isomorphism",
+    "bimodule": "bimodule invariants",
+    "localconj": "local conjugacy",
+    "example-s5": "double-cover bimodule isomorphism",
+    "bundle": "permutation cocycles",
+    "suite": "acceptance suite",
+}
+
+#: one entry per subcommand: (path, handler, arguments in ``--help``
+#: order, library operations it reaches)
+COMMANDS = [
+    ("graph validate", cmd_graph_validate, GRAPH, ()),
+    ("graph spectral-radius", cmd_graph_spectral_radius,
+     GRAPH + (_opt("--tol", 1e-10),), ("spectral_radius",)),
+    ("graph paths", cmd_graph_paths,
+     GRAPH + (VERTEX, _arg("--length", type=int, required=True)),
+     ("enumerate_paths",)),
+    ("graph fiber-count", cmd_graph_fiber_count, GRAPH + (VERTEX,),
+     ("fiber_count",)),
+    ("graph sections", cmd_graph_sections,
+     GRAPH + (VERTEX, _opt("--width", math.pi)), ("s_section_decomposition",)),
+    ("module inner-product", cmd_module_inner_product,
+     GRAPH + _required("--x", "--y"), ("inner_product",)),
+    ("module norm", cmd_module_norm, GRAPH + _required("--x"),
+     ("module_norm",)),
+    ("module tensor-inner-product", cmd_module_tensor_ip,
+     GRAPH + _required("--xs", "--ys"), ("tensor_inner_product",)),
+    ("module fiber-eval", cmd_module_fiber_eval,
+     GRAPH + _required("--x") + (VERTEX,), ("fiber_evaluation",)),
+    ("module act", cmd_module_act,
+     GRAPH + (_arg("--side", choices=["left", "right"], required=True),)
+     + _required("--a", "--x"), ("right_action", "left_action")),
+    ("fock matrix", cmd_fock_matrix, GRAPH + _required("--word")
+     + (VERTEX, _arg("--depth", type=int, required=True)), ("fock_matrix",)),
+    ("fock multiply", cmd_fock_multiply, GRAPH + _required("--w1", "--w2"),
+     ("word_multiply",)),
+    ("fock component", cmd_fock_component, GRAPH + _required("--word")
+     + (_arg("--degree", type=int, required=True),), ("spectral_component",)),
+    ("fock p-check", cmd_fock_p_check,
+     GRAPH + (_opt("--depth", 5),), ("vacuum_projection",)),
+    ("fock reconstruct-check", cmd_fock_reconstruct,
+     GRAPH + (_opt("--trials", 100), _opt("--tol", 1e-12), SEED,
+              _opt("--depth", 4)), ("reconstruct_module_check",)),
+    ("fock transport", cmd_fock_transport,
+     GRAPH_PAIR + (_opt("--trials", 20), SEED), ("triple_iso_transport",)),
+    ("kms partition", cmd_kms_partition, GRAPH + (BETA, VERTEX),
+     ("partition_sum",)),
+    ("kms eval", cmd_kms_eval,
+     GRAPH + (BETA, _arg("--measure")) + _required("--word"), ("kms_eval",)),
+    ("kms condition", cmd_kms_condition,
+     GRAPH + (BETA, _arg("--vertex")) + _required("--w1", "--w2")
+     + (_opt("--tol", 1e-9),), ("kms_condition_check",)),
+    ("kms infty", cmd_kms_infty, GRAPH + (VERTEX,) + _required("--word"),
+     ("kms_infty_eval",)),
+    ("kms sweep", cmd_kms_sweep,
+     GRAPH + (VERTEX, _arg("--betas", default="1:10:1"), _arg("--out")),
+     ("kms_limit_sweep",)),
+    ("kms separation", cmd_kms_separation,
+     GRAPH + (_opt("--beta", 2.0), _opt("--trials", 100), SEED),
+     ("extremal_separation_check",)),
+    ("iso check", cmd_iso_check, GRAPH_PAIR, ("finite_graph_isomorphism",)),
+    ("iso nonzero-perm", cmd_iso_nonzero_perm,
+     (_arg("matrix"), _opt("--threshold", 1e-12)), ("nonzero_permutation",)),
+    ("bimodule invariants", cmd_bimodule_invariants, GRAPH,
+     ("bimodule_invariants",)),
+    ("localconj check", cmd_localconj_check,
+     GRAPH_PAIR + (_opt("--grid", 720), _opt("--tol", 1e-9)),
+     ("local_conjugacy_check",)),
+    ("localconj frame", cmd_localconj_frame,
+     GRAPH + (_opt("--grid-n", 1024), _opt("--center", 0.0),
+              _opt("--width", 2.4), _opt("--tol", 1e-9)), ("frame_verify",)),
+    ("example-s5 verify", cmd_example_s5,
+     (_opt("--grid", 1024), _opt("--trials", 100), _opt("--tol", 1e-9), SEED),
+     ("build_twist", "rho_map", "verify_isometry", "verify_bimodule",
+      "surjectivity_solve", "nonisomorphism_witness")),
+    ("bundle check", cmd_bundle_check, FILE, ("cocycle_check",)),
+    ("bundle monodromy", cmd_bundle_monodromy, FILE, ("monodromy",)),
+    ("bundle to-graph", cmd_bundle_to_graph, FILE, ("graph_from_cocycle",)),
+    ("bundle from-graph", cmd_bundle_from_graph, FILE,
+     ("cocycle_from_graph",)),
+    ("bundle frame", cmd_bundle_frame, FILE + (_opt("--grid", 48),),
+     ("global_frame_over_circle",)),
+    ("suite all", cmd_suite, (SEED,), ("dispatch",)),
+]
+
+#: operation -> subcommand that reaches it (coverage-tested)
+COMMAND_TABLE = {op: path for path, _, _, ops in COMMANDS for op in ops}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -507,211 +585,28 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--json", metavar="PATH", help="write the report as JSON")
     ap.add_argument("--csv", metavar="PATH", help="write the report as CSV")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("graph", help="graph inspection")
-    gs = g.add_subparsers(dest="graph_cmd", required=True)
-    p = gs.add_parser("validate")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_graph_validate)
-    p = gs.add_parser("spectral-radius")
-    p.add_argument("graph")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(func=cmd_graph_spectral_radius)
-    p = gs.add_parser("paths")
-    p.add_argument("graph")
-    p.add_argument("--vertex", required=True)
-    p.add_argument("--length", type=int, required=True)
-    p.set_defaults(func=cmd_graph_paths)
-    p = gs.add_parser("fiber-count")
-    p.add_argument("graph")
-    p.add_argument("--vertex", required=True)
-    p.set_defaults(func=cmd_graph_fiber_count)
-    p = gs.add_parser("sections")
-    p.add_argument("graph")
-    p.add_argument("--vertex", required=True)
-    p.add_argument("--width", type=float, default=3.141592653589793)
-    p.set_defaults(func=cmd_graph_sections)
-
-    m = sub.add_parser("module", help="correspondence operations")
-    ms = m.add_subparsers(dest="module_cmd", required=True)
-    p = ms.add_parser("inner-product")
-    p.add_argument("graph")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.set_defaults(func=cmd_module_inner_product)
-    p = ms.add_parser("norm")
-    p.add_argument("graph")
-    p.add_argument("--x", required=True)
-    p.set_defaults(func=cmd_module_norm)
-    p = ms.add_parser("tensor-inner-product")
-    p.add_argument("graph")
-    p.add_argument("--xs", required=True)
-    p.add_argument("--ys", required=True)
-    p.set_defaults(func=cmd_module_tensor_ip)
-    p = ms.add_parser("fiber-eval")
-    p.add_argument("graph")
-    p.add_argument("--x", required=True)
-    p.add_argument("--vertex", required=True)
-    p.set_defaults(func=cmd_module_fiber_eval)
-    p = ms.add_parser("act")
-    p.add_argument("graph")
-    p.add_argument("--side", choices=["left", "right"], required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--x", required=True)
-    p.set_defaults(func=cmd_module_act)
-
-    f = sub.add_parser("fock", help="word algebra and truncated matrices")
-    fs = f.add_subparsers(dest="fock_cmd", required=True)
-    p = fs.add_parser("matrix")
-    p.add_argument("graph")
-    p.add_argument("--word", required=True)
-    p.add_argument("--vertex", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(func=cmd_fock_matrix)
-    p = fs.add_parser("multiply")
-    p.add_argument("graph")
-    p.add_argument("--w1", required=True)
-    p.add_argument("--w2", required=True)
-    p.set_defaults(func=cmd_fock_multiply)
-    p = fs.add_parser("component")
-    p.add_argument("graph")
-    p.add_argument("--word", required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(func=cmd_fock_component)
-    p = fs.add_parser("p-check")
-    p.add_argument("graph")
-    p.add_argument("--depth", type=int, default=5)
-    p.set_defaults(func=cmd_fock_p_check)
-    p = fs.add_parser("reconstruct-check")
-    p.add_argument("graph")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--depth", type=int, default=4)
-    p.set_defaults(func=cmd_fock_reconstruct)
-    p = fs.add_parser("transport")
-    p.add_argument("graph_e")
-    p.add_argument("graph_f")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_fock_transport)
-
-    k = sub.add_parser("kms", help="equilibrium states")
-    ks = k.add_subparsers(dest="kms_cmd", required=True)
-    p = ks.add_parser("partition")
-    p.add_argument("graph")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--vertex", required=True)
-    p.set_defaults(func=cmd_kms_partition)
-    p = ks.add_parser("eval")
-    p.add_argument("graph")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--measure")
-    p.add_argument("--word", required=True)
-    p.set_defaults(func=cmd_kms_eval)
-    p = ks.add_parser("condition")
-    p.add_argument("graph")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--vertex")
-    p.add_argument("--w1", required=True)
-    p.add_argument("--w2", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=cmd_kms_condition)
-    p = ks.add_parser("infty")
-    p.add_argument("graph")
-    p.add_argument("--vertex", required=True)
-    p.add_argument("--word", required=True)
-    p.set_defaults(func=cmd_kms_infty)
-    p = ks.add_parser("sweep")
-    p.add_argument("graph")
-    p.add_argument("--vertex", required=True)
-    p.add_argument("--betas", default="1:10:1")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_kms_sweep)
-    p = ks.add_parser("separation")
-    p.add_argument("graph")
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_kms_separation)
-
-    i = sub.add_parser("iso", help="graph isomorphism")
-    isub = i.add_subparsers(dest="iso_cmd", required=True)
-    p = isub.add_parser("check")
-    p.add_argument("graph_e")
-    p.add_argument("graph_f")
-    p.set_defaults(func=cmd_iso_check)
-    p = isub.add_parser("nonzero-perm")
-    p.add_argument("matrix")
-    p.add_argument("--threshold", type=float, default=1e-12)
-    p.set_defaults(func=cmd_iso_nonzero_perm)
-
-    b = sub.add_parser("bimodule", help="bimodule invariants")
-    bs = b.add_subparsers(dest="bimodule_cmd", required=True)
-    p = bs.add_parser("invariants")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_bimodule_invariants)
-
-    l = sub.add_parser("localconj", help="local conjugacy")
-    ls = l.add_subparsers(dest="localconj_cmd", required=True)
-    p = ls.add_parser("check")
-    p.add_argument("graph_e")
-    p.add_argument("graph_f")
-    p.add_argument("--grid", type=int, default=720)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=cmd_localconj_check)
-    p = ls.add_parser("frame")
-    p.add_argument("graph")
-    p.add_argument("--grid-n", type=int, default=1024)
-    p.add_argument("--center", type=float, default=0.0)
-    p.add_argument("--width", type=float, default=2.4)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=cmd_localconj_frame)
-
-    e5 = sub.add_parser("example-s5",
-                        help="double-cover bimodule isomorphism")
-    e5s = e5.add_subparsers(dest="s5_cmd", required=True)
-    p = e5s.add_parser("verify")
-    p.add_argument("--grid", type=int, default=1024)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_example_s5)
-
-    bu = sub.add_parser("bundle", help="permutation cocycles")
-    bus = bu.add_subparsers(dest="bundle_cmd", required=True)
-    for name in ("check", "monodromy", "to-graph", "from-graph"):
-        p = bus.add_parser(name)
-        p.add_argument("file")
-        p.set_defaults(func=cmd_bundle)
-    p = bus.add_parser("frame")
-    p.add_argument("file")
-    p.add_argument("--grid", type=int, default=48)
-    p.set_defaults(func=cmd_bundle)
-
-    s = sub.add_parser("suite", help="acceptance suite")
-    ss = s.add_subparsers(dest="suite_cmd", required=True)
-    p = ss.add_parser("all")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_suite)
-
+    # the dests (graph_cmd, ..., s5_cmd) name a missing subcommand in
+    # usage errors
+    groups = {name: sub.add_parser(name, help=text).add_subparsers(
+                  dest=name.split("-")[-1] + "_cmd", required=True)
+              for name, text in GROUPS.items()}
+    for path, handler, arguments, _ in COMMANDS:
+        group, name = path.split()
+        p = groups[group].add_parser(name)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=handler)
     return ap
 
 
 def _visible_command(argv) -> str:
-    """Command string without report-output flags, so that artifacts are
-    byte-identical whenever the actual inputs and seed agree."""
-    out = []
-    skip = False
-    for a in argv:
-        if skip:
-            skip = False
-            continue
-        if a in ("--json", "--csv"):
-            skip = True
-            continue
-        out.append(a)
-    return "graphcorr " + " ".join(out)
+    """Command string without the report-output flags (``--json P``,
+    ``--json=P``, ``--js P``, ...), which can only precede the subcommand,
+    so that artifacts are byte-identical whenever inputs and seed agree."""
+    rest = list(argv)
+    while rest and rest[0].startswith("--") and rest[0] != "--":
+        del rest[:1 if "=" in rest[0] else 2]
+    return "graphcorr " + " ".join(rest)
 
 
 def dispatch(argv) -> int:
@@ -727,6 +622,11 @@ def dispatch(argv) -> int:
             # a check over no random trials would pass vacuously
             if getattr(args, "trials", 1) < 1:
                 raise FormatError(f"--trials {args.trials} is below 1")
+            for dest in ("grid", "grid_n"):
+                n = getattr(args, dest, 1)
+                if not 1 <= n <= MAX_GRID:
+                    raise FormatError(f"--{dest.replace('_', '-')} {n} is "
+                                      f"outside 1..{MAX_GRID}")
             args.func(args, report)
         report.wall_time = t.elapsed
     except (FormatError, OSError, json.JSONDecodeError) as exc:

@@ -10,6 +10,7 @@ intervals that may wrap.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -380,12 +381,19 @@ class EdgeComponent:
     range_offset: float = 0.0
 
     def __post_init__(self):
-        if int(self.source_degree) != self.source_degree or self.source_degree < 1:
+        try:
+            d, m = int(self.source_degree), int(self.range_degree)
+        except (ValueError, OverflowError):  # NaN or infinite
+            raise FormatError("covering degrees must be finite") from None
+        if d != self.source_degree or d < 1:
             raise FormatError("source_degree must be a positive integer")
-        if int(self.range_degree) != self.range_degree or self.range_degree == 0:
+        if m != self.range_degree or m == 0:
             raise FormatError("range_degree must be a nonzero integer")
-        object.__setattr__(self, "source_degree", int(self.source_degree))
-        object.__setattr__(self, "range_degree", int(self.range_degree))
+        if not (math.isfinite(self.source_offset)
+                and math.isfinite(self.range_offset)):
+            raise FormatError("covering offsets must be finite angles")
+        object.__setattr__(self, "source_degree", d)
+        object.__setattr__(self, "range_degree", m)
         object.__setattr__(self, "source_offset", wrap_angle(self.source_offset))
         object.__setattr__(self, "range_offset", wrap_angle(self.range_offset))
 
@@ -521,14 +529,15 @@ def graph_from_dict(data: dict):
             raise FormatError(f"bad finite graph JSON: {exc!r}") from None
     if kind == "circle":
         try:
-            return CircleCoveringGraph([
-                EdgeComponent(source_degree=c["d"],
-                              source_offset=c.get("s_offset", 0.0),
-                              range_degree=c["m"],
-                              range_offset=c.get("r_offset", 0.0))
-                for c in data["components"]])
+            fields = [(c["d"], c.get("s_offset", 0.0), c["m"],
+                       c.get("r_offset", 0.0)) for c in data["components"]]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad circle graph JSON: {exc!r}") from None
+        for x in itertools.chain.from_iterable(fields):
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise FormatError(f"circle graph degrees and offsets must be "
+                                  f"numbers, got {x!r}")
+        return CircleCoveringGraph([EdgeComponent(*f) for f in fields])
     raise FormatError(f"unknown graph kind {kind!r}")
 
 

@@ -264,6 +264,12 @@ class SweepTable:
         return [(r.beta, r.residual) for r in self.rows
                 if r.word_id == word_id]
 
+    def to_csv(self) -> str:
+        """The rows as ``beta,word-id,value,residual`` CSV text."""
+        return "beta,word-id,value,residual\n" + "".join(
+            f"{r.beta},{r.word_id},{r.value!r},{r.residual!r}\n"
+            for r in self.rows)
+
     def monotone_decreasing(self, slack: float = 1e-12) -> bool:
         ids = {r.word_id for r in self.rows}
         for wid in ids:

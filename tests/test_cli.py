@@ -1,12 +1,16 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphcorr.cli import COMMAND_TABLE, build_parser, dispatch
+from graphcorr.cli import (COMMAND_TABLE, COMMANDS, MAX_GRID, build_parser,
+                           dispatch)
 from graphcorr.fixtures import fixture_path
 
 FIB = fixture_path("fibonacci")
@@ -18,6 +22,15 @@ DOUBLE = fixture_path("double-cover")
 
 def run(*argv):
     return dispatch(list(argv))
+
+
+def run_script(name, *argv, timeout):
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.abspath(os.path.join(root, "src")))
+    return subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", name), *argv],
+        env=env, capture_output=True, text=True, timeout=timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -145,28 +158,89 @@ def test_bump_frame_without_two_support_points_is_input_error(grid_n,
 
 
 def test_double_cover_demo_script():
-    root = os.path.join(os.path.dirname(__file__), os.pardir)
-    env = dict(os.environ,
-               PYTHONPATH=os.path.abspath(os.path.join(root, "src")))
-    proc = subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", "double_cover_demo.py"),
-         "--trials", "1"],
-        env=env, capture_output=True, text=True, timeout=30)
+    proc = run_script("double_cover_demo.py", "--trials", "1", timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert "edge-space components: 2 (two loops) vs 1 (double cover)" \
         in proc.stdout
 
 
 def test_kms_sweep_script_refuses_zero_beta_step():
-    root = os.path.join(os.path.dirname(__file__), os.pardir)
-    env = dict(os.environ,
-               PYTHONPATH=os.path.abspath(os.path.join(root, "src")))
-    proc = subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", "kms_sweep.py"),
-         "--betas", "1:2:0"],
-        env=env, capture_output=True, text=True, timeout=10)
+    proc = run_script("kms_sweep.py", "--betas", "1:2:0", timeout=10)
     assert proc.returncode == 2
     assert "input error" in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["0", "-5", str(MAX_GRID + 1)])
+@pytest.mark.parametrize("argv", [
+    ("localconj", "check", TWO_LOOPS, DOUBLE, "--grid"),
+    ("localconj", "frame", DOUBLE, "--grid-n"),
+    ("example-s5", "verify", "--grid"),
+    ("bundle", "frame", SWAP, "--grid"),
+])
+def test_grid_out_of_bounds_is_refused_before_work(argv, value, capsys):
+    t0 = time.perf_counter()
+    assert run(*argv, value) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert "input error" in captured.err and "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("component", [
+    {"d": 2, "s_offset": math.inf, "m": 2},
+    {"d": 2, "s_offset": "x", "m": 2},
+    {"d": 2, "m": 2, "r_offset": math.nan},
+])
+def test_non_finite_or_non_numeric_offset_is_input_error(component, tmp_path,
+                                                        capsys):
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps({"kind": "circle", "components": [component]}))
+    assert run("graph", "validate", str(path)) == 2
+    captured = capsys.readouterr()
+    assert "input error" in captured.err and "PASS" not in captured.out
+
+
+MISSING = object()
+#: JSON values that belong nowhere in a graph file
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=2),
+                 st.sampled_from([math.nan, math.inf, -math.inf, 0.5]),
+                 st.lists(st.integers(0, 2), max_size=2))
+
+
+def mostly(valid, other=JUNK):
+    """``valid`` in seven draws of eight, else ``other``."""
+    return st.sampled_from([valid] * 7 + [other]).flatmap(lambda s: s)
+
+
+def record(**fields):
+    """A JSON object of mostly valid fields, a few of them left out."""
+    return st.fixed_dictionaries(
+        {k: mostly(mostly(v), st.just(MISSING)) for k, v in fields.items()}
+    ).map(lambda d: {k: v for k, v in d.items() if v is not MISSING})
+
+
+NAME = mostly(st.sampled_from(["a", "b", "e"]))
+OFFSET = st.one_of(st.floats(-10, 10),
+                   st.sampled_from([math.nan, math.inf, -math.inf]))
+FINITE_JSON = record(
+    kind=st.just("finite"), vertices=st.lists(NAME, max_size=3),
+    edges=st.lists(mostly(record(id=NAME, src=NAME, rng=NAME)), max_size=4))
+#: degrees stay small, so that no large computation starts
+CIRCLE_JSON = record(kind=st.just("circle"), components=st.lists(mostly(
+    record(d=st.integers(-1, 8), m=st.integers(-8, 8), s_offset=OFFSET,
+           r_offset=OFFSET)), max_size=3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(doc=mostly(st.one_of(FINITE_JSON, CIRCLE_JSON)),
+       vertex=st.sampled_from([None, "a", "0.5", "x", "nan"]))
+def test_fuzzed_graph_json_exits_cleanly(tmp_path_factory, doc, vertex):
+    """``graph validate`` (vertex None) or ``graph fiber-count``."""
+    path = str(tmp_path_factory.getbasetemp() / "fuzzed-graph.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    argv = (["validate", path] if vertex is None
+            else ["fiber-count", path, "--vertex", vertex])
+    assert run("graph", *argv) in (0, 1, 2)
 
 
 def test_localconj_certificate(capsys):
@@ -198,6 +272,35 @@ def test_csv_report(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "check,status,residual,detail"
     assert all(",pass," in ln for ln in lines[1:])
+
+
+def test_output_path_stays_out_of_json_artifact(tmp_path, capsys):
+    paths = [tmp_path / name for name in ("a.json", "b.json", "c.json")]
+    forms = [("--json=" + str(paths[0]),), ("--json", str(paths[1])),
+             ("--js", str(paths[2]))]
+    for form in forms:
+        assert run(*form, "graph", "spectral-radius", FIB) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes() \
+        == paths[2].read_bytes()
+
+
+@pytest.mark.parametrize("command", ["check", "monodromy", "to-graph",
+                                     "frame"])
+def test_cocycle_commands_record_input_digest(command, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run("--json", str(out), "bundle", command, SWAP) == 0
+    assert json.loads(out.read_text())["inputs"][0][0] == SWAP
+
+
+def test_sweep_csv_same_from_cli_and_script(tmp_path, capsys):
+    cli_csv, script_csv = tmp_path / "cli.csv", tmp_path / "script.csv"
+    assert run("kms", "sweep", FIB, "--vertex", "a", "--betas", "1:3:0.5",
+               "--out", str(cli_csv)) == 0
+    proc = run_script("kms_sweep.py", "--fixture", "fibonacci", "--vertex",
+                      "a", "--betas", "1:3:0.5", "--out", str(script_csv),
+                      timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert cli_csv.read_bytes() == script_csv.read_bytes()
 
 
 def test_sweep_csv_columns(tmp_path, capsys):
@@ -284,6 +387,14 @@ def test_every_operation_reachable():
     for op, path in COMMAND_TABLE.items():
         group, command = path.split()
         assert command in choices(groups[group]), (op, path)
+
+
+def test_readme_lists_every_command():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        listed = {" ".join(line.split()[1:3]) for line in fh
+                  if line.startswith("graphcorr ")}
+    assert {path for path, _, _, _ in COMMANDS} <= listed
 
 
 # ---------------------------------------------------------------------------
