@@ -8,6 +8,7 @@ are byte-identical for identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -165,7 +166,7 @@ def cmd_graph_sections(args, report):
     W, secs = s_section_decomposition(g, _vertex_arg(g, args.vertex),
                                       width=args.width)
     print(f"arc [{W.start:.6f}, {W.start + W.length:.6f})")
-    worst = 0.0
+    worst, ok = 0.0, True
     for s in secs:
         samples = W.sample(256, margin=1e-9)
         comp = g.components[s.component]
@@ -173,10 +174,12 @@ def cmd_graph_sections(args, report):
         err = float(np.max(np.abs(np.minimum(
             np.abs(back - samples), 2 * np.pi - np.abs(back - samples)))))
         worst = max(worst, err)
+        # the round-off of source_map(lift(t)) grows with the degree
+        ok = ok and err <= 1e-12 * comp.source_degree
         z = s.arc
         print(f"  component {s.component} branch {s.branch}: "
               f"[{z.start:.6f}, {z.start + z.length:.6f})")
-    report.add("section-identity", worst <= 1e-12, worst,
+    report.add("section-identity", ok, worst,
                detail="s o lift = id on 256 samples")
 
 
@@ -609,10 +612,15 @@ def _visible_command(argv) -> str:
     return "graphcorr " + " ".join(rest)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`build_parser`, built once per process."""
+    return build_parser()
+
+
 def dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     report = RunReport(command=_visible_command(argv),

@@ -24,6 +24,15 @@ root branches of every base grid point are sample points.  These are the
 grids of :mod:`~graphcorr.modules` on the double-cover fixture, whose inner
 product and actions the checks below use.  All identities here are checked
 pointwise on these aligned grids, with no interpolation.
+
+Random test functions are trigonometric polynomials (degree 16 in the
+suite).  One :func:`run_verification` builds the rows ``exp(1j k t)``,
+``|k| <= degree``, once, on the ``2N`` cover points; the base-grid
+samples are the stride-2 view of the same rows, bitwise equal to rows
+computed on the ``N`` points.  Each polynomial is a combination of the
+rows with coefficients drawn in the order :func:`random_trig_poly` draws
+them, so the samples are bitwise those of per-call polynomials.  The
+table lives for the call only (1.08 MB at ``N = 1024``, degree 16).
 """
 from __future__ import annotations
 
@@ -174,15 +183,35 @@ def nonisomorphism_witness() -> tuple[int, int]:
     return circle_two_loops().component_count(), COVER.component_count()
 
 
+def _trig_table(n_samples: int, degree: int = 16) -> np.ndarray:
+    """Rows ``exp(1j k t)``, ``k = -degree .. degree``, on the grid
+    ``t_j = 2pi j / n_samples``; shape ``(2 degree + 1, n_samples)``.
+
+    Every second column of the table on ``2N`` points is, bitwise, the
+    table on ``N`` points: ``2pi (2j) / (2N)`` rounds to ``2pi j / N``.
+    """
+    t = TWO_PI * np.arange(n_samples) / n_samples
+    table = np.empty((2 * degree + 1, n_samples), dtype=np.complex128)
+    for row, k in zip(table, range(-degree, degree + 1)):
+        np.exp(1j * k * t, out=row)
+    return table
+
+
+def _trig_combination(rng: np.random.Generator,
+                      table: np.ndarray) -> np.ndarray:
+    """Random normal complex combination of the rows of ``table``,
+    coefficients drawn row by row, normalised by the row count's root."""
+    out = np.zeros(table.shape[1], dtype=np.complex128)
+    for row in table:
+        c = rng.standard_normal() + 1j * rng.standard_normal()
+        out += c * row
+    return out / math.sqrt(table.shape[0])
+
+
 def random_trig_poly(rng: np.random.Generator, n_samples: int,
                      degree: int = 16) -> np.ndarray:
     """Samples of a random trigonometric polynomial on a uniform grid."""
-    t = TWO_PI * np.arange(n_samples) / n_samples
-    out = np.zeros(n_samples, dtype=np.complex128)
-    for k in range(-degree, degree + 1):
-        c = rng.standard_normal() + 1j * rng.standard_normal()
-        out += c * np.exp(1j * k * t)
-    return out / math.sqrt(2 * degree + 1)
+    return _trig_combination(rng, _trig_table(n_samples, degree))
 
 
 @dataclass
@@ -232,10 +261,12 @@ def run_verification(grid: int = 1024, trials: int = 100,
     rep.unitarity = tw.unitarity_residual()
     rep.boundary_start = float(np.max(np.abs(tw.matrices[0] - np.eye(2))))
     rep.boundary_end = float(np.max(np.abs(tw.matrices[grid] - SWAP)))
+    cover_rows = _trig_table(2 * grid, degree)
+    base_rows = cover_rows[:, ::2]
     for _ in range(trials):
-        f1 = random_trig_poly(rng, 2 * grid, degree)
-        f2 = random_trig_poly(rng, 2 * grid, degree)
-        a = random_trig_poly(rng, grid, degree)
+        f1 = _trig_combination(rng, cover_rows)
+        f2 = _trig_combination(rng, cover_rows)
+        a = _trig_combination(rng, base_rows)
         rep.isometry = max(rep.isometry, verify_isometry(tw, f1, f2))
         r, l = verify_bimodule(tw, f1, a)
         rep.action_right = max(rep.action_right, r)

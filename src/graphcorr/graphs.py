@@ -25,6 +25,9 @@ ANGLE_TOL = 1e-9
 
 #: refuse path enumerations larger than this
 MAX_PATHS = 10**6
+#: largest covering degree ``|d|``, ``|m|`` a circle component may have;
+#: ``graph sections`` samples every section, so its cost is linear in ``d``
+MAX_DEGREE = 4096
 
 
 def wrap_angle(t: float) -> float:
@@ -392,6 +395,9 @@ class EdgeComponent:
         if not (math.isfinite(self.source_offset)
                 and math.isfinite(self.range_offset)):
             raise FormatError("covering offsets must be finite angles")
+        if max(d, abs(m)) > MAX_DEGREE:
+            raise SizeLimitError(f"covering degrees ({d}, {m}) exceed "
+                                 f"{MAX_DEGREE}")
         object.__setattr__(self, "source_degree", d)
         object.__setattr__(self, "range_degree", m)
         object.__setattr__(self, "source_offset", wrap_angle(self.source_offset))

@@ -206,11 +206,14 @@ def criterion_8_permutation_lemma(seed: int = 0):
 
 
 def _exhaustive_best_margin(B: np.ndarray) -> float:
+    """Largest smallest matched entry over every permutation, scored as
+    one array.  ``hypot`` of the parts is bitwise the scalar ``abs`` that
+    :func:`nonzero_permutation` takes its margin with; array ``abs`` of a
+    complex array is not."""
     k = B.shape[0]
-    best = 0.0
-    for sigma in itertools.permutations(range(k)):
-        best = max(best, min(abs(B[i, sigma[i]]) for i in range(k)))
-    return best
+    perms = np.array(list(itertools.permutations(range(k))))
+    mags = np.hypot(B.real, B.imag)
+    return float(mags[np.arange(k), perms].min(axis=1).max(initial=0.0))
 
 
 def _cycle_graph_union(lengths) -> FiniteGraph:

@@ -22,6 +22,10 @@ valid iff ``|mu| + (number of creations) <= L``.  Words act on path
 indices through two tables of :class:`TruncatedFock`, a prepend table for
 creation and a strip table for annihilation, with the words of an element
 batched by shape; numeric checks evaluate only the valid window columns.
+The reconstruction identities form no words on their numeric side: two
+shape batches multiply as stacked arrays into one stack of ``k1 k2``
+words per pair of stacks, and the window is set by the largest creation
+count among the words with no zero factor.
 :meth:`TruncatedFock.word_matrix`, the dense product of the factor
 matrices, is the reference the tests compare against.
 """
@@ -530,18 +534,24 @@ def _shape_batches(elem: ToeplitzElement) -> list:
     """The words of ``elem`` grouped by ``(creations, annihilations,
     has middle)``, each group's factor values stacked into ``(words, *)``
     arrays: ``(m, n, coeffs, lefts, middles or None, rights)``."""
+    return _concat_batches([
+        (w.creations, w.annihilations, np.array([w.coeff]),
+         [x.values[None] for x in w.left],
+         None if w.middle is None else w.middle.values[None],
+         [y.values[None] for y in w.right]) for w in elem.words])
+
+
+def _concat_batches(batches) -> list:
+    """Stacks of one shape joined in order, shapes in first-seen order."""
     groups: dict = {}
-    for w in elem.words:
-        groups.setdefault(
-            (w.creations, w.annihilations, w.middle is not None), []).append(w)
-    out = []
-    for (m, n, has_middle), ws in groups.items():
-        out.append((
-            m, n, np.array([w.coeff for w in ws]),
-            [np.stack([w.left[i].values for w in ws]) for i in range(m)],
-            np.stack([w.middle.values for w in ws]) if has_middle else None,
-            [np.stack([w.right[j].values for w in ws]) for j in range(n)]))
-    return out
+    for bt in batches:
+        groups.setdefault((bt[0], bt[1], bt[4] is not None), []).append(bt)
+    return [bts[0] if len(bts) == 1 else (
+        m, n, np.concatenate([bt[2] for bt in bts]),
+        [np.concatenate(f) for f in zip(*(bt[3] for bt in bts))],
+        np.concatenate([bt[4] for bt in bts]) if mid else None,
+        [np.concatenate(f) for f in zip(*(bt[5] for bt in bts))])
+        for (m, n, mid), bts in groups.items()]
 
 
 def _apply_batches(fock: TruncatedFock, batches, ncols: int) -> np.ndarray:
@@ -630,6 +640,57 @@ def basis_product(elems, graph: FiniteGraph) -> dict:
     return out if out is not None else {}
 
 
+def _batch_product(batches1, batches2, graph: FiniteGraph) -> list:
+    """The :func:`_shape_batches` of ``e1 * e2`` from those of ``e1`` and
+    ``e2``: each pair of stacks gives one stack of ``k1 * k2`` words in
+    :meth:`ToeplitzElement.__mul__` pair order, by the rules of
+    :func:`word_multiply` in array form; zero words are kept, none merged."""
+    src, rng = graph.src_idx, graph.rng_idx
+    out = []
+    for m1, n1, c1, *f1 in batches1:
+        for m2, n2, c2, *f2 in batches2:
+            # row i * k2 + j of the product is the pair (word i, word j)
+            i, j = np.divmod(np.arange(c1.size * c2.size), c2.size)
+            (l1, mid1, r1), (l2, mid2, r2) = (
+                ([a[k] for a in ls], None if mid is None else mid[k],
+                 [a[k] for a in rs])
+                for (ls, mid, rs), k in ((f1, i), (f2, j)))
+            cc = None
+            for y, x in zip(r1, l2):
+                t = x if cc is None else cc[:, rng] * x
+                cc = np.zeros((i.size, graph.n_vertices), dtype=np.complex128)
+                np.add.at(cc, (slice(None), src), y.conj() * t)
+            if n1 <= m2:
+                mid, rem = _times(mid1, cc), l2[n1:]
+                if rem and mid is not None:
+                    rem[0] = mid[:, rng] * rem[0]
+                left, middle, right = ((l1 + rem, mid2, r2) if rem
+                                       else (l1, _times(mid, mid2), r2))
+            else:
+                rem, b = r1[m2:], _times(cc, mid2)
+                if b is not None:
+                    rem[0] = b.conj()[:, rng] * rem[0]
+                left, middle, right = l1, mid1, r2 + rem
+            if middle is not None and left:
+                left[-1], middle = left[-1] * middle[:, src], None
+            out.append((len(left), len(right), c1[i] * c2[j], left, middle,
+                        right))
+    return _concat_batches(out)
+
+
+def _times(a, b):
+    """:func:`_pointwise` on stacked arrays."""
+    return b if a is None else a if b is None else a * b
+
+
+def _creation_bound(batches) -> int:
+    """Largest creation count of a word whose coefficient and factor
+    arrays are all nonzero, 0 when there is none."""
+    return max((m for m, _, c, ls, mid, rs in batches if np.all(
+        [c != 0] + [a.any(axis=1) for a in ls + rs + [mid] if a is not None],
+        axis=0).any()), default=0)
+
+
 def reconstruct_module_check(graph: FiniteGraph, trials: int = 100,
                              tol: float = 1e-12, seed: int = 0,
                              depth: int = 4) -> Check:
@@ -645,35 +706,41 @@ def reconstruct_module_check(graph: FiniteGraph, trials: int = 100,
 
     Each identity is checked exactly in the delta-basis expansion (products
     taken at the basis level) and numerically at every vertex on the valid
-    window columns of the truncated matrices, the only columns read.  The
-    ``reconstruction`` check returned carries the largest residual and
-    names the first identity that fails, or counts the identities.
+    window columns of the truncated matrices, the only columns read: the
+    sides' shape batches are multiplied (:func:`_batch_product`), the right
+    side's coefficients negated, and the window is ``|mu| + m_max <=
+    depth`` with ``m_max`` the largest creation count of a word whose
+    coefficient and factor arrays are all nonzero.  ``p`` is expanded and
+    batched once.  The ``reconstruction`` check returned carries the
+    largest residual and names the first failing identity, or counts them.
     """
     rng = np.random.default_rng(seed)
     p = vacuum_projection(graph)
+    p_basis, p_batches = element_delta_basis(p), _shape_batches(p)
     checks = []
     focks = [TruncatedFock(graph, v, depth) for v in graph.vertices]
 
-    def record(name, lhs_factors, rhs_factors, sym_lhs=None, sym_rhs=None):
-        # the symbolic sides may pre-reduce adjacent factors with the
-        # elementary rules so that both sides share the identical
-        # floating-point inner-product and action arrays; the remaining
-        # cancellations then happen through 0/1 structure constants only
-        sym = delta_basis_residual(
-            basis_product(sym_lhs if sym_lhs is not None else lhs_factors,
-                          graph),
-            basis_product(sym_rhs if sym_rhs is not None else rhs_factors,
-                          graph))
-        lhs = _elem_product(lhs_factors, graph)
-        rhs = _elem_product(rhs_factors, graph)
+    def product(factors):
+        out, *rest = [p_batches if f is p else _shape_batches(f)
+                      for f in factors]
+        for b in rest:
+            out = _batch_product(out, b, graph)
+        return out
+
+    def record(name, lhs_factors, rhs_factors, sym_lhs=None):
+        # sym_lhs pre-reduces adjacent factors so that both sides share the
+        # identical floating-point arrays; the rest cancels through 0/1
+        # structure constants only
+        sym = delta_basis_residual(*(
+            basis_product([p_basis if f is p else f for f in factors], graph)
+            for factors in (sym_lhs or lhs_factors, rhs_factors)))
+        diff = _concat_batches(product(lhs_factors) + [
+            (m, n, -c, *f) for m, n, c, *f in product(rhs_factors)])
+        m_max = _creation_bound(diff)
         num = 0.0
-        diff = lhs - rhs
-        m_max = max((w.creations for w in diff.words), default=0)
         if m_max <= depth:
-            batches = _shape_batches(diff)
             for fock in focks:
-                window = _apply_batches(fock, batches,
-                                        fock.window_size(m_max))
+                window = _apply_batches(fock, diff, fock.window_size(m_max))
                 num = max(num, float(np.max(np.abs(window))))
         checks.append(Check(name, sym == 0.0 and num <= tol, max(sym, num)))
 
@@ -701,13 +768,6 @@ def reconstruct_module_check(graph: FiniteGraph, trials: int = 100,
     first = next((c for c in checks if not c.passed), None)
     return summarize("reconstruction", checks,
                      first.name if first else f"{len(checks)} identities")
-
-
-def _elem_product(factors, graph: FiniteGraph) -> ToeplitzElement:
-    out = None
-    for f in factors:
-        out = f if out is None else out * f
-    return out if out is not None else ToeplitzElement(graph, [])
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphcorr.cli import (COMMAND_TABLE, COMMANDS, MAX_GRID, build_parser,
-                           dispatch)
+from graphcorr.cli import (COMMAND_TABLE, COMMANDS, MAX_GRID, _parser,
+                           build_parser, dispatch)
 from graphcorr.fixtures import fixture_path
+from graphcorr.graphs import MAX_DEGREE
 
 FIB = fixture_path("fibonacci")
 LOOP = fixture_path("single-loop")
@@ -44,6 +45,17 @@ def test_validate_ok(capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run("nosuchthing") == 2
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    outputs = []
+    for _ in range(2):
+        assert run("graph") == 2          # missing subcommand
+        assert run("graph", "validate", "--help") == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and "graph_cmd" in outputs[0].err
+    assert run("graph", "validate", FIB) == 0
+    assert _parser.cache_info().misses == 1
 
 
 def test_malformed_json_is_input_error(tmp_path, capsys):
@@ -197,6 +209,39 @@ def test_non_finite_or_non_numeric_offset_is_input_error(component, tmp_path,
     assert run("graph", "validate", str(path)) == 2
     captured = capsys.readouterr()
     assert "input error" in captured.err and "PASS" not in captured.out
+
+
+def _circle_file(tmp_path, d, m):
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps(
+        {"kind": "circle", "components": [{"d": d, "m": m}]}))
+    return str(path)
+
+
+def test_section_identity_tolerance_scales_with_degree(tmp_path, capsys):
+    # the residual is about 2e-12 at degree 2000, above an absolute 1e-12
+    path = _circle_file(tmp_path, 2000, 1)
+    assert run("graph", "sections", path, "--vertex", "0.5") == 0
+    assert "PASS  section-identity" in capsys.readouterr().out
+
+
+def test_covering_degree_at_the_cap_is_accepted(tmp_path, capsys):
+    assert run("graph", "validate", _circle_file(tmp_path, MAX_DEGREE,
+                                                 -MAX_DEGREE)) == 0
+
+
+@pytest.mark.parametrize("d, m", [(MAX_DEGREE + 1, 1), (10 ** 9, 1),
+                                  (1, -(MAX_DEGREE + 1)), (2, 10 ** 9)])
+@pytest.mark.parametrize("command", [("validate",),
+                                     ("sections", "--vertex", "0.5")])
+def test_covering_degree_above_the_cap_is_refused(d, m, command, tmp_path,
+                                                  capsys):
+    name, *rest = command
+    t0 = time.perf_counter()
+    assert run("graph", name, _circle_file(tmp_path, d, m), *rest) == 1
+    assert time.perf_counter() - t0 < 1.0
+    out = capsys.readouterr().out
+    assert "FAIL  domain" in out and str(MAX_DEGREE) in out
 
 
 MISSING = object()

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from graphcorr.double_cover import (COVER, SWAP, build_twist, cover_element,
+from graphcorr.double_cover import (COVER, SWAP, VerificationReport,
+                                    _trig_table, build_twist, cover_element,
                                     endpoint_identity_exact,
                                     nonisomorphism_witness, random_trig_poly,
                                     rho_map, run_verification,
@@ -240,3 +241,61 @@ def test_full_verification_small_grid():
     assert rep.max_residual() < 1e-12
     assert rep.endpoint_exact
     assert rep.components == (2, 1)
+
+
+# ---------------------------------------------------------------------------
+# the trig table against per-call polynomials
+
+
+def _per_call_trig_poly(rng, n_samples, degree=16):
+    """One ``exp`` pass per frequency, on the polynomial's own grid."""
+    t = TWO_PI * np.arange(n_samples) / n_samples
+    out = np.zeros(n_samples, dtype=np.complex128)
+    for k in range(-degree, degree + 1):
+        c = rng.standard_normal() + 1j * rng.standard_normal()
+        out += c * np.exp(1j * k * t)
+    return out / math.sqrt(2 * degree + 1)
+
+
+def _per_call_verification(grid, trials, degree, seed):
+    """``run_verification`` drawing every polynomial per call."""
+    rng = np.random.default_rng(seed)
+    tw = build_twist(grid)
+    rep = VerificationReport(grid=grid, trials=trials)
+    rep.unitarity = tw.unitarity_residual()
+    rep.boundary_start = float(np.max(np.abs(tw.matrices[0] - np.eye(2))))
+    rep.boundary_end = float(np.max(np.abs(tw.matrices[grid] - SWAP)))
+    for _ in range(trials):
+        f1 = _per_call_trig_poly(rng, 2 * grid, degree)
+        f2 = _per_call_trig_poly(rng, 2 * grid, degree)
+        a = _per_call_trig_poly(rng, grid, degree)
+        rep.isometry = max(rep.isometry, verify_isometry(tw, f1, f2))
+        r, l = verify_bimodule(tw, f1, a)
+        rep.action_right = max(rep.action_right, r)
+        rep.action_left = max(rep.action_left, l)
+        rep.endpoint_exact = rep.endpoint_exact \
+            and endpoint_identity_exact(tw, f1)
+        j = int(rng.integers(0, grid + 1))
+        h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        _, res = surjectivity_solve(tw, j, h)
+        rep.surjectivity = max(rep.surjectivity, res)
+    rep.components = nonisomorphism_witness()
+    return rep
+
+
+@pytest.mark.parametrize("grid", [4, 100, 1000, 1024])
+def test_trig_table_stride_two_rows_are_per_call_rows(grid):
+    coarse = _trig_table(2 * grid, 16)[:, ::2]
+    t = TWO_PI * np.arange(grid) / grid
+    for row, k in zip(coarse, range(-16, 17)):
+        assert np.array_equal(row, np.exp(1j * k * t))
+    rng1, rng2 = np.random.default_rng(grid), np.random.default_rng(grid)
+    assert np.array_equal(random_trig_poly(rng1, grid, 5),
+                          _per_call_trig_poly(rng2, grid, 5))
+
+
+@pytest.mark.parametrize("grid", [4, 100, 1000, 1024])
+def test_verification_matches_per_call_polynomials(grid):
+    for seed in (0, 42):
+        assert run_verification(grid, 10, 16, seed) \
+            == _per_call_verification(grid, 10, 16, seed)

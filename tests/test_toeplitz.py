@@ -5,12 +5,14 @@ from graphcorr.conjugacy import GraphIsomorphism
 from graphcorr.errors import FormatError, SizeLimitError
 from graphcorr.fixtures import (FINITE_FIXTURES, edgeless, fibonacci,
                                 k_loops, single_loop, ten_edge)
-from graphcorr.modules import (delta_edge, delta_vertex,
-                               random_module_element, random_vertex_function,
-                               unit_vertex_function)
+from graphcorr.modules import (delta_edge, delta_vertex, inner_product,
+                               left_action, random_module_element,
+                               random_vertex_function, unit_vertex_function)
+from graphcorr.report import Check, summarize
 from graphcorr.suite import RECONSTRUCT_FIXTURES, relabeled_copy
 from graphcorr.toeplitz import (ToeplitzElement, TruncatedFock, Word,
-                                _apply_batches, _shape_batches,
+                                _apply_batches, _batch_product,
+                                _shape_batches,
                                 basis_product, delta_basis_multiply,
                                 delta_basis_residual, element_delta_basis,
                                 fock_matrix, gauge_scale, iota_word, pi_word,
@@ -453,3 +455,117 @@ def test_indexed_basis_multiply_matches_pair_scan(name):
             assert list(got) == list(want)
             assert [_bits(c) for c in got.values()] \
                 == [_bits(c) for c in want.values()]
+
+
+# ---------------------------------------------------------------------------
+# batched word products against the Word route
+
+
+def _elem_product(factors, graph):
+    """The Word route: elements multiplied word by word and merged."""
+    out = None
+    for f in factors:
+        out = f if out is None else out * f
+    return out if out is not None else ToeplitzElement(graph, [])
+
+
+def _word_route_reconstruct(graph, trials, tol, seed, depth=4):
+    """``reconstruct_module_check`` with its numeric side evaluated on the
+    merged ``lhs - rhs`` of Word products."""
+    rng = np.random.default_rng(seed)
+    p = vacuum_projection(graph)
+    checks = []
+    focks = [TruncatedFock(graph, v, depth) for v in graph.vertices]
+
+    def record(name, lhs_factors, rhs_factors, sym_lhs=None):
+        sym = delta_basis_residual(
+            basis_product(sym_lhs or lhs_factors, graph),
+            basis_product(rhs_factors, graph))
+        diff = (_elem_product(lhs_factors, graph)
+                - _elem_product(rhs_factors, graph))
+        m_max = max((w.creations for w in diff.words), default=0)
+        num = 0.0
+        if m_max <= depth:
+            batches = _shape_batches(diff)
+            for fock in focks:
+                window = _apply_batches(fock, batches,
+                                        fock.window_size(m_max))
+                num = max(num, float(np.max(np.abs(window))))
+        checks.append(Check(name, sym == 0.0 and num <= tol, max(sym, num)))
+
+    for t in range(trials):
+        a = random_vertex_function(graph, rng)
+        xi = random_module_element(graph, rng)
+        eta = random_module_element(graph, rng)
+        pa = ToeplitzElement(graph, [pi_word(a)])
+        record(f"commute[{t}]", [p, pa], [pa, p])
+        ann_xi = ToeplitzElement(graph, [word(1.0, (), None, (xi,))])
+        crt_eta = ToeplitzElement(graph, [iota_word(eta)])
+        rhs0 = ToeplitzElement(graph, [pi_word(inner_product(xi, eta))])
+        record(f"compress[{t}]", [p, ann_xi, crt_eta, p], [rhs0, p],
+               sym_lhs=[p, ann_xi * crt_eta, p])
+        for n in (1, 2):
+            xs = tuple(random_module_element(graph, rng) for _ in range(n + 1))
+            ys = tuple(random_module_element(graph, rng) for _ in range(n))
+            wrd = ToeplitzElement(graph, [word(1.0, xs, None, ys)])
+            record(f"annihilate[n={n},{t}]", [wrd, p],
+                   [ToeplitzElement(graph, [])])
+        crt_xi = ToeplitzElement(graph, [iota_word(xi)])
+        crt_axi = ToeplitzElement(graph, [iota_word(left_action(a, xi))])
+        record(f"bimodule[{t}]", [pa, crt_xi, p], [crt_axi, p],
+               sym_lhs=[pa * crt_xi, p])
+    first = next((c for c in checks if not c.passed), None)
+    return summarize("reconstruction", checks,
+                     first.name if first else f"{len(checks)} identities")
+
+
+def _sparse_element(g, rng, n_words):
+    """Normal-form words of every shape up to two creations and two
+    annihilations, half of their factors edge deltas, so that many inner
+    products vanish."""
+    def factor():
+        if rng.random() < 0.5:
+            return delta_edge(g, g.edges[int(rng.integers(g.n_edges))])
+        return random_module_element(g, rng)
+
+    words = []
+    for _ in range(n_words):
+        m, n = (int(k) for k in rng.integers(0, 3, size=2))
+        middle = random_vertex_function(g, rng) if rng.random() < 0.5 \
+            else None
+        words.append(word(complex(*rng.standard_normal(2)),
+                          tuple(factor() for _ in range(m)), middle,
+                          tuple(factor() for _ in range(n))))
+    return ToeplitzElement(g, words)
+
+
+@pytest.mark.parametrize("name", RECONSTRUCT_FIXTURES)
+def test_batch_product_matches_word_products(name):
+    g = FINITE_FIXTURES[name]()
+    rng = np.random.default_rng(15)
+    focks = [TruncatedFock(g, v, 4) for v in g.vertices]
+    shapes, dropped = set(), 0
+    for _ in range(8):
+        e1 = _sparse_element(g, rng, n_words=5)
+        e2 = _sparse_element(g, rng, n_words=5)
+        got = _batch_product(_shape_batches(e1), _shape_batches(e2), g)
+        want = _shape_batches(e1 * e2)
+        shapes |= {(m, n, mid is not None) for m, n, _, _, mid, _ in got}
+        # the batched product keeps the zero words the Word route drops
+        dropped += sum(c.size for _, _, c, *_ in got) - len((e1 * e2).words)
+        for f in focks:
+            a = _apply_batches(f, got, f.dim)
+            b = _apply_batches(f, want, f.dim)
+            scale = max(np.max(np.abs(b), initial=0.0), 1.0)
+            assert np.max(np.abs(a - b)) <= 1e-12 * scale
+    # middles, pure annihilations and pure creations all occur
+    assert {(0, 0, True), (0, 1, True), (1, 0, False)} <= shapes
+    assert dropped > 0 or g.n_edges == 1    # one edge: no orthogonal deltas
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("name", RECONSTRUCT_FIXTURES)
+def test_reconstruction_matches_word_route(name, seed):
+    g = FINITE_FIXTURES[name]()
+    assert reconstruct_module_check(g, trials=20, tol=1e-12, seed=seed) \
+        == _word_route_reconstruct(g, trials=20, tol=1e-12, seed=seed)
