@@ -26,7 +26,7 @@ from .conjugacy import (GraphIsomorphism, LocalConjugacyCertificate,
 from .double_cover import run_verification
 from .errors import (DomainError, FormatError, MismatchError, NoMatchingError,
                      SingularMatrixError, SizeLimitError, WorkbenchError)
-from .graphs import (FiniteGraph, enumerate_paths, graph_to_dict,
+from .graphs import (FiniteGraph, angle_dist, enumerate_paths, graph_to_dict,
                      load_graph, load_json, s_section_decomposition,
                      spectral_radius)
 from .kms import (KMSInftyState, KMSParameters, KMSState, kms_condition_check,
@@ -171,8 +171,7 @@ def cmd_graph_sections(args, report):
         samples = W.sample(256, margin=1e-9)
         comp = g.components[s.component]
         back = comp.source_map(s.lift(samples))
-        err = float(np.max(np.abs(np.minimum(
-            np.abs(back - samples), 2 * np.pi - np.abs(back - samples)))))
+        err = float(np.max(angle_dist(back, samples)))
         worst = max(worst, err)
         # the round-off of source_map(lift(t)) grows with the degree
         ok = ok and err <= 1e-12 * comp.source_degree

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -22,8 +23,8 @@ from .errors import (FormatError, NoMatchingError, SingularMatrixError,
 from .graphs import (ANGLE_TOL, TWO_PI, Arc, CircleCoveringGraph, FiniteGraph,
                      angle_dist, s_section_decomposition, wrap_angle)
 from .modules import (DEFAULT_BASE_GRID, ModuleElement, VertexFunction,
-                      _grid_offset, fiber_evaluation, inner_product,
-                      left_action, right_action)
+                      _range_index, _source_index, delta_edge, delta_vertex,
+                      inner_product)
 from .report import Check
 
 
@@ -260,11 +261,11 @@ def bimodule_invariants(E: FiniteGraph, max_vertices: int = 10) -> tuple:
 class FrameData:
     """Orthogonal generators with a common weight and transfer maps.
 
-    ``h`` is a [0, 1]-valued vertex function, ``gens`` module elements with
-    ``<g_i, g_j> = delta_ij h``, and ``alphas[i]`` records where the left
-    action transfers along ``g_i``: a dict vertex -> vertex for finite
-    graphs, or an angle array over the base grid (NaN off the support) for
-    circle graphs.
+    ``h`` is a [0, 1]-valued vertex function and ``gens`` are module
+    elements with ``<g_i, g_j> = delta_ij h``.  ``alphas[i]`` is an int
+    array over the base points (the vertices, or the grid of ``h``): the
+    base index ``alpha_i(j)`` to which the left action transfers along
+    ``g_i`` over ``j``, and ``-1`` off the support.
     """
     h: VertexFunction
     gens: tuple
@@ -288,43 +289,25 @@ class FrameReport:
                      or f"{len(self.anchors)} anchors extracted")
 
 
-def _support_indices(h: VertexFunction, floor: float):
-    return np.flatnonzero(np.abs(h.values) > floor)
-
-
-def _test_functions(graph, base_n):
-    """Callables spanning enough of the vertex functions for action tests."""
-    if isinstance(graph, FiniteGraph):
-        # vertex indicators, as value maps
-        out = []
-        for v in graph.vertices:
-            out.append((f"ind[{v}]",
-                        lambda t, vv=v: np.asarray(t == graph.vertex_index(vv),
-                                                   dtype=np.complex128)))
-        return out
-    return [(f"mode[{k}]", lambda t, kk=k: np.exp(1j * kk * np.asarray(t)))
-            for k in (0, 1, 2, -1)]
-
-
 def frame_verify(graph, fd: FrameData, tol: float = 1e-9) -> FrameReport:
     """Check the three frame conditions and extract the section matching.
 
     (1) ``<g_i, g_j> = delta_ij h`` pointwise;
-    (2) at each point in the open support of ``h`` the generator
-        restrictions span the source fiber (square and full rank);
-    (3) for test coefficients ``a``: ``a . g_i = g_i . (a o alpha_i)``.
+    (2) on the open support of ``h`` the fiber matrices ``B[i, c] =
+        g_i(c-th sample over the point, by index)`` are square, full rank;
+    (3) ``a . g_i = g_i . (a o alpha_i)`` for all ``a``: ``r(e) =
+        alpha_i(s(e))`` where ``g_i(e) != 0``, residual ``max |g_i(e)|``
+        where not.
 
-    On success, at sampled support points the nonzero-pattern permutation
-    of the fiber matrix pairs generators with fiber branches and the
-    transfer maps must agree with range-after-inverse-section on the
-    surrounding arc.
+    At sampled support points (anchors) the nonzero-pattern permutation of
+    ``B`` pairs generators with fiber samples, and ``alpha_i`` must equal
+    the range along the matched branch (:func:`_branch_near`) exactly.
     """
     k = len(fd.gens)
     if k == 0 or not np.abs(fd.h.values).max() > 0:
         raise FormatError("frame needs generators and a nonzero weight")
     report = FrameReport(passed=True)
-    finite = isinstance(graph, FiniteGraph)
-    base_n = None if finite else fd.h.base_n
+    fail = partial(FrameReport, False, max_residuals=report.max_residuals)
 
     # (1) orthogonality with common weight
     res1 = 0.0
@@ -335,116 +318,63 @@ def frame_verify(graph, fd: FrameData, tol: float = 1e-9) -> FrameReport:
             res1 = max(res1, float(np.max(np.abs(ip - target))))
     report.max_residuals["orthogonality"] = res1
     if res1 > tol:
-        return FrameReport(False, "(1) orthogonality", f"residual {res1:.3e}",
-                           report.max_residuals)
+        return fail("(1) orthogonality", f"residual {res1:.3e}")
 
-    supp = _support_indices(fd.h, floor=max(tol, 1e-12))
+    n, floor = fd.h.base_n, max(tol, 1e-12)
+    supp = np.flatnonzero(np.abs(fd.h.values) > floor)
+    G, alpha = np.array([g.values for g in fd.gens]), np.array(fd.alphas)
+    src, rng = _source_index(graph, n), _range_index(graph, n)
 
     # (2) spanning: fiber matrices square and full rank on the support
-    for idx in supp:
-        v = graph.vertices[idx] if finite else TWO_PI * idx / base_n
-        B = np.array([fiber_evaluation(g, v) for g in fd.gens])
-        if B.shape[0] != B.shape[1]:
-            return FrameReport(False, "(2) spanning",
-                               f"fiber size {B.shape[1]} != {k} generators "
-                               f"at {v!r}", report.max_residuals)
-        sv = np.linalg.svd(B, compute_uv=False)
-        if sv[-1] <= tol * max(1.0, sv[0]):
-            return FrameReport(False, "(2) spanning",
-                               f"rank-deficient fiber matrix at {v!r}",
-                               report.max_residuals)
+    sizes = np.bincount(src, minlength=fd.h.values.size)[supp]
+    if np.any(sizes != k):
+        return fail("(2) spanning", f"fiber size {sizes[sizes != k][0]} != "
+                    f"{k} generators at base point {supp[sizes != k][0]}")
+    order = np.argsort(src, kind="stable")
+    fibers = order[np.searchsorted(src[order], supp)[:, None] + np.arange(k)]
+    B = G[:, fibers].transpose(1, 0, 2)
+    sv = np.linalg.svd(B, compute_uv=False)
+    deficient = sv[:, -1] <= tol * np.maximum(1.0, sv[:, 0])
+    if deficient.any():
+        return fail("(2) spanning", "rank-deficient fiber matrix at base "
+                    f"point {supp[deficient][0]}")
 
-    # (3) action transfer on test coefficients
-    res3 = 0.0
-    for name, func in _test_functions(graph, base_n):
-        if finite:
-            a = VertexFunction(graph, func(np.arange(graph.n_vertices)))
-        else:
-            t = TWO_PI * np.arange(base_n) / base_n
-            a = VertexFunction(graph, func(t), base_n)
-        for i in range(k):
-            lhs = left_action(a, fd.gens[i])
-            atilde = _compose_with_alpha(graph, func, fd.alphas[i], fd.h,
-                                         base_n, tol)
-            rhs = right_action(fd.gens[i], atilde)
-            res3 = max(res3, float(np.max(np.abs(lhs.values - rhs.values))))
+    # (3) action transfer, exact on the index maps
+    res3 = float(np.abs(G[rng != alpha[:, src]]).max(initial=0.0))
     report.max_residuals["action-transfer"] = res3
     if res3 > tol:
-        return FrameReport(False, "(3) action transfer",
-                           f"residual {res3:.3e}", report.max_residuals)
+        return fail("(3) action transfer", f"residual {res3:.3e}")
 
     # extraction: permutation and transfer maps at sampled anchors
-    resa = 0.0
-    anchor_idx = supp if finite else supp[:: max(1, len(supp) // 16)]
-    for idx in anchor_idx:
-        if finite:
-            v = graph.vertices[idx]
-            B = np.array([fiber_evaluation(g, v) for g in fd.gens])
-            witness = nonzero_permutation(B, threshold=min(1e-12, tol))
-            fiber_edges = graph.edges_from_index(graph.vertex_index(v))
-            for i in range(k):
-                e = fiber_edges[witness.sigma[i]]
-                target = graph.rng[int(e)]
-                got = fd.alphas[i].get(v)
-                if got != target:
-                    return FrameReport(False, "extraction",
-                                       f"alpha[{i}]({v!r}) = {got!r} but the "
-                                       f"matched branch has range {target!r}",
-                                       report.max_residuals)
-            report.anchors.append((v, witness.sigma))
-        else:
-            v = TWO_PI * idx / base_n
-            # a safe section width: stay inside a half circle
-            W, sections = s_section_decomposition(graph, v,
-                                                  width=math.pi * 0.9)
-            # columns ordered like the sections, so the matching indexes them
-            B = np.zeros((k, len(sections)), dtype=np.complex128)
-            for jsec, sec in enumerate(sections):
-                sz = graph.components[sec.component].source_degree * base_n
-                m = _grid_offset(float(sec.lift(v)), sz, "section point")
-                for i in range(k):
-                    B[i, jsec] = fd.gens[i].components[sec.component][m]
-            witness = nonzero_permutation(B, threshold=min(1e-12, tol))
-            for i in range(k):
-                sec = sections[witness.sigma[i]]
-                for widx in _grid_indices_in_arc(W, base_n, fd.h, tol):
-                    w_angle = TWO_PI * widx / base_n
-                    alpha_val = fd.alphas[i][widx]
-                    if np.isnan(alpha_val):
-                        continue
-                    resa = max(resa, angle_dist(alpha_val,
-                                                float(sec.range_at(w_angle))))
-            report.anchors.append((float(v), witness.sigma))
-    report.max_residuals["alpha-extraction"] = resa
-    if resa > tol:
-        return FrameReport(False, "extraction",
-                           f"alpha residual {resa:.3e}", report.max_residuals)
+    report.max_residuals["alpha-extraction"] = 0.0
+    for at in range(0, len(supp), max(1, len(supp) // 16)):
+        witness = nonzero_permutation(B[at], threshold=min(1e-12, tol))
+        ws, es = _branch_near(graph, n, supp[at],
+                              fibers[at, list(witness.sigma)])
+        inside = np.abs(fd.h.values[ws]) > floor
+        ws, es = ws[inside], es[:, inside]
+        wrong = np.argwhere(alpha[:, ws] != rng[es])
+        if wrong.size:
+            i, m = wrong[0]
+            report.max_residuals["alpha-extraction"] = 1.0
+            return fail("extraction", f"alpha[{i}]({ws[m]}) = "
+                        f"{alpha[i, ws[m]]} but the matched branch has range "
+                        f"{rng[es[i, m]]}")
+        report.anchors.append((int(supp[at]), witness.sigma))
     return report
 
 
-def _grid_indices_in_arc(W: Arc, base_n: int, h: VertexFunction, tol: float):
-    t = TWO_PI * np.arange(base_n) / base_n
-    inside = [j for j in range(base_n)
-              if W.contains(t[j]) and abs(h.values[j]) > max(tol, 1e-12)]
-    return inside
-
-
-def _compose_with_alpha(graph, func, alpha, h, base_n, tol):
-    """``a o alpha_i`` extended by zero off the support of ``h``.
-
-    Only values over the support ever multiply a nonzero generator entry,
-    so the extension choice cannot affect the identity being tested.
-    """
-    if isinstance(graph, FiniteGraph):
-        vals = np.zeros(graph.n_vertices, dtype=np.complex128)
-        for v, target in alpha.items():
-            vals[graph.vertex_index(v)] = func(
-                np.asarray(graph.vertex_index(target)))
-        return VertexFunction(graph, vals)
-    vals = np.zeros(base_n, dtype=np.complex128)
-    mask = ~np.isnan(alpha)
-    vals[mask] = func(alpha[mask])
-    return VertexFunction(graph, vals, base_n)
+def _branch_near(graph, n: int | None, j: int, es: np.ndarray):
+    """Base points near ``j`` and the samples continuing each of ``es`` (over
+    ``j``) along its branch over them: ``j`` alone on a finite graph, on a
+    circle the grid points of the arc of width ``0.9 pi`` around ``j``."""
+    if n is None:
+        return np.array([j]), es[:, None]
+    sizes = np.array([c.source_degree * n for c in graph.components])
+    c = np.searchsorted(np.cumsum(sizes), es, side="right")
+    first, size = (np.cumsum(sizes) - sizes)[c, None], sizes[c, None]
+    delta = np.arange(-(9 * n // 40), -(-9 * n // 40))
+    return (j + delta) % n, first + (es[:, None] - first + delta) % size
 
 
 def bump_frame(graph: CircleCoveringGraph,
@@ -474,41 +404,35 @@ def bump_frame(graph: CircleCoveringGraph,
         raise FormatError(f"only {np.count_nonzero(h_vals)} of {base_n} "
                           "base-grid points lie in the bump's support")
     h = VertexFunction(graph, h_vals.astype(np.complex128), base_n)
-    W, sections = s_section_decomposition(graph, center, width=width)
-    gens = []
-    alphas = []
+    src, rng = _source_index(graph, base_n), _range_index(graph, base_n)
+    sizes = [c.source_degree * base_n for c in graph.components]
+    _, sections = s_section_decomposition(graph, center, width=width)
+    gens, alphas = [], []
     for sec in sections:
-        comps = []
-        for ci, comp in enumerate(graph.components):
-            sz = comp.source_degree * base_n
-            vals = np.zeros(sz, dtype=np.complex128)
-            if ci == sec.component:
-                u = TWO_PI * np.arange(sz) / sz
-                s_of_u = comp.source_map(u)
-                in_arc = np.array([sec.arc.contains(uu, slack=ANGLE_TOL)
-                                   for uu in u])
-                vals[in_arc] = np.sqrt(h_func(s_of_u[in_arc]).real)
-            comps.append(vals)
-        gens.append(ModuleElement(graph, tuple(comps), base_n))
-        alpha = np.full(base_n, np.nan)
-        for j in range(base_n):
-            if h.values[j].real > 0 and W.contains(t[j], slack=ANGLE_TOL):
-                alpha[j] = float(sec.range_at(t[j]))
-        alphas.append(alpha)
+        comp, sz = graph.components[sec.component], sizes[sec.component]
+        first = sum(sizes[:sec.component])
+        u = TWO_PI * np.arange(sz) / sz
+        rel = (u - sec.arc.start) % TWO_PI
+        in_arc = (rel < sec.arc.length + ANGLE_TOL) \
+            | (rel >= TWO_PI - ANGLE_TOL)
+        vals = np.zeros(src.size, dtype=np.complex128)
+        vals[first:first + sz][in_arc] = np.sqrt(
+            h_func(comp.source_map(u)[in_arc]).real)
+        on = np.flatnonzero(vals)
+        alphas.append(np.full(base_n, -1))
+        alphas[-1][src[on]] = rng[on]
+        gens.append(ModuleElement._from_values(graph, vals, base_n))
     return FrameData(h=h, gens=tuple(gens), alphas=tuple(alphas))
 
 
 def finite_frame(graph: FiniteGraph, v) -> FrameData:
     """Trivial frame at a vertex: ``h = delta_v``, edge deltas over its fiber."""
-    from .modules import delta_edge, delta_vertex
-    h = delta_vertex(graph, v)
-    gens = []
-    alphas = []
-    for ei in graph.edges_from_index(graph.vertex_index(v)):
-        e = graph.edges[int(ei)]
-        gens.append(delta_edge(graph, e))
-        alphas.append({v: graph.rng[int(ei)]})
-    return FrameData(h=h, gens=tuple(gens), alphas=tuple(alphas))
+    vi = graph.vertex_index(v)
+    fiber = graph.edges_from_index(vi)
+    alphas = np.full((fiber.size, graph.n_vertices), -1)
+    alphas[:, vi] = graph.rng_idx[fiber]
+    gens = tuple(delta_edge(graph, graph.edges[int(ei)]) for ei in fiber)
+    return FrameData(h=delta_vertex(graph, v), gens=gens, alphas=tuple(alphas))
 
 
 # ---------------------------------------------------------------------------
@@ -591,9 +515,7 @@ def _try_certificate(E, F, phi0, tol, n_arcs, samples):
             for j, secF in enumerate(sf):
                 # F-section over phi0(W): lift at phi0(w)
                 targetF = secF.range_at(phi0(w_s))
-                if np.max(np.abs(np.minimum(
-                        np.abs(targetE - targetF),
-                        TWO_PI - np.abs(targetE - targetF)))) <= tol:
+                if np.max(angle_dist(targetE, targetF)) <= tol:
                     compat[i, j] = True
         sigma = _augmenting_matching(compat)
         if sigma is None:

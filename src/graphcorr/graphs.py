@@ -40,10 +40,10 @@ def wrap_angle(t: float) -> float:
     return r
 
 
-def angle_dist(a: float, b: float) -> float:
-    """Distance between two angles on the circle."""
-    d = abs(wrap_angle(a) - wrap_angle(b))
-    return min(d, TWO_PI - d)
+def angle_dist(a, b):
+    """Distance between two angles on the circle; elementwise on arrays."""
+    d = np.abs(np.mod(a, TWO_PI) - np.mod(b, TWO_PI))
+    return np.minimum(d, TWO_PI - d)
 
 
 # ---------------------------------------------------------------------------

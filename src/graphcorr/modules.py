@@ -12,6 +12,8 @@ on the grid; range compositions also need ``d | m`` per component).
 """
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .errors import FormatError, MismatchError
@@ -246,23 +248,13 @@ def tensor_inner_product(xs, ys) -> VertexFunction:
 
 
 def fiber_evaluation(x: ModuleElement, v) -> np.ndarray:
-    """Restriction of ``x`` to the source fiber over ``v``.
-
-    Entries are in edge order over a finite graph; over a circle graph
-    per component, branch ``k = 0 .. d-1``, where branch ``k`` over base
-    index ``j`` is sample ``(j - off + k N) mod d N``.  The squared
-    euclidean norm of the result equals ``<x, x>(v)``.
+    """Restriction of ``x`` to the source fiber over ``v``: the samples
+    whose source is ``v``, in index order (by edge, or component-major and
+    then by sample over a circle graph).  The squared euclidean norm of the
+    result equals ``<x, x>(v)``.
     """
-    g, n = x.graph, x.base_n
-    j = vertex_position(g, v, n)
-    if n is None:
-        return x.values[g.edges_from_index(j)]
-    parts = []
-    for comp, xc in zip(g.components, x.components):
-        d = comp.source_degree
-        off = _grid_offset(comp.source_offset, n, "source offset")
-        parts.append(xc[(j - off + n * np.arange(d)) % (d * n)])
-    return np.concatenate(parts)
+    j = vertex_position(x.graph, v, x.base_n)
+    return x.values[_source_index(x.graph, x.base_n) == j]
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +319,21 @@ def random_vertex_function(graph, rng: np.random.Generator,
 
 
 def complex_from_json(pair) -> complex:
-    """A JSON ``[re, im]`` pair as a complex number; ``FormatError`` for
-    any other shape."""
-    try:
+    """A JSON ``[re, im]`` pair, exactly two finite real numbers that are
+    not booleans, as a complex number; ``FormatError`` for anything else."""
+    if isinstance(pair, list) and len(pair) == 2 and all(
+            isinstance(p, (int, float)) and not isinstance(p, bool)
+            and abs(p) <= sys.float_info.max for p in pair):
         return complex(pair[0], pair[1])
-    except (TypeError, IndexError, KeyError) as exc:
-        raise FormatError(f"expected [re, im], got {pair!r}") from None
+    raise FormatError(f"expected [re, im] of finite reals, got {pair!r}")
+
+
+def _grid_size(data) -> int:
+    """The ``n`` of a circle element or vertex function JSON object."""
+    n = data["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise FormatError(f"grid size n must be an integer >= 1, got {n!r}")
+    return n
 
 
 def _by_id(data, ids_to_index, size: int, what: str) -> np.ndarray:
@@ -362,7 +363,7 @@ def element_from_dict(graph, data) -> ModuleElement:
         return ModuleElement(graph, _by_id(data, graph.edge_index,
                                            graph.n_edges, "module element"))
     try:
-        n = int(data["n"])
+        n = _grid_size(data)
         comps = tuple(np.array([complex_from_json(p) for p in arr])
                       for arr in data["components"])
     except (KeyError, TypeError, IndexError, ValueError) as exc:
@@ -386,7 +387,7 @@ def vertex_function_from_dict(graph, data) -> VertexFunction:
                                             graph.n_vertices,
                                             "vertex function"))
     try:
-        n = int(data["n"])
+        n = _grid_size(data)
         vals = np.array([complex_from_json(p) for p in data["values"]])
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise FormatError(f"bad vertex function JSON: {exc!r}") from None

@@ -710,9 +710,11 @@ def reconstruct_module_check(graph: FiniteGraph, trials: int = 100,
     sides' shape batches are multiplied (:func:`_batch_product`), the right
     side's coefficients negated, and the window is ``|mu| + m_max <=
     depth`` with ``m_max`` the largest creation count of a word whose
-    coefficient and factor arrays are all nonzero.  ``p`` is expanded and
-    batched once.  The ``reconstruction`` check returned carries the
-    largest residual and names the first failing identity, or counts them.
+    coefficient and factor arrays are all nonzero; a ``depth`` below some
+    ``m_max`` leaves no window and raises ``SizeLimitError``.  ``p`` is
+    expanded and batched once.  The ``reconstruction`` check returned
+    carries the largest residual and names the first failing identity, or
+    counts them.
     """
     rng = np.random.default_rng(seed)
     p = vacuum_projection(graph)
@@ -737,11 +739,13 @@ def reconstruct_module_check(graph: FiniteGraph, trials: int = 100,
         diff = _concat_batches(product(lhs_factors) + [
             (m, n, -c, *f) for m, n, c, *f in product(rhs_factors)])
         m_max = _creation_bound(diff)
+        if depth < m_max:
+            raise SizeLimitError(f"identity {name}: depth {depth} below "
+                                 f"creation length {m_max}; no valid window")
         num = 0.0
-        if m_max <= depth:
-            for fock in focks:
-                window = _apply_batches(fock, diff, fock.window_size(m_max))
-                num = max(num, float(np.max(np.abs(window))))
+        for fock in focks:
+            window = _apply_batches(fock, diff, fock.window_size(m_max))
+            num = max(num, float(np.max(np.abs(window))))
         checks.append(Check(name, sym == 0.0 and num <= tol, max(sym, num)))
 
     for t in range(trials):

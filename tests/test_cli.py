@@ -126,6 +126,14 @@ def test_malformed_measure_is_input_error(measure, capsys):
     ("module", "norm", FIB, "--x", "[1,2]"),
     ("fock", "multiply", FIB, "--w1", '{"coeff":"x"}', "--w2", "{}"),
     ("fock", "multiply", FIB, "--w1", '{"words":5}', "--w2", "{}"),
+    ("module", "norm", FIB, "--x", '{"aa":[1,0,3]}'),
+    ("module", "norm", FIB, "--x", '{"aa":[true,0]}'),
+    ("module", "norm", FIB, "--x", '{"aa":[1e400,0]}'),
+    ("kms", "eval", FIB, "--beta", "2", "--word", '{"coeff":[1,NaN]}'),
+    ("module", "norm", DOUBLE, "--x", '{"n":0,"components":[[]]}'),
+    ("module", "act", DOUBLE, "--side", "left", "--a", '{"n":0,"values":[]}',
+     "--x", '{"n":0,"components":[[]]}'),
+    ("module", "norm", DOUBLE, "--x", '{"n":-1,"components":[[]]}'),
 ])
 def test_malformed_complex_pairs_are_input_errors(argv, capsys):
     assert run(*argv) == 2
@@ -167,6 +175,26 @@ def test_bump_frame_without_two_support_points_is_input_error(grid_n,
     assert run("localconj", "frame", DOUBLE, "--grid-n", grid_n) == 2
     captured = capsys.readouterr()
     assert "input error" in captured.err and "PASS" not in captured.out
+
+
+def test_reconstruction_window_must_hold_every_identity(capsys):
+    # the annihilate[n=2] words create three edges
+    argv = ("fock", "reconstruct-check", FIB, "--trials", "5")
+    assert run(*argv, "--depth", "2") == 1
+    out = capsys.readouterr().out
+    assert "FAIL  domain" in out and "annihilate[n=2,0]: depth 2" in out
+    assert run(*argv, "--depth", "3") == 0
+    assert "PASS  reconstruction  residual 1.831e-15" \
+        in capsys.readouterr().out
+
+
+def test_bump_frame_off_the_sample_grid_is_refused(tmp_path, capsys):
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps(
+        {"kind": "circle", "components": [{"d": 2, "m": 1}]}))
+    assert run("localconj", "frame", str(path)) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  domain" in out and "range degree 1 not divisible" in out
 
 
 def test_double_cover_demo_script():
@@ -286,6 +314,104 @@ def test_fuzzed_graph_json_exits_cleanly(tmp_path_factory, doc, vertex):
     argv = (["validate", path] if vertex is None
             else ["fiber-count", path, "--vertex", vertex])
     assert run("graph", *argv) in (0, 1, 2)
+
+
+PAIR = st.lists(st.floats(-2, 2), min_size=2, max_size=2)
+FINITE_ELEMENT = st.one_of(
+    st.sampled_from(["aa", "ab"]),
+    st.dictionaries(st.sampled_from(["aa", "ab", "ba"]), PAIR, max_size=3))
+FINITE_VERTEX_FUNCTION = st.one_of(
+    st.sampled_from(["a", "b"]),
+    st.dictionaries(st.sampled_from(["a", "b"]), PAIR, max_size=2))
+WORD = st.fixed_dictionaries({}, optional={
+    "coeff": PAIR, "left": st.lists(FINITE_ELEMENT, max_size=2),
+    "middle": st.one_of(st.none(), FINITE_VERTEX_FUNCTION),
+    "right": st.lists(FINITE_ELEMENT, max_size=2)})
+WORDS = st.one_of(WORD, st.builds(lambda ws: {"words": ws},
+                                  st.lists(WORD, max_size=2)))
+
+
+def circle_docs(n):
+    """A double-cover element (2 n samples) and a vertex function."""
+    return st.tuples(
+        st.builds(lambda c: {"n": n, "components": [c]},
+                  st.lists(PAIR, min_size=2 * n, max_size=2 * n)),
+        st.builds(lambda v: {"n": n, "values": v},
+                  st.lists(PAIR, min_size=n, max_size=n)))
+
+
+#: values a parser must refuse in place of an ``[re, im]`` pair, or of a
+#: grid size ``n``
+BAD_PAIRS = [[1, 0, 3], [True, 0], [math.inf, 0], [0, math.nan], [1],
+             ["1", 0], [10 ** 400, 0], None, "x"]
+BAD_GRIDS = [0, -1, 2.5, True, "3", None]
+
+
+def _slots(doc):
+    """``(container, key, what)`` of every pair, grid size ``n`` and other
+    object field in ``doc``."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    out = []
+    for key, value in items:
+        if key == "n" or (isinstance(value, list) and len(value) == 2
+                          and all(isinstance(p, float) for p in value)):
+            out.append((doc, key, "n" if key == "n" else "pair"))
+        else:
+            if isinstance(doc, dict):
+                out.append((doc, key, "field"))
+            out += _slots(value)
+    return out
+
+
+@st.composite
+def fuzzed_commands(draw):
+    """``module norm`` or ``module act`` over the fibonacci or the
+    double-cover fixture, or ``fock multiply`` or ``kms eval`` over the
+    fibonacci one, on well-formed JSON arguments into which at most one
+    malformed value or junk field is put.  Returns the argv and what was
+    put in (``None``, ``"pair"``, ``"n"`` or ``"field"``)."""
+    kind = draw(st.sampled_from(["norm", "act", "multiply", "eval"]))
+    graph = FIB
+    if kind in ("norm", "act") and draw(st.booleans()):
+        graph = DOUBLE
+        x, a = draw(circle_docs(draw(st.integers(1, 3))))
+    else:
+        x, a = draw(FINITE_ELEMENT), draw(FINITE_VERTEX_FUNCTION)
+    head, docs = {
+        "norm": (["module", "norm"], {"--x": x}),
+        "act": (["module", "act", "--side", draw(st.sampled_from(
+            ["left", "right"]))], {"--a": a, "--x": x}),
+        "multiply": (["fock", "multiply"],
+                     {"--w1": draw(WORDS), "--w2": draw(WORDS)}),
+        "eval": (["kms", "eval", "--beta", "2"], {"--word": draw(WORDS)}),
+    }[kind]
+    slots = _slots(list(docs.values()))
+    defect = None
+    if slots and draw(st.sampled_from([True, True, False])):
+        doc, key, defect = draw(st.sampled_from(slots))
+        doc[key] = draw(st.sampled_from(BAD_PAIRS) if defect == "pair"
+                        else st.sampled_from(BAD_GRIDS) if defect == "n"
+                        else JUNK)
+    argv = head + [graph]
+    for flag, doc in docs.items():
+        argv += [flag, doc if isinstance(doc, str) else json.dumps(doc)]
+    return argv, defect
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(command=fuzzed_commands())
+def test_fuzzed_element_and_word_json_exits_cleanly(command):
+    """Exit 0, 1 or 2 with no traceback; a malformed pair or grid size
+    exits 2, and well-formed arguments are not input errors."""
+    argv, defect = command
+    code = run(*argv)
+    if defect in ("pair", "n"):
+        assert code == 2, argv
+    elif defect is None:
+        assert code in (0, 1), argv
+    else:
+        assert code in (0, 1, 2)
 
 
 def test_localconj_certificate(capsys):

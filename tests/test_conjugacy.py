@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from graphcorr.errors import (FormatError, NoMatchingError,
 from graphcorr.fixtures import (circle_double_cover, circle_triple_cover,
                                 circle_two_loops, fibonacci, k_loops,
                                 single_loop, ten_edge)
-from graphcorr.graphs import TWO_PI, FiniteGraph
-from graphcorr.modules import ModuleElement
+from graphcorr.graphs import (TWO_PI, CircleCoveringGraph, EdgeComponent,
+                              FiniteGraph)
+from graphcorr.modules import (ModuleElement, VertexFunction, left_action,
+                               right_action)
 from graphcorr.suite import relabeled_copy
 
 # ---------------------------------------------------------------------------
@@ -178,7 +181,7 @@ def test_finite_frame_passes():
     g = fibonacci()
     rep = frame_verify(g, finite_frame(g, "a"), tol=1e-9)
     assert rep.passed
-    assert rep.anchors and rep.anchors[0][0] == "a"
+    assert rep.anchors and rep.anchors[0][0] == g.vertex_index("a")
 
 
 @pytest.mark.parametrize("builder", [circle_double_cover, circle_two_loops,
@@ -218,6 +221,82 @@ def test_wrong_alpha_fails_action_transfer():
     rep = frame_verify(g, FrameData(h=fd.h, gens=fd.gens, alphas=rolled),
                        tol=1e-9)
     assert not rep.passed
+
+
+def action_transfer_oracle(graph, fd):
+    """Condition (3) through the module actions: the largest entry of
+    ``a . g_i - g_i . (a o alpha_i)`` over the indicators ``a`` of all base
+    points."""
+    n, size = fd.h.base_n, fd.h.values.size
+    res = 0.0
+    for w in range(size):
+        a = VertexFunction(graph, np.arange(size) == w, n)
+        for g, alpha in zip(fd.gens, fd.alphas):
+            lhs = left_action(a, g).values
+            rhs = right_action(g, VertexFunction(graph, alpha == w, n)).values
+            res = max(res, float(np.max(np.abs(lhs - rhs))))
+    return res
+
+
+def _broken(fd):
+    """The frame with every defined ``alpha_i`` moved to the next base
+    point, and with none defined."""
+    size = fd.h.values.size
+    moved = tuple(np.where(a >= 0, (a + 1) % size, -1) for a in fd.alphas)
+    undefined = tuple(np.full(size, -1) for _ in fd.alphas)
+    return [FrameData(fd.h, fd.gens, alphas) for alphas in (moved, undefined)]
+
+
+def _action_transfer(graph, fd):
+    rep = frame_verify(graph, fd, tol=1e-9)
+    return rep.max_residuals["action-transfer"]
+
+
+@pytest.mark.parametrize("builder", [fibonacci, lambda: k_loops(3), ten_edge])
+def test_finite_action_transfer_matches_indicator_oracle(builder):
+    g = builder()
+    for v in g.vertices:
+        if g.fiber_count(v) == 0:
+            continue
+        fd = finite_frame(g, v)
+        for frame in [fd] + _broken(fd):
+            assert _action_transfer(g, frame) \
+                == action_transfer_oracle(g, frame)
+        assert _action_transfer(g, fd) == 0.0
+
+
+@pytest.mark.parametrize("builder", [circle_double_cover, circle_triple_cover,
+                                     circle_two_loops])
+def test_bump_action_transfer_matches_indicator_oracle(builder):
+    g = builder()
+    fd = bump_frame(g, base_n=32, width=2.0)
+    for frame in [fd] + _broken(fd):
+        assert _action_transfer(g, frame) == action_transfer_oracle(g, frame)
+    assert _action_transfer(g, fd) == 0.0
+
+
+def test_generators_swapping_components_fail_extraction():
+    # two loops whose ranges differ by a half turn; past the bump's center
+    # each generator moves to the other component, which keeps conditions
+    # (1)-(3) but breaks the continuation of the matched branch
+    n = 64
+    g = CircleCoveringGraph([EdgeComponent(1, 0.0, 1, 0.0),
+                             EdgeComponent(1, 0.0, 1, math.pi)])
+    fd = bump_frame(g, base_n=n)
+    assert frame_verify(g, fd, tol=1e-9).passed
+    side = np.arange(n) < n // 2           # base points in [0, pi)
+    src = np.arange(2 * n) % n
+    g0, g1 = (x.values for x in fd.gens)
+    a0, a1 = fd.alphas
+    swapped = FrameData(fd.h, (
+        ModuleElement._from_values(g, np.where(side[src], g0, g1), n),
+        ModuleElement._from_values(g, np.where(side[src], g1, g0), n)),
+        (np.where(side, a0, a1), np.where(side, a1, a0)))
+    rep = frame_verify(g, swapped, tol=1e-9)
+    assert rep.max_residuals["orthogonality"] <= 1e-9
+    assert rep.max_residuals["action-transfer"] == 0.0
+    assert not rep.passed and rep.failed_condition == "extraction"
+    assert rep.max_residuals["alpha-extraction"] == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -335,15 +335,18 @@ class SampledCircleOracle:
         return [xc * a.values[s] for s, xc in zip(self.src, x.components)]
 
     def fiber(self, x, j):
-        """Per component, branch k: the lift ``(t_j - off + 2pi k) / d``."""
+        """Per component, the lifts ``(t_j - off + 2pi k) / d`` of every
+        branch k, in sample order."""
         out = []
         for comp, xc in zip(self.g.components, x.components):
             d = comp.source_degree
+            lifts = []
             for k in range(d):
                 u = ((TWO_PI * j / self.n - comp.source_offset + TWO_PI * k)
                      / d) % TWO_PI
-                out.append(xc[int(np.rint(u * d * self.n / TWO_PI))
-                              % (d * self.n)])
+                lifts.append(int(np.rint(u * d * self.n / TWO_PI))
+                             % (d * self.n))
+            out.extend(xc[sorted(lifts)])
         return np.array(out)
 
 
@@ -404,8 +407,8 @@ def test_circle_layout_and_fiber_order():
     assert np.array_equal(x.values, np.arange(12))
     assert all(np.shares_memory(c, x.values) and not c.flags.writeable
                for c in x.components)
-    # over j = 1 < off = 3: branch 0 is sample (1 - 3) mod 8 = 6, then 2
-    assert fiber_evaluation(x, _on_grid(n, 1)).real.tolist() == [1, 10, 6]
+    # over j = 1 < off = 3: samples 2 and (1 - 3) mod 8 = 6, in index order
+    assert fiber_evaluation(x, _on_grid(n, 1)).real.tolist() == [1, 6, 10]
     assert fiber_evaluation(x, _on_grid(n, 3)).real.tolist() == [3, 4, 8]
 
 
