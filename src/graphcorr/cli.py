@@ -360,8 +360,10 @@ def cmd_iso_check(args, report):
     F = _load_finite(args.graph_f, report)
     res = finite_graph_isomorphism(E, F)
     if isinstance(res, GraphIsomorphism):
-        print(json.dumps({"vertices": res.vertex_map, "edges": res.edge_map},
-                         indent=1, sort_keys=True))
+        vmap = {v: F.vertices[w] for v, w in zip(E.vertices, res.vertices)}
+        emap = {e: F.edges[f] for e, f in zip(E.edges, res.edges)}
+        print(json.dumps({"vertices": vmap, "edges": emap}, indent=1,
+                         sort_keys=True))
         report.add("isomorphic", True)
     else:
         print(f"not isomorphic: {res.reason}")

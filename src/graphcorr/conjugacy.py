@@ -2,12 +2,13 @@
 
 Contains the nonzero-pattern permutation witness for invertible matrices,
 a backtracking finite-graph isomorphism search pruned by the multiplicity
-matrix ``|w E^1 v|``, a canonical form for that matrix deciding bimodule
-isomorphism of finite graphs, verification of orthogonal frame data, and a
-local-conjugacy search for rigid circle-covering graphs restricted to
-rigid base maps (rotations and reflections).  A failed rigid search is
-reported as inconclusive, never as a refutation; only genuine invariants
-(sizes, fiber counts) refute.
+matrix ``|w E^1 v|`` (isomorphisms are vertex and edge index arrays), a
+canonical form for that matrix deciding bimodule isomorphism of finite
+graphs, scored over all refinement-compatible orderings as one array,
+verification of orthogonal frame data, and a local-conjugacy search for
+rigid circle-covering graphs restricted to rigid base maps (rotations and
+reflections).  A failed rigid search is reported as inconclusive, never
+as a refutation; only genuine invariants (sizes, fiber counts) refute.
 """
 from __future__ import annotations
 
@@ -97,45 +98,51 @@ def nonzero_permutation(B: np.ndarray,
 # finite graph isomorphism
 
 
+#: the canonical form refuses more vertices or orderings than these
+MAX_CANONICAL_VERTICES = 10
+MAX_ORDERINGS = 500_000
+
+
 @dataclass
 class GraphIsomorphism:
-    vertex_map: dict
-    edge_map: dict
+    """A graph isomorphism ``E -> F`` on indices: ``vertices[i]`` is F's
+    index of E's vertex ``i`` and ``edges[e]`` F's index of E's edge ``e``."""
+    vertices: np.ndarray
+    edges: np.ndarray
 
     def verify(self, E: FiniteGraph, F: FiniteGraph) -> None:
-        if set(self.vertex_map) != set(E.vertices) \
-                or set(self.vertex_map.values()) != set(F.vertices):
-            raise FormatError("vertex map is not a bijection")
-        if set(self.edge_map) != set(E.edges) \
-                or set(self.edge_map.values()) != set(F.edges):
-            raise FormatError("edge map is not a bijection")
-        for e in E.edges:
-            f = self.edge_map[e]
-            ei = E.edge_index(e)
-            if F.src[F.edge_index(f)] != self.vertex_map[E.src[ei]]:
-                raise FormatError(f"edge {e!r}: source not intertwined")
-            if F.rng[F.edge_index(f)] != self.vertex_map[E.rng[ei]]:
-                raise FormatError(f"edge {e!r}: range not intertwined")
+        for what, p, m, n in (
+                ("vertex", self.vertices, E.n_vertices, F.n_vertices),
+                ("edge", self.edges, E.n_edges, F.n_edges)):
+            if np.shape(p) != (m,) \
+                    or not np.array_equal(np.sort(p), np.arange(n)):
+                raise FormatError(f"{what} map is not a bijection")
+        bad = np.argwhere(np.stack([
+            F.src_idx[self.edges] != self.vertices[E.src_idx],
+            F.rng_idx[self.edges] != self.vertices[E.rng_idx]], axis=1))
+        if bad.size:
+            e, side = bad[0]
+            raise FormatError(f"edge {E.edges[e]!r}: "
+                              f"{('source', 'range')[side]} not intertwined")
 
 
 @dataclass
 class Refutation:
     reason: str
-    invariant: object = None
 
 
 def _refine_colors(A: np.ndarray):
     """Iterated degree refinement; returns per-vertex color ids."""
     n = A.shape[0]
     colors = [0] * n
+    rows, cols = A.tolist(), A.T.tolist()
+
+    def profile(counts):    # sorted (color, multiplicity) pairs
+        return tuple(sorted((colors[w], m) for w, m in enumerate(counts) if m))
+
     for _ in range(n + 1):
-        sig = []
-        for v in range(n):
-            out_prof = tuple(sorted((colors[w], int(A[w, v]))
-                                    for w in range(n) if A[w, v]))
-            in_prof = tuple(sorted((colors[w], int(A[v, w]))
-                                   for w in range(n) if A[v, w]))
-            sig.append((colors[v], out_prof, in_prof))
+        sig = [(colors[v], profile(cols[v]), profile(rows[v]))
+               for v in range(n)]
         palette = {s: i for i, s in enumerate(sorted(set(sig)))}
         new = [palette[s] for s in sig]
         if new == colors:
@@ -145,20 +152,19 @@ def _refine_colors(A: np.ndarray):
 
 
 def finite_graph_isomorphism(E: FiniteGraph, F: FiniteGraph):
-    """Graph isomorphism or a refutation with the distinguishing invariant.
+    """Graph isomorphism, or a refutation naming why none exists.
 
     Backtracking over vertex bijections pruned by refinement colors and by
     the multiplicity matrix; the search is exhaustive, so a failure is a
-    proof of non-isomorphism.  Returned maps are verified before return.
+    proof of non-isomorphism.  Parallel edges are matched in edge-index
+    order.  The returned isomorphism is verified before return.
     """
     if E.n_vertices != F.n_vertices or E.n_edges != F.n_edges:
-        return Refutation("size mismatch",
-                          (E.n_vertices, E.n_edges, F.n_vertices, F.n_edges))
+        return Refutation("size mismatch")
     AE, AF = E.adjacency(), F.adjacency()
     ce, cf = _refine_colors(AE), _refine_colors(AF)
     if sorted(ce) != sorted(cf):
-        return Refutation("refinement color histogram differs",
-                          (sorted(ce), sorted(cf)))
+        return Refutation("refinement color histogram differs")
     n = E.n_vertices
     order = sorted(range(n), key=lambda v: (ce.count(ce[v]), ce[v], v))
     assignment: dict[int, int] = {}
@@ -171,14 +177,9 @@ def finite_graph_isomorphism(E: FiniteGraph, F: FiniteGraph):
         for w in range(n):
             if used[w] or cf[w] != ce[v]:
                 continue
-            ok = True
-            for v2, w2 in assignment.items():
-                if AE[v, v2] != AF[w, w2] or AE[v2, v] != AF[w2, w]:
-                    ok = False
-                    break
-            if AE[v, v] != AF[w, w]:
-                ok = False
-            if ok:
+            if AE[v, v] == AF[w, w] and all(
+                    AE[v, v2] == AF[w, w2] and AE[v2, v] == AF[w2, w]
+                    for v2, w2 in assignment.items()):
                 assignment[v] = w
                 used[w] = True
                 if backtrack(pos + 1):
@@ -189,68 +190,52 @@ def finite_graph_isomorphism(E: FiniteGraph, F: FiniteGraph):
 
     if not backtrack(0):
         return Refutation("exhausted search: multiplicity matrices are not "
-                          "simultaneously permutation-equivalent",
-                          bimodule_invariants(E))
-    vmap = {E.vertices[v]: F.vertices[w] for v, w in assignment.items()}
-    # edges with the same endpoints are interchangeable; match in order
-    emap = {}
-    buckets: dict = {}
-    for f in F.edges:
-        fi = F.edge_index(f)
-        buckets.setdefault((F.src[fi], F.rng[fi]), []).append(f)
-    for e in E.edges:
-        ei = E.edge_index(e)
-        key = (vmap[E.src[ei]], vmap[E.rng[ei]])
-        emap[e] = buckets[key].pop(0)
-    iso = GraphIsomorphism(vertex_map=vmap, edge_map=emap)
+                          "simultaneously permutation-equivalent")
+    vertices = np.array([assignment[v] for v in range(n)], dtype=np.intp)
+    # edges with the same endpoints are interchangeable: the stable sorts
+    # pair them first-come, in edge-index order
+    edges = np.empty(E.n_edges, dtype=np.intp)
+    edges[np.argsort(vertices[E.src_idx] * n + vertices[E.rng_idx],
+                     kind="stable")] = np.argsort(F.src_idx * n + F.rng_idx,
+                                                  kind="stable")
+    iso = GraphIsomorphism(vertices=vertices, edges=edges)
     iso.verify(E, F)
     return iso
 
 
-def bimodule_invariants(E: FiniteGraph, max_vertices: int = 10) -> tuple:
+def bimodule_invariants(E: FiniteGraph) -> tuple:
     """Canonical form of the multiplicity matrix ``|w E^1 v|``.
 
-    Minimum of the flattened matrix over simultaneous row/column
-    permutations compatible with degree refinement (branch and bound).
-    Two finite graphs have isomorphic correspondences exactly when these
-    canonical forms coincide.
+    The lexicographic minimum of the row-major flattened matrix over the
+    simultaneous row/column permutations that list the degree-refinement
+    color classes in sorted-color order, prefixed by the vertex count.
+    Every such ordering is one row of a small-int array; at each position
+    only the rows reaching the minimum there are kept.  Two finite graphs
+    have isomorphic correspondences exactly when these forms coincide.
     """
-    if E.n_vertices > max_vertices:
+    if E.n_vertices > MAX_CANONICAL_VERTICES:
         raise SizeLimitError("canonical form capped at "
-                             f"{max_vertices} vertices")
+                             f"{MAX_CANONICAL_VERTICES} vertices")
     A = E.adjacency()
     n = E.n_vertices
     colors = _refine_colors(A)
-    best: list | None = None
-
-    def flatten(perm):
-        return tuple(int(A[perm[i], perm[j]]) for i in range(n)
-                     for j in range(n))
-
-    # candidates grouped by color; orderings must list color classes in
-    # canonical (sorted-color) order to stay isomorphism-invariant
-    by_color: dict = {}
-    for v in range(n):
-        by_color.setdefault(colors[v], []).append(v)
-    class_order = [by_color[c] for c in sorted(by_color)]
-    n_orderings = 1
-    for cls in class_order:
-        n_orderings *= math.factorial(len(cls))
-    if n_orderings > 500_000:
+    classes = [[v for v in range(n) if colors[v] == c]
+               for c in sorted(set(colors))]
+    n_orderings = math.prod(math.factorial(len(cls)) for cls in classes)
+    if n_orderings > MAX_ORDERINGS:
         raise SizeLimitError(
             f"{n_orderings} refinement-compatible orderings; graph too "
             "symmetric for the desk-scale canonical form")
-
-    def orderings():
-        pools = [itertools.permutations(cls) for cls in class_order]
-        for combo in itertools.product(*pools):
-            yield [v for cls in combo for v in cls]
-
-    for perm in orderings():
-        flat = flatten(perm)
-        if best is None or flat < best:
-            best = flat
-    return (n,) + tuple(best)
+    perms = np.zeros((1, 0), dtype=np.int8)
+    for cls in classes:
+        table = np.array(list(itertools.permutations(cls)), dtype=np.int8)
+        perms = np.hstack([np.repeat(perms, len(table), axis=0),
+                           np.tile(table, (len(perms), 1))])
+    for i in range(n):
+        for j in range(n):
+            vals = A[perms[:, i], perms[:, j]]
+            perms = perms[vals == vals.min()]
+    return (n,) + tuple(A[np.ix_(perms[0], perms[0])].ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +469,7 @@ def local_conjugacy_check(E: CircleCoveringGraph, F: CircleCoveringGraph,
             or not isinstance(F, CircleCoveringGraph):
         raise FormatError("rigid circle-covering graphs required")
     if E.total_fiber_degree() != F.total_fiber_degree():
-        return Refutation("fiber counts differ",
-                          (E.total_fiber_degree(), F.total_fiber_degree()))
+        return Refutation("fiber counts differ")
     offsets = {wrap_angle(TWO_PI * i / grid) for i in range(grid)}
     for ce in E.components:
         for cf in F.components:

@@ -318,12 +318,17 @@ def random_vertex_function(graph, rng: np.random.Generator,
 # JSON
 
 
+def finite_real(p) -> bool:
+    """Whether a JSON value is a finite real number (not a boolean)."""
+    return isinstance(p, (int, float)) and not isinstance(p, bool) \
+        and abs(p) <= sys.float_info.max
+
+
 def complex_from_json(pair) -> complex:
     """A JSON ``[re, im]`` pair, exactly two finite real numbers that are
     not booleans, as a complex number; ``FormatError`` for anything else."""
-    if isinstance(pair, list) and len(pair) == 2 and all(
-            isinstance(p, (int, float)) and not isinstance(p, bool)
-            and abs(p) <= sys.float_info.max for p in pair):
+    if isinstance(pair, list) and len(pair) == 2 \
+            and all(map(finite_real, pair)):
         return complex(pair[0], pair[1])
     raise FormatError(f"expected [re, im] of finite reals, got {pair!r}")
 

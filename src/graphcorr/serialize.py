@@ -10,7 +10,7 @@ circle elements carry per-component sample arrays.  A word is
 and an algebra element is ``{"words": [word, ...]}`` (a bare word is also
 accepted).  Every ``[re, im]`` pair is read by
 :func:`~graphcorr.modules.complex_from_json`; a real coefficient may also
-be written ``[re]``, and a matrix entry a bare number.
+be written ``[re]``, and a matrix entry a bare finite real.
 """
 from __future__ import annotations
 
@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import FormatError
 from .modules import (complex_from_json, element_from_dict, element_to_dict,
-                      vertex_function_from_dict, vertex_function_to_dict)
+                      finite_real, vertex_function_from_dict,
+                      vertex_function_to_dict)
 from .toeplitz import ToeplitzElement, Word, word
 
 
@@ -67,12 +68,18 @@ def element_to_json(elem: ToeplitzElement) -> dict:
 
 
 def matrix_from_json(data) -> np.ndarray:
+    """Rows of entries, each an ``[re, im]`` pair or a bare finite real."""
+    def entry(c) -> complex:
+        if isinstance(c, list):
+            return complex_from_json(c)
+        if not finite_real(c):
+            raise FormatError(f"matrix entry {c!r} is not a finite real "
+                              "or an [re, im] pair")
+        return complex(c)
+
     try:
-        rows = []
-        for row in data:
-            rows.append([complex_from_json(c) if isinstance(c, list)
-                         else complex(c) for c in row])
-        return np.array(rows, dtype=np.complex128)
+        return np.array([[entry(c) for c in row] for row in data],
+                        dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad matrix JSON: {exc!r}") from None
 

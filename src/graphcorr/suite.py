@@ -34,6 +34,8 @@ from .toeplitz import (ToeplitzElement, reconstruct_module_check,
 
 KMS_FIXTURES = ("single-loop", "three-loops", "fibonacci")
 RECONSTRUCT_FIXTURES = ("single-loop", "three-loops", "fibonacci", "ten-edge")
+#: criterion 9's cycle unions: equal degrees, pairwise non-isomorphic
+CYCLE_PARTITIONS = ((6,), (3, 3), (4, 2), (2, 2, 2), (5, 1))
 
 
 def criterion_1_kms_closed_form():
@@ -135,23 +137,16 @@ def criterion_5_reconstruction(seed: int = 0):
 
 def relabeled_copy(g: FiniteGraph, rng) -> tuple[FiniteGraph,
                                                  GraphIsomorphism]:
+    """A copy of ``g`` with fresh ids (``w*``, ``f*``) and shuffled
+    indices, and the isomorphism ``g -> copy`` drawn for it."""
     vperm = rng.permutation(g.n_vertices)
     eperm = rng.permutation(g.n_edges)
     new_v = [f"w{i}" for i in range(g.n_vertices)]
-    new_e = [f"f{i}" for i in range(g.n_edges)]
-    edges = [None] * g.n_edges
-    src = [None] * g.n_edges
-    rngv = [None] * g.n_edges
-    for i in range(g.n_edges):
-        j = int(eperm[i])
-        edges[j] = new_e[j]
-        src[j] = new_v[vperm[g.src_idx[i]]]
-        rngv[j] = new_v[vperm[g.rng_idx[i]]]
-    F = FiniteGraph(new_v, edges, src, rngv)
-    iso = GraphIsomorphism(
-        vertex_map={v: new_v[vperm[g.vertex_index(v)]] for v in g.vertices},
-        edge_map={e: new_e[eperm[g.edge_index(e)]] for e in g.edges})
-    return F, iso
+    back = np.argsort(eperm)    # copy's edge j is g's edge back[j]
+    F = FiniteGraph(new_v, [f"f{j}" for j in range(g.n_edges)],
+                    [new_v[v] for v in vperm[g.src_idx[back]]],
+                    [new_v[v] for v in vperm[g.rng_idx[back]]])
+    return F, GraphIsomorphism(vertices=vperm, edges=eperm)
 
 
 def criterion_6_transport(seed: int = 0):
@@ -217,15 +212,12 @@ def _exhaustive_best_margin(B: np.ndarray) -> float:
 
 
 def _cycle_graph_union(lengths) -> FiniteGraph:
-    vertices = []
-    edges = []
-    src = []
-    rng_ = []
+    """Disjoint directed cycles of the given lengths."""
+    vertices, edges, src, rng_ = [], [], [], []
     v0 = 0
-    for ci, ln in enumerate(lengths):
+    for ln in lengths:
         for i in range(ln):
             vertices.append(f"v{v0 + i}")
-        for i in range(ln):
             edges.append(f"e{v0 + i}")
             src.append(f"v{v0 + i}")
             rng_.append(f"v{v0 + (i + 1) % ln}")
@@ -236,26 +228,18 @@ def _cycle_graph_union(lengths) -> FiniteGraph:
 def criterion_9_graph_isomorphism(seed: int = 0):
     rng = np.random.default_rng(seed)
     found = True
-    for t in range(100):
+    for _ in range(100):
         g = _random_graph(rng)
-        F, _ = relabeled_copy(g, rng)
-        res = finite_graph_isomorphism(g, F)
+        res = finite_graph_isomorphism(g, relabeled_copy(g, rng)[0])
         found = found and isinstance(res, GraphIsomorphism)
-    checks = [Check("9.relabeled-pairs-found[100]", found)]
-    partitions = [(6,), (3, 3), (4, 2), (2, 2, 2), (5, 1)]
-    refuted = True
-    oracle_confirms = True
-    for a in range(len(partitions)):
-        for b in range(a + 1, len(partitions)):
-            E = _cycle_graph_union(partitions[a])
-            F = _cycle_graph_union(partitions[b])
-            res = finite_graph_isomorphism(E, F)
-            refuted = refuted and isinstance(res, Refutation)
-            oracle_confirms = oracle_confirms \
-                and not _exhaustive_isomorphic(E, F)
-    checks.append(Check("9.nonisomorphic-pairs-refuted[10]", refuted))
-    checks.append(Check("9.exhaustive-oracle-agrees", oracle_confirms))
-    return checks
+    pairs = [(_cycle_graph_union(a), _cycle_graph_union(b))
+             for a, b in itertools.combinations(CYCLE_PARTITIONS, 2)]
+    refuted = all(isinstance(finite_graph_isomorphism(E, F), Refutation)
+                  for E, F in pairs)
+    oracle_confirms = not any(_exhaustive_isomorphic(E, F) for E, F in pairs)
+    return [Check("9.relabeled-pairs-found[100]", found),
+            Check("9.nonisomorphic-pairs-refuted[10]", refuted),
+            Check("9.exhaustive-oracle-agrees", oracle_confirms)]
 
 
 def _random_graph(rng) -> FiniteGraph:

@@ -781,34 +781,24 @@ def reconstruct_module_check(graph: FiniteGraph, trials: int = 100,
 def triple_iso_transport(iso, E: FiniteGraph, F: FiniteGraph,
                          trials: int = 20, tol: float = 1e-12,
                          seed: int = 0) -> Check:
-    """Relabel the algebra along a graph isomorphism and verify transport.
-
-    Builds the induced module map ``theta_X(xi) = xi . (edge map)^{-1}``
-    and checks that the vacuum projection maps to the vacuum projection,
-    that gauge degrees are preserved, and that inner products and both
-    module actions intertwine; the ``transport`` check returned carries
-    the largest residual.
+    """Relabel the algebra along ``iso``, a ``GraphIsomorphism`` ``E -> F``
+    whose index arrays permute edges and vertices, and verify transport:
+    the induced module map ``theta_X(xi) = xi . (edge map)^{-1}`` must
+    carry the vacuum projection to the vacuum projection, preserve gauge
+    degrees, and intertwine inner products and both module actions; the
+    ``transport`` check returned carries the largest residual.
     """
-    from .conjugacy import GraphIsomorphism
-    if not isinstance(iso, GraphIsomorphism):
-        raise FormatError("expected a GraphIsomorphism")
     iso.verify(E, F)
     rng = np.random.default_rng(seed)
-    edge_perm = np.empty(E.n_edges, dtype=np.intp)
-    for e in E.edges:
-        edge_perm[E.edge_index(e)] = F.edge_index(iso.edge_map[e])
-    vert_perm = np.empty(E.n_vertices, dtype=np.intp)
-    for v in E.vertices:
-        vert_perm[E.vertex_index(v)] = F.vertex_index(iso.vertex_map[v])
 
     def theta_x(x: ModuleElement) -> ModuleElement:
         out = np.zeros(F.n_edges, dtype=np.complex128)
-        out[edge_perm] = x.values
+        out[iso.edges] = x.values
         return ModuleElement(F, out)
 
     def theta_m(a: VertexFunction) -> VertexFunction:
         out = np.zeros(F.n_vertices, dtype=np.complex128)
-        out[vert_perm] = a.values
+        out[iso.vertices] = a.values
         return VertexFunction(F, out)
 
     def theta_word(w: Word) -> Word:

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from graphcorr.cli import (COMMAND_TABLE, COMMANDS, MAX_GRID, _parser,
                            build_parser, dispatch)
 from graphcorr.fixtures import fixture_path
-from graphcorr.graphs import MAX_DEGREE
+from graphcorr.graphs import MAX_DEGREE, graph_to_dict
+from graphcorr.suite import _cycle_graph_union
 
 FIB = fixture_path("fibonacci")
 LOOP = fixture_path("single-loop")
@@ -134,6 +135,8 @@ def test_malformed_measure_is_input_error(measure, capsys):
     ("module", "act", DOUBLE, "--side", "left", "--a", '{"n":0,"values":[]}',
      "--x", '{"n":0,"components":[[]]}'),
     ("module", "norm", DOUBLE, "--x", '{"n":-1,"components":[[]]}'),
+    ("iso", "nonzero-perm", "[[true,0],[0,1]]"),
+    ("iso", "nonzero-perm", "[[1,0],[0,1e400]]"),
 ])
 def test_malformed_complex_pairs_are_input_errors(argv, capsys):
     assert run(*argv) == 2
@@ -580,6 +583,33 @@ def test_fock_matrix_command(capsys):
 
 def test_iso_check_command(capsys):
     assert run("iso", "check", FIB, FIB) == 0
+
+
+def _cycle_union_file(tmp_path, lengths):
+    path = tmp_path / ("c" + "-".join(map(str, lengths)) + ".json")
+    path.write_text(json.dumps(graph_to_dict(_cycle_graph_union(lengths))))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [("iso", "check"),
+                                     ("fock", "transport")])
+def test_eleven_vertex_cycle_unions_refuted(command, tmp_path, capsys):
+    """The refutation needs no canonical form, so no 10-vertex cap."""
+    e = _cycle_union_file(tmp_path, (6, 5))
+    f = _cycle_union_file(tmp_path, (11,))
+    assert run(*command, e, f) == 1
+    out = capsys.readouterr().out
+    assert "not isomorphic: exhausted search" in out
+    assert "domain" not in out
+
+
+def test_nine_vertex_cycle_unions_refuted_quickly(tmp_path, capsys):
+    e = _cycle_union_file(tmp_path, (3, 3, 3))
+    f = _cycle_union_file(tmp_path, (9,))
+    start = time.perf_counter()
+    assert run("iso", "check", e, f) == 1
+    assert time.perf_counter() - start < 2.0
+    assert "not isomorphic: exhausted search" in capsys.readouterr().out
 
 
 def test_example_s5_small(capsys):

@@ -1,25 +1,29 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
 from graphcorr.conjugacy import (FrameData, GraphIsomorphism, Inconclusive,
                                  LocalConjugacyCertificate, Refutation,
-                                 bimodule_invariants, bump_frame,
-                                 finite_frame, finite_graph_isomorphism,
-                                 frame_verify, local_conjugacy_check,
-                                 nonzero_permutation)
+                                 _refine_colors, bimodule_invariants,
+                                 bump_frame, finite_frame,
+                                 finite_graph_isomorphism, frame_verify,
+                                 local_conjugacy_check, nonzero_permutation)
 from graphcorr.errors import (FormatError, NoMatchingError,
-                              SingularMatrixError)
-from graphcorr.fixtures import (circle_double_cover, circle_triple_cover,
-                                circle_two_loops, fibonacci, k_loops,
-                                single_loop, ten_edge)
+                              SingularMatrixError, SizeLimitError)
+from graphcorr.fixtures import (FINITE_FIXTURES, circle_double_cover,
+                                circle_triple_cover, circle_two_loops,
+                                edgeless, fibonacci, k_loops, single_loop,
+                                ten_edge)
 from graphcorr.graphs import (TWO_PI, CircleCoveringGraph, EdgeComponent,
                               FiniteGraph)
 from graphcorr.modules import (ModuleElement, VertexFunction, left_action,
                                right_action)
-from graphcorr.suite import relabeled_copy
+from graphcorr.suite import (CYCLE_PARTITIONS, _cycle_graph_union,
+                             _exhaustive_isomorphic, _random_graph,
+                             relabeled_copy)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -35,29 +39,39 @@ def exhaustive_nonzero_sigma(B, threshold=1e-12):
     return out
 
 
-def exhaustive_isomorphic(E, F):
-    if E.n_vertices != F.n_vertices or E.n_edges != F.n_edges:
-        return False
-    AE, AF = E.adjacency(), F.adjacency()
-    n = E.n_vertices
-    for perm in itertools.permutations(range(n)):
-        if all(AE[i, j] == AF[perm[i], perm[j]]
-               for i in range(n) for j in range(n)):
-            return True
-    return False
+def reference_colors(A):
+    """Degree refinement entry by entry: per-vertex color ids."""
+    n = A.shape[0]
+    colors = [0] * n
+    for _ in range(n + 1):
+        sig = []
+        for v in range(n):
+            out_prof = tuple(sorted((colors[w], int(A[w, v]))
+                                    for w in range(n) if A[w, v]))
+            in_prof = tuple(sorted((colors[w], int(A[v, w]))
+                                   for w in range(n) if A[v, w]))
+            sig.append((colors[v], out_prof, in_prof))
+        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [palette[s] for s in sig]
+        if new == colors:
+            break
+        colors = new
+    return colors
 
 
-def cycle_union(lengths):
-    vertices, edges, src, rng_ = [], [], [], []
-    v0 = 0
-    for ln in lengths:
-        for i in range(ln):
-            vertices.append(f"v{v0 + i}")
-            edges.append(f"e{v0 + i}")
-            src.append(f"v{v0 + i}")
-            rng_.append(f"v{v0 + (i + 1) % ln}")
-        v0 += ln
-    return FiniteGraph(vertices, edges, src, rng_)
+def reference_invariants(E):
+    """The canonical form scored one ordering at a time: the lexicographic
+    minimum of the flattened multiplicity matrix, as a Python tuple, over
+    every ordering listing the refinement color classes in color order."""
+    A, n = E.adjacency(), E.n_vertices
+    colors = reference_colors(A)
+    assert colors == _refine_colors(A)
+    classes = [[v for v in range(n) if colors[v] == c]
+               for c in sorted(set(colors))]
+    orderings = (sum(combo, ()) for combo in itertools.product(
+        *(itertools.permutations(cls) for cls in classes)))
+    return (n,) + min(tuple(int(A[p[i], p[j]]) for i in range(n)
+                            for j in range(n)) for p in orderings)
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +138,32 @@ def test_relabeled_ten_edge_recovered():
         res.verify(g, F)
 
 
+def test_parallel_edges_matched_in_index_order():
+    g = k_loops(3)
+    res = finite_graph_isomorphism(g, g)
+    assert res.vertices.tolist() == [0] and res.edges.tolist() == [0, 1, 2]
+
+
+def test_relabeled_copy_returns_the_drawn_index_maps():
+    g = ten_edge()
+    F, iso = relabeled_copy(g, np.random.default_rng(3))
+    iso.verify(g, F)
+    assert sorted(iso.edges.tolist()) == list(range(g.n_edges))
+
+
+@pytest.mark.parametrize("vertices, edges, message", [
+    ([0, 0], [0, 1, 2], "vertex map is not a bijection"),
+    ([0, 1], [0, 1], "edge map is not a bijection"),
+    ([1, 0], [0, 1, 2], "source not intertwined"),
+    ([0, 1], [1, 0, 2], "range not intertwined"),
+])
+def test_verify_names_the_broken_condition(vertices, edges, message):
+    g = fibonacci()
+    iso = GraphIsomorphism(np.array(vertices), np.array(edges))
+    with pytest.raises(FormatError, match=message):
+        iso.verify(g, g)
+
+
 def test_size_mismatch_refuted():
     res = finite_graph_isomorphism(single_loop(), k_loops(2))
     assert isinstance(res, Refutation) and "size" in res.reason
@@ -131,16 +171,16 @@ def test_size_mismatch_refuted():
 
 def test_equal_degree_sequences_still_refuted():
     # every vertex has in- and out-degree one in both graphs
-    E, F = cycle_union([6]), cycle_union([3, 3])
+    E, F = _cycle_graph_union([6]), _cycle_graph_union([3, 3])
     res = finite_graph_isomorphism(E, F)
     assert isinstance(res, Refutation)
-    assert not exhaustive_isomorphic(E, F)
+    assert not _exhaustive_isomorphic(E, F)
 
 
 @pytest.mark.parametrize("pair", list(itertools.combinations(
-    [(6,), (3, 3), (4, 2), (2, 2, 2), (5, 1)], 2)))
+    CYCLE_PARTITIONS, 2)))
 def test_cycle_partitions_pairwise_distinguished(pair):
-    E, F = cycle_union(pair[0]), cycle_union(pair[1])
+    E, F = _cycle_graph_union(pair[0]), _cycle_graph_union(pair[1])
     assert isinstance(finite_graph_isomorphism(E, F), Refutation)
     assert bimodule_invariants(E) != bimodule_invariants(F)
 
@@ -166,11 +206,51 @@ def test_invariance_under_100_relabelings():
         assert bimodule_invariants(F) == base
 
 
+@pytest.mark.parametrize("name", sorted(FINITE_FIXTURES))
+def test_canonical_form_matches_reference_on_fixtures(name):
+    g = FINITE_FIXTURES[name]()
+    assert bimodule_invariants(g) == reference_invariants(g)
+
+
+@pytest.mark.parametrize("lengths", CYCLE_PARTITIONS)
+def test_canonical_form_matches_reference_on_cycle_unions(lengths):
+    g = _cycle_graph_union(lengths)
+    assert bimodule_invariants(g) == reference_invariants(g)
+
+
+def test_canonical_form_matches_reference_on_random_graphs():
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        g = _random_graph(rng)
+        assert bimodule_invariants(g) == reference_invariants(g)
+
+
+def test_nine_cycle_canonical_form_is_fast():
+    # the reference enumeration's answer (9! orderings, about 12 s to
+    # recompute): the cycle's adjacency in the ordering that minimises it
+    expected = (9,) + tuple(
+        np.eye(9, dtype=int)[[8, 7, 6, 5, 3, 2, 1, 0, 4]].ravel().tolist())
+    start = time.perf_counter()
+    assert bimodule_invariants(_cycle_graph_union([9])) == expected
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("n, message", [
+    (11, "canonical form capped at 10 vertices"),
+    (10, "3628800 refinement-compatible orderings; graph too symmetric for "
+         "the desk-scale canonical form"),
+])
+def test_canonical_form_refusals(n, message):
+    with pytest.raises(SizeLimitError) as exc:
+        bimodule_invariants(edgeless(n))
+    assert str(exc.value) == message
+
+
 def test_fibonacci_vs_transpose():
     g = fibonacci()
     gt = FiniteGraph(g.vertices, g.edges, src=g.rng, rng=g.src)
     same = bimodule_invariants(g) == bimodule_invariants(gt)
-    assert same == exhaustive_isomorphic(g, gt)
+    assert same == _exhaustive_isomorphic(g, gt)
 
 
 # ---------------------------------------------------------------------------

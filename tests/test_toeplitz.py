@@ -270,8 +270,8 @@ def test_reconstruction_compress_delta_case():
 
 def test_transport_identity_isomorphism():
     g = fibonacci()
-    iso = GraphIsomorphism(vertex_map={v: v for v in g.vertices},
-                           edge_map={e: e for e in g.edges})
+    iso = GraphIsomorphism(vertices=np.arange(g.n_vertices),
+                           edges=np.arange(g.n_edges))
     rep = triple_iso_transport(iso, g, g, trials=3, seed=0)
     assert rep.passed and rep.residual == 0.0
 
@@ -286,8 +286,8 @@ def test_transport_random_relabeling():
 
 def test_transport_rejects_non_isomorphism():
     g = fibonacci()
-    bad = GraphIsomorphism(vertex_map={"a": "b", "b": "a"},
-                           edge_map={e: e for e in g.edges})
+    bad = GraphIsomorphism(vertices=np.array([1, 0]),
+                           edges=np.arange(g.n_edges))
     with pytest.raises(FormatError):
         triple_iso_transport(bad, g, g)
 
