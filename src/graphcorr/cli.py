@@ -631,6 +631,10 @@ def dispatch(argv) -> int:
             # a check over no random trials would pass vacuously
             if getattr(args, "trials", 1) < 1:
                 raise FormatError(f"--trials {args.trials} is below 1")
+            # a nan or infinite tolerance would pass or fail every check
+            if not 0 < getattr(args, "tol", 1.0) < math.inf:
+                raise FormatError(f"--tol {args.tol} is not a finite "
+                                  "positive number")
             for dest in ("grid", "grid_n"):
                 n = getattr(args, dest, 1)
                 if not 1 <= n <= MAX_GRID:

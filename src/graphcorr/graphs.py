@@ -242,8 +242,8 @@ def spectral_radius(graph: FiniteGraph, tol: float = 1e-10) -> float:
     close (typically a reducible graph whose vertices see different
     radii) raises :class:`SizeLimitError`.
     """
-    if tol <= 0:
-        raise FormatError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise FormatError("tol must be finite and positive")
     if graph.n_edges == 0:
         return 0.0
     A = graph._adj.astype(np.float64)

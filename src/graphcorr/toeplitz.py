@@ -16,22 +16,21 @@ basis, whose spanning words multiply with 0/1 structure constants; the
 identities verified here then cancel to exactly zero in floating point.
 
 Vertex representations are realized as matrices on the span of the paths
-of length at most ``L`` with a fixed source.  A matrix column is exact
-when the word cannot create past the window: column ``mu`` is flagged
-valid iff ``|mu| + (number of creations) <= L``.  Words act on path
-indices through two tables of :class:`TruncatedFock`, a prepend table for
-creation and a strip table for annihilation, with the words of an element
-batched by shape; numeric checks evaluate only the valid window columns.
-The reconstruction identities form no words on their numeric side: two
-shape batches multiply as stacked arrays into one stack of ``k1 k2``
-words per pair of stacks, and the window is set by the largest creation
-count among the words with no zero factor.
-:meth:`TruncatedFock.word_matrix`, the dense product of the factor
+of length at most ``L`` with a fixed source; column ``mu`` is exact (valid)
+iff ``|mu| + (number of creations) <= L``.  Words act on path indices
+through the prepend and strip tables of :class:`TruncatedFock`, batched by
+shape; :meth:`TruncatedFock.word_matrix`, the dense product of the factor
 matrices, is the reference the tests compare against.
+
+Shape batches and delta-basis expansions carry a leading trial axis, each
+row with the bits of a one-trial run: numpy's complex array product is the
+same at every shape, and expansions multiply by parts, bitwise as scalars.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -249,21 +248,16 @@ def spectral_component(elem: ToeplitzElement, n: int) -> ToeplitzElement:
 def _merge_words(words):
     """Combine words with bitwise-identical (left, middle, right) data."""
     merged: dict = {}
-    order: list = []
     for w in words:
         key = (
             tuple(x.values.tobytes() for x in w.left),
             None if w.middle is None else w.middle.values.tobytes(),
             tuple(y.values.tobytes() for y in w.right),
         )
-        if key in merged:
-            old = merged[key]
-            merged[key] = Word(old.coeff + w.coeff, old.left, old.middle,
-                               old.right)
-        else:
-            merged[key] = w
-            order.append(key)
-    return tuple(merged[k] for k in order if merged[k].coeff != 0)
+        old = merged.get(key)
+        merged[key] = w if old is None else Word(
+            old.coeff + w.coeff, old.left, old.middle, old.right)
+    return tuple(w for w in merged.values() if w.coeff != 0)
 
 
 def vacuum_projection(graph: FiniteGraph) -> ToeplitzElement:
@@ -282,7 +276,107 @@ def vacuum_projection(graph: FiniteGraph) -> ToeplitzElement:
 
 
 # ---------------------------------------------------------------------------
-# canonical delta-basis expansion (finite graphs)
+# canonical delta-basis expansion (finite graphs); an expansion is ``(keys,
+# coeffs)``, spanning words ``(mu, v, nu)`` and a ``(trials, keys)`` array
+
+
+def _cmul(a, b):
+    """``a * b`` from the parts, ``(ar br - ai bi, ar bi + ai br)``: bitwise
+    the scalar complex product, which numpy's array product is not."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _collect(keys, terms):
+    """Sum the columns of ``terms`` into their ``keys`` in order, skipping
+    columns and keys zero in every trial, as a dict of nonzero terms would."""
+    live = (terms != 0).any(axis=0)
+    index: dict = {}
+    pos = [index.setdefault(k, len(index)) for k in compress(keys, live)]
+    out = np.zeros((terms.shape[0], len(index)), dtype=np.complex128)
+    np.add.at(out, (slice(None), np.array(pos, dtype=np.intp)),
+              terms[:, live])
+    keep = (out != 0).any(axis=0)
+    return list(compress(index, keep)), out[:, keep]
+
+
+def _expand(batches, graph: FiniteGraph):
+    """Expansion of the words of ``batches`` in order: for ``v``, then paths
+    ``mu`` and ``nu`` from ``v``, a word puts ``coeff * left_1(mu_1) ...
+    middle(v) conj(right_1(nu_1)) ...``, in that order, on ``(mu, v, nu)``."""
+    keys, terms = [], []
+    for m, n, coeffs, lefts, middles, rights in batches:
+        words = []
+        for vi in range(graph.n_vertices):
+            nus = path_index_tuples(graph, vi, n)
+            words += [(mu, vi, nu) for mu in path_index_tuples(graph, vi, m)
+                      for nu in nus]
+        mus, vs, nus = zip(*words) if words else ((), (), ())
+        c = np.repeat(coeffs[..., None], len(words), axis=-1)
+        for x, f in zip(lefts, zip(*mus)):
+            c = _cmul(c, x[..., list(f)])
+        if middles is not None:
+            c = _cmul(c, middles[..., list(vs)])
+        for y, f in zip(rights, zip(*nus)):
+            c = _cmul(c, y[..., list(f)].conj())
+        keys += words * coeffs.shape[-1]
+        terms.append(c.reshape(c.shape[0], -1))
+    return _collect(keys, np.concatenate(terms, axis=1) if terms
+                    else np.zeros((1, 0), dtype=np.complex128))
+
+
+def _basis_multiply(e1, e2, graph: FiniteGraph):
+    """Product of two expansions; structure constants are 0/1, and
+    ``(mu, v, nu) (mu2, v2, nu2)`` can be nonzero only when one of ``nu``
+    and ``mu2`` is a prefix of the other, so ``e2`` is looked up by ``mu2``.
+    Each product key sums its pairs in scan order (``e1``, then ``e2``)."""
+    (keys1, c1), (keys2, c2) = e1, e2
+    rng = graph.rng_idx.tolist()
+    starting: dict = {}     # (prefix of mu2, joint vertex) -> positions
+    full: dict = {}         # (mu2, v2) -> positions
+    for pos, (mu2, v2, _) in enumerate(keys2):
+        full.setdefault((mu2, v2), []).append(pos)
+        for k in range(len(mu2) + 1):
+            # a term (mu, v, nu) with |nu| = k meets this one only when v
+            # is the range of the rest of mu2, or v2 if nothing is left
+            joint = rng[mu2[k]] if k < len(mu2) else v2
+            starting.setdefault((mu2[:k], joint), []).append(pos)
+    first, second, keys = [], [], []
+    for i, (mu, v, nu) in enumerate(keys1):
+        # mu2 starts with nu at the joint v, or is a proper prefix of nu
+        # ending at v2, the range of the rest of nu
+        pos = sorted(starting.get((nu, v), []) + [
+            j for p in range(len(nu))
+            for j in full.get((nu[:p], rng[nu[p]]), ())])
+        first += [i] * len(pos)
+        second += pos
+        for mu2, v2, nu2 in (keys2[j] for j in pos):
+            keys.append((mu + mu2[len(nu):], v2, nu2) if len(nu) <= len(mu2)
+                        else (mu, v, nu2 + nu[len(mu2):]))
+    return _collect(keys, _cmul(c1[:, np.array(first, dtype=np.intp)],
+                                c2[:, np.array(second, dtype=np.intp)]))
+
+
+def _basis_residual(e1, e2) -> np.ndarray:
+    """Per trial, the largest ``|coefficient|`` of ``e1 - e2`` (0.0 for
+    none), by ``hypot`` of the parts as the scalar ``abs`` takes it."""
+    (keys1, c1), (keys2, c2) = e1, e2
+    index = {k: i for i, k in enumerate(keys1)}
+    pos = [index.setdefault(k, len(index)) for k in keys2]
+    d = np.zeros((max(len(c1), len(c2)), len(index)), dtype=np.complex128)
+    d[:, :len(keys1)] = c1
+    d[:, pos] -= c2
+    return np.fmax.reduce(np.hypot(d.real, d.imag), axis=1, initial=0.0)
+
+
+def _from_dict(m: dict):
+    return list(m), np.array(list(m.values()), dtype=np.complex128)[None]
+
+
+def _as_dict(expansion) -> dict:
+    return dict(zip(expansion[0], expansion[1][0].tolist()))
 
 
 def element_delta_basis(elem: ToeplitzElement) -> dict:
@@ -291,130 +385,23 @@ def element_delta_basis(elem: ToeplitzElement) -> dict:
     Keys are ``(mu, v, nu)`` with ``mu``/``nu`` edge-index path tuples and
     ``v`` a vertex index, in first-seen order; the value is the complex
     coefficient.  Each key stands for ``C(delta_mu) P(delta_v)
-    C(delta_nu)*``.  Every coefficient entered is nonzero, so each key's
-    sum runs over the words in order.
+    C(delta_nu)*``.  The one-trial row of the trial-stacked :func:`_expand`,
+    whose products, taken from the real and imaginary parts, are bitwise
+    scalar complex products.
     """
-    graph = elem.graph
-    paths: dict = {}
-
-    def paths_from(vi, k):
-        if (vi, k) not in paths:
-            paths[vi, k] = path_index_tuples(graph, vi, k)
-        return paths[vi, k]
-
-    out: dict = {}
-    for w in elem.words:
-        mid = w.middle.values if w.middle is not None else None
-        for vi in range(graph.n_vertices):
-            rts = paths_from(vi, len(w.right))
-            for mu in paths_from(vi, len(w.left)):
-                base = w.coeff
-                ok = True
-                for i, fi in enumerate(mu):
-                    base = base * w.left[i].values[fi]
-                    if base == 0:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if mid is not None:
-                    base = base * mid[vi]
-                    if base == 0:
-                        continue
-                for nu in rts:
-                    c = base
-                    ok = True
-                    for j, fj in enumerate(nu):
-                        c = c * np.conj(w.right[j].values[fj])
-                        if c == 0:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    key = (mu, vi, nu)
-                    out[key] = out.get(key, 0.0) + c
-    return {k: v for k, v in out.items() if v != 0}
+    return _as_dict(_expand(_word_batches(elem), elem.graph))
 
 
 def delta_basis_multiply(m1: dict, m2: dict, graph: FiniteGraph) -> dict:
-    """Product of two delta-basis expansions; structure constants are 0/1.
-
-    ``(mu, v, nu) (mu2, v2, nu2)`` can be nonzero only when one of ``nu``
-    and ``mu2`` is a prefix of the other, so the terms of ``m2`` are looked
-    up by ``mu2``.  Matching pairs are visited in ``m1`` order, then ``m2``
-    order, as a scan of all pairs would visit them, so every coefficient
-    sums in the same order.
-    """
-    src = graph.src_idx.tolist()
-    rng = graph.rng_idx.tolist()
-    items2 = list(m2.items())
-    starting: dict = {}     # (prefix of mu2, joint vertex) -> positions
-    exact: dict = {}        # nonempty mu2 -> positions
-    bare: dict = {}         # v2 -> positions of the terms with mu2 = ()
-    for pos, ((mu2, v2, _), _) in enumerate(items2):
-        if mu2:
-            exact.setdefault(mu2, []).append(pos)
-        else:
-            bare.setdefault(v2, []).append(pos)
-        for k in range(len(mu2) + 1):
-            # a term (mu, v, nu) with |nu| = k meets this one only when v
-            # is the range of the rest of mu2, or v2 if nothing is left
-            joint = rng[mu2[k]] if k < len(mu2) else v2
-            starting.setdefault((mu2[:k], joint), []).append(pos)
-    matches: dict = {}
-
-    def matching(nu, v):
-        """The ``m2`` terms, in order, whose ``mu2`` starts with ``nu`` at
-        the joint ``v``, or is a proper prefix of ``nu`` (an empty one
-        only with ``v2`` at the range of ``nu``)."""
-        pos = starting.get((nu, v), [])
-        if nu:
-            pos = pos + bare.get(rng[nu[0]], []) + [
-                i for p in range(1, len(nu)) for i in exact.get(nu[:p], ())]
-        return [items2[i] for i in sorted(pos)]
-
-    out: dict = {}
-    for (mu, v, nu), c1 in m1.items():
-        n = len(nu)
-        if (nu, v) not in matches:
-            matches[nu, v] = matching(nu, v)
-        for (mu2, v2, nu2), c2 in matches[nu, v]:
-            p = len(mu2)
-            if n <= p:
-                rem = mu2[n:]
-                if rem:
-                    if v != rng[rem[0]]:
-                        continue
-                    key = (mu + rem, v2, nu2)
-                else:
-                    if v != v2:
-                        continue
-                    key = (mu, v, nu2)
-            else:
-                rem = nu[p:]
-                if p == 0 and v2 != rng[rem[0]]:
-                    continue
-                if nu2 and src[nu2[-1]] != rng[rem[0]]:
-                    continue
-                key = (mu, v, nu2 + rem)
-            c = c1 * c2
-            if c != 0:
-                out[key] = out.get(key, 0.0) + c
-    return {k: v for k, v in out.items() if v != 0}
+    """Product of two delta-basis expansions: the one-trial row of the
+    trial-stacked :func:`_basis_multiply`, with bitwise scalar pair
+    products summed in the order of a scan of all pairs."""
+    return _as_dict(_basis_multiply(_from_dict(m1), _from_dict(m2), graph))
 
 
 def delta_basis_residual(m1: dict, m2: dict) -> float:
     """Largest coefficient of the difference of two expansions."""
-    keys = set(m1) | set(m2)
-    res = 0.0
-    for k in keys:
-        res = max(res, abs(m1.get(k, 0.0) - m2.get(k, 0.0)))
-    return res
-
-
-def symbolically_equal(a: ToeplitzElement, b: ToeplitzElement) -> bool:
-    return delta_basis_residual(element_delta_basis(a),
-                                element_delta_basis(b)) == 0.0
+    return float(_basis_residual(_from_dict(m1), _from_dict(m2))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +450,10 @@ class TruncatedFock:
         self.child_start = 1 + np.cumsum(self.n_children) - self.n_children
         self._plans: dict = {}
 
-    def window_size(self, creations: int) -> int:
+    def window_size(self, creations):
         """Number of columns ``|mu| + creations <= depth`` (a prefix)."""
-        return int(np.searchsorted(self.lengths, self.depth - creations,
-                                   side="right"))
+        return np.searchsorted(self.lengths, self.depth - creations,
+                               side="right")
 
     def creation_matrix(self, x: ModuleElement) -> np.ndarray:
         M = np.zeros((self.dim, self.dim), dtype=np.complex128)
@@ -530,46 +517,50 @@ class TruncatedFock:
         return self._plans[key]
 
 
+def _word_batches(elem: ToeplitzElement) -> list:
+    """A batch ``(m, n, coeffs, lefts, middles or None, rights)`` per word,
+    coefficients ``(trials, words)`` and factors ``(trials, words, *)``."""
+    return [(w.creations, w.annihilations, np.array([[w.coeff]]),
+             [x.values[None, None] for x in w.left],
+             None if w.middle is None else w.middle.values[None, None],
+             [y.values[None, None] for y in w.right]) for w in elem.words]
+
+
 def _shape_batches(elem: ToeplitzElement) -> list:
-    """The words of ``elem`` grouped by ``(creations, annihilations,
-    has middle)``, each group's factor values stacked into ``(words, *)``
-    arrays: ``(m, n, coeffs, lefts, middles or None, rights)``."""
-    return _concat_batches([
-        (w.creations, w.annihilations, np.array([w.coeff]),
-         [x.values[None] for x in w.left],
-         None if w.middle is None else w.middle.values[None],
-         [y.values[None] for y in w.right]) for w in elem.words])
+    """The :func:`_word_batches` of ``elem`` by ``(m, n, has middle)``."""
+    return _concat_batches(_word_batches(elem))
 
 
 def _concat_batches(batches) -> list:
-    """Stacks of one shape joined in order, shapes in first-seen order."""
+    """Stacks of one shape joined on the word axis, shapes as first seen."""
     groups: dict = {}
     for bt in batches:
         groups.setdefault((bt[0], bt[1], bt[4] is not None), []).append(bt)
     return [bts[0] if len(bts) == 1 else (
-        m, n, np.concatenate([bt[2] for bt in bts]),
-        [np.concatenate(f) for f in zip(*(bt[3] for bt in bts))],
-        np.concatenate([bt[4] for bt in bts]) if mid else None,
-        [np.concatenate(f) for f in zip(*(bt[5] for bt in bts))])
+        m, n, np.concatenate([bt[2] for bt in bts], axis=1),
+        [np.concatenate(f, axis=1) for f in zip(*(bt[3] for bt in bts))],
+        np.concatenate([bt[4] for bt in bts], axis=1) if mid else None,
+        [np.concatenate(f, axis=1) for f in zip(*(bt[5] for bt in bts))])
         for (m, n, mid), bts in groups.items()]
 
 
 def _apply_batches(fock: TruncatedFock, batches, ncols: int) -> np.ndarray:
-    """Columns ``0 .. ncols-1`` of the matrix of the element whose
-    :func:`_shape_batches` are ``batches``, words of one shape at once."""
-    out = np.zeros((fock.dim, ncols), dtype=np.complex128)
+    """Per trial, columns ``0 .. ncols-1`` of the matrix of the element with
+    :func:`_shape_batches` ``batches``, each shape's words summed in order."""
+    trials = max((bt[2].shape[0] for bt in batches), default=1)
+    out = np.zeros((trials, fock.dim, ncols), dtype=np.complex128)
     for m, n, coeffs, lefts, middles, rights in batches:
         stripped, ranges, source, created, rows, cols = fock._plan(m, n, ncols)
-        c = np.broadcast_to(coeffs[:, None], (coeffs.size, ranges.size))
+        c = np.repeat(coeffs[..., None], ranges.size, axis=-1)
         for y, edges in zip(rights, stripped):
-            c = c * y[:, edges].conj()
+            c = c * y[..., edges].conj()
         if middles is not None:
-            c = c * middles[:, ranges]
+            c = c * middles[..., ranges]
         if m:
-            c = c[:, source]
+            c = c[..., source]
             for x, edges in zip(lefts, created):
-                c = c * x[:, edges]
-        out[rows, cols] += c.sum(axis=0)
+                c = c * x[..., edges]
+        out[:, rows, cols] += c.sum(axis=1)
     return out
 
 
@@ -597,7 +588,7 @@ def fock_matrix(elem, v=None, depth: int | None = None,
     if depth < m_max:
         raise SizeLimitError(
             f"depth {depth} below creation length {m_max}; no valid window")
-    M = _apply_batches(fock, _shape_batches(elem), fock.dim)
+    M = _apply_batches(fock, _shape_batches(elem), fock.dim)[0]
     valid = fock.lengths + m_max <= depth
     return FockMatrix(matrix=M, valid_cols=valid, fock=fock)
 
@@ -614,67 +605,57 @@ def vacuum_projection_checks(graph: FiniteGraph, depth: int) -> list:
     pb = element_delta_basis(p)
     r_idem = delta_basis_residual(delta_basis_multiply(pb, pb, graph), pb)
     r_adj = delta_basis_residual(element_delta_basis(p.adjoint()), pb)
-    exact = True
-    for v in graph.vertices:
-        fm = fock_matrix(p, v, depth)
-        target = np.zeros_like(fm.matrix)
-        vac = fm.fock.vacuum_index()
-        target[vac, vac] = 1.0
-        exact = exact and bool(np.array_equal(fm.matrix, target))
+    exact = all([np.array_equal(fm.matrix, np.diag(fm.fock.lengths == 0))
+                 for fm in (fock_matrix(p, v, depth) for v in graph.vertices)])
     return [Check("idempotent", r_idem == 0.0, r_idem),
             Check("selfadjoint", r_adj == 0.0, r_adj),
             Check("rank-one", exact, 0.0 if exact else 1.0)]
 
 
-def basis_product(elems, graph: FiniteGraph) -> dict:
-    """Delta-basis expansion of a product, multiplied at the basis level.
-
-    Expanding first and multiplying basis words (whose structure constants
-    are 0/1) keeps floating-point coefficients associating identically on
-    both sides of the identities below, so true identities cancel exactly.
-    """
-    out = None
-    for e in elems:
-        m = element_delta_basis(e) if isinstance(e, ToeplitzElement) else e
-        out = m if out is None else delta_basis_multiply(out, m, graph)
-    return out if out is not None else {}
-
-
 def _batch_product(batches1, batches2, graph: FiniteGraph) -> list:
     """The :func:`_shape_batches` of ``e1 * e2`` from those of ``e1`` and
-    ``e2``: each pair of stacks gives one stack of ``k1 * k2`` words in
-    :meth:`ToeplitzElement.__mul__` pair order, by the rules of
-    :func:`word_multiply` in array form; zero words are kept, none merged."""
+    ``e2``, trial by trial (a one-trial operand serves every trial): each
+    pair of stacks gives a stack of ``k1 * k2`` words in the pair order of
+    :meth:`ToeplitzElement.__mul__` by :func:`word_multiply`'s rules, none
+    merged, less those zero in every trial (as through orthogonal deltas)."""
     src, rng = graph.src_idx, graph.rng_idx
     out = []
     for m1, n1, c1, *f1 in batches1:
         for m2, n2, c2, *f2 in batches2:
-            # row i * k2 + j of the product is the pair (word i, word j)
-            i, j = np.divmod(np.arange(c1.size * c2.size), c2.size)
+            # word i * k2 + j of the product is the pair (word i, word j)
+            i, j = np.divmod(np.arange(c1.shape[1] * c2.shape[1]),
+                             c2.shape[1])
+            trial = np.arange(max(len(c1), len(c2)))[:, None]
             (l1, mid1, r1), (l2, mid2, r2) = (
-                ([a[k] for a in ls], None if mid is None else mid[k],
-                 [a[k] for a in rs])
+                ([a[trial % len(a), k] for a in ls],
+                 None if mid is None else mid[trial % len(mid), k],
+                 [a[trial % len(a), k] for a in rs])
                 for (ls, mid, rs), k in ((f1, i), (f2, j)))
             cc = None
             for y, x in zip(r1, l2):
-                t = x if cc is None else cc[:, rng] * x
-                cc = np.zeros((i.size, graph.n_vertices), dtype=np.complex128)
-                np.add.at(cc, (slice(None), src), y.conj() * t)
+                t = y.conj() * (x if cc is None else cc[..., rng] * x)
+                cc = np.zeros(t.shape[:-1] + (graph.n_vertices,),
+                              dtype=np.complex128)
+                np.add.at(cc, (..., src), t)
             if n1 <= m2:
                 mid, rem = _times(mid1, cc), l2[n1:]
                 if rem and mid is not None:
-                    rem[0] = mid[:, rng] * rem[0]
+                    rem[0] = mid[..., rng] * rem[0]
                 left, middle, right = ((l1 + rem, mid2, r2) if rem
                                        else (l1, _times(mid, mid2), r2))
             else:
                 rem, b = r1[m2:], _times(cc, mid2)
                 if b is not None:
-                    rem[0] = b.conj()[:, rng] * rem[0]
+                    rem[0] = b.conj()[..., rng] * rem[0]
                 left, middle, right = l1, mid1, r2 + rem
             if middle is not None and left:
-                left[-1], middle = left[-1] * middle[:, src], None
-            out.append((len(left), len(right), c1[i] * c2[j], left, middle,
-                        right))
+                left[-1], middle = left[-1] * middle[..., src], None
+            c = c1[:, i] * c2[:, j]
+            keep = _live_words(c, left, middle, right).any(axis=0)
+            out.append((len(left), len(right), c[:, keep],
+                        [a[:, keep] for a in left],
+                        None if middle is None else middle[:, keep],
+                        [a[:, keep] for a in right]))
     return _concat_batches(out)
 
 
@@ -683,12 +664,23 @@ def _times(a, b):
     return b if a is None else a if b is None else a * b
 
 
-def _creation_bound(batches) -> int:
-    """Largest creation count of a word whose coefficient and factor
-    arrays are all nonzero, 0 when there is none."""
-    return max((m for m, _, c, ls, mid, rs in batches if np.all(
-        [c != 0] + [a.any(axis=1) for a in ls + rs + [mid] if a is not None],
-        axis=0).any()), default=0)
+def _live_words(c, ls, mid, rs) -> np.ndarray:
+    """Per trial and word: coefficient and every factor array nonzero."""
+    return np.all([c != 0] + [a.any(axis=-1) for a in ls + rs + [mid]
+                              if a is not None], axis=0)
+
+
+def _creation_bound(batches, trials: int) -> np.ndarray:
+    """Per trial, the largest creation count of a live word, else 0."""
+    out = np.zeros(trials, dtype=np.intp)
+    for m, _, *bt in batches:
+        out = np.maximum(out, m * _live_words(*bt).any(axis=1))
+    return out
+
+
+#: trials stacked at once: their arrays take about 0.1 MB a trial on the
+#: larger fixtures, while the Python work of a stack is the same at any size
+TRIAL_BLOCK = 10
 
 
 def reconstruct_module_check(graph: FiniteGraph, trials: int = 100,
@@ -704,74 +696,89 @@ def reconstruct_module_check(graph: FiniteGraph, trials: int = 100,
           projection: ``C^{n+1}(x) C^{n}(y)* p = 0`` for n = 1, 2;
     (iv)  ``P(a) C(xi) p = C(a . xi) p``.
 
-    Each identity is checked exactly in the delta-basis expansion (products
-    taken at the basis level) and numerically at every vertex on the valid
-    window columns of the truncated matrices, the only columns read: the
-    sides' shape batches are multiplied (:func:`_batch_product`), the right
-    side's coefficients negated, and the window is ``|mu| + m_max <=
-    depth`` with ``m_max`` the largest creation count of a word whose
-    coefficient and factor arrays are all nonzero; a ``depth`` below some
-    ``m_max`` leaves no window and raises ``SizeLimitError``.  ``p`` is
-    expanded and batched once.  The ``reconstruction`` check returned
-    carries the largest residual and names the first failing identity, or
-    counts them.
+    Trials are drawn in order and stacked :data:`TRIAL_BLOCK` at a time on
+    a trial axis (:func:`_reconstruction_block`), every trial with the bits
+    of a one-trial run.  The check returned carries the largest residual
+    and names the first failing identity, or counts them.
     """
-    rng = np.random.default_rng(seed)
-    p = vacuum_projection(graph)
-    p_basis, p_batches = element_delta_basis(p), _shape_batches(p)
-    checks = []
+    if trials < 1:
+        raise FormatError(f"trials {trials} is below 1")
     focks = [TruncatedFock(graph, v, depth) for v in graph.vertices]
-
-    def product(factors):
-        out, *rest = [p_batches if f is p else _shape_batches(f)
-                      for f in factors]
-        for b in rest:
-            out = _batch_product(out, b, graph)
-        return out
-
-    def record(name, lhs_factors, rhs_factors, sym_lhs=None):
-        # sym_lhs pre-reduces adjacent factors so that both sides share the
-        # identical floating-point arrays; the rest cancels through 0/1
-        # structure constants only
-        sym = delta_basis_residual(*(
-            basis_product([p_basis if f is p else f for f in factors], graph)
-            for factors in (sym_lhs or lhs_factors, rhs_factors)))
-        diff = _concat_batches(product(lhs_factors) + [
-            (m, n, -c, *f) for m, n, c, *f in product(rhs_factors)])
-        m_max = _creation_bound(diff)
-        if depth < m_max:
-            raise SizeLimitError(f"identity {name}: depth {depth} below "
-                                 f"creation length {m_max}; no valid window")
-        num = 0.0
-        for fock in focks:
-            window = _apply_batches(fock, diff, fock.window_size(m_max))
-            num = max(num, float(np.max(np.abs(window))))
-        checks.append(Check(name, sym == 0.0 and num <= tol, max(sym, num)))
-
-    for t in range(trials):
-        a = random_vertex_function(graph, rng)
-        xi = random_module_element(graph, rng)
-        eta = random_module_element(graph, rng)
-        pa = ToeplitzElement(graph, [pi_word(a)])
-        record(f"commute[{t}]", [p, pa], [pa, p])
-        ann_xi = ToeplitzElement(graph, [word(1.0, (), None, (xi,))])
-        crt_eta = ToeplitzElement(graph, [iota_word(eta)])
-        rhs0 = ToeplitzElement(graph, [pi_word(inner_product(xi, eta))])
-        record(f"compress[{t}]", [p, ann_xi, crt_eta, p], [rhs0, p],
-               sym_lhs=[p, ann_xi * crt_eta, p])
-        for n in (1, 2):
-            xs = tuple(random_module_element(graph, rng) for _ in range(n + 1))
-            ys = tuple(random_module_element(graph, rng) for _ in range(n))
-            wrd = ToeplitzElement(graph, [word(1.0, xs, None, ys)])
-            record(f"annihilate[n={n},{t}]", [wrd, p],
-                   [ToeplitzElement(graph, [])])
-        crt_xi = ToeplitzElement(graph, [iota_word(xi)])
-        crt_axi = ToeplitzElement(graph, [iota_word(left_action(a, xi))])
-        record(f"bimodule[{t}]", [pa, crt_xi, p], [crt_axi, p],
-               sym_lhs=[pa * crt_xi, p])
+    rng = np.random.default_rng(seed)
+    p = _shape_batches(vacuum_projection(graph))
+    p_basis = _expand(p, graph)
+    checks = []
+    for start in range(0, trials, TRIAL_BLOCK):
+        checks += _reconstruction_block(
+            graph, rng, range(start, min(start + TRIAL_BLOCK, trials)),
+            focks, p, p_basis, tol, depth)
     first = next((c for c in checks if not c.passed), None)
     return summarize("reconstruction", checks,
                      first.name if first else f"{len(checks)} identities")
+
+
+def _reconstruction_block(graph, rng, block, focks, p, p_basis, tol, depth):
+    """The checks of trials ``block`` stacked on a trial axis: exact in the
+    delta basis, and at every vertex on a trial's window ``|mu| + m_max <=
+    depth`` of ``lhs - rhs`` (``m_max`` by :func:`_creation_bound`; below it
+    ``SizeLimitError`` names the first identity in trial order)."""
+    # per trial: a, xi, eta, the words' factors, as modules.random_* draw them
+    nv, ne = graph.n_vertices, graph.n_edges
+    z = rng.standard_normal((len(block), 2 * nv + 20 * ne))
+    a = z[:, :nv] + 1j * z[:, nv:2 * nv]
+    z = z[:, 2 * nv:].reshape(len(block), 10, 2, ne)
+    xi, eta, *fs = (z[:, :, 0] + 1j * z[:, :, 1]).transpose(1, 0, 2)
+    ip = np.zeros_like(a)
+    np.add.at(ip, (slice(None), graph.src_idx), xi.conj() * eta)
+    axi = a[:, graph.rng_idx] * xi
+
+    def stack(left=(), middle=None, right=()):
+        """The one-word element ``C(left...) P(middle) C(right...)*``."""
+        return [(len(left), len(right), np.ones((len(a), 1), dtype=complex),
+                 [x[:, None] for x in left],
+                 None if middle is None else middle[:, None],
+                 [y[:, None] for y in right])]
+
+    pa, crt_xi = stack(middle=a), stack(left=[xi])
+    ann_xi, crt_eta = stack(right=[xi]), stack(left=[eta])
+    # (name, lhs, rhs, symbolic lhs pre-reduced so that both sides share
+    # their floating-point arrays and cancel through 0/1 constants only)
+    identities = [
+        ("commute[{}]", [p, pa], [pa, p], None),
+        ("compress[{}]", [p, ann_xi, crt_eta, p], [stack(middle=ip), p],
+         [p, _batch_product(ann_xi, crt_eta, graph), p]),
+        ("annihilate[n=1,{}]", [stack(fs[:2], None, fs[2:3]), p], [[]], None),
+        ("annihilate[n=2,{}]", [stack(fs[3:6], None, fs[6:]), p], [[]], None),
+        ("bimodule[{}]", [pa, crt_xi, p], [stack(left=[axi]), p],
+         [_batch_product(pa, crt_xi, graph), p])]
+    sym, diffs = [], []
+    for _, lhs, rhs, sym_lhs in identities:
+        sym.append(_basis_residual(*(functools.reduce(
+            lambda e1, e2: _basis_multiply(e1, e2, graph),
+            [p_basis if f is p else _expand(f, graph) for f in factors])
+            for factors in (sym_lhs or lhs, rhs))))
+        lhs, rhs = (functools.reduce(
+            lambda b1, b2: _batch_product(b1, b2, graph), factors)
+            for factors in (lhs, rhs))
+        diffs.append(_concat_batches(
+            lhs + [(m, n, -c, *f) for m, n, c, *f in rhs]))
+    bounds = np.stack([_creation_bound(d, len(a)) for d in diffs], axis=1)
+    for t, i in zip(*np.nonzero(bounds > depth)):
+        raise SizeLimitError(
+            f"identity {identities[i][0].format(block[t])}: depth {depth} "
+            f"below creation length {bounds[t, i]}; no valid window")
+    num = np.zeros(bounds.shape)
+    for fock in focks:
+        for i, diff in enumerate(diffs):
+            ncols = fock.window_size(bounds[:, i])
+            window = np.abs(_apply_batches(fock, diff, ncols.max())).max(1)
+            res = np.where(np.arange(window.shape[-1]) < ncols[:, None],
+                           window, 0.0).max(axis=1)
+            num[:, i] = np.fmax(num[:, i], res)
+    return [Check(name.format(t), s == 0.0 and r <= tol, max(s, r))
+            for t, sym_t, num_t in zip(block, np.stack(sym, axis=1).tolist(),
+                                       num.tolist())
+            for (name, *_), s, r in zip(identities, sym_t, num_t)]
 
 
 # ---------------------------------------------------------------------------
@@ -791,45 +798,38 @@ def triple_iso_transport(iso, E: FiniteGraph, F: FiniteGraph,
     iso.verify(E, F)
     rng = np.random.default_rng(seed)
 
+    edge_of = np.argsort(iso.edges)         # E's edge behind each F edge
+    vertex_of = np.argsort(iso.vertices)
+
     def theta_x(x: ModuleElement) -> ModuleElement:
-        out = np.zeros(F.n_edges, dtype=np.complex128)
-        out[iso.edges] = x.values
-        return ModuleElement(F, out)
+        return ModuleElement(F, x.values[edge_of])
 
     def theta_m(a: VertexFunction) -> VertexFunction:
-        out = np.zeros(F.n_vertices, dtype=np.complex128)
-        out[iso.vertices] = a.values
-        return VertexFunction(F, out)
+        return VertexFunction(F, a.values[vertex_of])
 
     def theta_word(w: Word) -> Word:
         return Word(w.coeff, tuple(theta_x(x) for x in w.left),
                     None if w.middle is None else theta_m(w.middle),
                     tuple(theta_x(y) for y in w.right))
 
-    def theta_elem(elem: ToeplitzElement) -> ToeplitzElement:
-        return ToeplitzElement(F, [theta_word(w) for w in elem.words])
-
-    pe, pf = vacuum_projection(E), vacuum_projection(F)
-    res = delta_basis_residual(element_delta_basis(theta_elem(pe)),
-                               element_delta_basis(pf))
+    pe = ToeplitzElement(F, map(theta_word, vacuum_projection(E).words))
+    res = delta_basis_residual(element_delta_basis(pe),
+                               element_delta_basis(vacuum_projection(F)))
     checks = [Check("theta(p) = p", res == 0.0, res)]
 
     for t in range(trials):
         xi = random_module_element(E, rng)
         eta = random_module_element(E, rng)
         a = random_vertex_function(E, rng)
-        ip = np.max(np.abs(
-            inner_product(theta_x(xi), theta_x(eta)).values
-            - theta_m(inner_product(xi, eta)).values))
-        checks.append(Check(f"inner-product[{t}]", ip <= tol, ip))
-        la = np.max(np.abs(
-            theta_x(left_action(a, xi)).values
-            - left_action(theta_m(a), theta_x(xi)).values))
-        checks.append(Check(f"left-action[{t}]", la <= tol, la))
-        ra = np.max(np.abs(
-            theta_x(right_action(xi, a)).values
-            - right_action(theta_x(xi), theta_m(a)).values))
-        checks.append(Check(f"right-action[{t}]", ra <= tol, ra))
+        for name, got, want in (
+                ("inner-product", inner_product(theta_x(xi), theta_x(eta)),
+                 theta_m(inner_product(xi, eta))),
+                ("left-action", theta_x(left_action(a, xi)),
+                 left_action(theta_m(a), theta_x(xi))),
+                ("right-action", theta_x(right_action(xi, a)),
+                 right_action(theta_x(xi), theta_m(a)))):
+            r = np.max(np.abs(got.values - want.values))
+            checks.append(Check(f"{name}[{t}]", r <= tol, r))
         wdeg = word(1.0, (xi,), None, (eta, xi))
         ok = theta_word(wdeg).degree == wdeg.degree
         checks.append(Check(f"degree[{t}]", ok, 0.0 if ok else 1.0))

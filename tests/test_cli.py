@@ -137,6 +137,11 @@ def test_malformed_measure_is_input_error(measure, capsys):
     ("module", "norm", DOUBLE, "--x", '{"n":-1,"components":[[]]}'),
     ("iso", "nonzero-perm", "[[true,0],[0,1]]"),
     ("iso", "nonzero-perm", "[[1,0],[0,1e400]]"),
+    # a nan tolerance fails and an infinite one passes every residual
+    *(("fock", "reconstruct-check", FIB, "--trials", "2", "--tol", tol)
+      for tol in ("nan", "inf", "-1")),
+    *(("graph", "spectral-radius", FIB, "--tol", tol)
+      for tol in ("nan", "inf", "-1")),
 ])
 def test_malformed_complex_pairs_are_input_errors(argv, capsys):
     assert run(*argv) == 2

@@ -202,6 +202,12 @@ def test_spectral_radius_edgeless():
     assert spectral_radius(edgeless(3)) == 0.0
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_spectral_radius_refuses_non_finite_or_nonpositive_tol(tol):
+    with pytest.raises(FormatError, match="finite and positive"):
+        spectral_radius(fibonacci(), tol=tol)
+
+
 def test_spectral_radius_eigenvalue_oracle_random():
     rng = np.random.default_rng(11)
     for _ in range(20):

@@ -1,23 +1,26 @@
 import numpy as np
 import pytest
 
+from graphcorr import toeplitz
 from graphcorr.conjugacy import GraphIsomorphism
 from graphcorr.errors import FormatError, SizeLimitError
 from graphcorr.fixtures import (FINITE_FIXTURES, edgeless, fibonacci,
                                 k_loops, single_loop, ten_edge)
-from graphcorr.modules import (delta_edge, delta_vertex, inner_product,
-                               left_action, random_module_element,
-                               random_vertex_function, unit_vertex_function)
+from graphcorr.graphs import path_index_tuples
+from graphcorr.modules import (ModuleElement, delta_edge, delta_vertex,
+                               inner_product, left_action,
+                               random_module_element, random_vertex_function,
+                               unit_vertex_function)
 from graphcorr.report import Check, summarize
 from graphcorr.suite import RECONSTRUCT_FIXTURES, relabeled_copy
 from graphcorr.toeplitz import (ToeplitzElement, TruncatedFock, Word,
-                                _apply_batches, _batch_product,
-                                _shape_batches,
-                                basis_product, delta_basis_multiply,
-                                delta_basis_residual, element_delta_basis,
-                                fock_matrix, gauge_scale, iota_word, pi_word,
-                                reconstruct_module_check, spectral_component,
-                                symbolically_equal, triple_iso_transport,
+                                _apply_batches, _basis_multiply,
+                                _batch_product, _concat_batches, _expand,
+                                _shape_batches, _word_batches,
+                                delta_basis_multiply, delta_basis_residual,
+                                element_delta_basis, fock_matrix, gauge_scale,
+                                iota_word, pi_word, reconstruct_module_check,
+                                spectral_component, triple_iso_transport,
                                 vacuum_projection, word, word_multiply)
 
 # ---------------------------------------------------------------------------
@@ -186,6 +189,11 @@ def test_vacuum_projection_symbolic_idempotent_selfadjoint():
 # grading
 
 
+def symbolically_equal(a, b):
+    return delta_basis_residual(element_delta_basis(a),
+                                element_delta_basis(b)) == 0.0
+
+
 def test_spectral_component_pure_degree():
     g = fibonacci()
     rng = np.random.default_rng(5)
@@ -247,6 +255,23 @@ def test_fourier_average_oracle():
 
 # ---------------------------------------------------------------------------
 # reconstruction and transport
+
+
+def basis_product(elems, graph):
+    """Delta-basis expansion of a product, multiplied at the basis level
+    through the dict views."""
+    out = None
+    for e in elems:
+        m = element_delta_basis(e) if isinstance(e, ToeplitzElement) else e
+        out = m if out is None else delta_basis_multiply(out, m, graph)
+    return out if out is not None else {}
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_reconstruction_refuses_nonpositive_trials(trials):
+    # no identity would be checked, so a PASS would be vacuous
+    with pytest.raises(FormatError, match="below 1"):
+        reconstruct_module_check(fibonacci(), trials=trials)
 
 
 @pytest.mark.parametrize("builder", [single_loop, fibonacci])
@@ -398,7 +423,7 @@ def test_window_columns_match_full_matrix(name):
         fm = fock_matrix(e, fock=f)
         m_max = max(w.creations for w in e.words)
         window = _apply_batches(f, _shape_batches(e), f.window_size(m_max))
-        assert np.array_equal(window, fm.matrix[:, fm.valid_cols])
+        assert np.array_equal(window[0], fm.matrix[:, fm.valid_cols])
 
 
 def _scan_multiply(m1, m2, graph):
@@ -436,9 +461,79 @@ def _scan_multiply(m1, m2, graph):
     return {k: v for k, v in out.items() if v != 0}
 
 
+def _loop_expansion(elem):
+    """The delta-basis expansion as a loop of scalar complex products, word
+    by word, vertex by vertex and path by path, entering nonzero terms."""
+    graph = elem.graph
+    paths: dict = {}
+
+    def paths_from(vi, k):
+        if (vi, k) not in paths:
+            paths[vi, k] = path_index_tuples(graph, vi, k)
+        return paths[vi, k]
+
+    out: dict = {}
+    for w in elem.words:
+        mid = w.middle.values if w.middle is not None else None
+        for vi in range(graph.n_vertices):
+            rts = paths_from(vi, len(w.right))
+            for mu in paths_from(vi, len(w.left)):
+                base = w.coeff
+                ok = True
+                for i, fi in enumerate(mu):
+                    base = base * w.left[i].values[fi]
+                    if base == 0:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                if mid is not None:
+                    base = base * mid[vi]
+                    if base == 0:
+                        continue
+                for nu in rts:
+                    c = base
+                    ok = True
+                    for j, fj in enumerate(nu):
+                        c = c * np.conj(w.right[j].values[fj])
+                        if c == 0:
+                            ok = False
+                            break
+                    if not ok:
+                        continue
+                    key = (mu, vi, nu)
+                    out[key] = out.get(key, 0.0) + c
+    return {k: v for k, v in out.items() if v != 0}
+
+
 def _bits(c):
     c = complex(c)
     return c.real.hex(), c.imag.hex()
+
+
+def _assert_bits_on(got: dict, want: dict):
+    """``got`` is bitwise ``want`` on ``want``'s keys and exactly zero on
+    every other key."""
+    assert [_bits(got[k]) for k in want] == [_bits(c) for c in want.values()]
+    assert all(got[k] == 0 for k in got.keys() - want.keys())
+
+
+@pytest.mark.parametrize("name", RECONSTRUCT_FIXTURES)
+def test_expansion_and_product_match_loop_oracle(name):
+    g = FINITE_FIXTURES[name]()
+    rng = np.random.default_rng(16)
+    for _ in range(6):
+        elems = [_random_element(g, rng, n_words=3),
+                 _sparse_element(g, rng, n_words=6)]
+        want = [_loop_expansion(e) for e in elems]
+        for e, w in zip(elems, want):
+            got = element_delta_basis(e)
+            _assert_bits_on(got, w)
+            assert list(got) == list(w)
+        for m1, m2 in [(want[0], want[1]), (want[1], want[0]),
+                       (want[1], want[1])]:
+            got = delta_basis_multiply(m1, m2, g)
+            _assert_bits_on(got, _scan_multiply(m1, m2, g))
 
 
 @pytest.mark.parametrize("name", RECONSTRUCT_FIXTURES)
@@ -519,6 +614,46 @@ def _word_route_reconstruct(graph, trials, tol, seed, depth=4):
                      first.name if first else f"{len(checks)} identities")
 
 
+def _zero_draw(call, draw_element=random_module_element):
+    """``random_module_element`` with draw number ``call`` (from 0) zeroed
+    after it is drawn, so that every other draw stays the same."""
+    calls = iter(range(1 << 30))
+
+    def draw(graph, rng):
+        x = draw_element(graph, rng)
+        return ModuleElement(graph, 0 * x.values) if next(calls) == call \
+            else x
+    return draw
+
+
+class _ZeroedDraw:
+    """The seed's generator with draw 15 of the reconstruction identities,
+    the first factor of trial 1's annihilate[n=2] word, set to zero."""
+
+    def __init__(self, graph, seed):
+        self.rng = np.random.default_rng(seed)
+        self.cols = slice(2 * graph.n_vertices + 10 * graph.n_edges,
+                          2 * graph.n_vertices + 12 * graph.n_edges)
+
+    def standard_normal(self, shape):
+        z = self.rng.standard_normal(shape)
+        z[1, self.cols] = 0.0
+        return z
+
+
+def test_each_trial_reads_its_own_window(monkeypatch):
+    # trial 1 then creates nothing and reads every column, trial 0 creates
+    # three edges and reads a narrower window; both give the word route's
+    g = fibonacci()
+    p = _shape_batches(vacuum_projection(g))
+    focks = [TruncatedFock(g, v, 4) for v in g.vertices]
+    checks = toeplitz._reconstruction_block(
+        g, _ZeroedDraw(g, 0), range(2), focks, p, _expand(p, g), 1e-12, 4)
+    monkeypatch.setitem(globals(), "random_module_element", _zero_draw(15))
+    assert summarize("reconstruction", checks, "10 identities") \
+        == _word_route_reconstruct(g, trials=2, tol=1e-12, seed=0)
+
+
 def _sparse_element(g, rng, n_words):
     """Normal-form words of every shape up to two creations and two
     annihilations, half of their factors edge deltas, so that many inner
@@ -539,20 +674,81 @@ def _sparse_element(g, rng, n_words):
     return ToeplitzElement(g, words)
 
 
+def _trial_copies(elem, rng, trials):
+    """``trials`` copies of ``elem`` with every coefficient and factor
+    scaled by a random complex number: the same word shapes and zeros, and
+    other values."""
+    def scaled(x):
+        return type(x)(x.graph, x.values * complex(*rng.standard_normal(2)))
+
+    return [ToeplitzElement(elem.graph, [
+        Word(w.coeff * complex(*rng.standard_normal(2)),
+             tuple(map(scaled, w.left)),
+             None if w.middle is None else scaled(w.middle),
+             tuple(map(scaled, w.right))) for w in elem.words])
+        for _ in range(trials)]
+
+
+def _stacked(elems):
+    """The :func:`_word_batches` of same-shaped ``elems``, one row each on
+    the trial axis."""
+    out = []
+    for bts in zip(*map(_word_batches, elems)):
+        m, n, _, _, mid, _ = bts[0]
+        out.append((m, n, np.concatenate([b[2] for b in bts]),
+                    [np.concatenate(f) for f in zip(*(b[3] for b in bts))],
+                    None if mid is None
+                    else np.concatenate([b[4] for b in bts]),
+                    [np.concatenate(f) for f in zip(*(b[5] for b in bts))]))
+    return out
+
+
+@pytest.mark.parametrize("name", RECONSTRUCT_FIXTURES)
+def test_trial_rows_match_one_trial_runs(name):
+    g = FINITE_FIXTURES[name]()
+    rng = np.random.default_rng(17)
+    trials = 5
+    e1s, e2s = (_trial_copies(_sparse_element(g, rng, n_words=5), rng,
+                              trials) for _ in range(2))
+    s1, s2 = _stacked(e1s), _stacked(e2s)
+    x1, x2 = _expand(s1, g), _expand(s2, g)
+    p = _shape_batches(vacuum_projection(g))
+    b1, b2 = _concat_batches(s1), _concat_batches(s2)
+    stacked = [b1, _batch_product(b1, b2, g), _batch_product(p, b1, g)]
+    for t in range(trials):
+        y1, y2 = (_expand(_word_batches(e[t]), g) for e in (e1s, e2s))
+        for (keys, c), (keys_t, c_t) in [
+                (x1, y1), (_basis_multiply(x1, x2, g),
+                           _basis_multiply(y1, y2, g))]:
+            _assert_bits_on(dict(zip(keys, c[t].tolist())),
+                            dict(zip(keys_t, c_t[0].tolist())))
+        c1, c2 = _shape_batches(e1s[t]), _shape_batches(e2s[t])
+        single = [c1, _batch_product(c1, c2, g), _batch_product(p, c1, g)]
+        for v in g.vertices:
+            f = TruncatedFock(g, v, 4)
+            for a, b in zip(stacked, single):
+                assert _apply_batches(f, a, f.dim)[t].tobytes() \
+                    == _apply_batches(f, b, f.dim)[0].tobytes()
+
+
 @pytest.mark.parametrize("name", RECONSTRUCT_FIXTURES)
 def test_batch_product_matches_word_products(name):
     g = FINITE_FIXTURES[name]()
     rng = np.random.default_rng(15)
     focks = [TruncatedFock(g, v, 4) for v in g.vertices]
-    shapes, dropped = set(), 0
+    shapes, pairs, kept = set(), 0, 0
     for _ in range(8):
         e1 = _sparse_element(g, rng, n_words=5)
         e2 = _sparse_element(g, rng, n_words=5)
         got = _batch_product(_shape_batches(e1), _shape_batches(e2), g)
         want = _shape_batches(e1 * e2)
         shapes |= {(m, n, mid is not None) for m, n, _, _, mid, _ in got}
-        # the batched product keeps the zero words the Word route drops
-        dropped += sum(c.size for _, _, c, *_ in got) - len((e1 * e2).words)
+        # the batched product drops the words the Word route finds zero
+        live = sum(c.size for _, _, c, *_ in got)
+        assert live == sum(word_multiply(w1, w2) is not None
+                           for w1 in e1.words for w2 in e2.words)
+        pairs += len(e1.words) * len(e2.words)
+        kept += live
         for f in focks:
             a = _apply_batches(f, got, f.dim)
             b = _apply_batches(f, want, f.dim)
@@ -560,7 +756,7 @@ def test_batch_product_matches_word_products(name):
             assert np.max(np.abs(a - b)) <= 1e-12 * scale
     # middles, pure annihilations and pure creations all occur
     assert {(0, 0, True), (0, 1, True), (1, 0, False)} <= shapes
-    assert dropped > 0 or g.n_edges == 1    # one edge: no orthogonal deltas
+    assert kept < pairs or g.n_edges == 1    # one edge: no orthogonal deltas
 
 
 @pytest.mark.parametrize("seed", [0, 42])
