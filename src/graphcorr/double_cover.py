@@ -255,6 +255,8 @@ class VerificationReport:
 def run_verification(grid: int = 1024, trials: int = 100,
                      degree: int = 16, seed: int = 0) -> VerificationReport:
     """Full numerical verification at the given grid size."""
+    if trials < 1:
+        raise FormatError(f"trials {trials} is below 1")
     rng = np.random.default_rng(seed)
     tw = build_twist(grid)
     rep = VerificationReport(grid=grid, trials=trials)

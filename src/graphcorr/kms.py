@@ -326,6 +326,8 @@ def extremal_separation_check(params: KMSParameters, trials: int = 100,
     random measures ``Omega`` and random scalar-or-balanced words, the
     state of ``Omega`` equals the ``Omega``-average of point-mass states.
     """
+    if trials < 1:
+        raise FormatError(f"trials {trials} is below 1")
     g = params.graph
     rng = np.random.default_rng(seed)
     checks = []

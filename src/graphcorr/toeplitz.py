@@ -9,7 +9,10 @@ scalar words.  Products reduce by the annihilator-creator rules
 
     C(y)* C(z) = P(<y, z>),   P(a) C(z) = C(a . z),   C(z)* P(a) = C(conj(a) . z)*,
 
-so the product of two words is again a single word (or zero).
+so the product of two words is again a single word (or zero).  The rules
+are written once, in :func:`_reduce`, on factor arrays of any leading
+shape: :func:`word_multiply` applies it to one pair of words and
+:func:`_batch_product` to stacks of them.
 
 Exact symbolic identity checking expands elements over the edge-delta
 basis, whose spanning words multiply with 0/1 structure constants; the
@@ -141,43 +144,59 @@ def iota_word(x: ModuleElement, coeff=1.0) -> Word:
 
 
 def word_multiply(w1: Word, w2: Word):
-    """Normal form of ``w1 w2``: a single word, or ``None`` when zero."""
-    if w1.graph() is not None and w2.graph() is not None \
-            and w1.graph() is not w2.graph():
+    """Normal form of ``w1 w2``: a single word, or ``None`` when zero; the
+    factors are :func:`_reduce` of the words' value arrays."""
+    factors = [f for w in (w1, w2) for f in (*w.left, w.middle, *w.right)
+               if f is not None]
+    g = factors[0].graph if factors else None
+    if any(f.graph is not g for f in factors):
         raise MismatchError("words live over different graphs")
-    c = w1.coeff * w2.coeff
-    if c == 0:
-        return None
-    n, p = len(w1.right), len(w2.left)
-    k = min(n, p)
-    cc = None
-    for j in range(k):
-        t = w2.left[j] if cc is None else left_action(cc, w2.left[j])
-        cc = inner_product(w1.right[j], t)
-    if n <= p:
-        mid = _pointwise(w1.middle, cc)
-        rem = list(w2.left[n:])
-        if rem:
-            if mid is not None:
-                rem[0] = left_action(mid, rem[0])
-            out = word(c, w1.left + tuple(rem), w2.middle, w2.right)
-        else:
-            out = word(c, w1.left, _pointwise(mid, w2.middle), w2.right)
-    else:
-        rem = list(w1.right[p:])
-        b = _pointwise(cc, w2.middle)
-        if b is not None:
-            rem[0] = left_action(b.conj(), rem[0])
-        out = word(c, w1.left, w1.middle, w2.right + tuple(rem))
+    if g is not None and not isinstance(g, FiniteGraph):
+        raise FormatError("the word algebra is defined for finite graphs")
+    left, middle, right = _reduce(*(
+        ([x.values for x in w.left],
+         None if w.middle is None else w.middle.values,
+         [y.values for y in w.right]) for w in (w1, w2)), g)
+    out = word(w1.coeff * w2.coeff, [ModuleElement(g, x) for x in left],
+               None if middle is None else VertexFunction(g, middle),
+               [ModuleElement(g, y) for y in right])
     return None if out.is_zero() else out
 
 
-def _pointwise(a: VertexFunction | None, b: VertexFunction | None):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a.pointwise(b)
+def _reduce(f1, f2, graph: FiniteGraph):
+    """The product rule: the factors ``(left, middle, right)`` of the
+    normal form of ``w1 w2``, less the coefficient, from those of ``w1``
+    and ``w2``, lists of edge arrays and a vertex array or ``None`` on any
+    common leading shape.  The meeting annihilations and creations chain
+    into inner products; the rest acts on the first surviving creation by
+    the left action, or conjugated on the first surviving annihilation,
+    and a middle beside creations is absorbed into the last one."""
+    (l1, mid1, r1), (l2, mid2, r2) = f1, f2
+    cc = None
+    for y, x in zip(r1, l2):
+        t = y.conj() * (x if cc is None else cc[..., graph.rng_idx] * x)
+        cc = np.zeros(t.shape[:-1] + (graph.n_vertices,),
+                      dtype=np.complex128)
+        np.add.at(cc, (..., graph.src_idx), t)
+    if len(r1) <= len(l2):
+        mid, rem = _times(mid1, cc), l2[len(r1):]
+        if rem and mid is not None:
+            rem[0] = mid[..., graph.rng_idx] * rem[0]
+        left, middle, right = ((l1 + rem, mid2, r2) if rem
+                               else (l1, _times(mid, mid2), r2))
+    else:
+        rem, b = r1[len(l2):], _times(cc, mid2)
+        if b is not None:
+            rem[0] = b.conj()[..., graph.rng_idx] * rem[0]
+        left, middle, right = l1, mid1, r2 + rem
+    if middle is not None and left:
+        left[-1], middle = left[-1] * middle[..., graph.src_idx], None
+    return left, middle, right
+
+
+def _times(a, b):
+    """``a * b`` with ``None`` as the unit."""
+    return b if a is None else a if b is None else a * b
 
 
 class ToeplitzElement:
@@ -616,52 +635,29 @@ def _batch_product(batches1, batches2, graph: FiniteGraph) -> list:
     """The :func:`_shape_batches` of ``e1 * e2`` from those of ``e1`` and
     ``e2``, trial by trial (a one-trial operand serves every trial): each
     pair of stacks gives a stack of ``k1 * k2`` words in the pair order of
-    :meth:`ToeplitzElement.__mul__` by :func:`word_multiply`'s rules, none
-    merged, less those zero in every trial (as through orthogonal deltas)."""
-    src, rng = graph.src_idx, graph.rng_idx
+    :meth:`ToeplitzElement.__mul__`, factors by :func:`_reduce` and
+    coefficients by :func:`_cmul`, so every row is bitwise the word product
+    :func:`word_multiply` gives; none merged, less those zero in every
+    trial (as through orthogonal deltas)."""
     out = []
-    for m1, n1, c1, *f1 in batches1:
-        for m2, n2, c2, *f2 in batches2:
+    for _, _, c1, *f1 in batches1:
+        for _, _, c2, *f2 in batches2:
             # word i * k2 + j of the product is the pair (word i, word j)
             i, j = np.divmod(np.arange(c1.shape[1] * c2.shape[1]),
                              c2.shape[1])
             trial = np.arange(max(len(c1), len(c2)))[:, None]
-            (l1, mid1, r1), (l2, mid2, r2) = (
+            left, middle, right = _reduce(*(
                 ([a[trial % len(a), k] for a in ls],
                  None if mid is None else mid[trial % len(mid), k],
                  [a[trial % len(a), k] for a in rs])
-                for (ls, mid, rs), k in ((f1, i), (f2, j)))
-            cc = None
-            for y, x in zip(r1, l2):
-                t = y.conj() * (x if cc is None else cc[..., rng] * x)
-                cc = np.zeros(t.shape[:-1] + (graph.n_vertices,),
-                              dtype=np.complex128)
-                np.add.at(cc, (..., src), t)
-            if n1 <= m2:
-                mid, rem = _times(mid1, cc), l2[n1:]
-                if rem and mid is not None:
-                    rem[0] = mid[..., rng] * rem[0]
-                left, middle, right = ((l1 + rem, mid2, r2) if rem
-                                       else (l1, _times(mid, mid2), r2))
-            else:
-                rem, b = r1[m2:], _times(cc, mid2)
-                if b is not None:
-                    rem[0] = b.conj()[..., rng] * rem[0]
-                left, middle, right = l1, mid1, r2 + rem
-            if middle is not None and left:
-                left[-1], middle = left[-1] * middle[..., src], None
-            c = c1[:, i] * c2[:, j]
+                for (ls, mid, rs), k in ((f1, i), (f2, j))), graph)
+            c = _cmul(c1[:, i], c2[:, j])
             keep = _live_words(c, left, middle, right).any(axis=0)
             out.append((len(left), len(right), c[:, keep],
                         [a[:, keep] for a in left],
                         None if middle is None else middle[:, keep],
                         [a[:, keep] for a in right]))
     return _concat_batches(out)
-
-
-def _times(a, b):
-    """:func:`_pointwise` on stacked arrays."""
-    return b if a is None else a if b is None else a * b
 
 
 def _live_words(c, ls, mid, rs) -> np.ndarray:
@@ -795,6 +791,8 @@ def triple_iso_transport(iso, E: FiniteGraph, F: FiniteGraph,
     degrees, and intertwine inner products and both module actions; the
     ``transport`` check returned carries the largest residual.
     """
+    if trials < 1:
+        raise FormatError(f"trials {trials} is below 1")
     iso.verify(E, F)
     rng = np.random.default_rng(seed)
 

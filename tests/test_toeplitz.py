@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphcorr import toeplitz
 from graphcorr.conjugacy import GraphIsomorphism
-from graphcorr.errors import FormatError, SizeLimitError
+from graphcorr.double_cover import run_verification
+from graphcorr.errors import FormatError, MismatchError, SizeLimitError
 from graphcorr.fixtures import (FINITE_FIXTURES, edgeless, fibonacci,
                                 k_loops, single_loop, ten_edge)
-from graphcorr.graphs import path_index_tuples
+from graphcorr.graphs import FiniteGraph, path_index_tuples
+from graphcorr.kms import KMSParameters, extremal_separation_check
 from graphcorr.modules import (ModuleElement, delta_edge, delta_vertex,
                                inner_product, left_action,
                                random_module_element, random_vertex_function,
@@ -22,6 +26,8 @@ from graphcorr.toeplitz import (ToeplitzElement, TruncatedFock, Word,
                                 iota_word, pi_word, reconstruct_module_check,
                                 spectral_component, triple_iso_transport,
                                 vacuum_projection, word, word_multiply)
+
+from strategies import finite_graphs
 
 # ---------------------------------------------------------------------------
 # word products
@@ -267,11 +273,26 @@ def basis_product(elems, graph):
     return out if out is not None else {}
 
 
-@pytest.mark.parametrize("trials", [0, -1])
-def test_reconstruction_refuses_nonpositive_trials(trials):
-    # no identity would be checked, so a PASS would be vacuous
+def _identity_transport(trials):
+    g = fibonacci()
+    iso = GraphIsomorphism(vertices=np.arange(g.n_vertices),
+                           edges=np.arange(g.n_edges))
+    return triple_iso_transport(iso, g, g, trials=trials)
+
+
+@pytest.mark.parametrize("trials", [0, -1, -3])
+@pytest.mark.parametrize("check", [
+    lambda t: reconstruct_module_check(fibonacci(), trials=t),
+    _identity_transport,
+    lambda t: extremal_separation_check(KMSParameters(fibonacci(), 2.0),
+                                        trials=t),
+    lambda t: run_verification(grid=64, trials=t),
+], ids=["reconstruct_module_check", "triple_iso_transport",
+        "extremal_separation_check", "run_verification"])
+def test_library_refuses_nonpositive_trials(check, trials):
+    # no random trial would be checked, so a PASS would be vacuous
     with pytest.raises(FormatError, match="below 1"):
-        reconstruct_module_check(fibonacci(), trials=trials)
+        check(trials)
 
 
 @pytest.mark.parametrize("builder", [single_loop, fibonacci])
@@ -319,8 +340,12 @@ def test_transport_rejects_non_isomorphism():
 
 def test_word_algebra_requires_finite_graph():
     from graphcorr.fixtures import circle_double_cover
+    g = circle_double_cover()
     with pytest.raises(FormatError):
-        ToeplitzElement(circle_double_cover(), [])
+        ToeplitzElement(g, [])
+    w = iota_word(ModuleElement(g, [np.ones(16)], 8))
+    with pytest.raises(FormatError):
+        word_multiply(w, w)
 
 
 # ---------------------------------------------------------------------------
@@ -556,11 +581,59 @@ def test_indexed_basis_multiply_matches_pair_scan(name):
 # batched word products against the Word route
 
 
+def _oracle_multiply(w1, w2):
+    """The Word route's product rule, one pair of words at a time through
+    the module layer's ``inner_product`` and ``left_action``: the oracle
+    the library's one rule, ``toeplitz._reduce``, is checked against."""
+    if w1.graph() is not None and w2.graph() is not None \
+            and w1.graph() is not w2.graph():
+        raise MismatchError("words live over different graphs")
+    c = w1.coeff * w2.coeff
+    if c == 0:
+        return None
+    n, p = len(w1.right), len(w2.left)
+    k = min(n, p)
+    cc = None
+    for j in range(k):
+        t = w2.left[j] if cc is None else left_action(cc, w2.left[j])
+        cc = inner_product(w1.right[j], t)
+    if n <= p:
+        mid = _pointwise(w1.middle, cc)
+        rem = list(w2.left[n:])
+        if rem:
+            if mid is not None:
+                rem[0] = left_action(mid, rem[0])
+            out = word(c, w1.left + tuple(rem), w2.middle, w2.right)
+        else:
+            out = word(c, w1.left, _pointwise(mid, w2.middle), w2.right)
+    else:
+        rem = list(w1.right[p:])
+        b = _pointwise(cc, w2.middle)
+        if b is not None:
+            rem[0] = left_action(b.conj(), rem[0])
+        out = word(c, w1.left, w1.middle, w2.right + tuple(rem))
+    return None if out.is_zero() else out
+
+
+def _pointwise(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a.pointwise(b)
+
+
+def _oracle_product(e1, e2):
+    """``e1 * e2`` with its word products by :func:`_oracle_multiply`."""
+    prods = (_oracle_multiply(w1, w2) for w1 in e1.words for w2 in e2.words)
+    return ToeplitzElement(e1.graph, [w for w in prods if w is not None])
+
+
 def _elem_product(factors, graph):
     """The Word route: elements multiplied word by word and merged."""
     out = None
     for f in factors:
-        out = f if out is None else out * f
+        out = f if out is None else _oracle_product(out, f)
     return out if out is not None else ToeplitzElement(graph, [])
 
 
@@ -598,7 +671,7 @@ def _word_route_reconstruct(graph, trials, tol, seed, depth=4):
         crt_eta = ToeplitzElement(graph, [iota_word(eta)])
         rhs0 = ToeplitzElement(graph, [pi_word(inner_product(xi, eta))])
         record(f"compress[{t}]", [p, ann_xi, crt_eta, p], [rhs0, p],
-               sym_lhs=[p, ann_xi * crt_eta, p])
+               sym_lhs=[p, _oracle_product(ann_xi, crt_eta), p])
         for n in (1, 2):
             xs = tuple(random_module_element(graph, rng) for _ in range(n + 1))
             ys = tuple(random_module_element(graph, rng) for _ in range(n))
@@ -608,7 +681,7 @@ def _word_route_reconstruct(graph, trials, tol, seed, depth=4):
         crt_xi = ToeplitzElement(graph, [iota_word(xi)])
         crt_axi = ToeplitzElement(graph, [iota_word(left_action(a, xi))])
         record(f"bimodule[{t}]", [pa, crt_xi, p], [crt_axi, p],
-               sym_lhs=[pa * crt_xi, p])
+               sym_lhs=[_oracle_product(pa, crt_xi), p])
     first = next((c for c in checks if not c.passed), None)
     return summarize("reconstruction", checks,
                      first.name if first else f"{len(checks)} identities")
@@ -731,32 +804,131 @@ def test_trial_rows_match_one_trial_runs(name):
                     == _apply_batches(f, b, f.dim)[0].tobytes()
 
 
+def _word_row(w):
+    """A word's shape, coefficient and factors as bytes."""
+    return (w.creations, w.annihilations, np.complex128(w.coeff).tobytes(),
+            tuple(x.values.tobytes() for x in w.left),
+            None if w.middle is None else w.middle.values.tobytes(),
+            tuple(y.values.tobytes() for y in w.right))
+
+
+def _batch_rows(batches, t=0):
+    """:func:`_word_row` of every word of trial ``t`` of ``batches``."""
+    return [(m, n, c[t, k].tobytes(), tuple(x[t, k].tobytes() for x in ls),
+             None if mid is None else mid[t, k].tobytes(),
+             tuple(y[t, k].tobytes() for y in rs))
+            for m, n, c, ls, mid, rs in batches for k in range(c.shape[1])]
+
+
+def _oracle_rows(e1, e2, got):
+    """:func:`_word_row` of the oracle products of ``e1`` and ``e2`` in the
+    order of their stacked product ``got``: by pair of shape stacks, pair
+    order within, then grouped by the product shapes in ``got``'s order."""
+    def stacks(e):
+        groups: dict = {}
+        for w in e.words:
+            key = (w.creations, w.annihilations, w.middle is not None)
+            groups.setdefault(key, []).append(w)
+        return list(groups.values())
+
+    prods = [w for s1 in stacks(e1) for s2 in stacks(e2)
+             for w1 in s1 for w2 in s2
+             if (w := _oracle_multiply(w1, w2)) is not None]
+    return [_word_row(w) for m, n, _, _, mid, _ in got for w in prods
+            if (w.creations, w.annihilations, w.middle is not None)
+            == (m, n, mid is not None)]
+
+
 @pytest.mark.parametrize("name", RECONSTRUCT_FIXTURES)
 def test_batch_product_matches_word_products(name):
     g = FINITE_FIXTURES[name]()
     rng = np.random.default_rng(15)
-    focks = [TruncatedFock(g, v, 4) for v in g.vertices]
     shapes, pairs, kept = set(), 0, 0
     for _ in range(8):
         e1 = _sparse_element(g, rng, n_words=5)
         e2 = _sparse_element(g, rng, n_words=5)
         got = _batch_product(_shape_batches(e1), _shape_batches(e2), g)
-        want = _shape_batches(e1 * e2)
         shapes |= {(m, n, mid is not None) for m, n, _, _, mid, _ in got}
-        # the batched product drops the words the Word route finds zero
-        live = sum(c.size for _, _, c, *_ in got)
-        assert live == sum(word_multiply(w1, w2) is not None
-                           for w1 in e1.words for w2 in e2.words)
+        # every stacked row is bitwise the oracle's word product, and the
+        # stack drops exactly the products the oracle finds zero
+        assert _batch_rows(got) == _oracle_rows(e1, e2, got)
         pairs += len(e1.words) * len(e2.words)
-        kept += live
-        for f in focks:
-            a = _apply_batches(f, got, f.dim)
-            b = _apply_batches(f, want, f.dim)
-            scale = max(np.max(np.abs(b), initial=0.0), 1.0)
-            assert np.max(np.abs(a - b)) <= 1e-12 * scale
+        kept += sum(c.size for _, _, c, *_ in got)
     # middles, pure annihilations and pure creations all occur
     assert {(0, 0, True), (0, 1, True), (1, 0, False)} <= shapes
     assert kept < pairs or g.n_edges == 1    # one edge: no orthogonal deltas
+
+
+def _drawn_word(g, rng):
+    """A normal-form word over ``g`` of up to two creations and two
+    annihilations; about one in ten is a unit word with no graph, one in
+    ten has a zero coefficient, and factors are often edge deltas or
+    zero, so that many products vanish."""
+    coeff = 0j if rng.random() < 0.1 else complex(*rng.standard_normal(2))
+    if rng.random() < 0.1:
+        return word(coeff)
+
+    def factor():
+        u = rng.random()
+        if u < 0.1:
+            return ModuleElement(g, np.zeros(g.n_edges))
+        if u < 0.5:
+            return delta_edge(g, g.edges[int(rng.integers(g.n_edges))])
+        return random_module_element(g, rng)
+
+    m, n = (int(k) for k in rng.integers(0, 3, size=2)) if g.n_edges \
+        else (0, 0)
+    middle = random_vertex_function(g, rng) if rng.random() < 0.5 else None
+    return word(coeff, [factor() for _ in range(m)], middle,
+                [factor() for _ in range(n)])
+
+
+GENERATED = settings(deadline=None, derandomize=True, database=None)
+
+
+@GENERATED
+@given(g=finite_graphs(), seed=st.integers(0, 2 ** 32 - 1))
+def test_word_multiply_matches_oracle_on_generated_graphs(g, seed):
+    rng = np.random.default_rng(seed)
+    words = [_drawn_word(g, rng) for _ in range(6)]
+    for w1 in words:
+        for w2 in words:
+            got, want = word_multiply(w1, w2), _oracle_multiply(w1, w2)
+            assert (got is None) == (want is None)
+            assert got is None or _word_row(got) == _word_row(want)
+
+
+@GENERATED
+@given(g=finite_graphs(), seed=st.integers(0, 2 ** 32 - 1))
+def test_batch_product_matches_oracle_on_generated_graphs(g, seed):
+    rng = np.random.default_rng(seed)
+    e1, e2 = (ToeplitzElement(g, [_drawn_word(g, rng) for _ in range(4)])
+              for _ in range(2))
+    got = _batch_product(_shape_batches(e1), _shape_batches(e2), g)
+    assert _batch_rows(got) == _oracle_rows(e1, e2, got)
+
+
+@GENERATED
+@given(g=finite_graphs(), seed=st.integers(0, 2 ** 32 - 1))
+def test_words_over_two_graphs_do_not_multiply(g, seed):
+    # an equal copy of g is still another graph; unit words have none
+    h = FiniteGraph(g.vertices, g.edges, g.src, g.rng)
+    rng = np.random.default_rng(seed)
+    for w1, w2 in zip([_drawn_word(g, rng) for _ in range(4)],
+                      [_drawn_word(h, rng) for _ in range(4)]):
+        if w1.graph() is not None and w2.graph() is not None:
+            with pytest.raises(MismatchError):
+                word_multiply(w1, w2)
+        else:
+            got, want = word_multiply(w1, w2), _oracle_multiply(w1, w2)
+            assert (got is None) == (want is None)
+            assert got is None or _word_row(got) == _word_row(want)
+    if g.n_edges:
+        # one word over both graphs, its factors never meeting the other's
+        mixed = word(1.0, [random_module_element(g, rng)], None,
+                     [random_module_element(h, rng)])
+        with pytest.raises(MismatchError):
+            word_multiply(mixed, word(1.0))
 
 
 @pytest.mark.parametrize("seed", [0, 42])
