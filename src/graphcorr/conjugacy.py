@@ -21,8 +21,9 @@ import numpy as np
 
 from .errors import (FormatError, NoMatchingError, SingularMatrixError,
                      SizeLimitError)
-from .graphs import (ANGLE_TOL, TWO_PI, Arc, CircleCoveringGraph, FiniteGraph,
-                     angle_dist, s_section_decomposition, wrap_angle)
+from .graphs import (ANGLE_TOL, MAX_SEARCH, TWO_PI, Arc, CircleCoveringGraph,
+                     FiniteGraph, angle_dist, s_section_decomposition,
+                     wrap_angle)
 from .modules import (DEFAULT_BASE_GRID, ModuleElement, VertexFunction,
                       _range_index, _source_index, delta_edge, delta_vertex,
                       inner_product)
@@ -464,46 +465,70 @@ def local_conjugacy_check(E: CircleCoveringGraph, F: CircleCoveringGraph,
     holds on sampled points.  Returns a certificate, a refutation for
     genuine invariants, or an inconclusive report: rigid maps are only a
     slice of all homeomorphisms.
+
+    Rotations come before reflections, each by ascending offset; the first
+    map whose arcs all admit a perfect matching wins.  Offsets are tested in
+    array blocks, arc by arc.  More than ``MAX_SEARCH`` section-pair samples
+    (at most ``grid + 2 n_E n_F`` offsets) raise ``SizeLimitError``.
     """
     if not isinstance(E, CircleCoveringGraph) \
             or not isinstance(F, CircleCoveringGraph):
         raise FormatError("rigid circle-covering graphs required")
-    if E.total_fiber_degree() != F.total_fiber_degree():
+    k = E.total_fiber_degree()
+    if k != F.total_fiber_degree():
         return Refutation("fiber counts differ")
-    offsets = {wrap_angle(TWO_PI * i / grid) for i in range(grid)}
-    for ce in E.components:
-        for cf in F.components:
-            offsets.add(wrap_angle(cf.source_offset - ce.source_offset))
-            offsets.add(wrap_angle(cf.source_offset + ce.source_offset))
+    work = (grid + 2 * E.n_components * F.n_components) * k * k * samples \
+        * n_arcs
+    if work > MAX_SEARCH:
+        raise SizeLimitError(f"local conjugacy search over {work} section-"
+                             f"pair samples exceeds the {MAX_SEARCH} limit")
+    offsets = sorted({wrap_angle(TWO_PI * i / grid) for i in range(grid)} | {
+        wrap_angle(cf.source_offset + sign * ce.source_offset)
+        for ce in E.components for cf in F.components for sign in (-1, 1)})
+    arcs = []
+    for a in range(n_arcs):
+        W, se = s_section_decomposition(E, TWO_PI * a / n_arcs,
+                                        width=TWO_PI / n_arcs + 0.2)
+        w_s = W.sample(samples, margin=1e-3)
+        arcs.append((TWO_PI * a / n_arcs, W, w_s,
+                     np.array([sec.range_at(w_s) for sec in se])))
+    # blocks of 1, 8, 64, ... offsets up to 2^16 section-pair samples: an
+    # early certificate stays cheap and memory does not grow with the grid
+    offs, cap = np.array(offsets)[:, None, None], 2 ** 16 // (k * k * samples)
     for reflect in (False, True):
-        for off in sorted(offsets):
-            phi0 = RigidCircleMap(offset=off, reflect=reflect)
-            cert = _try_certificate(E, F, phi0, tol, n_arcs, samples)
-            if cert is not None:
-                return cert
+        lo, size = 0, 1
+        while lo < len(offsets):
+            alive, mats = np.arange(lo, min(lo + size, len(offsets))), []
+            for arc in arcs:
+                if not alive.size:
+                    break
+                C = _arc_compat(arc, F, RigidCircleMap(offs[alive], reflect),
+                                tol)
+                keep = C.any(axis=2).all(axis=1) & C.any(axis=1).all(axis=1)
+                alive, mats = alive[keep], [c[keep] for c in mats + [C]]
+            for i, o in enumerate(alive):
+                sigmas = [_augmenting_matching(c[i]) for c in mats]
+                if None not in sigmas:
+                    return LocalConjugacyCertificate(
+                        RigidCircleMap(offsets[o], reflect),
+                        [ArcMatching(arc[1], tuple(enumerate(s)))
+                         for arc, s in zip(arcs, sigmas)])
+            lo, size = lo + size, max(1, min(8 * size, cap))
     return Inconclusive("no rigid certificate found; non-rigid local "
                         "conjugacies are outside the search class")
 
 
-def _try_certificate(E, F, phi0, tol, n_arcs, samples):
-    matchings = []
-    for a in range(n_arcs):
-        center = TWO_PI * a / n_arcs
-        width = TWO_PI / n_arcs + 0.2
-        W, se = s_section_decomposition(E, center, width=width)
-        _, sf = s_section_decomposition(F, phi0(center), width=width)
-        w_s = W.sample(samples, margin=1e-3)
-        compat = np.zeros((len(se), len(sf)), dtype=bool)
-        for i, secE in enumerate(se):
-            targetE = phi0(secE.range_at(w_s))
-            for j, secF in enumerate(sf):
-                # F-section over phi0(W): lift at phi0(w)
-                targetF = secF.range_at(phi0(w_s))
-                if np.max(angle_dist(targetE, targetF)) <= tol:
-                    compat[i, j] = True
-        sigma = _augmenting_matching(compat)
-        if sigma is None:
-            return None
-        matchings.append(ArcMatching(
-            arc=W, pairs=tuple((i, sigma[i]) for i in range(len(se)))))
-    return LocalConjugacyCertificate(vertex_map=phi0, matchings=matchings)
+def _arc_compat(arc, F, phi, tol):
+    """Compatibility tensor ``(offset, E-section, F-section)`` of the arc
+    ``(center, W, w_s, E's section ranges at w_s)`` under maps ``phi`` of
+    offsets ``(K, 1, 1)``; F's sections over ``phi(W)`` as ``SSection``."""
+    center, W, w_s, rE = arc
+    d, soff, branch, m, roff = np.array(
+        [(c.source_degree, c.source_offset, b, c.range_degree, c.range_offset)
+         for c in F.components for b in range(c.source_degree)]).T[..., None]
+    start = np.fmod(phi(center) - 0.5 * W.length, TWO_PI)   # wrap_angle
+    start = np.where(start < 0.0, start + TWO_PI, start)
+    start = np.where(start >= TWO_PI, 0.0, start)
+    u = (start + (phi(w_s) - start) % TWO_PI - soff + TWO_PI * branch) / d
+    rF = (roff + m * (u % TWO_PI)) % TWO_PI
+    return angle_dist(phi(rE)[:, :, None], rF[:, None]).max(-1) <= tol

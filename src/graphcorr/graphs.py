@@ -28,6 +28,8 @@ MAX_PATHS = 10**6
 #: largest covering degree ``|d|``, ``|m|`` a circle component may have;
 #: ``graph sections`` samples every section, so its cost is linear in ``d``
 MAX_DEGREE = 4096
+#: largest local-conjugacy search, in section-pair samples over all arcs
+MAX_SEARCH = 10**8
 
 
 def wrap_angle(t: float) -> float:

@@ -12,6 +12,7 @@ on the grid; range compositions also need ``d | m`` per component).
 """
 from __future__ import annotations
 
+import functools
 import sys
 
 import numpy as np
@@ -162,32 +163,39 @@ def _base_size(graph, base_n: int | None) -> int:
 def _source_index(graph, base_n: int | None) -> np.ndarray:
     """Base index of the source of every sample, in ``values`` order:
     sample ``i`` of a circle component sits over ``(off + i) mod N``."""
-    if base_n is None:
-        return graph.src_idx
-    parts = []
-    for comp in graph.components:
-        off = _grid_offset(comp.source_offset, base_n, "source offset")
-        parts.append(np.tile(np.r_[off:base_n, :off], comp.source_degree))
-    return np.concatenate(parts)
+    return graph.src_idx if base_n is None \
+        else _circle_index(graph.components, base_n, False)
 
 
 def _range_index(graph, base_n: int | None) -> np.ndarray:
     """Base index of the range of every sample, in ``values`` order:
     ``(roff + (m / d) i) mod N`` on a circle component, which needs ``d | m``
     and, like the source, has period ``N`` in ``i``."""
-    if base_n is None:
-        return graph.rng_idx
+    return graph.rng_idx if base_n is None \
+        else _circle_index(graph.components, base_n, True)
+
+
+@functools.lru_cache(maxsize=4)
+def _circle_index(components, base_n: int, of_range: bool) -> np.ndarray:
+    """Read-only circle index map of :func:`_source_index` or, ``of_range``,
+    :func:`_range_index`, memoised per components and grid (errors are not)."""
     parts = []
-    for ci, comp in enumerate(graph.components):
+    for ci, comp in enumerate(components):
         d, m = comp.source_degree, comp.range_degree
-        if m % d != 0:
+        if not of_range:
+            off = _grid_offset(comp.source_offset, base_n, "source offset")
+            row = np.r_[off:base_n, :off]
+        elif m % d != 0:
             raise MismatchError(
                 f"component {ci}: range degree {m} not divisible by source "
                 f"degree {d}; range composition leaves the sample grid")
-        roff = _grid_offset(comp.range_offset, base_n, "range offset")
-        parts.append(np.tile((roff + (m // d) * np.arange(base_n)) % base_n,
-                             d))
-    return np.concatenate(parts)
+        else:
+            roff = _grid_offset(comp.range_offset, base_n, "range offset")
+            row = (roff + (m // d) * np.arange(base_n)) % base_n
+        parts.append(np.tile(row, d))
+    out = np.concatenate(parts)
+    out.flags.writeable = False
+    return out
 
 
 def inner_product(x: ModuleElement, y: ModuleElement) -> VertexFunction:

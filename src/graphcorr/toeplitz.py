@@ -206,6 +206,9 @@ class ToeplitzElement:
         if not isinstance(graph, FiniteGraph):
             raise FormatError("the word algebra is defined for finite graphs")
         self.graph = graph
+        words = tuple(words)
+        if any(w.graph() not in (None, graph) for w in words):
+            raise MismatchError("a word lives over a different graph")
         self.words = _merge_words([w for w in words if not w.is_zero()])
 
     # -- algebra ------------------------------------------------------------

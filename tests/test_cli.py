@@ -280,6 +280,16 @@ def test_covering_degree_above_the_cap_is_refused(d, m, command, tmp_path,
     assert "FAIL  domain" in out and str(MAX_DEGREE) in out
 
 
+def test_local_conjugacy_search_above_the_budget_is_refused(tmp_path,
+                                                             capsys):
+    path = _circle_file(tmp_path, MAX_DEGREE, MAX_DEGREE)
+    t0 = time.perf_counter()
+    assert run("localconj", "check", path, path) == 1
+    assert time.perf_counter() - t0 < 1.0
+    out = capsys.readouterr().out
+    assert "FAIL  domain" in out and "exceeds the 100000000 limit" in out
+
+
 MISSING = object()
 #: JSON values that belong nowhere in a graph file
 JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=2),

@@ -4,9 +4,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from graphcorr.conjugacy import (FrameData, GraphIsomorphism, Inconclusive,
-                                 LocalConjugacyCertificate, Refutation,
+from graphcorr.conjugacy import (ArcMatching, FrameData, GraphIsomorphism,
+                                 Inconclusive, LocalConjugacyCertificate,
+                                 Refutation, RigidCircleMap,
+                                 _arc_compat, _augmenting_matching,
                                  _refine_colors, bimodule_invariants,
                                  bump_frame, finite_frame,
                                  finite_graph_isomorphism, frame_verify,
@@ -17,13 +20,16 @@ from graphcorr.fixtures import (FINITE_FIXTURES, circle_double_cover,
                                 circle_triple_cover, circle_two_loops,
                                 edgeless, fibonacci, k_loops, single_loop,
                                 ten_edge)
-from graphcorr.graphs import (TWO_PI, CircleCoveringGraph, EdgeComponent,
-                              FiniteGraph)
+from graphcorr.graphs import (MAX_DEGREE, TWO_PI, CircleCoveringGraph,
+                              EdgeComponent, FiniteGraph, angle_dist,
+                              s_section_decomposition, wrap_angle)
 from graphcorr.modules import (ModuleElement, VertexFunction, left_action,
                                right_action)
 from graphcorr.suite import (CYCLE_PARTITIONS, _cycle_graph_union,
                              _exhaustive_isomorphic, _random_graph,
                              relabeled_copy)
+
+from strategies import circle_pairs
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -72,6 +78,60 @@ def reference_invariants(E):
         *(itertools.permutations(cls) for cls in classes)))
     return (n,) + min(tuple(int(A[p[i], p[j]]) for i in range(n)
                             for j in range(n)) for p in orderings)
+
+
+def loop_local_conjugacy_check(E, F, tol=1e-9, grid=720, n_arcs=6,
+                               samples=12):
+    """The rigid search one base map at a time: every offset in order,
+    rotations first, each arc's compatibility matrix one section pair at a
+    time (:func:`loop_compat`), the first full certificate returned."""
+    if E.total_fiber_degree() != F.total_fiber_degree():
+        return Refutation("fiber counts differ")
+    offsets = {wrap_angle(TWO_PI * i / grid) for i in range(grid)}
+    for ce in E.components:
+        for cf in F.components:
+            offsets.add(wrap_angle(cf.source_offset - ce.source_offset))
+            offsets.add(wrap_angle(cf.source_offset + ce.source_offset))
+    for reflect in (False, True):
+        for off in sorted(offsets):
+            phi0 = RigidCircleMap(offset=off, reflect=reflect)
+            cert = _try_certificate(E, F, phi0, tol, n_arcs, samples)
+            if cert is not None:
+                return cert
+    return Inconclusive("no rigid certificate found; non-rigid local "
+                        "conjugacies are outside the search class")
+
+
+def loop_compat(E, F, phi0, a, tol=1e-9, n_arcs=6, samples=12):
+    """Arc ``a``'s E arc and compatibility matrix under ``phi0``: section
+    pair ``(i, j)`` is compatible when ``phi0`` carries E's range along
+    section ``i`` onto F's along section ``j`` at every sample."""
+    center = TWO_PI * a / n_arcs
+    width = TWO_PI / n_arcs + 0.2
+    W, se = s_section_decomposition(E, center, width=width)
+    _, sf = s_section_decomposition(F, phi0(center), width=width)
+    w_s = W.sample(samples, margin=1e-3)
+    compat = np.zeros((len(se), len(sf)), dtype=bool)
+    for i, secE in enumerate(se):
+        targetE = phi0(secE.range_at(w_s))
+        for j, secF in enumerate(sf):
+            # F-section over phi0(W): lift at phi0(w)
+            targetF = secF.range_at(phi0(w_s))
+            if np.max(angle_dist(targetE, targetF)) <= tol:
+                compat[i, j] = True
+    return W, compat
+
+
+def _try_certificate(E, F, phi0, tol, n_arcs, samples):
+    matchings = []
+    for a in range(n_arcs):
+        W, compat = loop_compat(E, F, phi0, a, tol, n_arcs, samples)
+        sigma = _augmenting_matching(compat)
+        if sigma is None:
+            return None
+        matchings.append(ArcMatching(
+            arc=W, pairs=tuple((i, sigma[i]) for i in range(len(sigma)))))
+    return LocalConjugacyCertificate(vertex_map=phi0, matchings=matchings)
 
 
 # ---------------------------------------------------------------------------
@@ -414,3 +474,83 @@ def test_rotated_self_conjugacy():
 def test_non_rigid_input_rejected():
     with pytest.raises(FormatError):
         local_conjugacy_check(fibonacci(), circle_two_loops())
+
+
+def _rigid(d, m, s_offset, r_offset):
+    return CircleCoveringGraph([EdgeComponent(d, s_offset, m, r_offset)])
+
+
+def _same_result(got, want):
+    if isinstance(want, LocalConjugacyCertificate):
+        return got == want
+    return type(got) is type(want) and got.reason == want.reason
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(pair=circle_pairs())
+def test_search_matches_the_loop_oracle(pair):
+    E, F = pair
+    for grid in (8, 24):
+        assert _same_result(local_conjugacy_check(E, F, grid=grid),
+                            loop_local_conjugacy_check(E, F, grid=grid))
+
+
+#: a certificate pair, an inconclusive pair (range degrees 2 and 4) and a
+#: mirrored pair with reflection certificates
+COMPAT_PAIRS = [
+    (circle_two_loops(), circle_double_cover()),
+    (_rigid(2, 2, TWO_PI * 115 / 1024, TWO_PI * 250 / 1024),
+     _rigid(2, 4, TWO_PI * 340 / 1024, TWO_PI * 705 / 1024)),
+    (_rigid(3, -3, TWO_PI * 5 / 64, TWO_PI * 9 / 64),
+     _rigid(3, -3, -TWO_PI * 5 / 64, -TWO_PI * 9 / 64)),
+]
+
+
+@pytest.mark.parametrize("E, F", COMPAT_PAIRS)
+def test_compatibility_tensor_is_bitwise_the_loops(E, F):
+    grid, n_arcs, samples = 48, 6, 12
+    offsets = sorted({wrap_angle(TWO_PI * i / grid) for i in range(grid)})
+    phis = np.array(offsets)[:, None, None]
+    for a in range(n_arcs):
+        center = TWO_PI * a / n_arcs
+        W, se = s_section_decomposition(E, center, width=TWO_PI / n_arcs + 0.2)
+        w_s = W.sample(samples, margin=1e-3)
+        arc = (center, W, w_s, np.array([sec.range_at(w_s) for sec in se]))
+        for reflect in (False, True):
+            got = _arc_compat(arc, F, RigidCircleMap(phis, reflect), 1e-9)
+            for off, matrix in zip(offsets, got):
+                _, want = loop_compat(E, F, RigidCircleMap(off, reflect), a)
+                assert np.array_equal(matrix, want), (a, off, reflect)
+
+
+def test_reflection_certificate():
+    E = CircleCoveringGraph([EdgeComponent(1, 0.0, 2, 0.1234),
+                             EdgeComponent(1, 0.0, 2, 0.5)])
+    F = CircleCoveringGraph([EdgeComponent(1, 0.0, 2, -0.1234),
+                             EdgeComponent(1, 0.0, 2, -0.5)])
+    res = local_conjugacy_check(E, F)
+    assert isinstance(res, LocalConjugacyCertificate)
+    assert res.vertex_map == RigidCircleMap(0.0, reflect=True)
+    assert res == loop_local_conjugacy_check(E, F)
+
+
+def test_range_degree_two_against_four_is_inconclusive():
+    # the benchmark's inconclusive shape: same fibers, range degrees 2 and 4
+    E, F = COMPAT_PAIRS[1]
+    res = local_conjugacy_check(E, F)
+    assert isinstance(res, Inconclusive) and "no rigid certificate" \
+        in res.reason
+    assert _same_result(res, loop_local_conjugacy_check(E, F))
+
+
+def test_search_above_the_budget_is_refused_quickly():
+    g = _rigid(MAX_DEGREE, MAX_DEGREE, 0.0, 0.0)
+    t0 = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="exceeds the 100000000 limit"):
+        local_conjugacy_check(g, g)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_search_at_the_largest_grid_finishes():
+    E, F = COMPAT_PAIRS[1]
+    assert isinstance(local_conjugacy_check(E, F, grid=2 ** 16), Inconclusive)

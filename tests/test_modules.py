@@ -9,7 +9,8 @@ from graphcorr.errors import MismatchError
 from graphcorr.fixtures import circle_double_cover, fibonacci, ten_edge
 from graphcorr.graphs import (TWO_PI, CircleCoveringGraph, EdgeComponent,
                               FiniteGraph, enumerate_paths)
-from graphcorr.modules import (ModuleElement, VertexFunction, delta_edge,
+from graphcorr.modules import (ModuleElement, VertexFunction, _circle_index,
+                               _range_index, _source_index, delta_edge,
                                delta_vertex, element_from_dict,
                                element_from_function, element_to_dict,
                                fiber_evaluation, inner_product, left_action,
@@ -426,3 +427,36 @@ def test_element_json_round_trip():
     x = random_module_element(g, rng)
     x2 = element_from_dict(g, element_to_dict(x))
     assert np.max(np.abs(x.values - x2.values)) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# index maps
+
+
+def test_circle_index_maps_are_memoised_read_only():
+    g = CircleCoveringGraph([EdgeComponent(2, TWO_PI * 3 / 64, 4,
+                                           TWO_PI * 5 / 64),
+                             EdgeComponent(1, 0.0, -3, TWO_PI / 2)])
+    h = CircleCoveringGraph(g.components)      # equal components, new graph
+    for index, of_range in ((_source_index, False), (_range_index, True)):
+        first = index(g, 64)
+        assert index(g, 64) is first and index(h, 64) is first
+        with pytest.raises(ValueError):
+            first[0] = 1
+        fresh = _circle_index.__wrapped__(g.components, 64, of_range)
+        assert np.array_equal(first, fresh)
+        assert index(g, 128) is not first and index(g, 128).size == 3 * 128
+
+
+def test_refused_range_index_is_not_memoised():
+    g = CircleCoveringGraph([EdgeComponent(2, 0.0, 3, 0.0)])
+    for _ in range(3):
+        with pytest.raises(MismatchError, match="not divisible"):
+            _range_index(g, 64)
+    assert _source_index(g, 64).size == 2 * 64
+
+
+def test_finite_graphs_use_their_own_index_arrays():
+    g = fibonacci()
+    assert _source_index(g, None) is g.src_idx
+    assert _range_index(g, None) is g.rng_idx

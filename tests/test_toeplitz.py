@@ -931,6 +931,15 @@ def test_words_over_two_graphs_do_not_multiply(g, seed):
             word_multiply(mixed, word(1.0))
 
 
+def test_element_refuses_a_word_over_another_graph():
+    g, h = fibonacci(), fibonacci()
+    with pytest.raises(MismatchError, match="different graph"):
+        ToeplitzElement(g, [iota_word(delta_edge(h, "ab"))])
+    # unit words belong to every graph
+    assert len(ToeplitzElement(g, [word(2.0),
+                                   iota_word(delta_edge(g, "ab"))]).words) == 2
+
+
 @pytest.mark.parametrize("seed", [0, 42])
 @pytest.mark.parametrize("name", RECONSTRUCT_FIXTURES)
 def test_reconstruction_matches_word_route(name, seed):
