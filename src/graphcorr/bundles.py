@@ -16,15 +16,17 @@ what distinguishes a connected double cover from two disjoint loops.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError
-from .graphs import (ANGLE_TOL, TWO_PI, Arc, CircleCoveringGraph,
+from .errors import FormatError, SizeLimitError
+from .graphs import (ANGLE_TOL, MAX_FRAME, TWO_PI, Arc, CircleCoveringGraph,
                      EdgeComponent, angle_dist, arcs_cover_circle,
                      load_json, sections_over_arc, wrap_angle)
+from .modules import finite_real
 from .report import Check
 
 __all__ = [
@@ -41,10 +43,7 @@ def compose(f: tuple, g: tuple) -> tuple:
 
 
 def inverse(f: tuple) -> tuple:
-    out = [0] * len(f)
-    for i, j in enumerate(f):
-        out[j] = i
-    return tuple(out)
+    return tuple(sorted(range(len(f)), key=f.__getitem__))
 
 
 class ArcCover:
@@ -57,23 +56,18 @@ class ArcCover:
         if not arcs_cover_circle(self.arcs):
             raise FormatError("arcs do not cover the circle")
         self.overlaps: dict = {}
-        m = len(self.arcs)
-        for i in range(m):
-            for j in range(i + 1, m):
-                comps = self.arcs[i].intersect(self.arcs[j])
-                if len(comps) > 2:
-                    raise FormatError(
-                        f"overlap of arcs {i},{j} has {len(comps)} components;"
-                        " at most 2 are supported")
-                if comps:
-                    self.overlaps[(i, j)] = comps
+        for i, j in itertools.combinations(range(len(self.arcs)), 2):
+            comps = self.arcs[i].intersect(self.arcs[j])
+            if len(comps) > 2:
+                raise FormatError(
+                    f"overlap of arcs {i},{j} has {len(comps)} components;"
+                    " at most 2 are supported")
+            if comps:
+                self.overlaps[(i, j)] = comps
 
     def triple_overlaps(self, i: int, j: int, k: int) -> tuple:
-        out = []
-        for c in self.arcs[i].intersect(self.arcs[j]):
-            for piece in c.intersect(self.arcs[k]):
-                out.append(piece)
-        return tuple(out)
+        return tuple(piece for c in self.arcs[i].intersect(self.arcs[j])
+                     for piece in c.intersect(self.arcs[k]))
 
     def pair_component_at(self, i: int, j: int, t: float):
         """Index of the (i, j) overlap component containing angle ``t``."""
@@ -100,12 +94,13 @@ class PermCocycle:
         self.cover = cover
         self.transitions: dict = {}
         for (i, j, comp), perm in transitions.items():
-            perm = tuple(int(p) for p in perm)
-            if sorted(perm) != list(range(self.rank)):
+            # the length first: ``rank`` alone may be any size
+            if len(perm) != self.rank \
+                    or sorted(perm) != list(range(self.rank)):
                 raise FormatError(
                     f"transition ({i},{j},{comp}) is not a permutation "
                     f"of 0..{self.rank - 1}")
-            self._store(i, j, comp, perm)
+            self._store(i, j, comp, tuple(int(p) for p in perm))
         for (i, j), comps in cover.overlaps.items():
             for cidx in range(len(comps)):
                 if (j, i, cidx) not in self.transitions:
@@ -134,33 +129,24 @@ def cocycle_check(c: PermCocycle) -> Check:
     The ``cocycle-check`` returned names each violation on its own line
     of the detail.
     """
-    violations = []
-    m = len(c.cover.arcs)
-    for (i, j), comps in c.cover.overlaps.items():
-        for cidx in range(len(comps)):
-            s_ji = c.sigma(j, i, cidx)
-            s_ij = c.sigma(i, j, cidx)
-            if compose(s_ij, s_ji) != tuple(range(c.rank)):
-                violations.append(f"inverse law fails on overlap ({i},{j}) "
-                                  f"component {cidx}")
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                if len({i, j, k}) < 3:
-                    continue
-                for piece in c.cover.triple_overlaps(i, j, k):
-                    t = piece.midpoint()
-                    cij = c.cover.pair_component_at(i, j, t)
-                    cjk = c.cover.pair_component_at(j, k, t)
-                    cik = c.cover.pair_component_at(i, k, t)
-                    if None in (cij, cjk, cik):
-                        continue
-                    lhs = compose(c.sigma(k, j, cjk), c.sigma(j, i, cij))
-                    rhs = c.sigma(k, i, cik)
-                    if lhs != rhs:
-                        violations.append(
-                            f"cocycle law fails on triple ({i},{j},{k}) "
-                            f"at angle {t:.4f}")
+    violations = [
+        f"inverse law fails on overlap ({i},{j}) component {cidx}"
+        for (i, j), comps in c.cover.overlaps.items()
+        for cidx in range(len(comps))
+        if compose(c.sigma(i, j, cidx), c.sigma(j, i, cidx))
+        != tuple(range(c.rank))]
+    for i, j, k in itertools.permutations(range(len(c.cover.arcs)), 3):
+        for piece in c.cover.triple_overlaps(i, j, k):
+            t = piece.midpoint()
+            cij = c.cover.pair_component_at(i, j, t)
+            cjk = c.cover.pair_component_at(j, k, t)
+            cik = c.cover.pair_component_at(i, k, t)
+            if None in (cij, cjk, cik):
+                continue
+            if compose(c.sigma(k, j, cjk), c.sigma(j, i, cij)) \
+                    != c.sigma(k, i, cik):
+                violations.append(f"cocycle law fails on triple "
+                                  f"({i},{j},{k}) at angle {t:.4f}")
     return Check("cocycle-check", not violations, detail="\n".join(violations))
 
 
@@ -189,15 +175,13 @@ def cocycle_from_graph(graph: CircleCoveringGraph, n_arcs: int = 2,
     transitions = {}
     for (i, j), comps in cover.overlaps.items():
         for cidx, piece in enumerate(comps):
-            perm = None
-            for t in piece.sample(3, margin=min(1e-6, piece.length / 4)):
-                cur = _match_sections(sections[i], sections[j], float(t))
-                if perm is None:
-                    perm = cur
-                elif perm != cur:
-                    raise FormatError(
-                        "transition not constant on an overlap component")
-            transitions[(i, j, cidx)] = perm
+            perms = {_match_sections(sections[i], sections[j], float(t))
+                     for t in piece.sample(3, margin=min(1e-6,
+                                                         piece.length / 4))}
+            if len(perms) > 1:
+                raise FormatError(
+                    "transition not constant on an overlap component")
+            transitions[(i, j, cidx)] = perms.pop()
     return PermCocycle(rank=k, cover=cover, transitions=transitions)
 
 
@@ -205,12 +189,9 @@ def _match_sections(secs_i, secs_j, t: float) -> tuple:
     perm = []
     for si in secs_i:
         u = float(si.lift(t))
-        hit = None
-        for jdx, sj in enumerate(secs_j):
-            if sj.component == si.component \
-                    and angle_dist(float(sj.lift(t)), u) < 1e-9:
-                hit = jdx
-                break
+        hit = next((jdx for jdx, sj in enumerate(secs_j)
+                    if sj.component == si.component
+                    and angle_dist(float(sj.lift(t)), u) < 1e-9), None)
         if hit is None:
             raise FormatError("section continuation not found; "
                               "arcs may not overlap correctly")
@@ -228,21 +209,17 @@ class Monodromy:
         return all(p == i for i, p in enumerate(self.permutation))
 
     def cycles(self) -> list[tuple]:
-        seen = set()
-        out = []
+        """Orbits from their least sheet, longest first, then by that."""
+        out, seen = [], set()
         for start in range(len(self.permutation)):
-            if start in seen:
-                continue
-            orbit = [start]
-            seen.add(start)
-            nxt = self.permutation[start]
-            while nxt != start:
-                orbit.append(nxt)
-                seen.add(nxt)
-                nxt = self.permutation[nxt]
-            out.append(tuple(orbit))
-        out.sort(key=lambda orb: (-len(orb), orb[0]))
-        return out
+            orbit, s = [], start
+            while s not in seen:
+                seen.add(s)
+                orbit.append(s)
+                s = self.permutation[s]
+            if orbit:
+                out.append(tuple(orbit))
+        return sorted(out, key=lambda orb: (-len(orb), orb[0]))
 
 
 def _traversal(cover: ArcCover):
@@ -273,8 +250,9 @@ def monodromy(c: PermCocycle) -> Monodromy:
     check = cocycle_check(c)
     if not check.passed:
         raise FormatError(f"invalid cocycle: {check.detail.splitlines()[0]}")
+    steps = _traversal(c.cover)     # refuses a one-arc cover of any rank
     total = tuple(range(c.rank))
-    for i, j, comp in _traversal(c.cover):
+    for i, j, comp in steps:
         total = compose(c.sigma(j, i, comp), total)
     lengths = sorted((len(orb) for orb in
                       Monodromy(total, ()).cycles()), reverse=True)
@@ -305,19 +283,13 @@ def refine_cover(c: PermCocycle) -> PermCocycle:
     Transitions between children of the same parent are the identity; all
     others restrict the parent transition to the smaller overlap.
     """
-    children = []
-    parent = []
-    for a, arc in enumerate(c.cover.arcs):
-        children.append(Arc(arc.start, 0.6 * arc.length))
-        parent.append(a)
-        children.append(Arc(wrap_angle(arc.start + 0.4 * arc.length),
-                            0.6 * arc.length))
-        parent.append(a)
-    cover = ArcCover(children)
+    cover = ArcCover([Arc(wrap_angle(arc.start + s * arc.length),
+                          0.6 * arc.length)
+                      for arc in c.cover.arcs for s in (0.0, 0.4)])
     transitions = {}
     for (i, j), comps in cover.overlaps.items():
         for cidx, piece in enumerate(comps):
-            pi, pj = parent[i], parent[j]
+            pi, pj = i // 2, j // 2     # children 2a and 2a + 1 of arc a
             if pi == pj:
                 transitions[(i, j, cidx)] = tuple(range(c.rank))
                 continue
@@ -350,20 +322,25 @@ class FrameResult:
                      res)
 
 
-def _sheet_positions(mono: Monodromy):
-    pos = {}
-    cycles = mono.cycles()
-    for ci, orb in enumerate(cycles):
-        for p, sheet in enumerate(orb):
-            pos[sheet] = (ci, p)
-    return cycles, pos
+def _frame_indices(cycles):
+    """Per sheet its ``(cycle, position)``, per column its ``(cycle, power
+    j, length d)``: column ``(ci, j)`` sits where sheet ``cycles[ci][j]``
+    sits in the concatenated cycles."""
+    lengths = [len(orb) for orb in cycles]
+    col_cycle = np.repeat(np.arange(len(cycles)), lengths)
+    col_power = np.concatenate([np.arange(d) for d in lengths])
+    slot = np.argsort(np.concatenate(cycles))
+    return col_cycle[slot], col_power[slot], col_cycle, col_power, \
+        np.repeat(lengths, lengths)
 
 
-def _frame_entry(t_num: int, t_den: int, p: int, j: int, d: int) -> complex:
-    # angle = (t + 2pi p) j / d with t = 2pi t_num / t_den; the integer
-    # numerator, reduced mod its period, keeps seam values bitwise equal
-    num = ((t_num + t_den * p) * j) % (t_den * d)
-    return np.exp(2j * math.pi * num / (t_den * d)) / math.sqrt(d)
+def _frame(ix, angle) -> np.ndarray:
+    """Entries ``[..., sheet, column]``: ``d^{-1/2} exp(i angle(p, j, d))``
+    where the sheet sits at position ``p`` of the column's cycle, else 0."""
+    sheet_cycle, sheet_pos, col_cycle, col_power, col_len = ix
+    phi = angle(sheet_pos[:, None], col_power, col_len)
+    return np.where(sheet_cycle[:, None] == col_cycle,
+                    np.exp(1j * phi) / np.sqrt(col_len), 0)
 
 
 def global_frame_over_circle(c: PermCocycle, n: int) -> FrameResult:
@@ -377,40 +354,34 @@ def global_frame_over_circle(c: PermCocycle, n: int) -> FrameResult:
     continuous sections of the associated bundle; columns of distinct
     cycles live on disjoint sheet blocks.  Verifies pointwise unitarity,
     compatibility with the declared transitions on every overlap
-    component, and bitwise seam continuity on the grid.
+    component, and bitwise seam continuity on the grid.  More than
+    ``MAX_FRAME`` Gram entries ``(n + 1) k^3`` raise ``SizeLimitError``.
     """
-    mono = monodromy(c)
-    cycles, pos = _sheet_positions(mono)
-    if n < 4 or n % 2:
-        raise FormatError("grid size must be even and at least 4")
-    for orb in cycles:
-        if n % len(orb):
-            raise FormatError(
-                f"grid size {n} not divisible by cycle length {len(orb)}")
     k = c.rank
-    columns = tuple((ci, j) for ci, orb in enumerate(cycles)
-                    for j in range(len(orb)))
-    frames = np.zeros((n + 1, k, k), dtype=np.complex128)
-    for t_idx in range(n + 1):
-        for col, (ci, j) in enumerate(columns):
-            orb = cycles[ci]
-            d = len(orb)
-            for p, sheet in enumerate(orb):
-                frames[t_idx, sheet, col] = _frame_entry(t_idx, n, p, j, d)
+    if (n + 1) * k ** 3 > MAX_FRAME:
+        raise SizeLimitError(f"frame of rank {k} on grid {n} exceeds the "
+                             f"{MAX_FRAME} limit")
+    mono = monodromy(c)
+    cycles = mono.cycles()
+    lengths = sorted({len(orb) for orb in cycles})
+    if n < 4 or n % 2 or any(n % d for d in lengths):
+        raise FormatError(f"grid size {n} is not an even number >= 4 "
+                          f"divisible by the cycle lengths {lengths}")
+    ix = _frame_indices(cycles)
+    columns = tuple(zip(ix[2].tolist(), ix[3].tolist()))
+    # angle (t + 2pi p) j / d at t = 2pi t_idx / n; the integer numerator,
+    # reduced mod its period, keeps seam values bitwise equal
+    t_idx = np.arange(n + 1)[:, None, None]
+    frames = _frame(ix, lambda p, j, d:
+                    TWO_PI * ((t_idx + n * p) * j % (n * d)) / (n * d))
     gram = np.einsum("tij,tik->tjk", frames.conj(), frames)
     unitarity = float(np.max(np.abs(gram - np.eye(k))))
-
     # seam: value on a sheet at 2pi equals value on its monodromy image at 0
-    perm = mono.permutation
-    endpoint_exact = all(
-        frames[n, sheet, col] == frames[0, perm[sheet], col]
-        for sheet in range(k) for col in range(k))
-
-    transition_residual = _transition_compatibility(c, mono, cycles, pos,
-                                                    columns)
+    endpoint_exact = bool(np.all(frames[n]
+                                 == frames[0][list(mono.permutation)]))
     return FrameResult(grid=n, frames=frames, columns=columns,
                        unitarity=unitarity,
-                       transition_residual=transition_residual,
+                       transition_residual=_transition_residual(c, ix),
                        endpoint_exact=endpoint_exact)
 
 
@@ -424,40 +395,24 @@ def _chart_transports(c: PermCocycle):
     return transports
 
 
-def _local_frame(c: PermCocycle, cycles, pos, columns, transports,
-                 chart: int, x: float) -> np.ndarray:
-    theta = c.cover.arcs[chart].unwrap(x)
-    k = c.rank
-    out = np.zeros((k, k), dtype=np.complex128)
-    for ell in range(k):
-        sheet = transports[chart][ell]
-        ci, p = pos[sheet]
-        d = len(cycles[ci])
-        for col, (cj, j) in enumerate(columns):
-            if cj != ci:
-                continue
-            out[ell, col] = np.exp(1j * (theta + TWO_PI * p) * j / d) \
-                / math.sqrt(d)
-    return out
-
-
-def _transition_compatibility(c, mono, cycles, pos, columns) -> float:
+def _transition_residual(c: PermCocycle, ix) -> float:
+    """Largest gap between the chart-``j`` frame and the chart-``i`` frame
+    with rows carried by the transition, at five samples of every overlap
+    component; chart angles are ``arc.unwrap(t)``."""
     transports = _chart_transports(c)
-    residual = 0.0
+    angles, rows = [], []
     for (i, j), comps in c.cover.overlaps.items():
         for cidx, piece in enumerate(comps):
-            sig = c.sigma(j, i, cidx)
-            for t in piece.sample(5, margin=min(1e-6, piece.length / 4)):
-                li = _local_frame(c, cycles, pos, columns, transports,
-                                  i, float(t))
-                lj = _local_frame(c, cycles, pos, columns, transports,
-                                  j, float(t))
-                permuted = np.zeros_like(li)
-                for ell in range(c.rank):
-                    permuted[sig[ell], :] = li[ell, :]
-                residual = max(residual,
-                               float(np.max(np.abs(lj - permuted))))
-    return residual
+            ts = piece.sample(5, margin=min(1e-6, piece.length / 4))
+            angles += [[c.cover.arcs[a].unwrap(t) for a in (i, j)]
+                       for t in ts]
+            # row sigma(l) of the carried frame is chart-i row l
+            rows += [[compose(transports[i], inverse(c.sigma(j, i, cidx))),
+                      transports[j]]] * len(ts)
+    theta = np.array(angles)[..., None, None]
+    frames = np.take_along_axis(_frame(ix, lambda p, j, d: (
+        theta + TWO_PI * p) * j / d), np.array(rows)[..., None], axis=2)
+    return float(np.max(np.abs(frames[:, 1] - frames[:, 0])))
 
 
 # ---------------------------------------------------------------------------
@@ -465,28 +420,40 @@ def _transition_compatibility(c, mono, cycles, pos, columns) -> float:
 
 
 def cocycle_to_dict(c: PermCocycle) -> dict:
-    trans = []
-    for (i, j), comps in sorted(c.cover.overlaps.items()):
-        for cidx in range(len(comps)):
-            trans.append({"i": i, "j": j, "component": cidx,
-                          "perm": list(c.sigma(j, i, cidx))})
+    trans = [{"i": i, "j": j, "component": cidx,
+              "perm": list(c.sigma(j, i, cidx))}
+             for (i, j), comps in sorted(c.cover.overlaps.items())
+             for cidx in range(len(comps))]
     return {"rank": c.rank,
             "arcs": [[a.start, a.start + a.length] for a in c.cover.arcs],
             "transitions": trans}
 
 
+def _json_int(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise FormatError(f"cocycle {what} must be an integer, got {x!r}")
+    return x
+
+
 def cocycle_from_dict(data: dict) -> PermCocycle:
+    """Integers (not booleans) for ``rank``, ``i``, ``j``, ``component``
+    and the ``perm`` entries; arcs as ``[start, end]`` finite reals."""
     try:
-        arcs = [Arc(start=p[0], length=p[1] - p[0]) for p in data["arcs"]]
-        cover = ArcCover(arcs)
-        transitions = {}
-        for t in data["transitions"]:
-            transitions[(int(t["i"]), int(t["j"]), int(t["component"]))] \
-                = tuple(t["perm"])
-        return PermCocycle(rank=int(data["rank"]), cover=cover,
-                           transitions=transitions)
-    except (KeyError, TypeError, IndexError) as exc:
+        rank = _json_int(data["rank"], "rank")
+        ends = data["arcs"]
+        for p in ends:
+            if not (isinstance(p, list) and len(p) == 2
+                    and all(map(finite_real, p))):
+                raise FormatError(f"cocycle arc {p!r} is not a [start, end] "
+                                  "pair of finite numbers")
+        cover = ArcCover([Arc(start=a, length=b - a) for a, b in ends])
+        transitions = {
+            tuple(_json_int(t[f], f) for f in ("i", "j", "component")):
+            tuple(_json_int(p, "perm entry") for p in t["perm"])
+            for t in data["transitions"]}
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"bad cocycle JSON: {exc!r}") from None
+    return PermCocycle(rank=rank, cover=cover, transitions=transitions)
 
 
 def load_cocycle(path: str) -> PermCocycle:

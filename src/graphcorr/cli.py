@@ -68,7 +68,10 @@ def _json_arg(value: str):
     """Inline JSON if it looks like JSON, else a file path."""
     s = value.strip()
     if s.startswith("{") or s.startswith("["):
-        return json.loads(s)
+        try:
+            return json.loads(s)
+        except ValueError as exc:   # also an integer over the digit limit
+            raise FormatError(str(exc)) from None
     return load_json(value)
 
 
@@ -642,7 +645,7 @@ def dispatch(argv) -> int:
                                       f"outside 1..{MAX_GRID}")
             args.func(args, report)
         report.wall_time = t.elapsed
-    except (FormatError, OSError, json.JSONDecodeError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, SizeLimitError, MismatchError) as exc:

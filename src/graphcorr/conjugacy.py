@@ -424,6 +424,10 @@ def finite_frame(graph: FiniteGraph, v) -> FrameData:
 # ---------------------------------------------------------------------------
 # local conjugacy for rigid circle graphs
 
+#: the rigid search covers the circle by ``LOCAL_ARCS`` arcs and samples
+#: each at ``ARC_SAMPLES`` points
+LOCAL_ARCS, ARC_SAMPLES = 6, 12
+
 
 @dataclass
 class RigidCircleMap:
@@ -455,8 +459,7 @@ class Inconclusive:
 
 
 def local_conjugacy_check(E: CircleCoveringGraph, F: CircleCoveringGraph,
-                          tol: float = 1e-9, grid: int = 720,
-                          n_arcs: int = 6, samples: int = 12):
+                          tol: float = 1e-9, grid: int = 720):
     """Search rigid base maps for a local conjugacy certificate.
 
     The source intertwining holds by construction of the per-arc edge
@@ -468,8 +471,9 @@ def local_conjugacy_check(E: CircleCoveringGraph, F: CircleCoveringGraph,
 
     Rotations come before reflections, each by ascending offset; the first
     map whose arcs all admit a perfect matching wins.  Offsets are tested in
-    array blocks, arc by arc.  More than ``MAX_SEARCH`` section-pair samples
-    (at most ``grid + 2 n_E n_F`` offsets) raise ``SizeLimitError``.
+    array blocks, arc by arc, over ``LOCAL_ARCS`` arcs of ``ARC_SAMPLES``
+    samples each.  More than ``MAX_SEARCH`` section-pair samples (at most
+    ``grid + 2 n_E n_F`` offsets) raise ``SizeLimitError``.
     """
     if not isinstance(E, CircleCoveringGraph) \
             or not isinstance(F, CircleCoveringGraph):
@@ -477,8 +481,8 @@ def local_conjugacy_check(E: CircleCoveringGraph, F: CircleCoveringGraph,
     k = E.total_fiber_degree()
     if k != F.total_fiber_degree():
         return Refutation("fiber counts differ")
-    work = (grid + 2 * E.n_components * F.n_components) * k * k * samples \
-        * n_arcs
+    work = (grid + 2 * E.n_components * F.n_components) * k * k \
+        * ARC_SAMPLES * LOCAL_ARCS
     if work > MAX_SEARCH:
         raise SizeLimitError(f"local conjugacy search over {work} section-"
                              f"pair samples exceeds the {MAX_SEARCH} limit")
@@ -486,15 +490,16 @@ def local_conjugacy_check(E: CircleCoveringGraph, F: CircleCoveringGraph,
         wrap_angle(cf.source_offset + sign * ce.source_offset)
         for ce in E.components for cf in F.components for sign in (-1, 1)})
     arcs = []
-    for a in range(n_arcs):
-        W, se = s_section_decomposition(E, TWO_PI * a / n_arcs,
-                                        width=TWO_PI / n_arcs + 0.2)
-        w_s = W.sample(samples, margin=1e-3)
-        arcs.append((TWO_PI * a / n_arcs, W, w_s,
+    for a in range(LOCAL_ARCS):
+        W, se = s_section_decomposition(E, TWO_PI * a / LOCAL_ARCS,
+                                        width=TWO_PI / LOCAL_ARCS + 0.2)
+        w_s = W.sample(ARC_SAMPLES, margin=1e-3)
+        arcs.append((TWO_PI * a / LOCAL_ARCS, W, w_s,
                      np.array([sec.range_at(w_s) for sec in se])))
     # blocks of 1, 8, 64, ... offsets up to 2^16 section-pair samples: an
     # early certificate stays cheap and memory does not grow with the grid
-    offs, cap = np.array(offsets)[:, None, None], 2 ** 16 // (k * k * samples)
+    offs = np.array(offsets)[:, None, None]
+    cap = 2 ** 16 // (k * k * ARC_SAMPLES)
     for reflect in (False, True):
         lo, size = 0, 1
         while lo < len(offsets):

@@ -152,11 +152,12 @@ def verify_bimodule(twist: TwistPath, f: np.ndarray,
     n = twist.n
     x = cover_element(f, n)
     a = VertexFunction(COVER, a, n)
+    rho_f = rho_map(twist, f)
     lhs_right = rho_map(twist, right_action(x, a).components[0])
-    rhs_right = rho_map(twist, f) * a.values[:, None]
+    rhs_right = rho_f * a.values[:, None]
     res_right = float(np.max(np.abs(lhs_right - rhs_right)))
     lhs_left = rho_map(twist, left_action(a, x).components[0])
-    rhs_left = a.values[:, None] * rho_map(twist, f)
+    rhs_left = a.values[:, None] * rho_f
     res_left = float(np.max(np.abs(lhs_left - rhs_left)))
     return res_right, res_left
 

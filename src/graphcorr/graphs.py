@@ -30,6 +30,8 @@ MAX_PATHS = 10**6
 MAX_DEGREE = 4096
 #: largest local-conjugacy search, in section-pair samples over all arcs
 MAX_SEARCH = 10**8
+#: largest permutation-cocycle frame, in Gram entries ``(grid + 1) rank^3``
+MAX_FRAME = 10**6
 
 
 def wrap_angle(t: float) -> float:
@@ -557,6 +559,8 @@ def load_json(path: str):
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON at line {exc.lineno}, "
                               f"column {exc.colno}") from None
+        except ValueError as exc:       # an integer over Python's digit limit
+            raise FormatError(f"{path}: {exc}") from None
 
 
 def load_graph(path: str):

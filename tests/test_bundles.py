@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphcorr.bundles import (Arc, ArcCover, PermCocycle, cocycle_check,
+from graphcorr.bundles import (Arc, ArcCover, FrameResult, PermCocycle,
+                               _chart_transports, cocycle_check,
                                cocycle_from_dict, cocycle_from_graph,
                                cocycle_to_dict, compose,
                                global_frame_over_circle, graph_from_cocycle,
                                has_global_basis, inverse, monodromy,
                                refine_cover)
 from graphcorr.errors import FormatError
-from graphcorr.fixtures import (circle_double_cover, circle_triple_cover,
-                                circle_two_loops, identity_cocycle,
-                                swap_cocycle, three_cycle_cocycle,
-                                two_plus_one_cocycle)
+from graphcorr.fixtures import (COCYCLE_FIXTURES, circle_double_cover,
+                                circle_triple_cover, circle_two_loops,
+                                identity_cocycle, swap_cocycle,
+                                three_cycle_cocycle, two_plus_one_cocycle)
 from graphcorr.graphs import TWO_PI, CircleCoveringGraph, EdgeComponent
 
 # ---------------------------------------------------------------------------
@@ -237,6 +240,105 @@ def test_refinement_preserves_cocycle_and_monodromy(builder):
 
 # ---------------------------------------------------------------------------
 # global frames
+
+# oracle: the frame one entry at a time
+
+
+def loop_frame_entry(t_num, t_den, p, j, d):
+    """Entry at position ``p`` of column ``j`` of a length-``d`` cycle at
+    angle ``2pi t_num / t_den``; the numerator reduced mod its period."""
+    num = ((t_num + t_den * p) * j) % (t_den * d)
+    return np.exp(2j * math.pi * num / (t_den * d)) / math.sqrt(d)
+
+
+def loop_local_frame(c, cycles, pos, columns, transports, chart, x):
+    """The frame in chart ``chart`` at angle ``x``, row by row."""
+    theta = c.cover.arcs[chart].unwrap(x)
+    out = np.zeros((c.rank, c.rank), dtype=np.complex128)
+    for ell in range(c.rank):
+        ci, p = pos[transports[chart][ell]]
+        d = len(cycles[ci])
+        for col, (cj, j) in enumerate(columns):
+            if cj == ci:
+                out[ell, col] = np.exp(1j * (theta + TWO_PI * p) * j / d) \
+                    / math.sqrt(d)
+    return out
+
+
+def loop_global_frame(c, n):
+    """:func:`global_frame_over_circle` with one scalar per grid entry and
+    one chart frame per overlap sample."""
+    mono = monodromy(c)
+    cycles = mono.cycles()
+    pos = {sheet: (ci, p) for ci, orb in enumerate(cycles)
+           for p, sheet in enumerate(orb)}
+    k = c.rank
+    columns = tuple((ci, j) for ci, orb in enumerate(cycles)
+                    for j in range(len(orb)))
+    frames = np.zeros((n + 1, k, k), dtype=np.complex128)
+    for t_idx in range(n + 1):
+        for col, (ci, j) in enumerate(columns):
+            orb = cycles[ci]
+            for p, sheet in enumerate(orb):
+                frames[t_idx, sheet, col] = loop_frame_entry(t_idx, n, p, j,
+                                                             len(orb))
+    gram = np.einsum("tij,tik->tjk", frames.conj(), frames)
+    unitarity = float(np.max(np.abs(gram - np.eye(k))))
+    perm = mono.permutation
+    endpoint_exact = all(frames[n, sheet, col] == frames[0, perm[sheet], col]
+                         for sheet in range(k) for col in range(k))
+    transports = _chart_transports(c)
+    residual = 0.0
+    for (i, j), comps in c.cover.overlaps.items():
+        for cidx, piece in enumerate(comps):
+            sig = c.sigma(j, i, cidx)
+            for t in piece.sample(5, margin=min(1e-6, piece.length / 4)):
+                li, lj = (loop_local_frame(c, cycles, pos, columns,
+                                           transports, a, float(t))
+                          for a in (i, j))
+                permuted = np.zeros_like(li)
+                for ell in range(k):
+                    permuted[sig[ell], :] = li[ell, :]
+                residual = max(residual, float(np.max(np.abs(lj - permuted))))
+    return FrameResult(grid=n, frames=frames, columns=columns,
+                       unitarity=unitarity, transition_residual=residual,
+                       endpoint_exact=endpoint_exact)
+
+
+def assert_frames_bitwise(got, want):
+    assert got.frames.dtype == want.frames.dtype
+    assert got.frames.shape == want.frames.shape
+    assert got.frames.tobytes() == want.frames.tobytes()
+    assert got.columns == want.columns
+    assert got.unitarity == want.unitarity
+    assert got.transition_residual == want.transition_residual
+    assert got.endpoint_exact is want.endpoint_exact
+
+
+@pytest.mark.parametrize("n", [12, 48, 384, 1002])
+@pytest.mark.parametrize("name", sorted(COCYCLE_FIXTURES))
+def test_frame_matches_loop_oracle_on_fixtures(name, n):
+    c = COCYCLE_FIXTURES[name]()
+    assert_frames_bitwise(global_frame_over_circle(c, n),
+                          loop_global_frame(c, n))
+
+
+@st.composite
+def two_arc_cocycles(draw):
+    """Rank 1 to 5 cocycles on the two-arc cover of the swap fixture, one
+    drawn permutation per overlap component."""
+    k = draw(st.integers(1, 5))
+    cover = swap_cocycle().cover
+    return PermCocycle(rank=k, cover=cover, transitions={
+        (0, 1, cidx): tuple(draw(st.permutations(range(k))))
+        for cidx in range(len(cover.overlaps[(0, 1)]))})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(c=two_arc_cocycles())
+def test_frame_matches_loop_oracle_on_generated_cocycles(c):
+    assert_frames_bitwise(global_frame_over_circle(c, 120),
+                          loop_global_frame(c, 120))
 
 
 def test_identity_monodromy_constant_standard_frame():

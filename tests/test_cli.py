@@ -1,9 +1,12 @@
+import functools
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,8 @@ from hypothesis import strategies as st
 from graphcorr.cli import (COMMAND_TABLE, COMMANDS, MAX_GRID, _parser,
                            build_parser, dispatch)
 from graphcorr.fixtures import fixture_path
-from graphcorr.graphs import MAX_DEGREE, graph_to_dict
+from graphcorr.graphs import (MAX_DEGREE, MAX_FRAME, graph_to_dict,
+                              load_json)
 from graphcorr.suite import _cycle_graph_union
 
 FIB = fixture_path("fibonacci")
@@ -332,6 +336,105 @@ def test_fuzzed_graph_json_exits_cleanly(tmp_path_factory, doc, vertex):
     argv = (["validate", path] if vertex is None
             else ["fiber-count", path, "--vertex", vertex])
     assert run("graph", *argv) in (0, 1, 2)
+
+
+SWAP_DOC = load_json(SWAP)
+INDEX = st.integers(-1, 2)
+#: ranks stay small, so that no large frame is built
+COCYCLE_JSON = record(
+    rank=st.integers(0, 3),
+    arcs=st.one_of(st.just(SWAP_DOC["arcs"]), st.lists(mostly(st.lists(
+        mostly(st.floats(-1, 10)), min_size=2, max_size=2)), max_size=3)),
+    transitions=st.one_of(st.just(SWAP_DOC["transitions"]), st.lists(mostly(
+        record(i=INDEX, j=INDEX, component=INDEX,
+               perm=st.lists(mostly(st.integers(0, 2)), max_size=3))),
+        max_size=3)))
+
+
+#: places in the swap cocycle a drawn value can replace
+SWAP_PATHS = [("rank",), ("arcs", 0), ("arcs", 1, 0), ("transitions", 0),
+              ("transitions", 0, "perm", 1), *(("transitions", 1, f) for f
+                                              in ("i", "j", "component",
+                                                  "perm"))]
+
+
+def _swap_with(path, value):
+    doc = json.loads(json.dumps(SWAP_DOC))
+    *head, last = path
+    functools.reduce(operator.getitem, head, doc)[last] = value
+    return doc
+
+
+SWAP_EDITS = st.builds(_swap_with, st.sampled_from(SWAP_PATHS), st.one_of(
+    JUNK, st.integers(-3, 3), st.floats(), st.text(max_size=3)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(doc=st.one_of(SWAP_EDITS, mostly(COCYCLE_JSON)),
+       command=st.sampled_from(["check", "frame"]))
+def test_fuzzed_cocycle_json_exits_cleanly(tmp_path_factory, doc, command):
+    path = str(tmp_path_factory.getbasetemp() / "fuzzed-cocycle.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    assert run("bundle", command, path) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("command", ["check", "frame"])
+@pytest.mark.parametrize("old, new", [
+    ('"rank": 2', '"rank": "x"'), ('"rank": 2', '"rank": 1e400'),
+    ('"rank": 2', '"rank": 2.7'), ('"rank": 2', '"rank": true'),
+    ('"perm": [1, 0]', '"perm": ["a", "b"]'), ('"i": 0', '"i": "q"'),
+    ('"i": 0', '"i": false'), ('[5.890486225480862', '[Infinity'),
+    ('[5.890486225480862', '["5.89"')])
+def test_cocycle_field_of_the_wrong_type_is_input_error(command, old, new,
+                                                         tmp_path, capsys):
+    text = json.dumps(SWAP_DOC)
+    assert old in text
+    path = tmp_path / "cocycle.json"
+    path.write_text(text.replace(old, new, 1))
+    assert run("bundle", command, str(path)) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, command, message", [
+    (dict(SWAP_DOC, rank=3_000_000), "check", "not a permutation"),
+    ({"rank": 3_000_000, "arcs": [[0.0, 2 * math.pi]], "transitions": []},
+     "monodromy", "cannot be traversed")])
+def test_large_cocycle_rank_allocates_nothing(doc, command, message,
+                                              tmp_path, capsys):
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        assert run("bundle", command, str(path)) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert message in capsys.readouterr().err
+
+
+def test_cocycle_frame_above_the_budget_is_refused(tmp_path, capsys):
+    k = 200
+    doc = dict(SWAP_DOC, rank=k, transitions=[
+        dict(t, perm=list(range(k))) for t in SWAP_DOC["transitions"]])
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    assert run("bundle", "frame", str(path)) == 1
+    assert time.perf_counter() - t0 < 1.0
+    out = capsys.readouterr().out
+    assert "FAIL  domain" in out and f"exceeds the {MAX_FRAME} limit" in out
+
+
+def test_integer_over_the_digit_limit_is_input_error(tmp_path, capsys):
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps(SWAP_DOC).replace('"rank": 2',
+                                                  '"rank": ' + "1" * 5000))
+    assert run("bundle", "check", str(path)) == 2
+    assert run("kms", "eval", FIB, "--beta", "2", "--word",
+               '{"coeff": [' + "1" * 5000 + "]}") == 2
+    assert capsys.readouterr().err.count("input error") == 2
 
 
 PAIR = st.lists(st.floats(-2, 2), min_size=2, max_size=2)

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphcorr.conjugacy import (ArcMatching, FrameData, GraphIsomorphism,
                                  Inconclusive, LocalConjugacyCertificate,
@@ -29,7 +30,7 @@ from graphcorr.suite import (CYCLE_PARTITIONS, _cycle_graph_union,
                              _exhaustive_isomorphic, _random_graph,
                              relabeled_copy)
 
-from strategies import circle_pairs
+from strategies import circle_pairs, finite_graphs
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -276,6 +277,29 @@ def test_canonical_form_matches_reference_on_fixtures(name):
 def test_canonical_form_matches_reference_on_cycle_unions(lengths):
     g = _cycle_graph_union(lengths)
     assert bimodule_invariants(g) == reference_invariants(g)
+
+
+GENERATED = settings(deadline=None, derandomize=True, database=None)
+
+
+@GENERATED
+@given(g=finite_graphs())
+def test_canonical_form_matches_reference_on_generated_graphs(g):
+    assert bimodule_invariants(g) == reference_invariants(g)
+
+
+@GENERATED
+@given(g=finite_graphs(), h=finite_graphs(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_isomorphism_matches_exhaustive_oracle_on_generated_graphs(g, h,
+                                                                    seed):
+    F, _ = relabeled_copy(g, np.random.default_rng(seed))
+    for other in (F, h):
+        res = finite_graph_isomorphism(g, other)
+        assert isinstance(res, GraphIsomorphism) \
+            == _exhaustive_isomorphic(g, other)
+        if isinstance(res, GraphIsomorphism):
+            res.verify(g, other)
 
 
 def test_canonical_form_matches_reference_on_random_graphs():
