@@ -84,7 +84,9 @@ class PermCocycle:
     The input dict key ``(i, j, comp)`` carries arc-``i`` section indices
     to arc-``j`` section indices on overlap component ``comp`` of the pair
     ``(min(i,j), max(i,j))``; inverses are filled in automatically and
-    ``sigma(j, i, comp)`` reads out the ``i -> j`` direction.
+    ``sigma(j, i, comp)`` reads out the ``i -> j`` direction.  Each key
+    must name an overlap component, and each component is given once, in
+    one direction.
     """
 
     def __init__(self, rank: int, cover: ArcCover, transitions: dict):
@@ -94,27 +96,28 @@ class PermCocycle:
         self.cover = cover
         self.transitions: dict = {}
         for (i, j, comp), perm in transitions.items():
+            pair = (min(i, j), max(i, j))
+            if not 0 <= comp < len(cover.overlaps.get(pair, ())):
+                raise FormatError(f"transition ({i},{j},{comp}) names no "
+                                  "overlap component")
+            if (j, i, comp) in self.transitions:
+                raise FormatError(f"overlap {pair} component {comp} is "
+                                  "given twice")
             # the length first: ``rank`` alone may be any size
             if len(perm) != self.rank \
                     or sorted(perm) != list(range(self.rank)):
                 raise FormatError(
                     f"transition ({i},{j},{comp}) is not a permutation "
                     f"of 0..{self.rank - 1}")
-            self._store(i, j, comp, tuple(int(p) for p in perm))
+            perm = tuple(int(p) for p in perm)
+            self.transitions[(j, i, comp)] = perm
+            self.transitions[(i, j, comp)] = inverse(perm)
         for (i, j), comps in cover.overlaps.items():
             for cidx in range(len(comps)):
                 if (j, i, cidx) not in self.transitions:
                     raise FormatError(
                         f"missing transition for overlap ({i},{j}) "
                         f"component {cidx}")
-
-    def _store(self, i, j, comp, perm):
-        old = self.transitions.get((j, i, comp))
-        if old is not None and old != perm:
-            raise FormatError(
-                f"conflicting transitions for ({i},{j}) component {comp}")
-        self.transitions[(j, i, comp)] = perm
-        self.transitions[(i, j, comp)] = inverse(perm)
 
     def sigma(self, j: int, i: int, comp: int) -> tuple:
         """Transition from arc-``i`` indices to arc-``j`` indices."""
@@ -447,10 +450,13 @@ def cocycle_from_dict(data: dict) -> PermCocycle:
                 raise FormatError(f"cocycle arc {p!r} is not a [start, end] "
                                   "pair of finite numbers")
         cover = ArcCover([Arc(start=a, length=b - a) for a, b in ends])
-        transitions = {
-            tuple(_json_int(t[f], f) for f in ("i", "j", "component")):
-            tuple(_json_int(p, "perm entry") for p in t["perm"])
-            for t in data["transitions"]}
+        transitions = {}
+        for t in data["transitions"]:
+            key = tuple(_json_int(t[f], f) for f in ("i", "j", "component"))
+            if key in transitions:
+                raise FormatError(f"transition {key} is given twice")
+            transitions[key] = tuple(_json_int(p, "perm entry")
+                                     for p in t["perm"])
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad cocycle JSON: {exc!r}") from None
     return PermCocycle(rank=rank, cover=cover, transitions=transitions)

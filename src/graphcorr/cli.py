@@ -29,9 +29,9 @@ from .errors import (DomainError, FormatError, MismatchError, NoMatchingError,
 from .graphs import (FiniteGraph, angle_dist, enumerate_paths, graph_to_dict,
                      load_graph, load_json, s_section_decomposition,
                      spectral_radius)
-from .kms import (KMSInftyState, KMSParameters, KMSState, kms_condition_check,
-                  kms_eval, kms_infty_eval, kms_limit_sweep,
-                  extremal_separation_check, limit_sweep_words)
+from .kms import (KMSParameters, KMSState, kms_condition_check, kms_eval,
+                  kms_limit_sweep, extremal_separation_check,
+                  limit_sweep_words)
 from .modules import (element_from_dict, fiber_evaluation, inner_product,
                       left_action, module_norm, right_action,
                       tensor_inner_product, vertex_function_from_dict,
@@ -329,9 +329,9 @@ def cmd_kms_condition(args, report):
 
 def cmd_kms_infty(args, report):
     g = _load_finite(args.graph, report)
-    state = KMSInftyState(g, args.vertex)
+    state = KMSState.point_mass(KMSParameters(g, math.inf), args.vertex)
     elem = element_from_json(g, _json_arg(args.word))
-    val = kms_infty_eval(state, elem)
+    val = kms_eval(state, elem)
     print(f"value: {val!r}")
     report.add("kms-infty", True, detail=repr(val))
 
@@ -548,8 +548,7 @@ COMMANDS = [
     ("kms condition", cmd_kms_condition,
      GRAPH + (BETA, _arg("--vertex")) + _required("--w1", "--w2")
      + (_opt("--tol", 1e-9),), ("kms_condition_check",)),
-    ("kms infty", cmd_kms_infty, GRAPH + (VERTEX,) + _required("--word"),
-     ("kms_infty_eval",)),
+    ("kms infty", cmd_kms_infty, GRAPH + (VERTEX,) + _required("--word"), ()),
     ("kms sweep", cmd_kms_sweep,
      GRAPH + (VERTEX, _arg("--betas", default="1:10:1"), _arg("--out")),
      ("kms_limit_sweep",)),

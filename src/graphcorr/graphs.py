@@ -283,18 +283,14 @@ def _collatz_wielandt(A: np.ndarray, tol: float) -> tuple[float, float]:
                          "radius")
 
 
-def growth_sequence(graph: FiniteGraph, n_max: int, v=None) -> list[float]:
-    """``max_v |E^n v|^{1/n}`` for n = 1..n_max (fixed v if given)."""
+def growth_sequence(graph: FiniteGraph, n_max: int) -> list[float]:
+    """``max_v |E^n v|^{1/n}`` for n = 1..n_max."""
     out = []
-    if v is None:
-        counts = np.ones(graph.n_vertices, dtype=np.int64)
-        # counts[v] tracks |E^n v| = column sums of A^n
-        for n in range(1, n_max + 1):
-            counts = counts @ graph._adj      # 1^T A^n
-            out.append(float(np.max(counts)) ** (1.0 / n))
-    else:
-        cs = path_counts(graph, v, n_max)
-        out = [cs[n] ** (1.0 / n) for n in range(1, n_max + 1)]
+    counts = np.ones(graph.n_vertices, dtype=np.int64)
+    # counts[v] tracks |E^n v| = column sums of A^n
+    for n in range(1, n_max + 1):
+        counts = counts @ graph._adj      # 1^T A^n
+        out.append(float(np.max(counts)) ** (1.0 / n))
     return out
 
 

@@ -17,11 +17,12 @@ with ``g = <y, x>`` the tensor inner product (``g = a`` for scalar words,
 ``g = 1`` for the unit word).  Each state solves for its dual vector ``u``
 once, so a word costs one dot product; each word computes its profile
 ``(g, k)`` once and keeps it.  Truncated path sums are kept as an
-independent cross-check oracle.  The ``beta -> infinity`` limit states are
-the vacuum vector states: they see only the scalar part of a word.
+independent cross-check oracle.  At ``beta = inf`` the same state is the
+vacuum vector state, which sees only the scalar part of a word.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -38,17 +39,20 @@ from .toeplitz import (ToeplitzElement, Word, gauge_scale, pi_word,
 
 @dataclass
 class KMSParameters:
-    """Inverse temperature above the critical value ``log rho(A)``."""
+    """Inverse temperature above the critical value ``log rho(A)``.  At
+    ``beta = inf``, above every radius, ``rho`` is not computed (None): then
+    ``x = 0``, the resolvent is ``I`` and every ``N_v`` is 1."""
     graph: FiniteGraph
     beta: float
 
     def __post_init__(self):
-        rho = spectral_radius(self.graph)
-        self.rho = rho
-        self.log_rho = math.log(rho) if rho > 0 else -math.inf
-        if not (self.beta > self.log_rho):
-            raise DomainError(
-                f"beta = {self.beta} must exceed log rho = {self.log_rho:.6g}")
+        self.rho = None
+        if self.beta != math.inf:
+            self.rho = spectral_radius(self.graph)
+            log_rho = math.log(self.rho) if self.rho > 0 else -math.inf
+            if not (self.beta > log_rho):
+                raise DomainError(
+                    f"beta = {self.beta} must exceed log rho = {log_rho:.6g}")
         self.x = math.exp(-self.beta)
         A = self.graph.adjacency().astype(np.float64)
         self.resolvent_t = np.eye(A.shape[0]) - self.x * A.T
@@ -168,14 +172,21 @@ def _word_profile(w: Word):
 
 
 def kms_eval(state: KMSState, elem) -> complex:
-    """Exact evaluation of an element in the state."""
+    """Exact evaluation of an element in the state.  A word whose weight
+    ``e^{-beta k}`` is zero (every balanced word at ``beta = inf``)
+    contributes nothing, even if its profile overflowed."""
     x, u = state.params.x, state.dual
+    if elem.graph is not state.params.graph:
+        raise MismatchError("element and state live over different graphs")
     total = 0.0 + 0.0j
     for w in elem.words:
         profile = _word_profile(w)
-        if profile is not None:
-            g, k = profile
-            total += w.coeff * (x ** k) * (u.sum() if g is None else u @ g)
+        if profile is None:
+            continue
+        g, k = profile
+        weight = x ** k
+        if weight:
+            total += w.coeff * weight * (u.sum() if g is None else u @ g)
     return complex(total)
 
 
@@ -224,34 +235,10 @@ def kms_condition_check(state: KMSState, b1: ToeplitzElement,
 
 
 @dataclass
-class KMSInftyState:
-    """Vacuum vector state at a vertex (the large-``beta`` limit)."""
-    graph: FiniteGraph
-    vertex: object
-
-    def __post_init__(self):
-        self.graph.vertex_index(self.vertex)
-
-
-def kms_infty_eval(state: KMSInftyState, elem) -> complex:
-    """Words with any creation or annihilation evaluate to 0; scalar words
-    evaluate their coefficient function at the base vertex."""
-    vi = state.graph.vertex_index(state.vertex)
-    total = 0.0 + 0.0j
-    for w in elem.words:
-        if w.creations or w.annihilations:
-            continue
-        a = 1.0 if w.middle is None else w.middle.values[vi]
-        total += w.coeff * a
-    return complex(total)
-
-
-@dataclass
 class SweepRow:
     beta: float
     word_id: str
     value: complex
-    limit_value: complex
     residual: float
 
 
@@ -270,11 +257,11 @@ class SweepTable:
             f"{r.beta},{r.word_id},{r.value!r},{r.residual!r}\n"
             for r in self.rows)
 
-    def monotone_decreasing(self, slack: float = 1e-12) -> bool:
-        ids = {r.word_id for r in self.rows}
-        for wid in ids:
+    def monotone_decreasing(self) -> bool:
+        """No word's residual grows by more than ``1e-12`` as beta grows."""
+        for wid in {r.word_id for r in self.rows}:
             res = [r for _, r in sorted(self.residuals(wid))]
-            if any(res[i + 1] > res[i] + slack for i in range(len(res) - 1)):
+            if any(b > a + 1e-12 for a, b in zip(res, res[1:])):
                 return False
         return True
 
@@ -294,25 +281,23 @@ def limit_sweep_words(graph: FiniteGraph) -> dict:
     return words
 
 
-def kms_limit_sweep(graph: FiniteGraph, v, words: dict,
-                    betas) -> SweepTable:
-    """Residuals ``|phi_v^beta(w) - phi_v(w)|`` over a grid of betas.
+def kms_limit_sweep(graph: FiniteGraph, v, words: dict, betas) -> SweepTable:
+    """Residuals ``|phi_v^beta(w) - phi_v^inf(w)|`` over a grid of betas.
 
     Also fits the smallest ``C`` with residual ``<= C e^{-beta}`` per row
     family, reporting the largest over all words.
     """
     table = SweepTable()
-    inf_state = KMSInftyState(graph, v)
+    limit = KMSState.point_mass(KMSParameters(graph, math.inf), v)
+    limits = {wid: kms_eval(limit, elem) for wid, elem in words.items()}
     c_fit = 0.0
     for beta in betas:
-        params = KMSParameters(graph, float(beta))
-        state = KMSState.point_mass(params, v)
+        state = KMSState.point_mass(KMSParameters(graph, float(beta)), v)
         for wid, elem in words.items():
             val = kms_eval(state, elem)
-            lim = kms_infty_eval(inf_state, elem)
-            res = abs(val - lim)
+            res = abs(val - limits[wid])
             c_fit = max(c_fit, res / math.exp(-float(beta)))
-            table.rows.append(SweepRow(float(beta), wid, val, lim, res))
+            table.rows.append(SweepRow(float(beta), wid, val, res))
     table.fitted_constant = c_fit
     return table
 
@@ -332,15 +317,15 @@ def extremal_separation_check(params: KMSParameters, trials: int = 100,
     rng = np.random.default_rng(seed)
     checks = []
     point_states = {v: KMSState.point_mass(params, v) for v in g.vertices}
-    for i, v in enumerate(g.vertices):
-        for w_ in g.vertices[i + 1:]:
-            sep = 0.0
-            for u in g.vertices:
-                ind = ToeplitzElement(g, [pi_word(delta_vertex(g, u))])
-                sep = max(sep, abs(kms_eval(point_states[v], ind)
-                                   - kms_eval(point_states[w_], ind)))
-            checks.append(Check(f"separate[{v},{w_}]", sep > 1e-9, sep,
-                                detail="max indicator gap"))
+    indicators = [ToeplitzElement(g, [pi_word(delta_vertex(g, u))])
+                  for u in g.vertices]
+    # values[v][u]: the point state at v on the indicator of u
+    values = {v: [kms_eval(st, ind) for ind in indicators]
+              for v, st in point_states.items()}
+    for v, w_ in itertools.combinations(g.vertices, 2):
+        sep = max(0.0, *(abs(a - b) for a, b in zip(values[v], values[w_])))
+        checks.append(Check(f"separate[{v},{w_}]", sep > 1e-9, sep,
+                            detail="max indicator gap"))
     for t in range(trials):
         m = rng.random(g.n_vertices)
         m /= m.sum()

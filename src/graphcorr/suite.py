@@ -23,9 +23,8 @@ from .conjugacy import (FrameData, GraphIsomorphism, Refutation, bump_frame,
 from .double_cover import run_verification
 from .errors import NoMatchingError, SingularMatrixError
 from .graphs import FiniteGraph, growth_sequence, spectral_radius
-from .kms import (KMSInftyState, KMSParameters, KMSState, kms_condition_check,
-                  kms_eval, kms_infty_eval, kms_limit_sweep,
-                  limit_sweep_words)
+from .kms import (KMSParameters, KMSState, kms_condition_check, kms_eval,
+                  kms_limit_sweep, limit_sweep_words)
 from .modules import (ModuleElement, delta_edge, random_module_element,
                       random_vertex_function)
 from .report import Check, RunReport, Timer, summarize
@@ -106,7 +105,8 @@ def criterion_3_kms_limits():
         bound_ok = bound_ok and row.residual <= bound
     checks.append(Check("3.residual-bound", bound_ok, worst_ratio,
                         detail="residual / (3 e^{-beta} |w|) max ratio"))
-    inf_val = kms_infty_eval(KMSInftyState(g, "a"), p)
+    vacuum = KMSState.point_mass(KMSParameters(g, math.inf), "a")
+    inf_val = kms_eval(vacuum, p)
     checks.append(Check("3.vacuum-projection-infty", inf_val == 1.0,
                         abs(inf_val - 1.0)))
     return checks

@@ -37,7 +37,7 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import FormatError, MismatchError, SizeLimitError
+from .errors import DomainError, FormatError, MismatchError, SizeLimitError
 from .graphs import FiniteGraph, path_counts, path_index_tuples
 from .modules import (ModuleElement, VertexFunction, delta_edge,
                       inner_product, left_action, module_norm,
@@ -257,6 +257,9 @@ class ToeplitzElement:
 
 def gauge_scale(elem: ToeplitzElement, z: complex) -> ToeplitzElement:
     """Gauge action: scale each word of degree ``n`` by ``z**n``."""
+    if z == 0 and any(w.degree < 0 for w in elem.words):
+        raise DomainError("z**n is undefined at z = 0 for a word of negative "
+                          "degree n (e^-beta is 0 above beta ~ 745)")
     return ToeplitzElement(
         elem.graph, [w.scaled(z ** w.degree) for w in elem.words])
 

@@ -389,6 +389,23 @@ def test_missing_transition_rejected():
         PermCocycle(rank=2, cover=cover, transitions={(0, 1, 0): (1, 0)})
 
 
+@pytest.mark.parametrize("key", [(0, 0, 0), (1, 1, 0), (-1, 0, 0),
+                                 (0, 1, 2), (1, 0, -1), (0, 2, 0)])
+def test_transition_off_the_cover_rejected(key):
+    cover = swap_cocycle().cover
+    with pytest.raises(FormatError, match="no overlap"):
+        PermCocycle(rank=2, cover=cover, transitions={
+            (0, 1, 0): (1, 0), (0, 1, 1): (0, 1), key: (0, 1)})
+
+
+@pytest.mark.parametrize("perm", [(0, 1), (1, 0)])
+def test_transition_given_in_both_directions_rejected(perm):
+    cover = swap_cocycle().cover
+    with pytest.raises(FormatError, match="given twice"):
+        PermCocycle(rank=2, cover=cover, transitions={
+            (0, 1, 0): (1, 0), (0, 1, 1): (0, 1), (1, 0, 1): perm})
+
+
 def test_bad_permutation_rejected():
     cover = swap_cocycle().cover
     with pytest.raises(FormatError):

@@ -427,6 +427,21 @@ def test_cocycle_frame_above_the_budget_is_refused(tmp_path, capsys):
     assert "FAIL  domain" in out and f"exceeds the {MAX_FRAME} limit" in out
 
 
+@pytest.mark.parametrize("extra, message", [
+    ({"i": 0, "j": 1, "component": 0, "perm": [0, 1]}, "given twice"),
+    ({"i": 1, "j": 0, "component": 1, "perm": [0, 1]}, "given twice"),
+    ({"i": 5, "j": 9, "component": 3, "perm": [1, 0]}, "no overlap"),
+    ({"i": 1, "j": 1, "component": 0, "perm": [1, 0]}, "no overlap")])
+def test_cocycle_transition_repeated_or_off_the_cover_is_input_error(
+        extra, message, tmp_path, capsys):
+    doc = dict(SWAP_DOC, transitions=[*SWAP_DOC["transitions"], extra])
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps(doc))
+    assert run("bundle", "monodromy", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and message in err
+
+
 def test_integer_over_the_digit_limit_is_input_error(tmp_path, capsys):
     path = tmp_path / "cocycle.json"
     path.write_text(json.dumps(SWAP_DOC).replace('"rank": 2',
@@ -661,7 +676,7 @@ def test_every_operation_reachable():
         "spectral_component", "reconstruct_module_check",
         "triple_iso_transport",
         "partition_sum", "kms_eval", "kms_condition_check",
-        "kms_infty_eval", "kms_limit_sweep", "extremal_separation_check",
+        "kms_limit_sweep", "extremal_separation_check",
         "nonzero_permutation", "finite_graph_isomorphism",
         "bimodule_invariants", "frame_verify", "local_conjugacy_check",
         "build_twist", "rho_map", "verify_isometry", "verify_bimodule",
@@ -735,6 +750,30 @@ def test_example_s5_small(capsys):
                "--trials", "3") == 0
     out = capsys.readouterr().out
     assert "seam-exact" in out and "component-counts" in out
+
+
+def test_kms_infty_is_the_state_at_infinite_beta(capsys):
+    word = ('{"words": [{"coeff": [3, 1]}, {"left": ["aa"], "right": ["aa"]},'
+            ' {"coeff": [2, 0], "left": ["ab"]}]}')
+    assert run("kms", "infty", FIB, "--vertex", "a", "--word", word) == 0
+    assert run("kms", "eval", FIB, "--beta", "inf", "--measure", '{"a": 1}',
+               "--word", word) == 0
+    out = capsys.readouterr().out
+    assert out.count("value: (3+1j)") == 2
+
+
+def test_kms_infty_answers_past_the_dense_radius(tmp_path, capsys):
+    # a 69-cycle fed by one source: 70 vertices, no radius needed
+    n = 69
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({
+        "kind": "finite", "vertices": [f"c{i}" for i in range(n)] + ["s"],
+        "edges": [{"id": f"e{i}", "src": f"c{i}", "rng": f"c{(i + 1) % n}"}
+                  for i in range(n)] + [{"id": "f", "src": "s",
+                                         "rng": "c0"}]}))
+    assert run("kms", "infty", str(path), "--vertex", "s",
+               "--word", '{"coeff": [1, 0]}') == 0
+    assert "value: (1+0j)" in capsys.readouterr().out
 
 
 def test_kms_separation_command(capsys):

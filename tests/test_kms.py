@@ -2,22 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from graphcorr.errors import DomainError, FormatError
+from graphcorr import kms
+from graphcorr.errors import (DomainError, FormatError, MismatchError,
+                              SizeLimitError)
 from graphcorr.fixtures import (FINITE_FIXTURES, edgeless, fibonacci, k_loops,
-                                single_loop)
-from graphcorr.graphs import FiniteGraph
-from graphcorr.kms import (KMSInftyState, KMSParameters, KMSState,
-                           _word_profile, choose_truncation_depth,
-                           extremal_separation_check, kms_condition_check,
-                           kms_eval, kms_eval_truncated, kms_infty_eval,
-                           kms_limit_sweep, partition_tail_bound,
-                           truncated_partition_sum)
-from graphcorr.modules import (delta_edge, delta_vertex,
+                                single_loop, ten_edge)
+from graphcorr.graphs import FiniteGraph, spectral_radius
+from graphcorr.kms import (KMSParameters, KMSState, _word_profile,
+                           choose_truncation_depth, extremal_separation_check,
+                           kms_condition_check, kms_eval, kms_eval_truncated,
+                           kms_limit_sweep, limit_sweep_words,
+                           partition_tail_bound, truncated_partition_sum)
+from graphcorr.modules import (ModuleElement, delta_edge, delta_vertex,
                                random_module_element, random_vertex_function,
                                tensor_inner_product, unit_vertex_function)
 from graphcorr.toeplitz import (ToeplitzElement, iota_word, pi_word,
                                 vacuum_projection, word)
+
+from strategies import finite_graphs
 
 
 def point_state(g, beta, v=None):
@@ -49,6 +53,21 @@ def resolvent_loop_eval(state, elem) -> complex:
             g = w.middle.values
         z = np.linalg.solve(p.resolvent_t, g)
         total += w.coeff * (p.x ** k) * complex(weights @ z)
+    return complex(total)
+
+
+def kms_infty_eval(graph, vertex, elem) -> complex:
+    """Vacuum vector state at ``vertex``: words with any creation or
+    annihilation evaluate to 0, scalar words evaluate their coefficient
+    function at the vertex.  The loop that the ``beta = inf`` state
+    replaced."""
+    vi = graph.vertex_index(vertex)
+    total = 0.0 + 0.0j
+    for w in elem.words:
+        if w.creations or w.annihilations:
+            continue
+        a = 1.0 if w.middle is None else w.middle.values[vi]
+        total += w.coeff * a
     return complex(total)
 
 
@@ -317,6 +336,19 @@ def test_condition_random_words():
         assert rec.passed, rec.residual
 
 
+@pytest.mark.parametrize("beta", [800.0, math.inf])
+def test_condition_refuses_a_twist_that_underflows(beta):
+    # sigma scales a degree -1 word by e^{beta}, and e^{-beta} is 0 here
+    g = single_loop()
+    st = point_state(g, beta)
+    d = delta_edge(g, "e")
+    ann = ToeplitzElement(g, [word(1.0, (), None, (d,))])
+    crt = ToeplitzElement(g, [iota_word(d)])
+    assert kms_condition_check(st, ann, crt).residual == 0.0
+    with pytest.raises(DomainError):
+        kms_condition_check(st, crt, ann)
+
+
 def test_condition_rejects_inhomogeneous():
     g = fibonacci()
     st = point_state(g, 2.0)
@@ -334,26 +366,118 @@ def test_condition_rejects_inhomogeneous():
 
 def test_infty_scalar_words():
     g = fibonacci()
-    st = KMSInftyState(g, "a")
-    assert kms_infty_eval(st, ToeplitzElement(
+    st = point_state(g, math.inf, "a")
+    assert kms_eval(st, ToeplitzElement(
         g, [pi_word(delta_vertex(g, "a"))])) == 1.0
-    assert kms_infty_eval(st, ToeplitzElement(
+    assert kms_eval(st, ToeplitzElement(
         g, [pi_word(delta_vertex(g, "b"))])) == 0.0
 
 
 def test_infty_kills_nonscalar_words():
     g = fibonacci()
-    st = KMSInftyState(g, "a")
+    st = point_state(g, math.inf, "a")
     rng = np.random.default_rng(6)
     w = ToeplitzElement(g, [word(1.0, (random_module_element(g, rng),), None,
                                  (random_module_element(g, rng),))])
-    assert kms_infty_eval(st, w) == 0.0
+    assert kms_eval(st, w) == 0.0
 
 
 def test_infty_vacuum_projection_is_one():
     for g in (single_loop(), fibonacci(), k_loops(3)):
-        st = KMSInftyState(g, g.vertices[0])
-        assert kms_infty_eval(st, vacuum_projection(g)) == 1.0
+        st = point_state(g, math.inf)
+        assert kms_eval(st, vacuum_projection(g)) == 1.0
+
+
+def test_infty_parameters_are_the_vacuum():
+    g = ten_edge()
+    params = KMSParameters(g, math.inf)
+    assert params.x == 0.0 and params.rho is None
+    assert (params.resolvent_t == np.eye(g.n_vertices)).all()
+    assert (params.partition == 1.0).all()
+    st = KMSState.point_mass(params, "v2")
+    assert (st.dual == np.eye(g.n_vertices)[2]).all()
+
+
+def test_infty_needs_no_spectral_radius():
+    # a 69-cycle fed by one source: the radius refuses these 70 vertices
+    n = 69
+    g = FiniteGraph([f"c{i}" for i in range(n)] + ["s"],
+                    [f"e{i}" for i in range(n + 1)],
+                    [f"c{i}" for i in range(n)] + ["s"],
+                    [f"c{(i + 1) % n}" for i in range(n)] + ["c0"])
+    with pytest.raises(SizeLimitError):
+        spectral_radius(g)
+    st = point_state(g, math.inf, "s")
+    assert kms_eval(st, ToeplitzElement(g, [word(1.0)])) == 1.0
+    assert kms_eval(st, vacuum_projection(g)) == 1.0
+
+
+def huge_element(g, rng) -> ToeplitzElement:
+    """A balanced word with ``|x|, |y| ~ 1e200``, whose profile overflows,
+    next to a scalar word: the value stays finite at ``beta = inf``."""
+    big = [ModuleElement(g, 1e200 * random_module_element(g, rng).values)
+           for _ in range(2)]
+    return ToeplitzElement(g, [
+        word(1.0, (big[0],), None, (big[1],)),
+        word(complex(*rng.standard_normal(2)), (),
+             random_vertex_function(g, rng), ())])
+
+
+def assert_infty_matches_oracle(g, rng):
+    elems = [mixed_element(g, rng), vacuum_projection(g),
+             huge_element(g, rng), ToeplitzElement(g, [word(2.5 - 1j)])]
+    params = KMSParameters(g, math.inf)
+    for v in g.vertices:
+        st = KMSState.point_mass(params, v)
+        for elem in elems:
+            want = kms_infty_eval(g, v, elem)
+            assert math.isfinite(abs(want))
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert repr(kms_eval(st, elem)) == repr(want)
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_FIXTURES))
+def test_infty_state_matches_vacuum_loop_on_fixtures(name):
+    assert_infty_matches_oracle(FINITE_FIXTURES[name](),
+                                np.random.default_rng(11))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(g=finite_graphs())
+def test_infty_state_matches_vacuum_loop_on_generated_graphs(g):
+    assert_infty_matches_oracle(g, np.random.default_rng(12))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(g=finite_graphs())
+def test_eval_matches_truncated_oracle_on_generated_graphs(g):
+    # a margin of 1 above log rho: the dense radius may be 2.2e-8 off on a
+    # defective graph, and the series terms fall like n^5 e^{-n}, so 100
+    # terms leave a tail far below the tolerance
+    rho = max(abs(np.linalg.eigvals(g.adjacency().astype(float))),
+              default=0.0)
+    beta = math.log(max(rho, 1.0)) + 1.0
+    rng = np.random.default_rng(13)
+    m = rng.random(g.n_vertices) + 0.1
+    for st in (point_state(g, beta), KMSState(KMSParameters(g, beta),
+                                              m / m.sum())):
+        for elem in (mixed_element(g, rng), vacuum_projection(g)):
+            want = kms_eval_truncated(st, elem, 100)
+            assert abs(kms_eval(st, elem) - want) \
+                <= 1e-9 * max(1.0, abs(want))
+
+
+def test_states_refuse_elements_over_another_graph():
+    g = fibonacci()
+    st = point_state(g, 2.0, "a")
+    for h in (fibonacci(), ten_edge()):
+        p = vacuum_projection(h)
+        with pytest.raises(MismatchError):
+            kms_eval(st, p)
+        with pytest.raises(MismatchError):
+            kms_condition_check(st, p, p)
+        with pytest.raises(MismatchError):
+            kms_limit_sweep(g, "a", {"p": p}, [2.0])
 
 
 def test_sweep_single_loop_closed_form():
@@ -377,6 +501,17 @@ def test_sweep_fibonacci_monotone_and_bounded():
     for row in table.rows:
         assert row.residual <= 3.0 * math.exp(-row.beta) \
             * words[row.word_id].norm_bound()
+
+
+def test_sweep_evaluates_each_limit_once(monkeypatch):
+    g = fibonacci()
+    words = limit_sweep_words(g)
+    calls = []
+    monkeypatch.setattr(kms, "kms_eval", lambda st, e: calls.append(
+        st.params.beta) or kms_eval(st, e))
+    kms_limit_sweep(g, "a", words, [1.0, 2.0, 3.0])
+    assert calls.count(math.inf) == len(words)
+    assert len(calls) == 4 * len(words)
 
 
 def test_sweep_rejects_beta_in_forbidden_range():
@@ -406,6 +541,35 @@ def test_separation_two_vertices_distinct_loop_counts():
     params = KMSParameters(g, 2.0)
     recs = extremal_separation_check(params, trials=10, seed=1)
     assert all(r.passed for r in recs)
+
+
+def loop_separation(params) -> list:
+    """Separation gaps with one indicator per vertex triple: the loop that
+    building each indicator once replaced."""
+    g = params.graph
+    point_states = {v: KMSState.point_mass(params, v) for v in g.vertices}
+    gaps = []
+    for i, v in enumerate(g.vertices):
+        for w_ in g.vertices[i + 1:]:
+            sep = 0.0
+            for u in g.vertices:
+                ind = ToeplitzElement(g, [pi_word(delta_vertex(g, u))])
+                sep = max(sep, abs(kms_eval(point_states[v], ind)
+                                   - kms_eval(point_states[w_], ind)))
+            gaps.append((f"separate[{v},{w_}]", sep))
+    return gaps
+
+
+@pytest.mark.parametrize("name", ["single-loop", "three-loops", "fibonacci",
+                                  "ten-edge", "tied", "acyclic"])
+def test_separation_matches_indicator_loop(name):
+    g = dict(FINITE_FIXTURES, tied=tied_graph, acyclic=acyclic_graph)[name]()
+    for beta in (math.log(max(spectral_radius(g), 1.0)) + 0.5, math.inf):
+        params = KMSParameters(g, beta)
+        recs = extremal_separation_check(params, trials=1)
+        got = [(r.name, r.residual) for r in recs
+               if r.name.startswith("separate")]
+        assert got == loop_separation(params)
 
 
 def test_affinity_exact_identity():
