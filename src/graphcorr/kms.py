@@ -15,10 +15,12 @@ otherwise to
 
 with ``g = <y, x>`` the tensor inner product (``g = a`` for scalar words,
 ``g = 1`` for the unit word).  Each state solves for its dual vector ``u``
-once, so a word costs one dot product; each word computes its profile
-``(g, k)`` once and keeps it.  Truncated path sums are kept as an
-independent cross-check oracle.  At ``beta = inf`` the same state is the
-vacuum vector state, which sees only the scalar part of a word.
+once.  Each element stacks the profiles ``g`` of its balanced words into
+one matrix ``G``, built once by degree and kept, so an element costs one
+matrix-vector product ``G u`` per state.  Truncated path sums, over
+profiles computed word by word, are kept as an independent oracle.  At
+``beta = inf`` the same state is the vacuum vector state, which sees only
+the scalar part of a word.
 """
 from __future__ import annotations
 
@@ -128,7 +130,8 @@ class KMSState:
     """State attached to a finitely supported probability measure.
 
     ``dual`` is ``(I - e^{-beta} A)^{-1} (Omega / N)``: the state of a
-    balanced word with profile ``(g, k)`` is ``e^{-beta k} dual @ g``.
+    balanced word with profile ``(g, k)`` is ``e^{-beta k} dual @ g``, and
+    of an element with profile stack ``G`` the weighted sum of ``G dual``.
     """
     params: KMSParameters
     measure: np.ndarray
@@ -155,7 +158,8 @@ def _word_profile(w: Word):
     """``(g, k)`` for the evaluation formula (``g`` None for the unit
     word), or None if the word has unequal creation/annihilation length
     and so vanishes in every state.  Computed once per word: the memo sits
-    in the frozen word's instance dict, as :meth:`Word.is_zero`'s does."""
+    in the frozen word's instance dict, as :meth:`Word.is_zero`'s does.
+    Only the truncated oracle reads it; :func:`kms_eval` reads the stack."""
     try:
         return w.__dict__["_profile"]
     except KeyError:
@@ -171,22 +175,57 @@ def _word_profile(w: Word):
     return profile
 
 
+def _element_stack(elem: ToeplitzElement):
+    """``(G, k, c)``: the profile ``g``, creation count and coefficient of
+    each balanced word, in word order (the unit word's row is all ones),
+    kept in the element's instance dict per word tuple.  Each degree ``k >=
+    1`` runs :func:`tensor_inner_product`'s recursion on factors stacked as
+    ``(words, edges)`` rows, so every row is bitwise that word's profile."""
+    memo = elem.__dict__.get("_stack")
+    if memo is not None and memo[0] is elem.words:
+        return memo[1]
+    g = elem.graph
+    rows = [w for w in elem.words if w.creations == w.annihilations]
+    k = [w.creations for w in rows]
+    G = [np.ones(g.n_vertices) if w.middle is None else w.middle.values
+         for w in rows]
+    for deg in sorted(set(k) - {0}):
+        at = [i for i, j in enumerate(k) if j == deg]
+        prof = None
+        for j in range(deg):
+            right = np.array([rows[i].right[j].values for i in at])
+            left = np.array([rows[i].left[j].values for i in at])
+            if prof is not None:
+                left = prof[:, g.rng_idx] * left
+            prof = np.zeros((len(at), g.n_vertices), dtype=np.complex128)
+            np.add.at(prof, (slice(None), g.src_idx), right.conj() * left)
+        for i, row in zip(at, prof):
+            G[i] = row
+    G = np.array(G, dtype=np.complex128).reshape(len(rows), g.n_vertices)
+    stack = G, k, [w.coeff for w in rows]
+    elem.__dict__["_stack"] = elem.words, stack
+    return stack
+
+
 def kms_eval(state: KMSState, elem) -> complex:
-    """Exact evaluation of an element in the state.  A word whose weight
-    ``e^{-beta k}`` is zero (every balanced word at ``beta = inf``)
-    contributes nothing, even if its profile overflowed."""
+    """Exact evaluation of an element in the state: one matrix-vector
+    product of the element's profile stack with the dual vector.  A word
+    whose weight ``e^{-beta k}`` is zero (every word with creations at
+    ``beta = inf``) contributes nothing, even if its profile overflowed.
+    Each row's sum runs in index order (as ``u.sum()`` does below eight
+    vertices; a BLAS product does not) and the products are summed in word
+    order with Python complex arithmetic, so a point-mass state at ``beta =
+    inf`` gives bitwise the word-by-word loop's value."""
     x, u = state.params.x, state.dual
     if elem.graph is not state.params.graph:
         raise MismatchError("element and state live over different graphs")
+    G, k, c = _element_stack(elem)
+    weight = [x ** j for j in k]
+    live = [i for i, w in enumerate(weight) if w]
+    d = np.einsum("ij,j->i", G if len(live) == len(k) else G[live], u)
     total = 0.0 + 0.0j
-    for w in elem.words:
-        profile = _word_profile(w)
-        if profile is None:
-            continue
-        g, k = profile
-        weight = x ** k
-        if weight:
-            total += w.coeff * weight * (u.sum() if g is None else u @ g)
+    for i, b in zip(live, d.tolist()):
+        total += c[i] * weight[i] * b
     return complex(total)
 
 

@@ -222,6 +222,22 @@ def test_kms_sweep_script_refuses_zero_beta_step():
     assert "input error" in proc.stderr
 
 
+def test_kms_sweep_script_reports_a_grid_below_log_rho():
+    # the default grid starts at beta = 1, below log 3 on three loops
+    proc = run_script("kms_sweep.py", "--fixture", "three-loops", timeout=10)
+    assert proc.returncode == 1
+    assert proc.stdout == ("FAIL  domain  (beta = 1.0 must exceed "
+                           "log rho = 1.09861)\n")
+    assert "Traceback" not in proc.stderr
+
+
+def test_kms_sweep_script_refuses_an_unknown_vertex():
+    proc = run_script("kms_sweep.py", "--vertex", "zz", timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr == "input error: unknown vertex id 'zz'\n"
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("value", ["0", "-5", str(MAX_GRID + 1)])
 @pytest.mark.parametrize("argv", [
     ("localconj", "check", TWO_LOOPS, DOUBLE, "--grid"),

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from graphcorr import kms
+from graphcorr import kms, modules
 from graphcorr.errors import (DomainError, FormatError, MismatchError,
                               SizeLimitError)
 from graphcorr.fixtures import (FINITE_FIXTURES, edgeless, fibonacci, k_loops,
                                 single_loop, ten_edge)
 from graphcorr.graphs import FiniteGraph, spectral_radius
-from graphcorr.kms import (KMSParameters, KMSState, _word_profile,
-                           choose_truncation_depth, extremal_separation_check,
+from graphcorr.kms import (KMSParameters, KMSState, _element_stack,
+                           _word_profile, choose_truncation_depth,
+                           extremal_separation_check,
                            kms_condition_check, kms_eval, kms_eval_truncated,
                            kms_limit_sweep, limit_sweep_words,
                            partition_tail_bound, truncated_partition_sum)
@@ -53,6 +54,24 @@ def resolvent_loop_eval(state, elem) -> complex:
             g = w.middle.values
         z = np.linalg.solve(p.resolvent_t, g)
         total += w.coeff * (p.x ** k) * complex(weights @ z)
+    return complex(total)
+
+
+def word_loop_eval(state, elem) -> complex:
+    """One dot product per balanced word, each with its own profile: the
+    evaluation loop that the per-element profile stacks replaced."""
+    x, u = state.params.x, state.dual
+    if elem.graph is not state.params.graph:
+        raise MismatchError("element and state live over different graphs")
+    total = 0.0 + 0.0j
+    for w in elem.words:
+        profile = _word_profile(w)
+        if profile is None:
+            continue
+        g, k = profile
+        weight = x ** k
+        if weight:
+            total += w.coeff * weight * (u.sum() if g is None else u @ g)
     return complex(total)
 
 
@@ -287,6 +306,130 @@ def test_word_profile_computed_once():
     assert k == 2 and _word_profile(w)[0] is g_w
     assert _word_profile(word(2.0)) == (None, 0)
     assert _word_profile(word(1.0, xs, None, xs[:1])) is None
+
+
+def sized_element(g, rng, n_words) -> ToeplitzElement:
+    """``n_words`` balanced words, word ``i`` with ``i % 4`` creations."""
+    return ToeplitzElement(g, [word(
+        complex(*rng.standard_normal(2)),
+        tuple(random_module_element(g, rng) for _ in range(i % 4)),
+        random_vertex_function(g, rng),
+        tuple(random_module_element(g, rng) for _ in range(i % 4)))
+        for i in range(n_words)])
+
+
+def loop_oracle_elements(g, rng) -> list:
+    """Unit, scalar, k = 1..3 and unbalanced words; an element of only
+    unbalanced words; the empty element; the vacuum projection."""
+    x = random_module_element(g, rng)
+    return [mixed_element(g, rng), sized_element(g, rng, 12),
+            ToeplitzElement(g, [word(1.0, (x,), None, ()),
+                                word(2.0, (), None, (x, x))]),
+            ToeplitzElement(g), vacuum_projection(g),
+            ToeplitzElement(g, [word(2.5 - 1j)])]
+
+
+def assert_stack_matches_word_loop(g, rng):
+    elems = loop_oracle_elements(g, rng)
+    unbalanced = elems[2]
+    infty = KMSParameters(g, math.inf)
+    for v in g.vertices:
+        st = KMSState.point_mass(infty, v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for elem in elems + [huge_element(g, rng)]:
+                got = kms_eval(st, elem)
+                assert math.isfinite(abs(got))
+                assert repr(got) == repr(word_loop_eval(st, elem))
+    rho = max(abs(np.linalg.eigvals(g.adjacency().astype(float))),
+              default=0.0)
+    params = KMSParameters(g, math.log(max(rho, 1.0)) + 1.0)
+    m = rng.random(g.n_vertices) + 0.1
+    states = [KMSState.point_mass(params, v) for v in g.vertices]
+    for st in states + [KMSState(params, m / m.sum())]:
+        for elem in elems:
+            want = word_loop_eval(st, elem)
+            assert abs(kms_eval(st, elem) - want) \
+                <= 1e-12 * max(1.0, elem.norm_bound())
+        assert repr(kms_eval(st, unbalanced)) == repr(0j)
+        assert repr(kms_eval(st, ToeplitzElement(g))) == repr(0j)
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_FIXTURES)
+                         + ["tied", "acyclic"])
+def test_stacked_eval_matches_word_loop_on_fixtures(name):
+    g = dict(FINITE_FIXTURES, tied=tied_graph, acyclic=acyclic_graph)[name]()
+    assert_stack_matches_word_loop(g, np.random.default_rng(14))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(g=finite_graphs())
+def test_stacked_eval_matches_word_loop_on_generated_graphs(g):
+    assert_stack_matches_word_loop(g, np.random.default_rng(15))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(g=finite_graphs())
+def test_stack_rows_are_the_word_profiles(g):
+    rng = np.random.default_rng(16)
+    for elem in loop_oracle_elements(g, rng):
+        G, k, c = _element_stack(elem)
+        rows = [w for w in elem.words if w.creations == w.annihilations]
+        assert G.shape == (len(rows), g.n_vertices)
+        assert k == [w.creations for w in rows]
+        assert c == [w.coeff for w in rows]
+        for got, w in zip(G, rows):
+            if w.creations:
+                want = tensor_inner_product(w.right, w.left).values
+            elif w.middle is None:
+                want = np.ones(g.n_vertices, dtype=np.complex128)
+            else:
+                want = w.middle.values
+            assert got.tobytes() == want.tobytes()
+
+
+def test_stack_follows_reassigned_words():
+    g = fibonacci()
+    rng = np.random.default_rng(17)
+    st = point_state(g, 1.5, "a")
+    elem, other = mixed_element(g, rng), sized_element(g, rng, 8)
+    kms_eval(st, elem)
+    old = _element_stack(elem)[0]
+    elem.words = other.words
+    assert repr(kms_eval(st, elem)) == repr(kms_eval(st, other))
+    G = _element_stack(elem)[0]
+    assert G is not old and G.tobytes() == _element_stack(other)[0].tobytes()
+
+
+def test_mismatch_is_raised_before_a_stack_is_built():
+    st = point_state(fibonacci(), 2.0, "a")
+    for h in (fibonacci(), ten_edge()):
+        p = vacuum_projection(h)
+        with pytest.raises(MismatchError):
+            kms_eval(st, p)
+        assert "_stack" not in vars(p)
+
+
+def test_many_states_share_one_stack_and_no_word_profile(monkeypatch):
+    g = ten_edge()
+    rng = np.random.default_rng(18)
+    elem = sized_element(g, rng, 48)
+    params = KMSParameters(g, math.log(spectral_radius(g)) + 1.2)
+    ms = rng.random((40, g.n_vertices)) + 0.1
+    states = [KMSState(params, m) for m in ms / ms.sum(axis=1)[:, None]]
+    stacks, profiles = [], []
+    real_stack = kms._element_stack
+    monkeypatch.setattr(kms, "_element_stack",
+                        lambda e: stacks.append(real_stack(e)) or stacks[-1])
+    for mod in (kms, modules):
+        monkeypatch.setattr(mod, "tensor_inner_product",
+                            lambda *args: profiles.append(args))
+    values = [kms_eval(st, elem) for st in states]
+    assert len(stacks) == 40 and profiles == []
+    assert all(s[0] is stacks[0][0] for s in stacks)
+    monkeypatch.undo()
+    for st, got in zip(states, values):
+        assert abs(got - word_loop_eval(st, elem)) \
+            <= 1e-12 * elem.norm_bound()
 
 
 # ---------------------------------------------------------------------------
