@@ -32,6 +32,18 @@ MAX_DEGREE = 4096
 MAX_SEARCH = 10**8
 #: largest permutation-cocycle frame, in Gram entries ``(grid + 1) rank^3``
 MAX_FRAME = 10**6
+#: most random trials one check may draw; the defaults draw 5 to 100
+MAX_TRIALS = 10**5
+
+
+def check_trials(trials: int) -> None:
+    """``FormatError`` below 1 trial, ``SizeLimitError`` above
+    :data:`MAX_TRIALS`."""
+    if trials < 1:
+        raise FormatError(f"trials {trials} is below 1")
+    if trials > MAX_TRIALS:
+        raise SizeLimitError(f"trials {trials} exceeds the {MAX_TRIALS} "
+                             "limit")
 
 
 def wrap_angle(t: float) -> float:

@@ -20,7 +20,9 @@ one matrix ``G``, built once by degree and kept, so an element costs one
 matrix-vector product ``G u`` per state.  Truncated path sums, over
 profiles computed word by word, are kept as an independent oracle.  At
 ``beta = inf`` the same state is the vacuum vector state, which sees only
-the scalar part of a word.
+the scalar part of a word.  The KMS condition is checked for many pairs
+at once: pairs of one word shape are stacked on a trial axis, and each
+product stack is evaluated with one row-wise product of its profiles.
 """
 from __future__ import annotations
 
@@ -31,11 +33,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, FormatError, MismatchError
-from .graphs import FiniteGraph, spectral_radius
+from .graphs import FiniteGraph, check_trials, spectral_radius
 from .modules import (delta_edge, delta_vertex, random_module_element,
                       tensor_inner_product)
 from .report import Check
-from .toeplitz import (ToeplitzElement, Word, gauge_scale, pi_word,
+from .toeplitz import (ToeplitzElement, Word, _cmul, _concat_batches,
+                       _gauge_weight, _live_words, _stack_product,
+                       _tensor_inner, _word_batches, pi_word,
                        vacuum_projection, word)
 
 
@@ -179,7 +183,7 @@ def _element_stack(elem: ToeplitzElement):
     """``(G, k, c)``: the profile ``g``, creation count and coefficient of
     each balanced word, in word order (the unit word's row is all ones),
     kept in the element's instance dict per word tuple.  Each degree ``k >=
-    1`` runs :func:`tensor_inner_product`'s recursion on factors stacked as
+    1`` runs :func:`~graphcorr.toeplitz._tensor_inner` on factors stacked as
     ``(words, edges)`` rows, so every row is bitwise that word's profile."""
     memo = elem.__dict__.get("_stack")
     if memo is not None and memo[0] is elem.words:
@@ -191,14 +195,9 @@ def _element_stack(elem: ToeplitzElement):
          for w in rows]
     for deg in sorted(set(k) - {0}):
         at = [i for i, j in enumerate(k) if j == deg]
-        prof = None
-        for j in range(deg):
-            right = np.array([rows[i].right[j].values for i in at])
-            left = np.array([rows[i].left[j].values for i in at])
-            if prof is not None:
-                left = prof[:, g.rng_idx] * left
-            prof = np.zeros((len(at), g.n_vertices), dtype=np.complex128)
-            np.add.at(prof, (slice(None), g.src_idx), right.conj() * left)
+        prof = _tensor_inner(*(
+            [np.array([getattr(rows[i], side)[j].values for i in at])
+             for j in range(deg)] for side in ("right", "left")), g)
         for i, row in zip(at, prof):
             G[i] = row
     G = np.array(G, dtype=np.complex128).reshape(len(rows), g.n_vertices)
@@ -258,19 +257,125 @@ def kms_eval_truncated(state: KMSState, elem, depth: int) -> complex:
 def kms_condition_check(state: KMSState, b1: ToeplitzElement,
                         b2: ToeplitzElement, tol: float = 1e-9) -> Check:
     """Residual of ``phi(b1 * sigma(b2)) = phi(b2 * b1)`` where ``sigma``
-    scales a degree-``n`` element by ``e^{-beta n}``.
+    scales a degree-``n`` element by ``e^{-beta n}``: the one-pair call of
+    :func:`kms_condition_residuals`.
 
     Both inputs must be gauge homogeneous (they are then analytic for the
     dynamics and the scaling is the analytic continuation evaluated at
     ``i beta``).
     """
-    if not (b1.is_homogeneous() and b2.is_homogeneous()):
-        raise DomainError("inputs must be gauge homogeneous")
-    twisted = gauge_scale(b2, state.params.x)
-    lhs = kms_eval(state, b1 * twisted)
-    rhs = kms_eval(state, b2 * b1)
-    residual = abs(lhs - rhs)
+    if b1.graph is not state.params.graph or b2.graph is not b1.graph:
+        raise MismatchError("element and state live over different graphs")
+    residual = float(kms_condition_residuals(
+        state, [(_word_batches(b1), _word_batches(b2))])[0])
     return Check("kms-condition", residual <= tol, residual)
+
+
+def kms_condition_residuals(state: KMSState, pairs) -> np.ndarray:
+    """``|phi(b1 sigma(b2)) - phi(b2 b1)|`` for many pairs in one state.
+
+    Each entry of ``pairs`` gives ``b1`` and ``b2`` as word stacks over the
+    state's graph on a common trial axis, as
+    :func:`~graphcorr.toeplitz._word_batches` lists them for one trial; the
+    residuals of all trials come back entry by entry.  Entries whose words
+    have the same shapes are joined on the trial axis; ``x**deg`` is folded
+    into the coefficients of ``b2``; both products are formed stack by
+    stack as :func:`~graphcorr.toeplitz._batch_product` forms them, and
+    each product stack is evaluated with one row-wise product of its
+    profiles and the dual vector.  Every term is bitwise that of
+    :func:`kms_eval` on the product element, and the terms are summed in
+    that element's word order, so a residual is bitwise the per-pair
+    route's unless two product words coincide, which the element merges
+    first.  ``DomainError`` for an element that is not gauge homogeneous,
+    and for ``b2`` of negative degree where ``e^{-beta}`` is 0.
+    """
+    groups: dict = {}
+    start = 0
+    for b1, b2 in pairs:
+        rows = range(start, start + max(
+            (len(bt[2]) for bt in (*b1, *b2)), default=1))
+        start = rows.stop
+        degrees = [{m - n for m, n, *_ in b} for b in (b1, b2)]
+        if any(len(d) > 1 for d in degrees):
+            raise DomainError("inputs must be gauge homogeneous")
+        scale = _gauge_weight(state.params.x, min(degrees[1], default=0))
+        if {a + b for a in degrees[0] for b in degrees[1]} != {0}:
+            continue    # no balanced product word: both sides are 0
+        shape = tuple(tuple((m, n, mid is not None) for m, n, _, _, mid, _
+                            in b) for b in (b1, b2))
+        groups.setdefault(shape, []).append((rows, b1, b2, scale))
+    out = np.zeros(start)
+    for group in groups.values():
+        rows, b1s, b2s, scales = zip(*group)
+        (s1, at1), (s2, at2) = (_shape_stacks(_trial_stack(b))
+                                for b in (b1s, b2s))
+        scales = np.array([s for r, s in zip(rows, scales) for _ in r])
+        twisted = [(m, n, _cmul(c, scales[:, None]), *f)
+                   for m, n, c, *f in s2]
+        out[[t for r in rows for t in r]] = [
+            abs(lhs - rhs) for lhs, rhs in zip(
+                _product_values(state, (s1, at1), (twisted, at2)),
+                _product_values(state, (s2, at2), (s1, at1)))]
+    return out
+
+
+def _trial_stack(elems) -> list:
+    """Word stacks of elements of one word-shape sequence joined on the
+    trial axis."""
+    if len(elems) == 1:
+        return elems[0]
+    return [(m, n, np.concatenate([e[i][2] for e in elems]),
+             [np.concatenate(f) for f in zip(*(e[i][3] for e in elems))],
+             None if mid is None else np.concatenate(
+                 [e[i][4] for e in elems]),
+             [np.concatenate(f) for f in zip(*(e[i][5] for e in elems))])
+            for i, (m, n, _, _, mid, _) in enumerate(elems[0])]
+
+
+def _shape_stacks(words) -> tuple:
+    """:func:`~graphcorr.toeplitz._concat_batches` of word stacks, and the
+    word positions that each shape stack holds."""
+    at: dict = {}
+    for i, (m, n, _, _, mid, _) in enumerate(words):
+        at.setdefault((m, n, mid is not None), []).append(i)
+    return _concat_batches(words), list(at.values())
+
+
+def _product_values(state: KMSState, e1, e2) -> list:
+    """Per trial, the state of the product of two trial-stacked elements
+    given by :func:`_shape_stacks`, whose degrees sum to 0, as
+    :func:`kms_eval` takes it on the product element: a term ``c x**k
+    <g, dual>`` per product word with a nonzero coefficient and factors, in
+    Python complex arithmetic on the coefficients and the row products,
+    summed in word-pair order."""
+    x, u, g = state.params.x, state.dual, state.params.graph
+    (stacks1, at1), (stacks2, at2) = e1, e2
+    trials = max(len(bt[2]) for bt in (*stacks1, *stacks2))
+    k2 = sum(map(len, at2))
+    terms: list = [{} for _ in range(trials)]
+    for bt1, i1 in zip(stacks1, at1):
+        for bt2, i2 in zip(stacks2, at2):
+            left, middle, right = _stack_product(bt1, bt2, g)
+            weight = x ** len(left)
+            if not weight:
+                continue
+            words = len(i1) * len(i2)
+            G = _tensor_inner(right, left, g) if left else middle
+            if G is None:
+                G = np.ones((trials, words, g.n_vertices))
+            d = np.einsum("ij,j->i", G.reshape(-1, g.n_vertices), u)
+            live = _live_words(np.ones((trials, words)), left, middle,
+                               right)
+            for t, (c1, c2, live_t, d_t) in enumerate(zip(
+                    bt1[2].tolist(), bt2[2].tolist(), live.tolist(),
+                    d.reshape(trials, words).tolist())):
+                pairs = ((a, b) for a in range(len(i1))
+                         for b in range(len(i2)))
+                for (a, b), ok, dw in zip(pairs, live_t, d_t):
+                    c = c1[a] * c2[b]
+                    if ok and c1[a] and c2[b] and c:
+                        terms[t][i1[a] * k2 + i2[b]] = c * weight * dw
+    return [sum((t[p] for p in sorted(t)), 0j) for t in terms]
 
 
 @dataclass
@@ -350,8 +455,7 @@ def extremal_separation_check(params: KMSParameters, trials: int = 100,
     random measures ``Omega`` and random scalar-or-balanced words, the
     state of ``Omega`` equals the ``Omega``-average of point-mass states.
     """
-    if trials < 1:
-        raise FormatError(f"trials {trials} is below 1")
+    check_trials(trials)
     g = params.graph
     rng = np.random.default_rng(seed)
     checks = []

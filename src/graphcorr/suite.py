@@ -23,13 +23,13 @@ from .conjugacy import (FrameData, GraphIsomorphism, Refutation, bump_frame,
 from .double_cover import run_verification
 from .errors import NoMatchingError, SingularMatrixError
 from .graphs import FiniteGraph, growth_sequence, spectral_radius
-from .kms import (KMSParameters, KMSState, kms_condition_check, kms_eval,
-                  kms_limit_sweep, limit_sweep_words)
-from .modules import (ModuleElement, delta_edge, random_module_element,
-                      random_vertex_function)
+from .kms import (KMSParameters, KMSState, kms_condition_residuals,
+                  kms_eval, kms_limit_sweep, limit_sweep_words)
+from .modules import ModuleElement, delta_edge
 from .report import Check, RunReport, Timer, summarize
-from .toeplitz import (ToeplitzElement, reconstruct_module_check,
-                       triple_iso_transport, vacuum_projection_checks, word)
+from .toeplitz import (ToeplitzElement, _one_word_stack,
+                       reconstruct_module_check, triple_iso_transport,
+                       vacuum_projection_checks, word)
 
 KMS_FIXTURES = ("single-loop", "three-loops", "fibonacci")
 RECONSTRUCT_FIXTURES = ("single-loop", "three-loops", "fibonacci", "ten-edge")
@@ -57,33 +57,59 @@ def criterion_1_kms_closed_form():
 
 
 def criterion_2_kms_condition(seed: int = 0):
-    """500 random homogeneous word pairs across three graphs at beta = 2."""
+    """500 random homogeneous one-word pairs across three graphs at beta =
+    2, the pairs over a graph in one :func:`kms_condition_residuals` call,
+    stacked by word shape."""
     rng = np.random.default_rng(seed)
     counts = (167, 167, 166)
-    checks = []
+    residuals = []
     for name, n_pairs in zip(KMS_FIXTURES, counts):
         g = fx.FINITE_FIXTURES[name]()
         params = KMSParameters(g, 2.0)
         state = KMSState.point_mass(params, g.vertices[0])
+        draws: dict = {}
         for _ in range(n_pairs):
-            b1 = _random_homogeneous(g, rng)
-            b2 = _random_homogeneous(g, rng, degree=-next(iter(b1.degrees()))
-                                     if b1.words and rng.random() < 0.7
-                                     else None)
-            checks.append(kms_condition_check(state, b1, b2, tol=1e-9))
+            m1, n1, z1 = _draw_word(g, rng)
+            # a drawn word is never zero on these fixtures, which all have
+            # edges, so the degree of b2 is drawn as for a nonempty b1
+            m2, n2, z2 = _draw_word(g, rng, n1 - m1 if rng.random() < 0.7
+                                    else None)
+            draws.setdefault((m1, n1, m2, n2), []).append((z1, z2))
+        entries = []
+        for (m1, n1, m2, n2), zs in draws.items():
+            z1, z2 = (np.array(z) for z in zip(*zs))
+            entries.append((_word_stack(g, m1, n1, z1),
+                            _word_stack(g, m2, n2, z2)))
+        residuals += kms_condition_residuals(state, entries).tolist()
+    checks = [Check("kms-condition", r <= 1e-9, r) for r in residuals]
     return [summarize(f"2.kms-condition[{len(checks)} pairs]", checks)]
 
 
-def _random_homogeneous(g, rng, degree=None) -> ToeplitzElement:
+def _draw_word(g, rng, degree=None) -> tuple[int, int, np.ndarray]:
+    """Creation and annihilation counts of a random homogeneous one-word
+    element ``C(xs) P(mid) C(ys)*`` (``mid`` only without creations), and
+    the normals of its factors as one block, drawn in the order in which
+    :func:`~graphcorr.modules.random_module_element` and
+    :func:`~graphcorr.modules.random_vertex_function` draw them."""
     if degree is None:
         m, n = int(rng.integers(0, 3)), int(rng.integers(0, 3))
     else:
         m = max(degree, 0) + int(rng.integers(0, 2))
         n = m - degree
-    xs = tuple(random_module_element(g, rng) for _ in range(m))
-    ys = tuple(random_module_element(g, rng) for _ in range(n))
-    mid = random_vertex_function(g, rng) if m == 0 else None
-    return ToeplitzElement(g, [word(1.0, xs, mid, ys)])
+    z = rng.standard_normal(2 * (m + n) * g.n_edges
+                            + (0 if m else 2 * g.n_vertices))
+    return m, n, z
+
+
+def _word_stack(g, m: int, n: int, z: np.ndarray) -> list:
+    """The word stack, coefficient 1, of the :func:`_draw_word` blocks
+    ``z``, one trial a row."""
+    ne, nv = g.n_edges, g.n_vertices
+    f = z[:, :2 * (m + n) * ne].reshape(len(z), m + n, 2, ne)
+    f = f[:, :, 0] + 1j * f[:, :, 1]
+    mid = None if m else z[:, -2 * nv:-nv] + 1j * z[:, -nv:]
+    return _one_word_stack([f[:, k] for k in range(m)], mid,
+                           [f[:, k] for k in range(m, m + n)])
 
 
 def criterion_3_kms_limits():
@@ -253,15 +279,15 @@ def _random_graph(rng) -> FiniteGraph:
 
 
 def _exhaustive_isomorphic(E: FiniteGraph, F: FiniteGraph) -> bool:
+    """Whether some vertex permutation ``p`` has ``A_F[p_i, p_j] = A_E[i,
+    j]`` throughout, every permutation scored at once."""
     if E.n_vertices != F.n_vertices or E.n_edges != F.n_edges:
         return False
     AE, AF = E.adjacency(), F.adjacency()
-    n = E.n_vertices
-    for perm in itertools.permutations(range(n)):
-        if all(AE[i, j] == AF[perm[i], perm[j]]
-               for i in range(n) for j in range(n)):
-            return True
-    return False
+    p = np.array(list(itertools.permutations(range(E.n_vertices))),
+                 dtype=np.intp)
+    return bool((AF[p[:, :, None], p[:, None, :]] == AE).all(axis=(1, 2))
+                .any())
 
 
 def criterion_10_double_cover(seed: int = 0):

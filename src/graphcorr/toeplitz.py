@@ -38,7 +38,8 @@ from itertools import compress
 import numpy as np
 
 from .errors import DomainError, FormatError, MismatchError, SizeLimitError
-from .graphs import FiniteGraph, path_counts, path_index_tuples
+from .graphs import (FiniteGraph, check_trials, path_counts,
+                     path_index_tuples)
 from .modules import (ModuleElement, VertexFunction, delta_edge,
                       inner_product, left_action, module_norm,
                       random_module_element, random_vertex_function,
@@ -172,12 +173,7 @@ def _reduce(f1, f2, graph: FiniteGraph):
     the left action, or conjugated on the first surviving annihilation,
     and a middle beside creations is absorbed into the last one."""
     (l1, mid1, r1), (l2, mid2, r2) = f1, f2
-    cc = None
-    for y, x in zip(r1, l2):
-        t = y.conj() * (x if cc is None else cc[..., graph.rng_idx] * x)
-        cc = np.zeros(t.shape[:-1] + (graph.n_vertices,),
-                      dtype=np.complex128)
-        np.add.at(cc, (..., graph.src_idx), t)
+    cc = _tensor_inner(r1, l2, graph)
     if len(r1) <= len(l2):
         mid, rem = _times(mid1, cc), l2[len(r1):]
         if rem and mid is not None:
@@ -192,6 +188,20 @@ def _reduce(f1, f2, graph: FiniteGraph):
     if middle is not None and left:
         left[-1], middle = left[-1] * middle[..., graph.src_idx], None
     return left, middle, right
+
+
+def _tensor_inner(ys, xs, graph: FiniteGraph):
+    """``<y_1 ... y_k, x_1 ... x_k>`` over the shorter of the two factor
+    lists, edge arrays on any common leading shape (``None`` for none), by
+    :func:`~graphcorr.modules.tensor_inner_product`'s recursion ``c_1 =
+    <y_1, x_1>``, ``c_j = <y_j, c_{j-1} . x_j>``: every row is bitwise that
+    function's value on the row's factors."""
+    c = None
+    for y, x in zip(ys, xs):
+        t = y.conj() * (x if c is None else c[..., graph.rng_idx] * x)
+        c = np.zeros(t.shape[:-1] + (graph.n_vertices,), dtype=np.complex128)
+        np.add.at(c, (..., graph.src_idx), t)
+    return c
 
 
 def _times(a, b):
@@ -257,11 +267,17 @@ class ToeplitzElement:
 
 def gauge_scale(elem: ToeplitzElement, z: complex) -> ToeplitzElement:
     """Gauge action: scale each word of degree ``n`` by ``z**n``."""
-    if z == 0 and any(w.degree < 0 for w in elem.words):
+    weights = {n: _gauge_weight(z, n) for n in sorted(elem.degrees())}
+    return ToeplitzElement(
+        elem.graph, [w.scaled(weights[w.degree]) for w in elem.words])
+
+
+def _gauge_weight(z: complex, n: int) -> complex:
+    """``z**n``, by which the gauge action scales a word of degree ``n``."""
+    if z == 0 and n < 0:
         raise DomainError("z**n is undefined at z = 0 for a word of negative "
                           "degree n (e^-beta is 0 above beta ~ 745)")
-    return ToeplitzElement(
-        elem.graph, [w.scaled(z ** w.degree) for w in elem.words])
+    return z ** n
 
 
 def spectral_component(elem: ToeplitzElement, n: int) -> ToeplitzElement:
@@ -308,8 +324,9 @@ def vacuum_projection(graph: FiniteGraph) -> ToeplitzElement:
 def _cmul(a, b):
     """``a * b`` from the parts, ``(ar br - ai bi, ar bi + ai br)``: bitwise
     the scalar complex product, which numpy's array product is not."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
-    out.real = a.real * b.real - a.imag * b.imag
+    real = a.real * b.real - a.imag * b.imag
+    out = np.empty(real.shape, dtype=np.complex128)
+    out.real = real
     out.imag = a.real * b.imag + a.imag * b.real
     return out
 
@@ -646,18 +663,11 @@ def _batch_product(batches1, batches2, graph: FiniteGraph) -> list:
     :func:`word_multiply` gives; none merged, less those zero in every
     trial (as through orthogonal deltas)."""
     out = []
-    for _, _, c1, *f1 in batches1:
-        for _, _, c2, *f2 in batches2:
-            # word i * k2 + j of the product is the pair (word i, word j)
-            i, j = np.divmod(np.arange(c1.shape[1] * c2.shape[1]),
-                             c2.shape[1])
-            trial = np.arange(max(len(c1), len(c2)))[:, None]
-            left, middle, right = _reduce(*(
-                ([a[trial % len(a), k] for a in ls],
-                 None if mid is None else mid[trial % len(mid), k],
-                 [a[trial % len(a), k] for a in rs])
-                for (ls, mid, rs), k in ((f1, i), (f2, j))), graph)
-            c = _cmul(c1[:, i], c2[:, j])
+    for bt1 in batches1:
+        for bt2 in batches2:
+            left, middle, right = _stack_product(bt1, bt2, graph)
+            c = _cmul(*(_on_pairs(bt[2], bt1, bt2, bt is bt1)
+                        for bt in (bt1, bt2)))
             keep = _live_words(c, left, middle, right).any(axis=0)
             out.append((len(left), len(right), c[:, keep],
                         [a[:, keep] for a in left],
@@ -666,10 +676,51 @@ def _batch_product(batches1, batches2, graph: FiniteGraph) -> list:
     return _concat_batches(out)
 
 
+def _stack_product(bt1, bt2, graph: FiniteGraph):
+    """The factors ``(left, middle, right)`` by :func:`_reduce` of the
+    products of the words of two stacks, on :func:`_on_pairs`'s word
+    pairs, zero words kept."""
+    return _reduce(*(
+        ([_on_pairs(a, bt1, bt2, first) for a in ls],
+         None if mid is None else _on_pairs(mid, bt1, bt2, first),
+         [_on_pairs(a, bt1, bt2, first) for a in rs])
+        for (_, _, _, ls, mid, rs), first in ((bt1, True), (bt2, False))),
+        graph)
+
+
+def _on_pairs(a, bt1, bt2, first: bool) -> np.ndarray:
+    """An array ``(trials, words, *)`` of the stack ``bt1`` (``first``) or
+    ``bt2`` on the word pairs of their product, word ``i * k2 + j`` the
+    pair (word ``i``, word ``j``), and on both stacks' trials (a one-trial
+    stack serves every trial)."""
+    k1, k2 = bt1[2].shape[1], bt2[2].shape[1]
+    if first and k2 > 1:
+        a = np.repeat(a, k2, axis=1)
+    elif not first and k1 > 1:
+        a = np.tile(a, (1, k1) + (1,) * (a.ndim - 2))
+    trials = max(len(bt1[2]), len(bt2[2]))
+    return a if len(a) == trials else np.broadcast_to(
+        a, (trials,) + a.shape[1:])
+
+
+def _one_word_stack(left=(), middle=None, right=()) -> list:
+    """The shape batches of the one-word elements ``C(left...) P(middle)
+    C(right...)*`` with coefficient 1, from factors ``(trials, *)``, at
+    least one given."""
+    trials = len(next(f for f in (*left, middle, *right) if f is not None))
+    return [(len(left), len(right), np.ones((trials, 1), dtype=complex),
+             [x[:, None] for x in left],
+             None if middle is None else middle[:, None],
+             [y[:, None] for y in right])]
+
+
 def _live_words(c, ls, mid, rs) -> np.ndarray:
     """Per trial and word: coefficient and every factor array nonzero."""
-    return np.all([c != 0] + [a.any(axis=-1) for a in ls + rs + [mid]
-                              if a is not None], axis=0)
+    live = c != 0
+    for a in ls + rs + [mid]:
+        if a is not None:
+            live = live & a.any(axis=-1)
+    return live
 
 
 def _creation_bound(batches, trials: int) -> np.ndarray:
@@ -703,8 +754,7 @@ def reconstruct_module_check(graph: FiniteGraph, trials: int = 100,
     of a one-trial run.  The check returned carries the largest residual
     and names the first failing identity, or counts them.
     """
-    if trials < 1:
-        raise FormatError(f"trials {trials} is below 1")
+    check_trials(trials)
     focks = [TruncatedFock(graph, v, depth) for v in graph.vertices]
     rng = np.random.default_rng(seed)
     p = _shape_batches(vacuum_projection(graph))
@@ -734,13 +784,7 @@ def _reconstruction_block(graph, rng, block, focks, p, p_basis, tol, depth):
     np.add.at(ip, (slice(None), graph.src_idx), xi.conj() * eta)
     axi = a[:, graph.rng_idx] * xi
 
-    def stack(left=(), middle=None, right=()):
-        """The one-word element ``C(left...) P(middle) C(right...)*``."""
-        return [(len(left), len(right), np.ones((len(a), 1), dtype=complex),
-                 [x[:, None] for x in left],
-                 None if middle is None else middle[:, None],
-                 [y[:, None] for y in right])]
-
+    stack = _one_word_stack
     pa, crt_xi = stack(middle=a), stack(left=[xi])
     ann_xi, crt_eta = stack(right=[xi]), stack(left=[eta])
     # (name, lhs, rhs, symbolic lhs pre-reduced so that both sides share
@@ -797,8 +841,7 @@ def triple_iso_transport(iso, E: FiniteGraph, F: FiniteGraph,
     degrees, and intertwine inner products and both module actions; the
     ``transport`` check returned carries the largest residual.
     """
-    if trials < 1:
-        raise FormatError(f"trials {trials} is below 1")
+    check_trials(trials)
     iso.verify(E, F)
     rng = np.random.default_rng(seed)
 

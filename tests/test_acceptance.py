@@ -4,11 +4,16 @@ Each test prints one ``PASS``/``FAIL`` line per criterion so a verbose run
 reads as the acceptance protocol; the detailed sub-checks live in
 ``graphcorr.suite``.
 """
+import json
+from pathlib import Path
+
 import pytest
 
 from graphcorr.suite import CRITERIA, run_criterion
 
 SEED = 42
+#: the check names the benchmark's ``suite`` workload expects, in order
+SUITE_CHECKS = Path(__file__).parents[1] / "perfbench" / "suite_checks.json"
 
 
 @pytest.fixture(scope="module")
@@ -37,3 +42,10 @@ def test_criterion(index, name, all_checks):
 def test_every_check_appears_exactly_once(all_checks):
     names = [c.name for checks in all_checks.values() for c in checks]
     assert len(names) == len(set(names))
+
+
+def test_check_names_are_the_benchmark_list(all_checks):
+    # the suite workload fails on a renamed, added or dropped check; the
+    # names do not depend on the seed
+    names = [c.name for checks in all_checks.values() for c in checks]
+    assert names == json.loads(SUITE_CHECKS.read_text())

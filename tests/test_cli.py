@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from graphcorr.cli import (COMMAND_TABLE, COMMANDS, MAX_GRID, _parser,
                            build_parser, dispatch)
 from graphcorr.fixtures import fixture_path
-from graphcorr.graphs import (MAX_DEGREE, MAX_FRAME, graph_to_dict,
-                              load_json)
+from graphcorr.graphs import (MAX_DEGREE, MAX_FRAME, MAX_TRIALS,
+                              graph_to_dict, load_json)
 from graphcorr.suite import _cycle_graph_union
 
 FIB = fixture_path("fibonacci")
@@ -168,17 +168,29 @@ def test_non_finite_circle_vertex_is_input_error(argv, vertex, capsys):
     assert "input error" in captured.err and "PASS" not in captured.out
 
 
-@pytest.mark.parametrize("trials", ["0", "-1"])
-@pytest.mark.parametrize("argv", [
+TRIAL_COMMANDS = [
     ("fock", "reconstruct-check", FIB),
     ("fock", "transport", FIB, FIB),
     ("kms", "separation", FIB),
     ("example-s5", "verify", "--grid", "64"),
-])
+]
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+@pytest.mark.parametrize("argv", TRIAL_COMMANDS)
 def test_nonpositive_trials_is_input_error(argv, trials, capsys):
     assert run(*argv, "--trials", trials) == 2
     captured = capsys.readouterr()
     assert "input error" in captured.err and "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("argv", TRIAL_COMMANDS)
+def test_trials_above_the_limit_are_refused_before_any_work(argv, capsys):
+    start = time.monotonic()
+    assert run(*argv, "--trials", "1000000000") == 1
+    assert time.monotonic() - start < 1.0
+    out = capsys.readouterr().out
+    assert "FAIL  domain" in out and f"exceeds the {MAX_TRIALS} limit" in out
 
 
 @pytest.mark.parametrize("grid_n", ["0", "3"])

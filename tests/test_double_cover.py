@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from graphcorr import double_cover
 from graphcorr.double_cover import (COVER, SWAP, VerificationReport,
                                     _trig_table, build_twist, cover_element,
                                     endpoint_identity_exact,
@@ -247,18 +249,32 @@ def test_full_verification_small_grid():
 # the trig table against per-call polynomials
 
 
-def _per_call_trig_poly(rng, n_samples, degree=16):
-    """One ``exp`` pass per frequency, on the polynomial's own grid."""
+def _per_call_trig_poly(rng, n_samples, degree=16, sums=None):
+    """One ``exp`` pass per frequency, on the polynomial's own grid, summed
+    row by row; ``sum |c_k|`` goes to ``sums`` when given."""
     t = TWO_PI * np.arange(n_samples) / n_samples
     out = np.zeros(n_samples, dtype=np.complex128)
+    total = 0.0
     for k in range(-degree, degree + 1):
         c = rng.standard_normal() + 1j * rng.standard_normal()
         out += c * np.exp(1j * k * t)
+        total += abs(c)
+    if sums is not None:
+        sums.append(total)
     return out / math.sqrt(2 * degree + 1)
 
 
-def _per_call_verification(grid, trials, degree, seed):
-    """``run_verification`` drawing every polynomial per call."""
+def _summation_bound(coeff_sum, degree):
+    """How far two summation orders of ``2 degree + 1`` unit-modulus rows
+    with coefficients of total modulus ``coeff_sum`` may part, after the
+    division by the row count's root."""
+    rows = 2 * degree + 1
+    return 2 * rows * np.finfo(float).eps * coeff_sum / math.sqrt(rows)
+
+
+def _per_call_verification(grid, trials, degree, seed, samples=None):
+    """``run_verification`` drawing every polynomial per call; each trial's
+    ``(f1, f2, a)`` and their coefficient sums go to ``samples``."""
     rng = np.random.default_rng(seed)
     tw = build_twist(grid)
     rep = VerificationReport(grid=grid, trials=trials)
@@ -266,9 +282,12 @@ def _per_call_verification(grid, trials, degree, seed):
     rep.boundary_start = float(np.max(np.abs(tw.matrices[0] - np.eye(2))))
     rep.boundary_end = float(np.max(np.abs(tw.matrices[grid] - SWAP)))
     for _ in range(trials):
-        f1 = _per_call_trig_poly(rng, 2 * grid, degree)
-        f2 = _per_call_trig_poly(rng, 2 * grid, degree)
-        a = _per_call_trig_poly(rng, grid, degree)
+        sums = []
+        f1 = _per_call_trig_poly(rng, 2 * grid, degree, sums)
+        f2 = _per_call_trig_poly(rng, 2 * grid, degree, sums)
+        a = _per_call_trig_poly(rng, grid, degree, sums)
+        if samples is not None:
+            samples.append(((f1, f2, a), sums))
         rep.isometry = max(rep.isometry, verify_isometry(tw, f1, f2))
         r, l = verify_bimodule(tw, f1, a)
         rep.action_right = max(rep.action_right, r)
@@ -290,12 +309,36 @@ def test_trig_table_stride_two_rows_are_per_call_rows(grid):
     for row, k in zip(coarse, range(-16, 17)):
         assert np.array_equal(row, np.exp(1j * k * t))
     rng1, rng2 = np.random.default_rng(grid), np.random.default_rng(grid)
-    assert np.array_equal(random_trig_poly(rng1, grid, 5),
-                          _per_call_trig_poly(rng2, grid, 5))
+    sums = []
+    want = _per_call_trig_poly(rng2, grid, 5, sums)
+    assert np.abs(random_trig_poly(rng1, grid, 5) - want).max() \
+        <= _summation_bound(sums[0], 5)
+    assert rng1.random() == rng2.random()
 
 
 @pytest.mark.parametrize("grid", [4, 100, 1000, 1024])
-def test_verification_matches_per_call_polynomials(grid):
+def test_verification_matches_per_call_polynomials(grid, monkeypatch):
+    # the polynomials run_verification hands to the checks, recorded
+    drawn = []
+    isometry, bimodule = verify_isometry, verify_bimodule
+    monkeypatch.setattr(double_cover, "verify_isometry",
+                        lambda tw, f1, f2: drawn.append([f1, f2])
+                        or isometry(tw, f1, f2))
+    monkeypatch.setattr(double_cover, "verify_bimodule",
+                        lambda tw, f, a: drawn[-1].append(a)
+                        or bimodule(tw, f, a))
     for seed in (0, 42):
-        assert run_verification(grid, 10, 16, seed) \
-            == _per_call_verification(grid, 10, 16, seed)
+        drawn.clear()
+        samples = []
+        rep = run_verification(grid, 10, 16, seed)
+        want = _per_call_verification(grid, 10, 16, seed, samples)
+        assert len(drawn) == len(samples) == 10
+        for got, (polys, sums) in zip(drawn, samples):
+            for f, g, s in zip(got, polys, sums):
+                assert np.abs(f - g).max() <= _summation_bound(s, 16)
+        # the draws after each trial's polynomials are the same draws
+        moved = dict(isometry=0.0, action_right=0.0, action_left=0.0)
+        assert replace(rep, **moved) == replace(want, **moved)
+        assert max(rep.isometry, rep.action_right, rep.action_left,
+                   want.isometry, want.action_right,
+                   want.action_left) < 1e-12

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from graphcorr import kms, modules
+from graphcorr import kms, modules, suite
 from graphcorr.errors import (DomainError, FormatError, MismatchError,
                               SizeLimitError)
 from graphcorr.fixtures import (FINITE_FIXTURES, edgeless, fibonacci, k_loops,
@@ -12,15 +12,16 @@ from graphcorr.fixtures import (FINITE_FIXTURES, edgeless, fibonacci, k_loops,
 from graphcorr.graphs import FiniteGraph, spectral_radius
 from graphcorr.kms import (KMSParameters, KMSState, _element_stack,
                            _word_profile, choose_truncation_depth,
-                           extremal_separation_check,
-                           kms_condition_check, kms_eval, kms_eval_truncated,
+                           extremal_separation_check, kms_condition_check,
+                           kms_condition_residuals, kms_eval,
+                           kms_eval_truncated,
                            kms_limit_sweep, limit_sweep_words,
                            partition_tail_bound, truncated_partition_sum)
 from graphcorr.modules import (ModuleElement, delta_edge, delta_vertex,
                                random_module_element, random_vertex_function,
                                tensor_inner_product, unit_vertex_function)
-from graphcorr.toeplitz import (ToeplitzElement, iota_word, pi_word,
-                                vacuum_projection, word)
+from graphcorr.toeplitz import (ToeplitzElement, _word_batches, gauge_scale,
+                                iota_word, pi_word, vacuum_projection, word)
 
 from strategies import finite_graphs
 
@@ -501,6 +502,144 @@ def test_condition_rejects_inhomogeneous():
         pi_word(random_vertex_function(g, rng))])
     with pytest.raises(DomainError):
         kms_condition_check(st, mixed, mixed)
+
+
+def word_route_condition(state, b1, b2) -> float:
+    """Both products as elements, through ``word_multiply`` and the
+    element's merge, each evaluated by ``kms_eval``: the per-pair route
+    that :func:`kms_condition_residuals` stacks."""
+    if not (b1.is_homogeneous() and b2.is_homogeneous()):
+        raise DomainError("inputs must be gauge homogeneous")
+    twisted = gauge_scale(b2, state.params.x)
+    return abs(kms_eval(state, b1 * twisted) - kms_eval(state, b2 * b1))
+
+
+def homogeneous_element(g, rng, degree, n_words) -> ToeplitzElement:
+    """Words of one degree with freely drawn shapes, middles and
+    coefficients."""
+    words = []
+    for _ in range(n_words):
+        m = max(degree, 0) + int(rng.integers(0, 2))
+        words.append(word(
+            complex(*rng.standard_normal(2)),
+            tuple(random_module_element(g, rng) for _ in range(m)),
+            random_vertex_function(g, rng) if rng.random() < 0.5 else None,
+            tuple(random_module_element(g, rng)
+                  for _ in range(m - degree))))
+    return ToeplitzElement(g, words)
+
+
+def condition_pairs(g, rng, n_pairs, twist_degrees) -> list:
+    """One- to three-word pairs, ``b2`` mostly of the opposite degree and
+    otherwise of a degree from ``twist_degrees``."""
+    pairs = []
+    for _ in range(n_pairs):
+        d1 = int(rng.integers(-2, 3))
+        d2 = -d1 if rng.random() < 0.7 else int(rng.choice(twist_degrees))
+        pairs.append(tuple(homogeneous_element(
+            g, rng, d, int(rng.integers(1, 4))) for d in (d1, d2)))
+    return pairs
+
+
+def assert_stacked_condition_matches_word_route(g, beta, rng):
+    state = point_state(g, beta)
+    twist_degrees = (0, 1, 2) if beta == math.inf else (-2, -1, 0, 1, 2)
+    pairs = [(b1, b2) for b1, b2 in condition_pairs(g, rng, 12, twist_degrees)
+             if beta < math.inf or degree_of(b2) >= 0]
+    want = [word_route_condition(state, b1, b2) for b1, b2 in pairs]
+    got = kms_condition_residuals(
+        state, [(_word_batches(b1), _word_batches(b2)) for b1, b2 in pairs])
+    assert got.tolist() == want
+    assert [kms_condition_check(state, b1, b2).residual
+            for b1, b2 in pairs] == want
+
+
+def degree_of(elem) -> int:
+    return next(iter(elem.degrees()), 0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(g=finite_graphs())
+def test_stacked_condition_matches_word_route_on_generated_graphs(g):
+    rho = max(abs(np.linalg.eigvals(g.adjacency().astype(float))),
+              default=0.0)
+    rng = np.random.default_rng(14)
+    assert_stacked_condition_matches_word_route(
+        g, math.log(max(rho, 1.0)) + 1.0, rng)
+    assert_stacked_condition_matches_word_route(g, math.inf, rng)
+    # at beta = inf a b2 of negative degree is refused, by both routes
+    state = point_state(g, math.inf)
+    unit = ToeplitzElement(g, [word(1.0)])
+    ann = homogeneous_element(g, rng, -1, 1)
+    if ann.words:
+        with pytest.raises(DomainError):
+            word_route_condition(state, unit, ann)
+        with pytest.raises(DomainError):
+            kms_condition_residuals(
+                state, [(_word_batches(unit), _word_batches(ann))])
+
+
+def test_stacked_condition_skips_weightless_words_at_infinity():
+    # the products' profiles overflow, but every product word has
+    # creations, so its weight e^{-beta k} is 0 and it adds nothing
+    g = fibonacci()
+    state = point_state(g, math.inf)
+    rng = np.random.default_rng(16)
+    big = huge_element(g, rng)
+    pair = (_word_batches(big), _word_batches(big))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert word_route_condition(state, big, big) == 0.0
+        assert kms_condition_residuals(state, [pair]).tolist() == [0.0]
+
+
+def test_stacked_trials_match_word_route_on_suite_draws():
+    # criterion 2's draws, stacked by shape as it stacks them: the factors
+    # are those of per-call draws, and each row of a many-trial entry has
+    # the residual of its pair
+    g = fibonacci()
+    state = point_state(g, 2.0)
+    rng, old = np.random.default_rng(15), np.random.default_rng(15)
+    groups: dict = {}
+    for _ in range(60):
+        m1, n1, z1 = suite._draw_word(g, rng)
+        m2, n2, z2 = suite._draw_word(
+            g, rng, n1 - m1 if rng.random() < 0.7 else None)
+        b1 = per_call_homogeneous(g, old)
+        b2 = per_call_homogeneous(
+            g, old, -degree_of(b1) if old.random() < 0.7 else None)
+        groups.setdefault((m1, n1, m2, n2), []).append((z1, z2, b1, b2))
+    entries, want = [], []
+    for (m1, n1, m2, n2), rows in groups.items():
+        stacks = [suite._word_stack(g, m, n, np.array([r[i] for r in rows]))
+                  for i, (m, n) in enumerate(((m1, n1), (m2, n2)))]
+        for t, (_, _, *elems) in enumerate(rows):
+            for (w,), (_, _, c, ls, mid, rs) in zip(
+                    (e.words for e in elems), (st[0] for st in stacks)):
+                assert c[t, 0] == w.coeff
+                assert (len(w.left), len(w.right)) == (len(ls), len(rs))
+                assert all(np.array_equal(a.values, b[t, 0]) for a, b in zip(
+                    w.left + w.right, ls + rs))
+                assert (mid is None) == (w.middle is None)
+                assert mid is None or np.array_equal(w.middle.values,
+                                                     mid[t, 0])
+            want.append(word_route_condition(state, *elems))
+        entries.append(tuple(stacks))
+    assert max(map(len, groups.values())) > 1
+    assert kms_condition_residuals(state, entries).tolist() == want
+
+
+def per_call_homogeneous(g, rng, degree=None) -> ToeplitzElement:
+    """The one-word element drawn by per-call ``modules.random_*`` draws,
+    the middle only without creations: criterion 2's former draws."""
+    if degree is None:
+        m, n = int(rng.integers(0, 3)), int(rng.integers(0, 3))
+    else:
+        m = max(degree, 0) + int(rng.integers(0, 2))
+        n = m - degree
+    xs = tuple(random_module_element(g, rng) for _ in range(m))
+    ys = tuple(random_module_element(g, rng) for _ in range(n))
+    mid = random_vertex_function(g, rng) if m == 0 else None
+    return ToeplitzElement(g, [word(1.0, xs, mid, ys)])
 
 
 # ---------------------------------------------------------------------------

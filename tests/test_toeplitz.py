@@ -9,7 +9,7 @@ from graphcorr.double_cover import run_verification
 from graphcorr.errors import FormatError, MismatchError, SizeLimitError
 from graphcorr.fixtures import (FINITE_FIXTURES, edgeless, fibonacci,
                                 k_loops, single_loop, ten_edge)
-from graphcorr.graphs import FiniteGraph, path_index_tuples
+from graphcorr.graphs import MAX_TRIALS, FiniteGraph, path_index_tuples
 from graphcorr.kms import KMSParameters, extremal_separation_check
 from graphcorr.modules import (ModuleElement, delta_edge, delta_vertex,
                                inner_product, left_action,
@@ -280,8 +280,7 @@ def _identity_transport(trials):
     return triple_iso_transport(iso, g, g, trials=trials)
 
 
-@pytest.mark.parametrize("trials", [0, -1, -3])
-@pytest.mark.parametrize("check", [
+TRIAL_CHECKS = pytest.mark.parametrize("check", [
     lambda t: reconstruct_module_check(fibonacci(), trials=t),
     _identity_transport,
     lambda t: extremal_separation_check(KMSParameters(fibonacci(), 2.0),
@@ -289,10 +288,20 @@ def _identity_transport(trials):
     lambda t: run_verification(grid=64, trials=t),
 ], ids=["reconstruct_module_check", "triple_iso_transport",
         "extremal_separation_check", "run_verification"])
+
+
+@pytest.mark.parametrize("trials", [0, -1, -3])
+@TRIAL_CHECKS
 def test_library_refuses_nonpositive_trials(check, trials):
     # no random trial would be checked, so a PASS would be vacuous
     with pytest.raises(FormatError, match="below 1"):
         check(trials)
+
+
+@TRIAL_CHECKS
+def test_library_refuses_trials_above_the_limit(check):
+    with pytest.raises(SizeLimitError, match="exceeds the"):
+        check(MAX_TRIALS + 1)
 
 
 @pytest.mark.parametrize("builder", [single_loop, fibonacci])
@@ -449,6 +458,23 @@ def test_window_columns_match_full_matrix(name):
         m_max = max(w.creations for w in e.words)
         window = _apply_batches(f, _shape_batches(e), f.window_size(m_max))
         assert np.array_equal(window[0], fm.matrix[:, fm.valid_cols])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(g=finite_graphs(), seed=st.integers(0, 2 ** 32 - 1))
+def test_apply_batches_matches_word_matrices_on_generated_graphs(g, seed):
+    # the deepest truncation up to 3 whose basis stays small enough for
+    # dense factor matrices
+    rng = np.random.default_rng(seed)
+    e = _mixed_element(g, rng, n_words=6)
+    for v in g.vertices:
+        f = next(f for f in (TruncatedFock(g, v, d) for d in (3, 2, 1, 0))
+                 if f.dim <= 120)
+        dense = sum((f.word_matrix(w) for w in e.words),
+                    np.zeros((f.dim, f.dim)))
+        got = _apply_batches(f, _shape_batches(e), f.dim)[0]
+        scale = max(np.max(np.abs(dense)), 1.0)
+        assert np.max(np.abs(got - dense)) <= 1e-12 * scale
 
 
 def _scan_multiply(m1, m2, graph):
