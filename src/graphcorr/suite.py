@@ -8,6 +8,7 @@ both call into here, so each criterion has exactly one implementation.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import replace
@@ -232,9 +233,19 @@ def _exhaustive_best_margin(B: np.ndarray) -> float:
     :func:`nonzero_permutation` takes its margin with; array ``abs`` of a
     complex array is not."""
     k = B.shape[0]
-    perms = np.array(list(itertools.permutations(range(k))))
     mags = np.hypot(B.real, B.imag)
-    return float(mags[np.arange(k), perms].min(axis=1).max(initial=0.0))
+    return float(mags[np.arange(k), _permutations(k)].min(axis=1)
+                 .max(initial=0.0))
+
+
+@functools.cache
+def _permutations(k: int) -> np.ndarray:
+    """Every permutation of ``range(k)``, one a row in lexicographic
+    order, built once per ``k`` and read-only, as the exhaustive oracles
+    share it."""
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
+    perms.flags.writeable = False
+    return perms
 
 
 def _cycle_graph_union(lengths) -> FiniteGraph:
@@ -284,8 +295,7 @@ def _exhaustive_isomorphic(E: FiniteGraph, F: FiniteGraph) -> bool:
     if E.n_vertices != F.n_vertices or E.n_edges != F.n_edges:
         return False
     AE, AF = E.adjacency(), F.adjacency()
-    p = np.array(list(itertools.permutations(range(E.n_vertices))),
-                 dtype=np.intp)
+    p = _permutations(E.n_vertices)
     return bool((AF[p[:, :, None], p[:, None, :]] == AE).all(axis=(1, 2))
                 .any())
 

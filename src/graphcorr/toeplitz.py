@@ -28,6 +28,15 @@ matrices, is the reference the tests compare against.
 Shape batches and delta-basis expansions carry a leading trial axis, each
 row with the bits of a one-trial run: numpy's complex array product is the
 same at every shape, and expansions multiply by parts, bitwise as scalars.
+
+:func:`reconstruct_module_check` repeats the same chains of products on
+every block of trials, so each layer is split into a structure half, built
+once per call from keys and shapes, and an arithmetic half that a block
+runs: delta-basis keys, gathers and term pairs are recorded in a
+:class:`_Plan` (rebuilt when a block's zero pattern differs), word
+products are formed on the candidate pairs of a support run
+(:func:`_chain_plan`), and windows are summed on the matrix entries the
+words reach, each value formed once (:func:`_window_plan`).
 """
 from __future__ import annotations
 
@@ -331,50 +340,125 @@ def _cmul(a, b):
     return out
 
 
-def _collect(keys, terms):
+class _Stale(Exception):
+    """A replayed :class:`_Plan` met a mask other than the one it holds."""
+
+
+class _Plan:
+    """The structure of a chain of delta-basis steps: recorded in call
+    order while the chain runs the first time, replayed on later runs.
+
+    :meth:`step` returns a structure, built from keys and shapes alone, and
+    :meth:`check` records a shape or a mask of the values that the next
+    structures depend on; a replay that meets another one raises
+    :class:`_Stale`, and :func:`_planned` records the chain afresh.
+    """
+
+    def __init__(self):
+        self.steps: list = []
+        self.at = None          # replay position, None while recording
+
+    def step(self, build, *args):
+        if self.at is None:
+            self.steps.append(build(*args))
+            return self.steps[-1]
+        self.at += 1
+        return self.steps[self.at - 1]
+
+    def check(self, mask) -> None:
+        if self.at is None:
+            self.steps.append(mask)
+            return
+        self.at += 1
+        if self.steps[self.at - 1] != mask:
+            raise _Stale
+
+
+def _planned(plan: _Plan, run):
+    """``run(plan)``, replaying ``plan`` if it holds a chain, and recording
+    it afresh from this run if it holds none or its masks are stale."""
+    if plan.steps:
+        plan.at = 0
+        try:
+            return run(plan)
+        except _Stale:
+            pass
+    plan.steps, plan.at = [], None
+    return run(plan)
+
+
+def _collect_plan(keys, live):
+    """The keys of the ``live`` columns in first-seen order, and the
+    position among them of each live column."""
+    index: dict = {}
+    pos = [index.setdefault(k, len(index)) for k in compress(keys, live)]
+    return list(index), np.array(pos, dtype=np.intp)
+
+
+def _collect(keys, terms, plan: _Plan):
     """Sum the columns of ``terms`` into their ``keys`` in order, skipping
     columns and keys zero in every trial, as a dict of nonzero terms would."""
     live = (terms != 0).any(axis=0)
-    index: dict = {}
-    pos = [index.setdefault(k, len(index)) for k in compress(keys, live)]
+    plan.check(live.tobytes())
+    index, pos = plan.step(_collect_plan, keys, live)
     out = np.zeros((terms.shape[0], len(index)), dtype=np.complex128)
-    np.add.at(out, (slice(None), np.array(pos, dtype=np.intp)),
-              terms[:, live])
+    np.add.at(out, (slice(None), pos), terms[:, live])
     keep = (out != 0).any(axis=0)
-    return list(compress(index, keep)), out[:, keep]
+    plan.check(keep.tobytes())
+    return plan.step(lambda: list(compress(index, keep))), out[:, keep]
 
 
-def _expand(batches, graph: FiniteGraph):
-    """Expansion of the words of ``batches`` in order: for ``v``, then paths
-    ``mu`` and ``nu`` from ``v``, a word puts ``coeff * left_1(mu_1) ...
-    middle(v) conj(right_1(nu_1)) ...``, in that order, on ``(mu, v, nu)``."""
-    keys, terms = [], []
-    for m, n, coeffs, lefts, middles, rights in batches:
+def _expand_plan(shapes, graph: FiniteGraph):
+    """For stacks of ``(m, n, words, middle)``: the spanning words ``(mu,
+    v, nu)`` of a shape, for ``v``, then paths ``mu`` and ``nu`` from
+    ``v``, as the edge gathers of each left and right factor and the vertex
+    gather of the middle; and the keys, those words once per word of the
+    stack."""
+    keys, gathers = [], []
+    for m, n, k, _ in shapes:
         words = []
         for vi in range(graph.n_vertices):
             nus = path_index_tuples(graph, vi, n)
             words += [(mu, vi, nu) for mu in path_index_tuples(graph, vi, m)
                       for nu in nus]
-        mus, vs, nus = zip(*words) if words else ((), (), ())
-        c = np.repeat(coeffs[..., None], len(words), axis=-1)
-        for x, f in zip(lefts, zip(*mus)):
-            c = _cmul(c, x[..., list(f)])
+        mus, vs, nus = (np.array([w[i] for w in words], dtype=np.intp)
+                        .reshape((len(words),) + shape)
+                        for i, shape in enumerate(((m,), (), (n,))))
+        gathers.append((len(words), mus.T, vs, nus.T))
+        keys += words * k
+    return keys, gathers
+
+
+def _expand(batches, graph: FiniteGraph, plan: _Plan | None = None):
+    """Expansion of the words of ``batches`` in order: a word puts ``coeff
+    * left_1(mu_1) ... middle(v) conj(right_1(nu_1)) ...``, in that order,
+    on each spanning word ``(mu, v, nu)`` of its shape."""
+    plan = plan or _Plan()
+    shapes = tuple((m, n, c.shape[-1], mid is not None)
+                   for m, n, c, _, mid, _ in batches)
+    plan.check(shapes)
+    keys, gathers = plan.step(_expand_plan, shapes, graph)
+    terms = []
+    for (_, _, coeffs, lefts, middles, rights), (size, mus, vs, nus) in zip(
+            batches, gathers):
+        c = np.repeat(coeffs[..., None], size, axis=-1)
+        for x, f in zip(lefts, mus):
+            c = _cmul(c, x[..., f])
         if middles is not None:
-            c = _cmul(c, middles[..., list(vs)])
-        for y, f in zip(rights, zip(*nus)):
-            c = _cmul(c, y[..., list(f)].conj())
-        keys += words * coeffs.shape[-1]
+            c = _cmul(c, middles[..., vs])
+        for y, f in zip(rights, nus):
+            c = _cmul(c, y[..., f].conj())
         terms.append(c.reshape(c.shape[0], -1))
     return _collect(keys, np.concatenate(terms, axis=1) if terms
-                    else np.zeros((1, 0), dtype=np.complex128))
+                    else np.zeros((1, 0), dtype=np.complex128), plan)
 
 
-def _basis_multiply(e1, e2, graph: FiniteGraph):
-    """Product of two expansions; structure constants are 0/1, and
-    ``(mu, v, nu) (mu2, v2, nu2)`` can be nonzero only when one of ``nu``
-    and ``mu2`` is a prefix of the other, so ``e2`` is looked up by ``mu2``.
-    Each product key sums its pairs in scan order (``e1``, then ``e2``)."""
-    (keys1, c1), (keys2, c2) = e1, e2
+def _multiply_plan(keys1, keys2, graph: FiniteGraph):
+    """The pairs ``(first, second)`` of terms of two expansions whose
+    product can be nonzero, in scan order (``keys1``, then ``keys2``), and
+    the product key of each.  Structure constants are 0/1, and ``(mu, v,
+    nu) (mu2, v2, nu2)`` can be nonzero only when one of ``nu`` and ``mu2``
+    is a prefix of the other, so ``keys2`` is looked up by ``mu2``."""
     rng = graph.rng_idx.tolist()
     starting: dict = {}     # (prefix of mu2, joint vertex) -> positions
     full: dict = {}         # (mu2, v2) -> positions
@@ -397,18 +481,35 @@ def _basis_multiply(e1, e2, graph: FiniteGraph):
         for mu2, v2, nu2 in (keys2[j] for j in pos):
             keys.append((mu + mu2[len(nu):], v2, nu2) if len(nu) <= len(mu2)
                         else (mu, v, nu2 + nu[len(mu2):]))
-    return _collect(keys, _cmul(c1[:, np.array(first, dtype=np.intp)],
-                                c2[:, np.array(second, dtype=np.intp)]))
+    return (np.array(first, dtype=np.intp), np.array(second, dtype=np.intp),
+            keys)
 
 
-def _basis_residual(e1, e2) -> np.ndarray:
-    """Per trial, the largest ``|coefficient|`` of ``e1 - e2`` (0.0 for
-    none), by ``hypot`` of the parts as the scalar ``abs`` takes it."""
+def _basis_multiply(e1, e2, graph: FiniteGraph, plan: _Plan | None = None):
+    """Product of two expansions, each product key summing its pairs in
+    the scan order of :func:`_multiply_plan`."""
+    plan = plan or _Plan()
     (keys1, c1), (keys2, c2) = e1, e2
+    first, second, keys = plan.step(_multiply_plan, keys1, keys2, graph)
+    return _collect(keys, _cmul(c1[:, first], c2[:, second]), plan)
+
+
+def _residual_plan(keys1, keys2):
+    """The number of keys of ``keys1`` and ``keys2`` together, and the
+    position among them of each key of ``keys2``."""
     index = {k: i for i, k in enumerate(keys1)}
     pos = [index.setdefault(k, len(index)) for k in keys2]
-    d = np.zeros((max(len(c1), len(c2)), len(index)), dtype=np.complex128)
-    d[:, :len(keys1)] = c1
+    return len(index), np.array(pos, dtype=np.intp)
+
+
+def _basis_residual(e1, e2, plan: _Plan | None = None) -> np.ndarray:
+    """Per trial, the largest ``|coefficient|`` of ``e1 - e2`` (0.0 for
+    none), by ``hypot`` of the parts as the scalar ``abs`` takes it."""
+    plan = plan or _Plan()
+    (keys1, c1), (keys2, c2) = e1, e2
+    size, pos = plan.step(_residual_plan, keys1, keys2)
+    d = np.zeros((max(len(c1), len(c2)), size), dtype=np.complex128)
+    d[:, :c1.shape[1]] = c1
     d[:, pos] -= c2
     return np.fmax.reduce(np.hypot(d.real, d.imag), axis=1, initial=0.0)
 
@@ -575,34 +676,110 @@ def _shape_batches(elem: ToeplitzElement) -> list:
 
 def _concat_batches(batches) -> list:
     """Stacks of one shape joined on the word axis, shapes as first seen."""
+    return [batches[at[0]] if len(at) == 1 else (
+        m, n, np.concatenate([batches[k][2] for k in at], axis=1),
+        [np.concatenate(f, axis=1) for f in zip(*(batches[k][3] for k in at))],
+        np.concatenate([batches[k][4] for k in at], axis=1) if mid else None,
+        [np.concatenate(f, axis=1) for f in zip(*(batches[k][5] for k in at))])
+        for (m, n, mid), at in _by_shape(batches).items()]
+
+
+def _by_shape(batches) -> dict:
+    """Positions of the stacks by shape ``(m, n, has middle)``, shapes as
+    first seen."""
     groups: dict = {}
-    for bt in batches:
-        groups.setdefault((bt[0], bt[1], bt[4] is not None), []).append(bt)
-    return [bts[0] if len(bts) == 1 else (
-        m, n, np.concatenate([bt[2] for bt in bts], axis=1),
-        [np.concatenate(f, axis=1) for f in zip(*(bt[3] for bt in bts))],
-        np.concatenate([bt[4] for bt in bts], axis=1) if mid else None,
-        [np.concatenate(f, axis=1) for f in zip(*(bt[5] for bt in bts))])
-        for (m, n, mid), bts in groups.items()]
+    for k, bt in enumerate(batches):
+        groups.setdefault((bt[0], bt[1], bt[4] is not None), []).append(k)
+    return groups
 
 
-def _apply_batches(fock: TruncatedFock, batches, ncols: int) -> np.ndarray:
-    """Per trial, columns ``0 .. ncols-1`` of the matrix of the element with
-    :func:`_shape_batches` ``batches``, each shape's words summed in order."""
-    trials = max((bt[2].shape[0] for bt in batches), default=1)
-    out = np.zeros((trials, fock.dim, ncols), dtype=np.complex128)
-    for m, n, coeffs, lefts, middles, rights in batches:
-        stripped, ranges, source, created, rows, cols = fock._plan(m, n, ncols)
+def _window_plan(focks, shapes, ncols):
+    """How words of the shapes ``(m, n)`` are summed on the columns ``0 ..
+    ncols[i]-1`` of ``focks[i]``.
+
+    An entry of a word's matrix reads one entry of each factor: the
+    stripped edges, the range of the stripped path (for the middle) and
+    the created edges.  Entries that read the same ones have the same
+    value, so a shape's values are formed once per distinct combination,
+    for every space.  Returns per shape the combinations as index arrays
+    (stripped edges, one array per annihilation; ranges; created edges,
+    one array per creation), and per space the rows and columns of the
+    distinct entries its shapes reach and per shape the position among
+    them of each entry of its :meth:`~TruncatedFock._plan`, with the
+    combination that entry reads.
+    """
+    plans = [[f._plan(m, n, k) for m, n in shapes]
+             for f, k in zip(focks, ncols)]
+    combos, reads = [], []
+    for s, (m, n) in enumerate(shapes):
+        sigs = [np.stack([*(e[source] for e in stripped), ranges[source],
+                          *created], axis=-1)
+                for stripped, ranges, source, created, _, _ in
+                (p[s] for p in plans)]
+        uniq, inverse = _unique_rows(np.concatenate(sigs))
+        combos.append((uniq.T[:n], uniq.T[n], uniq.T[n + 1:]))
+        reads.append(_split(inverse, sigs))
+    spaces = []
+    for i, k in enumerate(ncols):
+        codes = [rows * k + cols for *_, rows, cols in plans[i]]
+        entries, inverse = np.unique(
+            np.concatenate([np.zeros(0, dtype=np.intp)] + codes),
+            return_inverse=True)
+        spaces.append((*np.divmod(entries, k), list(zip(
+            _split(inverse, codes), (read[i] for read in reads)))))
+    return combos, spaces
+
+
+def _split(a, parts) -> list:
+    """``a`` cut into pieces as long as the arrays ``parts``."""
+    return np.split(a, np.cumsum([len(p) for p in parts])[:-1])
+
+
+def _unique_rows(a):
+    """The distinct rows of the integer array ``a`` in lexicographic order,
+    and the position among them of each row of ``a``."""
+    order = np.lexsort(a.T[::-1])
+    ordered = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
+def _apply_batches(focks, batches, ncols, plans: dict | None = None):
+    """Per space of ``focks``, the entries on its columns ``0 ..
+    ncols[i]-1`` of the matrix of the element with :func:`_shape_batches`
+    ``batches``, per trial: the rows and columns of the entries the shapes
+    reach, and their values ``(trials, entries)``; every other entry is
+    zero.  Each shape's words are summed in order and the shapes added in
+    order, on the combinations of :func:`_window_plan` (kept in ``plans``
+    when given)."""
+    key = (tuple(bt[:2] for bt in batches), tuple(ncols))
+    plan = None if plans is None else plans.get(key)
+    if plan is None:
+        plan = _window_plan(focks, *key)
+        if plans is not None:
+            plans[key] = plan
+    combos, spaces = plan
+    sums = []
+    for (m, n, coeffs, lefts, middles, rights), (stripped, ranges, created) \
+            in zip(batches, combos):
         c = np.repeat(coeffs[..., None], ranges.size, axis=-1)
         for y, edges in zip(rights, stripped):
             c = c * y[..., edges].conj()
         if middles is not None:
             c = c * middles[..., ranges]
-        if m:
-            c = c[..., source]
-            for x, edges in zip(lefts, created):
-                c = c * x[..., edges]
-        out[:, rows, cols] += c.sum(axis=1)
+        for x, edges in zip(lefts, created):
+            c = c * x[..., edges]
+        sums.append(c.sum(axis=1))
+    trials = max((bt[2].shape[0] for bt in batches), default=1)
+    out = []
+    for rows, cols, reads in spaces:
+        values = np.zeros((trials, rows.size), dtype=np.complex128)
+        for total, (pos, combo) in zip(sums, reads):
+            values[:, pos] += total[:, combo]
+        out.append((rows, cols, values))
     return out
 
 
@@ -630,7 +807,10 @@ def fock_matrix(elem, v=None, depth: int | None = None,
     if depth < m_max:
         raise SizeLimitError(
             f"depth {depth} below creation length {m_max}; no valid window")
-    M = _apply_batches(fock, _shape_batches(elem), fock.dim)[0]
+    (rows, cols, values), = _apply_batches([fock], _shape_batches(elem),
+                                           [fock.dim])
+    M = np.zeros((fock.dim, fock.dim), dtype=np.complex128)
+    M[rows, cols] = values[0]
     valid = fock.lengths + m_max <= depth
     return FockMatrix(matrix=M, valid_cols=valid, fock=fock)
 
@@ -644,9 +824,10 @@ def vacuum_projection_checks(graph: FiniteGraph, depth: int) -> list:
     vacuum projection: the first two exactly in the delta basis, the last
     as the bitwise rank-one vacuum matrix at every vertex to ``depth``."""
     p = vacuum_projection(graph)
-    pb = element_delta_basis(p)
-    r_idem = delta_basis_residual(delta_basis_multiply(pb, pb, graph), pb)
-    r_adj = delta_basis_residual(element_delta_basis(p.adjoint()), pb)
+    pb = _expand(_shape_batches(p), graph)
+    r_idem = float(_basis_residual(_basis_multiply(pb, pb, graph), pb)[0])
+    r_adj = float(_basis_residual(
+        _expand(_shape_batches(p.adjoint()), graph), pb)[0])
     exact = all([np.array_equal(fm.matrix, np.diag(fm.fock.lengths == 0))
                  for fm in (fock_matrix(p, v, depth) for v in graph.vertices)])
     return [Check("idempotent", r_idem == 0.0, r_idem),
@@ -662,39 +843,108 @@ def _batch_product(batches1, batches2, graph: FiniteGraph) -> list:
     coefficients by :func:`_cmul`, so every row is bitwise the word product
     :func:`word_multiply` gives; none merged, less those zero in every
     trial (as through orthogonal deltas)."""
-    out = []
-    for bt1 in batches1:
-        for bt2 in batches2:
-            left, middle, right = _stack_product(bt1, bt2, graph)
-            c = _cmul(*(_on_pairs(bt[2], bt1, bt2, bt is bt1)
-                        for bt in (bt1, bt2)))
-            keep = _live_words(c, left, middle, right).any(axis=0)
-            out.append((len(left), len(right), c[:, keep],
-                        [a[:, keep] for a in left],
-                        None if middle is None else middle[:, keep],
-                        [a[:, keep] for a in right]))
-    return _concat_batches(out)
+    return _pair_products(batches1, batches2, graph)[0]
 
 
-def _stack_product(bt1, bt2, graph: FiniteGraph):
+def _pair_products(batches1, batches2, graph: FiniteGraph, cands=None,
+                   present=None):
+    """:func:`_batch_product` on chosen word pairs.
+
+    ``cands`` gives per pair of stacks, in loop order, the pairs ``(i,
+    j)`` of words to multiply, ``i`` over the words of a support run's
+    stack (see :func:`_chain_plan`), all pairs for ``None``; ``present``
+    marks per stack of ``batches1`` which of those words it holds, all for
+    ``None``.  The pairs left out must give words zero in every trial.
+    Returns the product stacks, per pair of stacks the pairs whose
+    products it kept, and per product stack the mark of the candidates it
+    holds (``None`` for all).
+    """
+    out, kept, marks, sizes = [], [], [], []
+    stacks = [(bt1, here, bt2) for bt1, here in zip(
+        batches1, present or [None] * len(batches1)) for bt2 in batches2]
+    for k, (bt1, here, bt2) in enumerate(stacks):
+        k2 = bt2[2].shape[1]
+        i, j = (np.divmod(np.arange(bt1[2].shape[1] * k2), k2)
+                if cands is None else cands[k])
+        sizes.append(len(i))
+        mark = None if here is None else here[i]
+        if mark is not None:
+            i, j = (np.cumsum(here) - 1)[i[mark]], j[mark]
+        left, middle, right = _stack_product(bt1, bt2, graph, (i, j))
+        c = _cmul(*(_on_pairs(bt[2], bt1, bt2, bt is bt1, (i, j))
+                    for bt in (bt1, bt2)))
+        keep = _live_words(c, left, middle, right).any(axis=0)
+        if not keep.all():
+            c, left, right = c[:, keep], [a[:, keep] for a in left], [
+                a[:, keep] for a in right]
+            middle = None if middle is None else middle[:, keep]
+            i, j = i[keep], j[keep]
+            if mark is None:
+                mark = keep
+            else:
+                mark[mark] = keep
+        out.append((len(left), len(right), c, left, middle, right))
+        kept.append((i, j))
+        marks.append(mark)
+    joined = [None if all(marks[k] is None for k in at) else np.concatenate(
+        [np.ones(sizes[k], dtype=bool) if marks[k] is None
+         else marks[k] for k in at]) for at in _by_shape(out).values()]
+    return _concat_batches(out), kept, joined
+
+
+def _chain_plan(factors, p, graph: FiniteGraph) -> list:
+    """Per product of the chain ``factors`` and per pair of stacks, the
+    candidate word pairs: those a support run of the chain keeps.  In that
+    run the fixed operand ``p`` enters with its 0/1 support and every other
+    operand, drawn anew each block, with every entry 1.  Its arithmetic
+    adds nonnegative terms and cancels nothing, so a word that any values
+    give nonzero comes from a candidate pair: no candidate depends on the
+    values of a block."""
+    def support(batches, exact):
+        s = ((lambda a: (a != 0).astype(float)) if exact
+             else (lambda a: np.ones((1,) + a.shape[1:])))
+        return [(m, n, s(c), [s(x) for x in ls], None if mid is None
+                 else s(mid), [s(y) for y in rs])
+                for m, n, c, ls, mid, rs in batches]
+
+    out, cands = support(factors[0], factors[0] is p), []
+    for f in factors[1:]:
+        out, kept, _ = _pair_products(out, support(f, f is p), graph)
+        cands.append(kept)
+    return cands
+
+
+def _chain_product(factors, graph: FiniteGraph, cands) -> list:
+    """``factors[0] * factors[1] * ...`` by :func:`_batch_product` in turn,
+    each product formed on the candidates :func:`_chain_plan` found."""
+    out, present = factors[0], None
+    for f, pairs in zip(factors[1:], cands):
+        out, _, present = _pair_products(out, f, graph, pairs, present)
+    return out
+
+
+def _stack_product(bt1, bt2, graph: FiniteGraph, pairs=None):
     """The factors ``(left, middle, right)`` by :func:`_reduce` of the
     products of the words of two stacks, on :func:`_on_pairs`'s word
     pairs, zero words kept."""
     return _reduce(*(
-        ([_on_pairs(a, bt1, bt2, first) for a in ls],
-         None if mid is None else _on_pairs(mid, bt1, bt2, first),
-         [_on_pairs(a, bt1, bt2, first) for a in rs])
+        ([_on_pairs(a, bt1, bt2, first, pairs) for a in ls],
+         None if mid is None else _on_pairs(mid, bt1, bt2, first, pairs),
+         [_on_pairs(a, bt1, bt2, first, pairs) for a in rs])
         for (_, _, _, ls, mid, rs), first in ((bt1, True), (bt2, False))),
         graph)
 
 
-def _on_pairs(a, bt1, bt2, first: bool) -> np.ndarray:
+def _on_pairs(a, bt1, bt2, first: bool, pairs=None) -> np.ndarray:
     """An array ``(trials, words, *)`` of the stack ``bt1`` (``first``) or
     ``bt2`` on the word pairs of their product, word ``i * k2 + j`` the
-    pair (word ``i``, word ``j``), and on both stacks' trials (a one-trial
-    stack serves every trial)."""
+    pair (word ``i``, word ``j``), or word ``w`` the pair ``(pairs[0][w],
+    pairs[1][w])``, and on both stacks' trials (a one-trial stack serves
+    every trial)."""
     k1, k2 = bt1[2].shape[1], bt2[2].shape[1]
-    if first and k2 > 1:
+    if pairs is not None:
+        a = a[:, pairs[0 if first else 1]]
+    elif first and k2 > 1:
         a = np.repeat(a, k2, axis=1)
     elif not first and k1 > 1:
         a = np.tile(a, (1, k1) + (1,) * (a.ndim - 2))
@@ -731,9 +981,10 @@ def _creation_bound(batches, trials: int) -> np.ndarray:
     return out
 
 
-#: trials stacked at once: their arrays take about 0.1 MB a trial on the
-#: larger fixtures, while the Python work of a stack is the same at any size
-TRIAL_BLOCK = 10
+#: trials stacked at once: a block's Python work is the same at any size, as
+#: the structure of the identities is planned once a call, while a trial's
+#: arrays take up to some 70 kB on the larger fixtures
+TRIAL_BLOCK = 25
 
 
 def reconstruct_module_check(graph: FiniteGraph, trials: int = 100,
@@ -751,29 +1002,51 @@ def reconstruct_module_check(graph: FiniteGraph, trials: int = 100,
 
     Trials are drawn in order and stacked :data:`TRIAL_BLOCK` at a time on
     a trial axis (:func:`_reconstruction_block`), every trial with the bits
-    of a one-trial run.  The check returned carries the largest residual
-    and names the first failing identity, or counts them.
+    of a one-trial run.  The structure of each identity is planned once a
+    call and shared by the blocks: its delta-basis keys, gathers and pairs
+    in a :class:`_Plan`, rebuilt from a block whose zero pattern differs;
+    its word products on the candidate pairs of a support run
+    (:func:`_chain_plan`), which no block's values choose; its window
+    residuals on the Fock entries the words reach, each formed once per
+    combination of factor entries it reads (:func:`_window_plan`).  The
+    check returned carries the largest residual and names the first
+    failing identity, or counts them.
     """
     check_trials(trials)
-    focks = [TruncatedFock(graph, v, depth) for v in graph.vertices]
+    shared = _Shared(graph, depth)
     rng = np.random.default_rng(seed)
-    p = _shape_batches(vacuum_projection(graph))
-    p_basis = _expand(p, graph)
     checks = []
     for start in range(0, trials, TRIAL_BLOCK):
         checks += _reconstruction_block(
             graph, rng, range(start, min(start + TRIAL_BLOCK, trials)),
-            focks, p, p_basis, tol, depth)
+            shared, tol, depth)
     first = next((c for c in checks if not c.passed), None)
     return summarize("reconstruction", checks,
                      first.name if first else f"{len(checks)} identities")
 
 
-def _reconstruction_block(graph, rng, block, focks, p, p_basis, tol, depth):
+class _Shared:
+    """What the trial blocks of one :func:`reconstruct_module_check` call
+    share: the Fock spaces at every vertex, the vacuum projection's stacks
+    and expansion, and the plans, filled on first use: per identity its
+    delta-basis :class:`_Plan` and its chains' candidate pairs, and the
+    window plans of :func:`_apply_batches`."""
+
+    def __init__(self, graph: FiniteGraph, depth: int):
+        self.focks = [TruncatedFock(graph, v, depth) for v in graph.vertices]
+        self.p = _shape_batches(vacuum_projection(graph))
+        self.p_basis = _expand(self.p, graph)
+        self.identities: dict = {}
+        self.windows: dict = {}
+
+
+def _reconstruction_block(graph, rng, block, shared: _Shared, tol, depth):
     """The checks of trials ``block`` stacked on a trial axis: exact in the
     delta basis, and at every vertex on a trial's window ``|mu| + m_max <=
     depth`` of ``lhs - rhs`` (``m_max`` by :func:`_creation_bound`; below it
-    ``SizeLimitError`` names the first identity in trial order)."""
+    ``SizeLimitError`` names the first identity in trial order).  Each
+    identity's residuals are finished before the next one's stacks are
+    formed."""
     # per trial: a, xi, eta, the words' factors, as modules.random_* draw them
     nv, ne = graph.n_vertices, graph.n_edges
     z = rng.standard_normal((len(block), 2 * nv + 20 * ne))
@@ -784,6 +1057,7 @@ def _reconstruction_block(graph, rng, block, focks, p, p_basis, tol, depth):
     np.add.at(ip, (slice(None), graph.src_idx), xi.conj() * eta)
     axi = a[:, graph.rng_idx] * xi
 
+    p, p_basis, plans = shared.p, shared.p_basis, shared.identities
     stack = _one_word_stack
     pa, crt_xi = stack(middle=a), stack(left=[xi])
     ann_xi, crt_eta = stack(right=[xi]), stack(left=[eta])
@@ -797,33 +1071,44 @@ def _reconstruction_block(graph, rng, block, focks, p, p_basis, tol, depth):
         ("annihilate[n=2,{}]", [stack(fs[3:6], None, fs[6:]), p], [[]], None),
         ("bimodule[{}]", [pa, crt_xi, p], [stack(left=[axi]), p],
          [_batch_product(pa, crt_xi, graph), p])]
-    sym, diffs = [], []
-    for _, lhs, rhs, sym_lhs in identities:
-        sym.append(_basis_residual(*(functools.reduce(
-            lambda e1, e2: _basis_multiply(e1, e2, graph),
-            [p_basis if f is p else _expand(f, graph) for f in factors])
-            for factors in (sym_lhs or lhs, rhs))))
-        lhs, rhs = (functools.reduce(
-            lambda b1, b2: _batch_product(b1, b2, graph), factors)
-            for factors in (lhs, rhs))
-        diffs.append(_concat_batches(
-            lhs + [(m, n, -c, *f) for m, n, c, *f in rhs]))
-    bounds = np.stack([_creation_bound(d, len(a)) for d in diffs], axis=1)
-    for t, i in zip(*np.nonzero(bounds > depth)):
+
+    def basis_side(factors, plan):
+        return functools.reduce(
+            lambda e1, e2: _basis_multiply(e1, e2, graph, plan),
+            [p_basis if f is p else _expand(f, graph, plan) for f in factors])
+
+    sym = np.zeros((len(block), len(identities)))
+    num = np.zeros_like(sym)
+    overflow = []       # per identity: (first trial, identity, bound)
+    for i, (name, lhs, rhs, sym_lhs) in enumerate(identities):
+        if name not in plans:
+            plans[name] = (_Plan(), *(_chain_plan(f, p, graph)
+                                      for f in (lhs, rhs)))
+        basis, *cands = plans[name]
+        sym[:, i] = _planned(basis, lambda plan: _basis_residual(
+            basis_side(sym_lhs or lhs, plan), basis_side(rhs, plan), plan))
+        lhs, rhs = (_chain_product(f, graph, c) for f, c in zip((lhs, rhs),
+                                                                 cands))
+        diff = _concat_batches(lhs + [(m, n, -c, *f) for m, n, c, *f in rhs])
+        bound = _creation_bound(diff, len(block))
+        over = np.flatnonzero(bound > depth)
+        if over.size:
+            overflow.append((over[0], i, bound[over[0]]))
+        if overflow:
+            continue
+        ncols = [fock.window_size(bound) for fock in shared.focks]
+        for (_, cols, values), k in zip(_apply_batches(
+                shared.focks, diff, [k.max() for k in ncols],
+                shared.windows), ncols):
+            res = np.where(cols < k[:, None], np.abs(values), 0.0)
+            num[:, i] = np.fmax(num[:, i], res.max(axis=1, initial=0.0))
+    if overflow:
+        t, i, b = min(overflow)
         raise SizeLimitError(
             f"identity {identities[i][0].format(block[t])}: depth {depth} "
-            f"below creation length {bounds[t, i]}; no valid window")
-    num = np.zeros(bounds.shape)
-    for fock in focks:
-        for i, diff in enumerate(diffs):
-            ncols = fock.window_size(bounds[:, i])
-            window = np.abs(_apply_batches(fock, diff, ncols.max())).max(1)
-            res = np.where(np.arange(window.shape[-1]) < ncols[:, None],
-                           window, 0.0).max(axis=1)
-            num[:, i] = np.fmax(num[:, i], res)
+            f"below creation length {b}; no valid window")
     return [Check(name.format(t), s == 0.0 and r <= tol, max(s, r))
-            for t, sym_t, num_t in zip(block, np.stack(sym, axis=1).tolist(),
-                                       num.tolist())
+            for t, sym_t, num_t in zip(block, sym.tolist(), num.tolist())
             for (name, *_), s, r in zip(identities, sym_t, num_t)]
 
 
@@ -860,8 +1145,8 @@ def triple_iso_transport(iso, E: FiniteGraph, F: FiniteGraph,
                     tuple(theta_x(y) for y in w.right))
 
     pe = ToeplitzElement(F, map(theta_word, vacuum_projection(E).words))
-    res = delta_basis_residual(element_delta_basis(pe),
-                               element_delta_basis(vacuum_projection(F)))
+    res = float(_basis_residual(*(_expand(_shape_batches(q), F) for q in (
+        pe, vacuum_projection(F))))[0])
     checks = [Check("theta(p) = p", res == 0.0, res)]
 
     for t in range(trials):
