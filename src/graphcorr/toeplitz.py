@@ -747,21 +747,18 @@ def _unique_rows(a):
     return ordered[new], inverse
 
 
-def _apply_batches(focks, batches, ncols, plans: dict | None = None):
+def _apply_batches(focks, batches, ncols, plans: dict):
     """Per space of ``focks``, the entries on its columns ``0 ..
     ncols[i]-1`` of the matrix of the element with :func:`_shape_batches`
     ``batches``, per trial: the rows and columns of the entries the shapes
     reach, and their values ``(trials, entries)``; every other entry is
     zero.  Each shape's words are summed in order and the shapes added in
-    order, on the combinations of :func:`_window_plan` (kept in ``plans``
-    when given)."""
+    order, on the combinations of :func:`_window_plan`, kept in
+    ``plans``."""
     key = (tuple(bt[:2] for bt in batches), tuple(ncols))
-    plan = None if plans is None else plans.get(key)
-    if plan is None:
-        plan = _window_plan(focks, *key)
-        if plans is not None:
-            plans[key] = plan
-    combos, spaces = plan
+    if key not in plans:
+        plans[key] = _window_plan(focks, *key)
+    combos, spaces = plans[key]
     sums = []
     for (m, n, coeffs, lefts, middles, rights), (stripped, ranges, created) \
             in zip(batches, combos):
@@ -808,7 +805,7 @@ def fock_matrix(elem, v=None, depth: int | None = None,
         raise SizeLimitError(
             f"depth {depth} below creation length {m_max}; no valid window")
     (rows, cols, values), = _apply_batches([fock], _shape_batches(elem),
-                                           [fock.dim])
+                                           [fock.dim], {})
     M = np.zeros((fock.dim, fock.dim), dtype=np.complex128)
     M[rows, cols] = values[0]
     valid = fock.lengths + m_max <= depth
@@ -897,9 +894,9 @@ def _chain_plan(factors, p, graph: FiniteGraph) -> list:
     candidate word pairs: those a support run of the chain keeps.  In that
     run the fixed operand ``p`` enters with its 0/1 support and every other
     operand, drawn anew each block, with every entry 1.  Its arithmetic
-    adds nonnegative terms and cancels nothing, so a word that any values
-    give nonzero comes from a candidate pair: no candidate depends on the
-    values of a block."""
+    adds nonnegative terms and cancels nothing, so a word that any finite
+    values give nonzero comes from a candidate pair: no candidate depends
+    on the values of a block."""
     def support(batches, exact):
         s = ((lambda a: (a != 0).astype(float)) if exact
              else (lambda a: np.ones((1,) + a.shape[1:])))

@@ -465,7 +465,7 @@ def test_window_columns_match_full_matrix(name):
 def _dense(fock, batches, ncols):
     """The matrices ``(trials, dim, ncols)`` whose entries
     :func:`_apply_batches` gives, zero elsewhere."""
-    (rows, cols, values), = _apply_batches([fock], batches, [ncols])
+    (rows, cols, values), = _apply_batches([fock], batches, [ncols], {})
     out = np.zeros((len(values), fock.dim, ncols), dtype=np.complex128)
     out[:, rows, cols] = values
     return out
@@ -729,36 +729,42 @@ def _word_route_checks(graph, trials, tol, seed, depth=4):
     return checks
 
 
-def _zero_draw(calls, draw_element=random_module_element):
+def _zero_draw(calls, edges=slice(None), draw_element=random_module_element):
     """``random_module_element`` with the draws numbered ``calls`` (from 0)
-    zeroed after they are drawn, so that every other draw stays the same."""
+    zeroed on ``edges`` after they are drawn, so that every other draw
+    stays the same."""
     count = iter(range(1 << 30))
 
     def draw(graph, rng):
         x = draw_element(graph, rng)
-        return ModuleElement(graph, 0 * x.values) if next(count) in calls \
-            else x
+        if next(count) not in calls:
+            return x
+        values = x.values.copy()
+        values[edges] *= 0
+        return ModuleElement(graph, values)
     return draw
 
 
 class _ZeroedDraw:
     """The seed's generator with one of the ten module elements a trial of
     the reconstruction identities draws (``xi``, ``eta``, then the factors
-    of the annihilate words) set to zero in rows ``rows`` of the first
-    block; by default draw 15, the first factor of trial 1's
-    annihilate[n=2] word."""
+    of the annihilate words) set to zero on ``edges`` (all by default) in
+    rows ``rows`` of the first block; by default draw 15, the first factor
+    of trial 1's annihilate[n=2] word."""
 
-    def __init__(self, graph, seed, element=5, rows=(1,)):
+    def __init__(self, graph, seed, element=5, rows=(1,), edges=None):
         self.rng = np.random.default_rng(seed)
         start = 2 * graph.n_vertices + 2 * element * graph.n_edges
-        self.cols = slice(start, start + 2 * graph.n_edges)
-        self.rows = list(rows)
+        edges = np.arange(graph.n_edges)[slice(None) if edges is None
+                                         else edges]
+        self.at = np.ix_(list(rows), np.concatenate(
+            [start + edges, start + graph.n_edges + edges]))
         self.blocks = 0
 
     def standard_normal(self, shape):
         z = self.rng.standard_normal(shape)
         if not self.blocks:
-            z[self.rows, self.cols] = 0.0
+            z[self.at] = 0.0
         self.blocks += 1
         return z
 
@@ -791,14 +797,22 @@ def test_reconstruction_memory_stays_pinned(name, peak_mb):
     assert peak <= peak_mb * 1e6
 
 
+@pytest.mark.parametrize("element, first_vertex_only", [(2, False),
+                                                       (0, True)])
 @pytest.mark.parametrize("name", RECONSTRUCT_FIXTURES)
-def test_plans_are_not_taken_from_one_block(name, monkeypatch):
-    # the annihilate[n=1] word's first factor is zero in both trials of the
-    # first block, so there its products and delta-basis terms vanish; the
-    # later blocks must still form every word pair (their residuals are
-    # rounding, not 0) and rebuild the delta-basis plans from their masks
+def test_plans_are_not_taken_from_one_block(name, element,
+                                            first_vertex_only, monkeypatch):
+    # the annihilate[n=1] word's first factor (element 2) is zero in both
+    # trials of the first block, so there its products and delta-basis
+    # terms vanish; the later blocks must still form every word pair (their
+    # residuals are rounding, not 0) and rebuild the delta-basis plans from
+    # their masks.  xi (element 0) zero on the edges out of the first vertex
+    # makes the compress and bimodule chains drop some of their candidate
+    # words partway, and pair the rest by position
     g = FINITE_FIXTURES[name]()
-    draw = _ZeroedDraw(g, 0, element=2, rows=range(2))
+    edges = np.flatnonzero(g.src_idx == 0) if first_vertex_only \
+        else slice(None)
+    draw = _ZeroedDraw(g, 0, element=element, rows=range(2), edges=edges)
     seen = []
     monkeypatch.setattr(toeplitz, "TRIAL_BLOCK", 2)
     with monkeypatch.context() as m:
@@ -807,7 +821,7 @@ def test_plans_are_not_taken_from_one_block(name, monkeypatch):
                   lambda name, checks, detail: seen.append(checks))
         reconstruct_module_check(g, trials=6, tol=1e-12, seed=0)
     monkeypatch.setitem(globals(), "random_module_element",
-                        _zero_draw({2, 12}))
+                        _zero_draw({element, 10 + element}, edges))
     assert seen == [_word_route_checks(g, trials=6, tol=1e-12, seed=0)]
 
 
