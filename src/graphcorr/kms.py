@@ -37,10 +37,10 @@ from .graphs import FiniteGraph, check_trials, spectral_radius
 from .modules import (delta_edge, delta_vertex, random_module_element,
                       tensor_inner_product)
 from .report import Check
-from .toeplitz import (ToeplitzElement, Word, _cmul, _concat_batches,
-                       _gauge_weight, _live_words, _stack_product,
-                       _tensor_inner, _word_batches, pi_word,
-                       vacuum_projection, word)
+from .toeplitz import (ToeplitzElement, Word, _by_shape, _cmul,
+                       _concat_batches, _gauge_weight, _join_trials,
+                       _live_words, _stack_product, _tensor_inner,
+                       _word_batches, pi_word, vacuum_projection, word)
 
 
 @dataclass
@@ -307,7 +307,7 @@ def kms_condition_residuals(state: KMSState, pairs) -> np.ndarray:
     out = np.zeros(start)
     for group in groups.values():
         rows, b1s, b2s, scales = zip(*group)
-        (s1, at1), (s2, at2) = (_shape_stacks(_trial_stack(b))
+        (s1, at1), (s2, at2) = (_shape_stacks(_join_trials(b))
                                 for b in (b1s, b2s))
         scales = np.array([s for r, s in zip(rows, scales) for _ in r])
         twisted = [(m, n, _cmul(c, scales[:, None]), *f)
@@ -319,26 +319,10 @@ def kms_condition_residuals(state: KMSState, pairs) -> np.ndarray:
     return out
 
 
-def _trial_stack(elems) -> list:
-    """Word stacks of elements of one word-shape sequence joined on the
-    trial axis."""
-    if len(elems) == 1:
-        return elems[0]
-    return [(m, n, np.concatenate([e[i][2] for e in elems]),
-             [np.concatenate(f) for f in zip(*(e[i][3] for e in elems))],
-             None if mid is None else np.concatenate(
-                 [e[i][4] for e in elems]),
-             [np.concatenate(f) for f in zip(*(e[i][5] for e in elems))])
-            for i, (m, n, _, _, mid, _) in enumerate(elems[0])]
-
-
 def _shape_stacks(words) -> tuple:
     """:func:`~graphcorr.toeplitz._concat_batches` of word stacks, and the
     word positions that each shape stack holds."""
-    at: dict = {}
-    for i, (m, n, _, _, mid, _) in enumerate(words):
-        at.setdefault((m, n, mid is not None), []).append(i)
-    return _concat_batches(words), list(at.values())
+    return _concat_batches(words), list(_by_shape(words).values())
 
 
 def _product_values(state: KMSState, e1, e2) -> list:

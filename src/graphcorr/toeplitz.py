@@ -30,19 +30,18 @@ row with the bits of a one-trial run: numpy's complex array product is the
 same at every shape, and expansions multiply by parts, bitwise as scalars.
 
 :func:`reconstruct_module_check` repeats the same chains of products on
-every block of trials, so each layer is split into a structure half, built
-once per call from keys and shapes, and an arithmetic half that a block
-runs: delta-basis keys, gathers and term pairs are recorded in a
-:class:`_Plan` (rebuilt when a block's zero pattern differs), word
-products are formed on the candidate pairs of a support run
-(:func:`_chain_plan`), and windows are summed on the matrix entries the
-words reach, each value formed once (:func:`_window_plan`).
+every block of trials, so each layer is split into a structure half and an
+arithmetic half that a block runs: the word pairs of each product and the
+delta-basis keys, gathers and term pairs are recorded in a :class:`_Plan`
+by one support run of the identity, which no drawn value enters, and
+windows are summed on the matrix entries the words reach, each value
+formed once (:func:`_window_plan`).
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, product
 
 import numpy as np
 
@@ -340,19 +339,11 @@ def _cmul(a, b):
     return out
 
 
-class _Stale(Exception):
-    """A replayed :class:`_Plan` met a mask other than the one it holds."""
-
-
 class _Plan:
-    """The structure of a chain of delta-basis steps: recorded in call
-    order while the chain runs the first time, replayed on later runs.
-
-    :meth:`step` returns a structure, built from keys and shapes alone, and
-    :meth:`check` records a shape or a mask of the values that the next
-    structures depend on; a replay that meets another one raises
-    :class:`_Stale`, and :func:`_planned` records the chain afresh.
-    """
+    """The structure of a chain of word products and delta-basis steps:
+    recorded in call order while the chain runs the first time, each
+    :meth:`step` keeping what it builds from keys, shapes and the zero
+    masks of that run, and replayed in that order after :meth:`replay`."""
 
     def __init__(self):
         self.steps: list = []
@@ -365,57 +356,39 @@ class _Plan:
         self.at += 1
         return self.steps[self.at - 1]
 
-    def check(self, mask) -> None:
-        if self.at is None:
-            self.steps.append(mask)
-            return
-        self.at += 1
-        if self.steps[self.at - 1] != mask:
-            raise _Stale
+    def replay(self) -> "_Plan":
+        self.at = 0
+        return self
 
 
-def _planned(plan: _Plan, run):
-    """``run(plan)``, replaying ``plan`` if it holds a chain, and recording
-    it afresh from this run if it holds none or its masks are stale."""
-    if plan.steps:
-        plan.at = 0
-        try:
-            return run(plan)
-        except _Stale:
-            pass
-    plan.steps, plan.at = [], None
-    return run(plan)
-
-
-def _collect_plan(keys, live):
-    """The keys of the ``live`` columns in first-seen order, and the
-    position among them of each live column."""
+def _collect_plan(keys, terms):
+    """The columns of ``terms`` nonzero in some trial, their keys in
+    first-seen order, and the position among them of each such column."""
+    live = (terms != 0).any(axis=0)
     index: dict = {}
     pos = [index.setdefault(k, len(index)) for k in compress(keys, live)]
-    return list(index), np.array(pos, dtype=np.intp)
+    return live, list(index), np.array(pos, dtype=np.intp)
 
 
 def _collect(keys, terms, plan: _Plan):
     """Sum the columns of ``terms`` into their ``keys`` in order, skipping
-    columns and keys zero in every trial, as a dict of nonzero terms would."""
-    live = (terms != 0).any(axis=0)
-    plan.check(live.tobytes())
-    index, pos = plan.step(_collect_plan, keys, live)
+    columns and keys zero in every trial of the run that records ``plan``:
+    on that run, what a dict of nonzero terms would keep."""
+    live, index, pos = plan.step(_collect_plan, keys, terms)
     out = np.zeros((terms.shape[0], len(index)), dtype=np.complex128)
     np.add.at(out, (slice(None), pos), terms[:, live])
-    keep = (out != 0).any(axis=0)
-    plan.check(keep.tobytes())
+    keep = plan.step(lambda: (out != 0).any(axis=0))
     return plan.step(lambda: list(compress(index, keep))), out[:, keep]
 
 
-def _expand_plan(shapes, graph: FiniteGraph):
-    """For stacks of ``(m, n, words, middle)``: the spanning words ``(mu,
+def _expand_plan(batches, graph: FiniteGraph):
+    """For stacks of ``(m, n, coeffs, ...)``: the spanning words ``(mu,
     v, nu)`` of a shape, for ``v``, then paths ``mu`` and ``nu`` from
     ``v``, as the edge gathers of each left and right factor and the vertex
     gather of the middle; and the keys, those words once per word of the
     stack."""
     keys, gathers = [], []
-    for m, n, k, _ in shapes:
+    for m, n, c, *_ in batches:
         words = []
         for vi in range(graph.n_vertices):
             nus = path_index_tuples(graph, vi, n)
@@ -425,7 +398,7 @@ def _expand_plan(shapes, graph: FiniteGraph):
                         .reshape((len(words),) + shape)
                         for i, shape in enumerate(((m,), (), (n,))))
         gathers.append((len(words), mus.T, vs, nus.T))
-        keys += words * k
+        keys += words * c.shape[-1]
     return keys, gathers
 
 
@@ -434,10 +407,7 @@ def _expand(batches, graph: FiniteGraph, plan: _Plan | None = None):
     * left_1(mu_1) ... middle(v) conj(right_1(nu_1)) ...``, in that order,
     on each spanning word ``(mu, v, nu)`` of its shape."""
     plan = plan or _Plan()
-    shapes = tuple((m, n, c.shape[-1], mid is not None)
-                   for m, n, c, _, mid, _ in batches)
-    plan.check(shapes)
-    keys, gathers = plan.step(_expand_plan, shapes, graph)
+    keys, gathers = plan.step(_expand_plan, batches, graph)
     terms = []
     for (_, _, coeffs, lefts, middles, rights), (size, mus, vs, nus) in zip(
             batches, gathers):
@@ -676,12 +646,26 @@ def _shape_batches(elem: ToeplitzElement) -> list:
 
 def _concat_batches(batches) -> list:
     """Stacks of one shape joined on the word axis, shapes as first seen."""
-    return [batches[at[0]] if len(at) == 1 else (
-        m, n, np.concatenate([batches[k][2] for k in at], axis=1),
-        [np.concatenate(f, axis=1) for f in zip(*(batches[k][3] for k in at))],
-        np.concatenate([batches[k][4] for k in at], axis=1) if mid else None,
-        [np.concatenate(f, axis=1) for f in zip(*(batches[k][5] for k in at))])
-        for (m, n, mid), at in _by_shape(batches).items()]
+    return [_join([batches[k] for k in at], axis=1)
+            for at in _by_shape(batches).values()]
+
+
+def _join_trials(elems) -> list:
+    """The word stacks of elements of one word-shape sequence joined on
+    the trial axis."""
+    return [_join(stacks, axis=0) for stacks in zip(*elems)]
+
+
+def _join(stacks, axis: int):
+    """Stacks of one shape joined on ``axis``, 0 for trials, 1 for words."""
+    if len(stacks) == 1:
+        return stacks[0]
+    m, n, _, _, mid, _ = stacks[0]
+    cat = functools.partial(np.concatenate, axis=axis)
+    return (m, n, cat([s[2] for s in stacks]),
+            [cat(f) for f in zip(*(s[3] for s in stacks))],
+            None if mid is None else cat([s[4] for s in stacks]),
+            [cat(f) for f in zip(*(s[5] for s in stacks))])
 
 
 def _by_shape(batches) -> dict:
@@ -716,7 +700,8 @@ def _window_plan(focks, shapes, ncols):
                           *created], axis=-1)
                 for stripped, ranges, source, created, _, _ in
                 (p[s] for p in plans)]
-        uniq, inverse = _unique_rows(np.concatenate(sigs))
+        uniq, inverse = _unique_rows(np.concatenate(
+            [np.zeros((0, m + n + 1), dtype=np.intp)] + sigs))
         combos.append((uniq.T[:n], uniq.T[n], uniq.T[n + 1:]))
         reads.append(_split(inverse, sigs))
     spaces = []
@@ -832,92 +817,34 @@ def vacuum_projection_checks(graph: FiniteGraph, depth: int) -> list:
             Check("rank-one", exact, 0.0 if exact else 1.0)]
 
 
-def _batch_product(batches1, batches2, graph: FiniteGraph) -> list:
+def _batch_product(batches1, batches2, graph: FiniteGraph,
+                   plan: _Plan | None = None) -> list:
     """The :func:`_shape_batches` of ``e1 * e2`` from those of ``e1`` and
     ``e2``, trial by trial (a one-trial operand serves every trial): each
-    pair of stacks gives a stack of ``k1 * k2`` words in the pair order of
-    :meth:`ToeplitzElement.__mul__`, factors by :func:`_reduce` and
-    coefficients by :func:`_cmul`, so every row is bitwise the word product
-    :func:`word_multiply` gives; none merged, less those zero in every
-    trial (as through orthogonal deltas)."""
-    return _pair_products(batches1, batches2, graph)[0]
-
-
-def _pair_products(batches1, batches2, graph: FiniteGraph, cands=None,
-                   present=None):
-    """:func:`_batch_product` on chosen word pairs.
-
-    ``cands`` gives per pair of stacks, in loop order, the pairs ``(i,
-    j)`` of words to multiply, ``i`` over the words of a support run's
-    stack (see :func:`_chain_plan`), all pairs for ``None``; ``present``
-    marks per stack of ``batches1`` which of those words it holds, all for
-    ``None``.  The pairs left out must give words zero in every trial.
-    Returns the product stacks, per pair of stacks the pairs whose
-    products it kept, and per product stack the mark of the candidates it
-    holds (``None`` for all).
-    """
-    out, kept, marks, sizes = [], [], [], []
-    stacks = [(bt1, here, bt2) for bt1, here in zip(
-        batches1, present or [None] * len(batches1)) for bt2 in batches2]
-    for k, (bt1, here, bt2) in enumerate(stacks):
-        k2 = bt2[2].shape[1]
-        i, j = (np.divmod(np.arange(bt1[2].shape[1] * k2), k2)
-                if cands is None else cands[k])
-        sizes.append(len(i))
-        mark = None if here is None else here[i]
-        if mark is not None:
-            i, j = (np.cumsum(here) - 1)[i[mark]], j[mark]
-        left, middle, right = _stack_product(bt1, bt2, graph, (i, j))
-        c = _cmul(*(_on_pairs(bt[2], bt1, bt2, bt is bt1, (i, j))
+    pair of stacks gives a stack of its word pairs whose products are
+    nonzero in some trial of the run that records ``plan`` (as through
+    orthogonal deltas), in the pair order of :meth:`ToeplitzElement.__mul__`,
+    factors by :func:`_reduce` and coefficients by :func:`_cmul`, so every
+    row is bitwise the word product :func:`word_multiply` gives; none
+    merged.  A replay forms those pairs, zero or not."""
+    plan = plan or _Plan()
+    out = []
+    for bt1, bt2 in product(batches1, batches2):
+        pairs = plan.step(_live_pairs, bt1, bt2, graph)
+        left, middle, right = _stack_product(bt1, bt2, graph, pairs)
+        c = _cmul(*(_on_pairs(bt[2], bt1, bt2, bt is bt1, pairs)
                     for bt in (bt1, bt2)))
-        keep = _live_words(c, left, middle, right).any(axis=0)
-        if not keep.all():
-            c, left, right = c[:, keep], [a[:, keep] for a in left], [
-                a[:, keep] for a in right]
-            middle = None if middle is None else middle[:, keep]
-            i, j = i[keep], j[keep]
-            if mark is None:
-                mark = keep
-            else:
-                mark[mark] = keep
         out.append((len(left), len(right), c, left, middle, right))
-        kept.append((i, j))
-        marks.append(mark)
-    joined = [None if all(marks[k] is None for k in at) else np.concatenate(
-        [np.ones(sizes[k], dtype=bool) if marks[k] is None
-         else marks[k] for k in at]) for at in _by_shape(out).values()]
-    return _concat_batches(out), kept, joined
+    return _concat_batches(out)
 
 
-def _chain_plan(factors, p, graph: FiniteGraph) -> list:
-    """Per product of the chain ``factors`` and per pair of stacks, the
-    candidate word pairs: those a support run of the chain keeps.  In that
-    run the fixed operand ``p`` enters with its 0/1 support and every other
-    operand, drawn anew each block, with every entry 1.  Its arithmetic
-    adds nonnegative terms and cancels nothing, so a word that any finite
-    values give nonzero comes from a candidate pair: no candidate depends
-    on the values of a block."""
-    def support(batches, exact):
-        s = ((lambda a: (a != 0).astype(float)) if exact
-             else (lambda a: np.ones((1,) + a.shape[1:])))
-        return [(m, n, s(c), [s(x) for x in ls], None if mid is None
-                 else s(mid), [s(y) for y in rs])
-                for m, n, c, ls, mid, rs in batches]
-
-    out, cands = support(factors[0], factors[0] is p), []
-    for f in factors[1:]:
-        out, kept, _ = _pair_products(out, support(f, f is p), graph)
-        cands.append(kept)
-    return cands
-
-
-def _chain_product(factors, graph: FiniteGraph, cands) -> list:
-    """``factors[0] * factors[1] * ...`` by :func:`_batch_product` in turn,
-    each product formed on the candidates :func:`_chain_plan` found."""
-    out, present = factors[0], None
-    for f, pairs in zip(factors[1:], cands):
-        out, _, present = _pair_products(out, f, graph, pairs, present)
-    return out
+def _live_pairs(bt1, bt2, graph: FiniteGraph):
+    """The word pairs ``(i, j)`` of two stacks whose products are nonzero
+    in some trial."""
+    left, middle, right = _stack_product(bt1, bt2, graph)
+    c = _cmul(*(_on_pairs(bt[2], bt1, bt2, bt is bt1) for bt in (bt1, bt2)))
+    live = _live_words(c, left, middle, right).any(axis=0)
+    return np.divmod(np.flatnonzero(live), bt2[2].shape[1])
 
 
 def _stack_product(bt1, bt2, graph: FiniteGraph, pairs=None):
@@ -1000,14 +927,13 @@ def reconstruct_module_check(graph: FiniteGraph, trials: int = 100,
     Trials are drawn in order and stacked :data:`TRIAL_BLOCK` at a time on
     a trial axis (:func:`_reconstruction_block`), every trial with the bits
     of a one-trial run.  The structure of each identity is planned once a
-    call and shared by the blocks: its delta-basis keys, gathers and pairs
-    in a :class:`_Plan`, rebuilt from a block whose zero pattern differs;
-    its word products on the candidate pairs of a support run
-    (:func:`_chain_plan`), which no block's values choose; its window
-    residuals on the Fock entries the words reach, each formed once per
-    combination of factor entries it reads (:func:`_window_plan`).  The
-    check returned carries the largest residual and names the first
-    failing identity, or counts them.
+    call and shared by the blocks: the word pairs of its products and its
+    delta-basis keys, gathers and term pairs in a :class:`_Plan`, recorded
+    by a support run that no block's values choose (:class:`_Shared`);
+    its window residuals on the Fock entries the words reach, each formed
+    once per combination of factor entries it reads
+    (:func:`_window_plan`).  The check returned carries the largest
+    residual and names the first failing identity, or counts them.
     """
     check_trials(trials)
     shared = _Shared(graph, depth)
@@ -1025,16 +951,74 @@ def reconstruct_module_check(graph: FiniteGraph, trials: int = 100,
 class _Shared:
     """What the trial blocks of one :func:`reconstruct_module_check` call
     share: the Fock spaces at every vertex, the vacuum projection's stacks
-    and expansion, and the plans, filled on first use: per identity its
-    delta-basis :class:`_Plan` and its chains' candidate pairs, and the
-    window plans of :func:`_apply_batches`."""
+    and expansion, per identity the :class:`_Plan` of its word products
+    and delta-basis steps, and the window plans of :func:`_apply_batches`,
+    filled on first use.
+
+    Each identity's plan is recorded by a support run of it: the vacuum
+    projection enters with its 0/1 entries (the absolute values of its
+    coefficients; its factors are edge deltas) and every drawn array with
+    all entries 1.  That arithmetic adds nonnegative terms and cancels
+    nothing, so every word, term and key that any finite draw makes
+    nonzero is kept.  On a block's values the others are exact zeros, and
+    ``x + 0 = x`` leaves every sum, so every residual, bitwise as it is.
+    """
 
     def __init__(self, graph: FiniteGraph, depth: int):
         self.focks = [TruncatedFock(graph, v, depth) for v in graph.vertices]
         self.p = _shape_batches(vacuum_projection(graph))
         self.p_basis = _expand(self.p, graph)
-        self.identities: dict = {}
         self.windows: dict = {}
+        p = [(m, n, np.abs(c), *f) for m, n, c, *f in self.p]
+        p_basis = (self.p_basis[0], np.abs(self.p_basis[1]))
+        v, e = np.ones((1, graph.n_vertices)), np.ones((1, graph.n_edges))
+        support = _identities(p, v, e, e, [e] * 8, v, e)
+        self.plans = [_Plan() for _ in support]
+        for (_, *sides), plan in zip(support, self.plans):
+            _identity_run(*sides, p, p_basis, graph, plan)
+
+
+def _identities(p, a, xi, eta, fs, ip, axi) -> list:
+    """The identities of :func:`reconstruct_module_check` on the vacuum
+    projection's stacks ``p`` and ``(trials, *)`` arrays: the coefficient
+    ``a``, the module elements ``xi`` and ``eta``, the eight factors ``fs``
+    of the annihilate words, ``ip = <xi, eta>`` and ``axi = a . xi``.  Per
+    identity: its name, the factors of both sides, and the slice of left
+    factors that the symbolic side multiplies out first, so that both sides
+    share their floating-point arrays and cancel through 0/1 constants
+    only."""
+    stack = _one_word_stack
+    pa, crt_xi = stack(middle=a), stack(left=[xi])
+    return [
+        ("commute[{}]", [p, pa], [pa, p], None),
+        ("compress[{}]", [p, stack(right=[xi]), stack(left=[eta]), p],
+         [stack(middle=ip), p], slice(1, 3)),
+        ("annihilate[n=1,{}]", [stack(fs[:2], None, fs[2:3]), p], [[]], None),
+        ("annihilate[n=2,{}]", [stack(fs[3:6], None, fs[6:]), p], [[]], None),
+        ("bimodule[{}]", [pa, crt_xi, p], [stack(left=[axi]), p],
+         slice(0, 2))]
+
+
+def _identity_run(lhs, rhs, pre, p, p_basis, graph: FiniteGraph,
+                  plan: _Plan):
+    """The word products of the factors ``lhs`` and ``rhs`` of an
+    identity's sides, each chain by :func:`_batch_product` in turn, and
+    per trial its delta-basis residual, each side's factors expanded
+    (``p`` by ``p_basis``) and multiplied in turn, the left factors
+    ``pre`` by their word product; every step on ``plan``."""
+    def words(factors):
+        return functools.reduce(
+            lambda b1, b2: _batch_product(b1, b2, graph, plan), factors)
+
+    def basis(factors):
+        return functools.reduce(
+            lambda e1, e2: _basis_multiply(e1, e2, graph, plan),
+            [p_basis if f is p else _expand(f, graph, plan) for f in factors])
+    sides = words(lhs), words(rhs)
+    sym = list(lhs)
+    if pre:
+        sym[pre] = [words(lhs[pre])]
+    return (*sides, _basis_residual(basis(sym), basis(rhs), plan))
 
 
 def _reconstruction_block(graph, rng, block, shared: _Shared, tol, depth):
@@ -1053,39 +1037,14 @@ def _reconstruction_block(graph, rng, block, shared: _Shared, tol, depth):
     ip = np.zeros_like(a)
     np.add.at(ip, (slice(None), graph.src_idx), xi.conj() * eta)
     axi = a[:, graph.rng_idx] * xi
-
-    p, p_basis, plans = shared.p, shared.p_basis, shared.identities
-    stack = _one_word_stack
-    pa, crt_xi = stack(middle=a), stack(left=[xi])
-    ann_xi, crt_eta = stack(right=[xi]), stack(left=[eta])
-    # (name, lhs, rhs, symbolic lhs pre-reduced so that both sides share
-    # their floating-point arrays and cancel through 0/1 constants only)
-    identities = [
-        ("commute[{}]", [p, pa], [pa, p], None),
-        ("compress[{}]", [p, ann_xi, crt_eta, p], [stack(middle=ip), p],
-         [p, _batch_product(ann_xi, crt_eta, graph), p]),
-        ("annihilate[n=1,{}]", [stack(fs[:2], None, fs[2:3]), p], [[]], None),
-        ("annihilate[n=2,{}]", [stack(fs[3:6], None, fs[6:]), p], [[]], None),
-        ("bimodule[{}]", [pa, crt_xi, p], [stack(left=[axi]), p],
-         [_batch_product(pa, crt_xi, graph), p])]
-
-    def basis_side(factors, plan):
-        return functools.reduce(
-            lambda e1, e2: _basis_multiply(e1, e2, graph, plan),
-            [p_basis if f is p else _expand(f, graph, plan) for f in factors])
+    identities = _identities(shared.p, a, xi, eta, fs, ip, axi)
 
     sym = np.zeros((len(block), len(identities)))
     num = np.zeros_like(sym)
     overflow = []       # per identity: (first trial, identity, bound)
-    for i, (name, lhs, rhs, sym_lhs) in enumerate(identities):
-        if name not in plans:
-            plans[name] = (_Plan(), *(_chain_plan(f, p, graph)
-                                      for f in (lhs, rhs)))
-        basis, *cands = plans[name]
-        sym[:, i] = _planned(basis, lambda plan: _basis_residual(
-            basis_side(sym_lhs or lhs, plan), basis_side(rhs, plan), plan))
-        lhs, rhs = (_chain_product(f, graph, c) for f, c in zip((lhs, rhs),
-                                                                 cands))
+    for i, ((_, *sides), plan) in enumerate(zip(identities, shared.plans)):
+        lhs, rhs, sym[:, i] = _identity_run(
+            *sides, shared.p, shared.p_basis, graph, plan.replay())
         diff = _concat_batches(lhs + [(m, n, -c, *f) for m, n, c, *f in rhs])
         bound = _creation_bound(diff, len(block))
         over = np.flatnonzero(bound > depth)
@@ -1157,7 +1116,7 @@ def triple_iso_transport(iso, E: FiniteGraph, F: FiniteGraph,
                  left_action(theta_m(a), theta_x(xi))),
                 ("right-action", theta_x(right_action(xi, a)),
                  right_action(theta_x(xi), theta_m(a)))):
-            r = np.max(np.abs(got.values - want.values))
+            r = np.max(np.abs(got.values - want.values), initial=0.0)
             checks.append(Check(f"{name}[{t}]", r <= tol, r))
         wdeg = word(1.0, (xi,), None, (eta, xi))
         ok = theta_word(wdeg).degree == wdeg.degree

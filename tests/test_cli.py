@@ -212,6 +212,23 @@ def test_reconstruction_window_must_hold_every_identity(capsys):
         in capsys.readouterr().out
 
 
+def test_transport_on_a_graph_with_no_edges(capsys):
+    # the module actions compare empty edge arrays
+    edgeless = fixture_path("edgeless")
+    assert run("fock", "transport", edgeless, edgeless, "--trials", "3") == 0
+    assert "PASS  transport  residual 0.000e+00" in capsys.readouterr().out
+
+
+def test_reconstruction_on_a_graph_with_no_vertices(tmp_path, capsys):
+    # no Fock space, so every identity holds with nothing to compare
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(
+        {"kind": "finite", "vertices": [], "edges": []}))
+    assert run("fock", "reconstruct-check", str(path), "--trials", "2") == 0
+    assert "PASS  reconstruction  residual 0.000e+00  (10 identities)" \
+        in capsys.readouterr().out
+
+
 def test_bump_frame_off_the_sample_grid_is_refused(tmp_path, capsys):
     path = tmp_path / "circle.json"
     path.write_text(json.dumps(

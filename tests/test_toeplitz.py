@@ -22,7 +22,7 @@ from graphcorr.suite import RECONSTRUCT_FIXTURES, relabeled_copy
 from graphcorr.toeplitz import (ToeplitzElement, TruncatedFock, Word,
                                 _apply_batches, _basis_multiply,
                                 _batch_product, _concat_batches, _expand,
-                                _shape_batches, _word_batches,
+                                _join_trials, _shape_batches, _word_batches,
                                 delta_basis_multiply, delta_basis_residual,
                                 element_delta_basis, fock_matrix, gauge_scale,
                                 iota_word, pi_word, reconstruct_module_check,
@@ -804,11 +804,11 @@ def test_plans_are_not_taken_from_one_block(name, element,
                                             first_vertex_only, monkeypatch):
     # the annihilate[n=1] word's first factor (element 2) is zero in both
     # trials of the first block, so there its products and delta-basis
-    # terms vanish; the later blocks must still form every word pair (their
-    # residuals are rounding, not 0) and rebuild the delta-basis plans from
-    # their masks.  xi (element 0) zero on the edges out of the first vertex
-    # makes the compress and bimodule chains drop some of their candidate
-    # words partway, and pair the rest by position
+    # terms are exact zeros; the later blocks, whose residuals are rounding
+    # and not 0, replay the same plans of the support run.  xi (element 0)
+    # zero on the edges out of the first vertex zeroes some of the compress
+    # and bimodule chains' candidate words partway; every block still
+    # forms them all
     g = FINITE_FIXTURES[name]()
     edges = np.flatnonzero(g.src_idx == 0) if first_vertex_only \
         else slice(None)
@@ -823,6 +823,27 @@ def test_plans_are_not_taken_from_one_block(name, element,
     monkeypatch.setitem(globals(), "random_module_element",
                         _zero_draw({element, 10 + element}, edges))
     assert seen == [_word_route_checks(g, trials=6, tol=1e-12, seed=0)]
+
+
+def test_identities_are_planned_once_a_call(monkeypatch):
+    # the annihilate[n=1] word is zero in the whole first block; the later
+    # blocks replay the plans of the support run all the same
+    g = fibonacci()
+    monkeypatch.setattr(toeplitz, "TRIAL_BLOCK", 2)
+    counts = []
+    for trials in (2, 100):
+        calls = []
+        with monkeypatch.context() as m:
+            for name in ("_expand_plan", "_multiply_plan"):
+                def counted(*args, build=getattr(toeplitz, name), name=name):
+                    calls.append(name)
+                    return build(*args)
+                m.setattr(toeplitz, name, counted)
+            draw = _ZeroedDraw(g, 0, element=2, rows=range(2))
+            m.setattr(np.random, "default_rng", lambda seed: draw)
+            reconstruct_module_check(g, trials=trials)
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1]
 
 
 def _sparse_element(g, rng, n_words):
@@ -860,20 +881,6 @@ def _trial_copies(elem, rng, trials):
         for _ in range(trials)]
 
 
-def _stacked(elems):
-    """The :func:`_word_batches` of same-shaped ``elems``, one row each on
-    the trial axis."""
-    out = []
-    for bts in zip(*map(_word_batches, elems)):
-        m, n, _, _, mid, _ = bts[0]
-        out.append((m, n, np.concatenate([b[2] for b in bts]),
-                    [np.concatenate(f) for f in zip(*(b[3] for b in bts))],
-                    None if mid is None
-                    else np.concatenate([b[4] for b in bts]),
-                    [np.concatenate(f) for f in zip(*(b[5] for b in bts))]))
-    return out
-
-
 @pytest.mark.parametrize("name", RECONSTRUCT_FIXTURES)
 def test_trial_rows_match_one_trial_runs(name):
     g = FINITE_FIXTURES[name]()
@@ -881,7 +888,8 @@ def test_trial_rows_match_one_trial_runs(name):
     trials = 5
     e1s, e2s = (_trial_copies(_sparse_element(g, rng, n_words=5), rng,
                               trials) for _ in range(2))
-    s1, s2 = _stacked(e1s), _stacked(e2s)
+    s1, s2 = (_join_trials([_word_batches(e) for e in es])
+              for es in (e1s, e2s))
     x1, x2 = _expand(s1, g), _expand(s2, g)
     p = _shape_batches(vacuum_projection(g))
     b1, b2 = _concat_batches(s1), _concat_batches(s2)
@@ -900,6 +908,65 @@ def test_trial_rows_match_one_trial_runs(name):
             for a, b in zip(stacked, single):
                 assert _dense(f, a, f.dim)[t].tobytes() \
                     == _dense(f, b, f.dim)[0].tobytes()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(g=finite_graphs(), seed=st.integers(0, 2 ** 32 - 1))
+def test_expansion_and_product_match_loop_oracle_on_generated_graphs(g,
+                                                                     seed):
+    rng = np.random.default_rng(seed)
+    elems = [ToeplitzElement(g, [_drawn_word(g, rng) for _ in range(3)])
+             for _ in range(2)]
+    want = [_loop_expansion(e) for e in elems]
+    for e, w in zip(elems, want):
+        got = element_delta_basis(e)
+        _assert_bits_on(got, w)
+        assert list(got) == list(w)
+    for m1, m2 in [(want[0], want[1]), (want[1], want[0]),
+                   (want[1], want[1])]:
+        got, scan = delta_basis_multiply(m1, m2, g), _scan_multiply(m1, m2, g)
+        assert list(got) == list(scan)
+        assert [_bits(c) for c in got.values()] \
+            == [_bits(c) for c in scan.values()]
+
+
+def _on_arrays(f, batches):
+    """``batches`` with ``f`` applied to every coefficient and factor
+    array."""
+    return [(m, n, f(c), [f(x) for x in ls], None if mid is None else f(mid),
+             [f(y) for y in rs]) for m, n, c, ls, mid, rs in batches]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(g=finite_graphs(), seed=st.integers(0, 2 ** 32 - 1))
+def test_plan_recorded_on_supports_replays_on_zeroed_values(g, seed):
+    # a plan recorded with every entry 1 holds every term that values can
+    # make nonzero; replayed on values with a quarter of their entries
+    # zeroed, each trial is bitwise the one-shot route's on that route's
+    # keys and exactly 0 on the others
+    rng = np.random.default_rng(seed)
+    trials = 4
+    elems = [ToeplitzElement(g, [word(1.0)] + [_drawn_word(g, rng)
+                                               for _ in range(3)])
+             for _ in range(2)]
+    stacks = [_on_arrays(lambda a: a * (rng.random(a.shape) < 0.75),
+                         _join_trials([_word_batches(e) for e in
+                                       _trial_copies(elem, rng, trials)]))
+              for elem in elems]
+
+    def run(plan, s1, s2):
+        x1, x2 = _expand(s1, g, plan), _expand(s2, g, plan)
+        return x1, x2, _basis_multiply(x1, x2, g, plan)
+    plan = toeplitz._Plan()
+    run(plan, *(_on_arrays(lambda a: np.ones((1,) + a.shape[1:]), s)
+                for s in stacks))
+    got = run(plan.replay(), *stacks)
+    for t in range(trials):
+        want = run(None, *(_on_arrays(lambda a: a[t:t + 1], s)
+                           for s in stacks))
+        for (keys, c), (keys_t, c_t) in zip(got, want):
+            _assert_bits_on(dict(zip(keys, c[t].tolist())),
+                            dict(zip(keys_t, c_t[0].tolist())))
 
 
 def _word_row(w):
