@@ -120,7 +120,12 @@ def _parse_betas(text: str):
     b = lo
     while b <= hi + 1e-12:
         out.append(round(b, 12))
+        if b + step == b:
+            raise FormatError(f"--betas {text!r}: the step does not "
+                              f"advance the grid past {b!r}")
         b += step
+    if not out:
+        raise FormatError(f"--betas {text!r} has no points")
     return out
 
 
@@ -633,6 +638,9 @@ def dispatch(argv) -> int:
             # a check over no random trials would pass vacuously
             if getattr(args, "trials", 1) < 1:
                 raise FormatError(f"--trials {args.trials} is below 1")
+            # numpy's generators take only nonnegative seeds
+            if getattr(args, "seed", 0) < 0:
+                raise FormatError(f"--seed {args.seed} is below 0")
             # a nan or infinite tolerance would pass or fail every check
             if not 0 < getattr(args, "tol", 1.0) < math.inf:
                 raise FormatError(f"--tol {args.tol} is not a finite "

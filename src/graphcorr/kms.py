@@ -15,19 +15,22 @@ otherwise to
 
 with ``g = <y, x>`` the tensor inner product (``g = a`` for scalar words,
 ``g = 1`` for the unit word).  Each state solves for its dual vector ``u``
-once.  Each element stacks the profiles ``g`` of its balanced words into
-one matrix ``G``, built once by degree and kept, so an element costs one
-matrix-vector product ``G u`` per state.  Truncated path sums, over
-profiles computed word by word, are kept as an independent oracle.  At
-``beta = inf`` the same state is the vacuum vector state, which sees only
-the scalar part of a word.  The KMS condition is checked for many pairs
-at once: pairs of one word shape are stacked on a trial axis, and each
-product stack is evaluated with one row-wise product of its profiles.
+once.  Each element keeps the profiles ``g`` of its balanced words as one
+matrix ``G``, filled once by degree, and beside it, for the last
+temperature, the live rows and the products ``c e^{-beta k}``: a further
+state at that temperature costs one product ``G u`` and the sum.  Truncated
+path sums, over profiles computed word by word, are kept as an independent
+oracle.  At ``beta = inf`` the same state is the vacuum vector state, which
+sees only the scalar part of a word.  The KMS condition is checked on shape
+stacks, of many pairs on a trial axis or of one pair; the words of two
+stacks meet pair by pair as broadcast views, with no copy, and each product
+stack is evaluated with one row-wise product of its profiles.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +40,8 @@ from .graphs import FiniteGraph, check_trials, spectral_radius
 from .modules import (delta_edge, delta_vertex, random_module_element,
                       tensor_inner_product)
 from .report import Check
-from .toeplitz import (ToeplitzElement, Word, _by_shape, _cmul,
-                       _concat_batches, _gauge_weight, _join_trials,
+from .toeplitz import (ToeplitzElement, Word, _by_shape,
+                       _gauge_weight, _join, _join_trials,
                        _live_words, _stack_product, _tensor_inner,
                        _word_batches, pi_word, vacuum_projection, word)
 
@@ -182,25 +185,24 @@ def _word_profile(w: Word):
 def _element_stack(elem: ToeplitzElement):
     """``(G, k, c)``: the profile ``g``, creation count and coefficient of
     each balanced word, in word order (the unit word's row is all ones),
-    kept in the element's instance dict per word tuple.  Each degree ``k >=
-    1`` runs :func:`~graphcorr.toeplitz._tensor_inner` on factors stacked as
-    ``(words, edges)`` rows, so every row is bitwise that word's profile."""
+    kept in the element's instance dict per word tuple.  ``G`` is one
+    complex array of ones filled with the middles and, per degree ``k >=
+    1``, one :func:`~graphcorr.toeplitz._tensor_inner` of factors stacked
+    as ``(words, edges)``, so every row is bitwise that word's profile."""
     memo = elem.__dict__.get("_stack")
     if memo is not None and memo[0] is elem.words:
         return memo[1]
-    g = elem.graph
     rows = [w for w in elem.words if w.creations == w.annihilations]
     k = [w.creations for w in rows]
-    G = [np.ones(g.n_vertices) if w.middle is None else w.middle.values
-         for w in rows]
+    G = np.ones((len(rows), elem.graph.n_vertices), dtype=np.complex128)
+    for i, w in enumerate(rows):
+        if not w.creations and w.middle is not None:
+            G[i] = w.middle.values
     for deg in sorted(set(k) - {0}):
         at = [i for i, j in enumerate(k) if j == deg]
-        prof = _tensor_inner(*(
+        G[at] = _tensor_inner(*(
             [np.array([getattr(rows[i], side)[j].values for i in at])
-             for j in range(deg)] for side in ("right", "left")), g)
-        for i, row in zip(at, prof):
-            G[i] = row
-    G = np.array(G, dtype=np.complex128).reshape(len(rows), g.n_vertices)
+             for j in range(deg)] for side in ("right", "left")), elem.graph)
     stack = G, k, [w.coeff for w in rows]
     elem.__dict__["_stack"] = elem.words, stack
     return stack
@@ -214,18 +216,21 @@ def kms_eval(state: KMSState, elem) -> complex:
     Each row's sum runs in index order (as ``u.sum()`` does below eight
     vertices; a BLAS product does not) and the products are summed in word
     order with Python complex arithmetic, so a point-mass state at ``beta =
-    inf`` gives bitwise the word-by-word loop's value."""
+    inf`` gives bitwise the word-by-word loop's value.  The live rows and
+    the products ``c x**k`` are kept with the stack for the last ``x``."""
     x, u = state.params.x, state.dual
     if elem.graph is not state.params.graph:
         raise MismatchError("element and state live over different graphs")
     G, k, c = _element_stack(elem)
-    weight = [x ** j for j in k]
-    live = [i for i, w in enumerate(weight) if w]
-    d = np.einsum("ij,j->i", G if len(live) == len(k) else G[live], u)
-    total = 0.0 + 0.0j
-    for i, b in zip(live, d.tolist()):
-        total += c[i] * weight[i] * b
-    return complex(total)
+    memo = elem.__dict__.get("_at")
+    if memo is None or memo[0] != x or memo[1] is not G:
+        weight = [x ** j for j in k]
+        live = [i for i, w in enumerate(weight) if w]
+        memo = elem.__dict__["_at"] = (
+            x, G, G if len(live) == len(k) else G[live],
+            [c[i] * weight[i] for i in live])
+    return sum(map(operator.mul, memo[3],
+                   np.einsum("ij,j->i", memo[2], u).tolist()), 0j)
 
 
 def kms_eval_truncated(state: KMSState, elem, depth: int) -> complex:
@@ -257,8 +262,8 @@ def kms_eval_truncated(state: KMSState, elem, depth: int) -> complex:
 def kms_condition_check(state: KMSState, b1: ToeplitzElement,
                         b2: ToeplitzElement, tol: float = 1e-9) -> Check:
     """Residual of ``phi(b1 * sigma(b2)) = phi(b2 * b1)`` where ``sigma``
-    scales a degree-``n`` element by ``e^{-beta n}``: the one-pair call of
-    :func:`kms_condition_residuals`.
+    scales a degree-``n`` element by ``e^{-beta n}``: the one-pair case of
+    :func:`kms_condition_residuals`, on the elements' own shape stacks.
 
     Both inputs must be gauge homogeneous (they are then analytic for the
     dynamics and the scaling is the analytic continuation evaluated at
@@ -266,8 +271,8 @@ def kms_condition_check(state: KMSState, b1: ToeplitzElement,
     """
     if b1.graph is not state.params.graph or b2.graph is not b1.graph:
         raise MismatchError("element and state live over different graphs")
-    residual = float(kms_condition_residuals(
-        state, [(_word_batches(b1), _word_batches(b2))])[0])
+    residual = _stack_residuals(
+        state, *(_shape_stacks(_word_batches(b)) for b in (b1, b2)), 1)[0]
     return Check("kms-condition", residual <= tol, residual)
 
 
@@ -277,17 +282,12 @@ def kms_condition_residuals(state: KMSState, pairs) -> np.ndarray:
     Each entry of ``pairs`` gives ``b1`` and ``b2`` as word stacks over the
     state's graph on a common trial axis, as
     :func:`~graphcorr.toeplitz._word_batches` lists them for one trial; the
-    residuals of all trials come back entry by entry.  Entries whose words
-    have the same shapes are joined on the trial axis; ``x**deg`` is folded
-    into the coefficients of ``b2``; both products are formed stack by
-    stack as :func:`~graphcorr.toeplitz._batch_product` forms them, and
-    each product stack is evaluated with one row-wise product of its
-    profiles and the dual vector.  Every term is bitwise that of
-    :func:`kms_eval` on the product element, and the terms are summed in
-    that element's word order, so a residual is bitwise the per-pair
-    route's unless two product words coincide, which the element merges
-    first.  ``DomainError`` for an element that is not gauge homogeneous,
-    and for ``b2`` of negative degree where ``e^{-beta}`` is 0.
+    residuals of all trials come back entry by entry.  Entries of the same
+    word shapes are joined on the trial axis for :func:`_stack_residuals`.
+    A residual is bitwise the per-pair route's unless two product words
+    coincide, which the product element merges first.  ``DomainError`` for
+    an element that is not gauge homogeneous, and for ``b2`` of negative
+    degree where ``e^{-beta}`` is 0.
     """
     groups: dict = {}
     start = 0
@@ -295,70 +295,76 @@ def kms_condition_residuals(state: KMSState, pairs) -> np.ndarray:
         rows = range(start, start + max(
             (len(bt[2]) for bt in (*b1, *b2)), default=1))
         start = rows.stop
-        degrees = [{m - n for m, n, *_ in b} for b in (b1, b2)]
-        if any(len(d) > 1 for d in degrees):
-            raise DomainError("inputs must be gauge homogeneous")
-        scale = _gauge_weight(state.params.x, min(degrees[1], default=0))
-        if {a + b for a in degrees[0] for b in degrees[1]} != {0}:
-            continue    # no balanced product word: both sides are 0
         shape = tuple(tuple((m, n, mid is not None) for m, n, _, _, mid, _
                             in b) for b in (b1, b2))
-        groups.setdefault(shape, []).append((rows, b1, b2, scale))
+        groups.setdefault(shape, []).append((rows, b1, b2))
     out = np.zeros(start)
-    for group in groups.values():
-        rows, b1s, b2s, scales = zip(*group)
-        (s1, at1), (s2, at2) = (_shape_stacks(_join_trials(b))
-                                for b in (b1s, b2s))
-        scales = np.array([s for r, s in zip(rows, scales) for _ in r])
-        twisted = [(m, n, _cmul(c, scales[:, None]), *f)
-                   for m, n, c, *f in s2]
-        out[[t for r in rows for t in r]] = [
-            abs(lhs - rhs) for lhs, rhs in zip(
-                _product_values(state, (s1, at1), (twisted, at2)),
-                _product_values(state, (s2, at2), (s1, at1)))]
+    for rows, b1s, b2s in (zip(*group) for group in groups.values()):
+        at = [t for r in rows for t in r]
+        out[at] = _stack_residuals(state, *(
+            _shape_stacks(_join_trials(b)) for b in (b1s, b2s)), len(at))
     return out
 
 
+def _stack_residuals(state: KMSState, e1, e2, trials: int) -> list:
+    """Per trial, the residual of two elements given by :func:`_shape_stacks`,
+    with ``x**deg`` folded into ``b2``'s coefficients by Python's complex
+    product, bitwise ``_cmul``'s; 0 when no product word is balanced."""
+    d1, d2 = ({m - n for m, n, *_ in e[0]} for e in (e1, e2))
+    if len(d1) > 1 or len(d2) > 1:
+        raise DomainError("inputs must be gauge homogeneous")
+    s = _gauge_weight(state.params.x, min(d2, default=0))
+    if {a + b for a in d1 for b in d2} != {0}:
+        return [0.0] * trials       # both sides are 0
+    twisted = [[[complex(c) * s for c in row] for row in cs] for cs in e2[2]]
+    return [abs(lhs - rhs) for lhs, rhs in zip(
+        _product_values(state, e1, (*e2[:2], twisted)),
+        _product_values(state, e2, e1))]
+
+
 def _shape_stacks(words) -> tuple:
-    """:func:`~graphcorr.toeplitz._concat_batches` of word stacks, and the
-    word positions that each shape stack holds."""
-    return _concat_batches(words), list(_by_shape(words).values())
+    """:func:`~graphcorr.toeplitz._concat_batches` of word stacks, the word
+    positions each holds, and its coefficients as per-trial lists."""
+    at = list(_by_shape(words).values())
+    stacks = [_join([words[k] for k in ks], axis=1) for ks in at]
+    return stacks, at, [bt[2].tolist() for bt in stacks]
 
 
 def _product_values(state: KMSState, e1, e2) -> list:
     """Per trial, the state of the product of two trial-stacked elements
     given by :func:`_shape_stacks`, whose degrees sum to 0, as
-    :func:`kms_eval` takes it on the product element: a term ``c x**k
-    <g, dual>`` per product word with a nonzero coefficient and factors, in
-    Python complex arithmetic on the coefficients and the row products,
-    summed in word-pair order."""
+    :func:`kms_eval` takes it on the product element: each pair of stacks
+    is formed as :func:`~graphcorr.toeplitz._batch_product` forms it, and a
+    term ``c x**k <g, dual>`` per product word with a nonzero coefficient
+    and factors, in Python complex arithmetic on the coefficients and the
+    row products, is summed in word-pair order."""
     x, u, g = state.params.x, state.dual, state.params.graph
-    (stacks1, at1), (stacks2, at2) = e1, e2
+    (stacks1, at1, cs1), (stacks2, at2, cs2) = e1, e2
     trials = max(len(bt[2]) for bt in (*stacks1, *stacks2))
     k2 = sum(map(len, at2))
     terms: list = [{} for _ in range(trials)]
-    for bt1, i1 in zip(stacks1, at1):
-        for bt2, i2 in zip(stacks2, at2):
+    for bt1, i1, c1s in zip(stacks1, at1, cs1):
+        for bt2, i2, c2s in zip(stacks2, at2, cs2):
             left, middle, right = _stack_product(bt1, bt2, g)
             weight = x ** len(left)
             if not weight:
                 continue
-            words = len(i1) * len(i2)
+            shape = (trials, len(i1), len(i2))
             G = _tensor_inner(right, left, g) if left else middle
-            if G is None:
-                G = np.ones((trials, words, g.n_vertices))
+            if G is None or G.shape[:-1] != shape:  # a side with no factor
+                G = np.broadcast_to(1.0 if G is None else G,
+                                    shape + (g.n_vertices,))
             d = np.einsum("ij,j->i", G.reshape(-1, g.n_vertices), u)
-            live = _live_words(np.ones((trials, words)), left, middle,
-                               right)
+            live = _live_words(np.ones(shape, bool), left, middle, right)
+            keys = [(a, b, i1[a] * k2 + i2[b]) for a in range(len(i1))
+                    for b in range(len(i2))]
             for t, (c1, c2, live_t, d_t) in enumerate(zip(
-                    bt1[2].tolist(), bt2[2].tolist(), live.tolist(),
-                    d.reshape(trials, words).tolist())):
-                pairs = ((a, b) for a in range(len(i1))
-                         for b in range(len(i2)))
-                for (a, b), ok, dw in zip(pairs, live_t, d_t):
+                    c1s, c2s, live.reshape(trials, -1).tolist(),
+                    d.reshape(trials, -1).tolist())):
+                for (a, b, p), ok, dw in zip(keys, live_t, d_t):
                     c = c1[a] * c2[b]
                     if ok and c1[a] and c2[b] and c:
-                        terms[t][i1[a] * k2 + i2[b]] = c * weight * dw
+                        terms[t][p] = c * weight * dw
     return [sum((t[p] for p in sorted(t)), 0j) for t in terms]
 
 

@@ -861,17 +861,14 @@ def _stack_product(bt1, bt2, graph: FiniteGraph, pairs=None):
 
 def _on_pairs(a, bt1, bt2, first: bool, pairs=None) -> np.ndarray:
     """An array ``(trials, words, *)`` of the stack ``bt1`` (``first``) or
-    ``bt2`` on the word pairs of their product, word ``i * k2 + j`` the
-    pair (word ``i``, word ``j``), or word ``w`` the pair ``(pairs[0][w],
+    ``bt2`` on the word pairs ``w`` of their product, ``(pairs[0][w],
     pairs[1][w])``, and on both stacks' trials (a one-trial stack serves
-    every trial)."""
-    k1, k2 = bt1[2].shape[1], bt2[2].shape[1]
-    if pairs is not None:
-        a = a[:, pairs[0 if first else 1]]
-    elif first and k2 > 1:
-        a = np.repeat(a, k2, axis=1)
-    elif not first and k1 > 1:
-        a = np.tile(a, (1, k1) + (1,) * (a.ndim - 2))
+    every trial).  Without ``pairs``, on all pairs: a view ``(trials, k1,
+    1, *)`` or ``(trials, 1, k2, *)``, which meets the other stack's view
+    on pair ``(i, j)`` at ``[:, i, j]`` by broadcasting, with no copy."""
+    if pairs is None:
+        return a[:, :, None] if first else a[:, None]
+    a = a[:, pairs[0 if first else 1]]
     trials = max(len(bt1[2]), len(bt2[2]))
     return a if len(a) == trials else np.broadcast_to(
         a, (trials,) + a.shape[1:])

@@ -39,6 +39,13 @@ def run_script(name, *argv, timeout):
         env=env, capture_output=True, text=True, timeout=timeout)
 
 
+def run_module(name, *argv, timeout):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run([sys.executable, "-m", name, *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -93,6 +100,21 @@ def test_oversized_beta_grid_is_input_error(capsys):
     assert run("kms", "sweep", FIB, "--vertex", "a",
                "--betas", "1:10000:0.5") == 2
     assert "points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("betas,error", [
+    ("1e16:10000000000000008:1", "--betas '1e16:10000000000000008:1': the "
+     "step does not advance the grid past 1e+16"),
+    ("5:1:1", "--betas '5:1:1' has no points")])
+def test_beta_grid_that_never_advances_or_is_empty_is_input_error(betas,
+                                                                 error):
+    # in fresh processes, so that a grid that never advances fails the
+    # test by its timeout rather than hanging it
+    for proc in (run_script("kms_sweep.py", "--betas", betas, timeout=10),
+                 run_module("graphcorr.cli", "kms", "sweep", FIB, "--vertex",
+                            "a", "--betas", betas, timeout=10)):
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"input error: {error}\n"
 
 
 def test_overlong_path_request_refused_at_once(capsys):
@@ -182,6 +204,21 @@ def test_nonpositive_trials_is_input_error(argv, trials, capsys):
     assert run(*argv, "--trials", trials) == 2
     captured = capsys.readouterr()
     assert "input error" in captured.err and "PASS" not in captured.out
+
+
+SEED_COMMANDS = [(path, arguments) for path, _, arguments, _ in COMMANDS
+                 if ("--seed",) in (flags for flags, _ in arguments)]
+
+
+@pytest.mark.parametrize("path,arguments", SEED_COMMANDS,
+                         ids=[path for path, _ in SEED_COMMANDS])
+def test_negative_seed_is_input_error(path, arguments, capsys):
+    # numpy's generators refuse a negative seed with a ValueError
+    graphs = [FIB for flags, _ in arguments if not flags[0].startswith("-")]
+    assert run(*path.split(), *graphs, "--seed", "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input error: --seed -1 is below 0\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv", TRIAL_COMMANDS)

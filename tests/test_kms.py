@@ -401,6 +401,49 @@ def test_stack_follows_reassigned_words():
     assert G is not old and G.tobytes() == _element_stack(other)[0].tobytes()
 
 
+def per_call_eval(state, elem) -> complex:
+    """``kms_eval`` with the weights, live rows and coefficient products
+    formed on every call: the path that the temperature memo replaced."""
+    x, u = state.params.x, state.dual
+    G, k, c = _element_stack(elem)
+    weight = [x ** j for j in k]
+    live = [i for i, w in enumerate(weight) if w]
+    d = np.einsum("ij,j->i", G if len(live) == len(k) else G[live], u)
+    total = 0.0 + 0.0j
+    for i, b in zip(live, d.tolist()):
+        total += c[i] * weight[i] * b
+    return complex(total)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ten-edge", "tied"])
+def test_temperature_memo_matches_a_fresh_element_and_the_per_call_path(
+        name):
+    # beta1, beta2, beta1 again, then infinity, where the memo keeps only
+    # the rows of words without creations
+    g = dict(FINITE_FIXTURES, tied=tied_graph)[name]()
+    rng = np.random.default_rng(22)
+    elem = mixed_element(g, rng)
+    log_rho = math.log(spectral_radius(g))
+    m = rng.random(g.n_vertices) + 0.1
+    rows = len(_element_stack(elem)[1])
+    for beta in (log_rho + 0.5, log_rho + 2.0, log_rho + 0.5, math.inf):
+        params = KMSParameters(g, beta)
+        memos = []
+        for st in (KMSState.point_mass(params, g.vertices[-1]),
+                   KMSState(params, m / m.sum())):
+            got = kms_eval(st, elem)
+            memos.append(vars(elem)["_at"])
+            want = [kms_eval(st, ToeplitzElement(g, elem.words)),
+                    per_call_eval(st, elem)]
+            if beta == math.inf and st.measure.max() == 1.0:
+                want.append(word_loop_eval(st, elem))
+            assert len({(v.real.hex(), v.imag.hex())
+                        for v in [got, *want]}) == 1
+        # one memo per temperature; at infinity it keeps fewer rows
+        assert memos[0] is memos[1]
+        assert (len(memos[0][3]) < rows) == (beta == math.inf)
+
+
 def test_mismatch_is_raised_before_a_stack_is_built():
     st = point_state(fibonacci(), 2.0, "a")
     for h in (fibonacci(), ten_edge()):

@@ -1063,6 +1063,28 @@ def test_word_multiply_matches_oracle_on_generated_graphs(g, seed):
             assert got is None or _word_row(got) == _word_row(want)
 
 
+@pytest.mark.parametrize("trials", [(1, 1), (3, 3), (1, 3), (3, 1)])
+def test_all_pairs_views_match_repeat_and_tile(trials):
+    # pair (i, j) of two stacks' all-pairs views, broadcast and read as
+    # word i * k2 + j, is word i of the first stack and word j of the
+    # second, coefficients and factors alike, on both stacks' trials
+    rng = np.random.default_rng(19)
+    for k1, k2 in ((1, 1), (1, 3), (3, 1), (2, 4)):
+        bt1, bt2 = ((0, 0, rng.standard_normal((t, k)) + 0j, [],
+                     rng.standard_normal((t, k, 5)), [])
+                    for t, k in zip(trials, (k1, k2)))
+        for first, bt in ((True, bt1), (False, bt2)):
+            for a in (bt[2], bt[4]):
+                want = np.repeat(a, k2, axis=1) if first else \
+                    np.tile(a, (1, k1) + (1,) * (a.ndim - 2))
+                want = np.broadcast_to(want, (max(trials),) + want.shape[1:])
+                got = toeplitz._on_pairs(a, bt1, bt2, first)
+                assert np.shares_memory(got, a)
+                got = np.broadcast_to(got, (max(trials), k1, k2)
+                                      + a.shape[2:]).reshape(want.shape)
+                assert got.tobytes() == want.tobytes()
+
+
 @GENERATED
 @given(g=finite_graphs(), seed=st.integers(0, 2 ** 32 - 1))
 def test_batch_product_matches_oracle_on_generated_graphs(g, seed):
