@@ -4,10 +4,15 @@
 Runs the verification at a few grid sizes to show that the isometry and
 action residuals sit at rounding level independently of the grid, i.e.
 the identities are exact up to floating point rather than discretization.
+As in the CLI, ``--trials`` below 1 or a negative ``--seed`` prints an
+``input error`` line and exits 2.
 """
 import argparse
+import sys
 
+from graphcorr.cli import check_draws
 from graphcorr.double_cover import nonisomorphism_witness, run_verification
+from graphcorr.errors import FormatError
 
 
 def main():
@@ -15,6 +20,11 @@ def main():
     ap.add_argument("--trials", type=int, default=25)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    try:
+        check_draws(args.trials, args.seed)
+    except FormatError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        sys.exit(2)
 
     print(f"{'grid':>6} {'isometry':>12} {'right act':>12} {'left act':>12} "
           f"{'surject':>12} {'seam':>6}")

@@ -2,11 +2,14 @@
 """Run the full acceptance suite and print the report.
 
 Usage: python scripts/run_acceptance.py [--seed N] [--json out.json]
+
+The run is ``graphcorr suite all`` at seed 42 unless ``--seed`` says
+otherwise, with its report, exit codes and input errors.
 """
 import argparse
 import sys
 
-from graphcorr.suite import run_all
+from graphcorr.cli import dispatch
 
 
 def main():
@@ -14,12 +17,8 @@ def main():
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--json", metavar="PATH")
     args = ap.parse_args()
-    report = run_all(seed=args.seed)
-    print(report.render(), end="")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-    sys.exit(report.exit_code())
+    sys.exit(dispatch((["--json", args.json] if args.json else [])
+                      + ["suite", "all", "--seed", str(args.seed)]))
 
 
 if __name__ == "__main__":

@@ -620,6 +620,16 @@ def _visible_command(argv) -> str:
     return "graphcorr " + " ".join(rest)
 
 
+def check_draws(trials: int, seed: int) -> None:
+    """``FormatError`` for ``--trials`` below 1 or a negative ``--seed``."""
+    # a check over no random trials would pass vacuously
+    if trials < 1:
+        raise FormatError(f"--trials {trials} is below 1")
+    # numpy's generators take only nonnegative seeds
+    if seed < 0:
+        raise FormatError(f"--seed {seed} is below 0")
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser of :func:`build_parser`, built once per process."""
@@ -635,12 +645,7 @@ def dispatch(argv) -> int:
                        seed=getattr(args, "seed", None))
     try:
         with Timer() as t:
-            # a check over no random trials would pass vacuously
-            if getattr(args, "trials", 1) < 1:
-                raise FormatError(f"--trials {args.trials} is below 1")
-            # numpy's generators take only nonnegative seeds
-            if getattr(args, "seed", 0) < 0:
-                raise FormatError(f"--seed {args.seed} is below 0")
+            check_draws(getattr(args, "trials", 1), getattr(args, "seed", 0))
             # a nan or infinite tolerance would pass or fail every check
             if not 0 < getattr(args, "tol", 1.0) < math.inf:
                 raise FormatError(f"--tol {args.tol} is not a finite "

@@ -16,15 +16,16 @@ otherwise to
 with ``g = <y, x>`` the tensor inner product (``g = a`` for scalar words,
 ``g = 1`` for the unit word).  Each state solves for its dual vector ``u``
 once.  Each element keeps the profiles ``g`` of its balanced words as one
-matrix ``G``, filled once by degree, and beside it, for the last
-temperature, the live rows and the products ``c e^{-beta k}``: a further
-state at that temperature costs one product ``G u`` and the sum.  Truncated
-path sums, over profiles computed word by word, are kept as an independent
-oracle.  At ``beta = inf`` the same state is the vacuum vector state, which
-sees only the scalar part of a word.  The KMS condition is checked on shape
-stacks, of many pairs on a trial axis or of one pair; the words of two
-stacks meet pair by pair as broadcast views, with no copy, and each product
-stack is evaluated with one row-wise product of its profiles.
+matrix ``G``, filled once from its balanced shape stacks, and beside it,
+for the last temperature, the live rows and the products ``c e^{-beta k}``:
+a further state at that temperature costs one product ``G u`` and the sum.
+Truncated path sums, over profiles computed word by word, are kept as an
+independent oracle.  At ``beta = inf`` the same state is the vacuum vector
+state, which sees only the scalar part of a word.  The KMS condition is
+checked on the elements' own shape stacks and word positions, of many
+pairs on a trial axis or of one pair; the words of two stacks meet pair by
+pair as broadcast views, with no copy, and each product stack is
+evaluated with one row-wise product of its profiles.
 """
 from __future__ import annotations
 
@@ -40,10 +41,9 @@ from .graphs import FiniteGraph, check_trials, spectral_radius
 from .modules import (delta_edge, delta_vertex, random_module_element,
                       tensor_inner_product)
 from .report import Check
-from .toeplitz import (ToeplitzElement, Word, _by_shape,
-                       _gauge_weight, _join, _join_trials,
-                       _live_words, _stack_product, _tensor_inner,
-                       _word_batches, pi_word, vacuum_projection, word)
+from .toeplitz import (ToeplitzElement, Word, _gauge_weight, _join_trials,
+                       _live_words, _stack_product, _tensor_inner, pi_word,
+                       vacuum_projection, word)
 
 
 @dataclass
@@ -185,27 +185,25 @@ def _word_profile(w: Word):
 def _element_stack(elem: ToeplitzElement):
     """``(G, k, c)``: the profile ``g``, creation count and coefficient of
     each balanced word, in word order (the unit word's row is all ones),
-    kept in the element's instance dict per word tuple.  ``G`` is one
-    complex array of ones filled with the middles and, per degree ``k >=
-    1``, one :func:`~graphcorr.toeplitz._tensor_inner` of factors stacked
-    as ``(words, edges)``, so every row is bitwise that word's profile."""
-    memo = elem.__dict__.get("_stack")
-    if memo is not None and memo[0] is elem.words:
-        return memo[1]
-    rows = [w for w in elem.words if w.creations == w.annihilations]
-    k = [w.creations for w in rows]
-    G = np.ones((len(rows), elem.graph.n_vertices), dtype=np.complex128)
-    for i, w in enumerate(rows):
-        if not w.creations and w.middle is not None:
-            G[i] = w.middle.values
-    for deg in sorted(set(k) - {0}):
-        at = [i for i, j in enumerate(k) if j == deg]
-        G[at] = _tensor_inner(*(
-            [np.array([getattr(rows[i], side)[j].values for i in at])
-             for j in range(deg)] for side in ("right", "left")), elem.graph)
-    stack = G, k, [w.coeff for w in rows]
-    elem.__dict__["_stack"] = elem.words, stack
-    return stack
+    kept in the element's instance dict.  A balanced stack of the element
+    gives the rows of its words at once, its middles or, for ``k >= 1``,
+    one :func:`~graphcorr.toeplitz._tensor_inner` of its factors, so every
+    row is bitwise that word's profile."""
+    if "_stack" not in elem.__dict__:
+        g, profiles = elem.graph, {}
+        for k, (m, n, _, lefts, middles, rights) in enumerate(elem.stacks):
+            if m == n and m:
+                profiles[k] = _tensor_inner([y[0] for y in rights],
+                                            [x[0] for x in lefts], g)
+            elif m == n:
+                profiles[k] = np.ones((1, g.n_vertices)) if middles is None \
+                    else middles[0]
+        rows = [(k, r) for k, r in elem._rows() if k in profiles]
+        elem._stack = (np.array([profiles[k][r] for k, r in rows],
+                                dtype=np.complex128).reshape(-1, g.n_vertices),
+                       [elem.stacks[k][0] for k, _ in rows],
+                       [complex(elem.stacks[k][2][0, r]) for k, r in rows])
+    return elem._stack
 
 
 def kms_eval(state: KMSState, elem) -> complex:
@@ -271,19 +269,20 @@ def kms_condition_check(state: KMSState, b1: ToeplitzElement,
     """
     if b1.graph is not state.params.graph or b2.graph is not b1.graph:
         raise MismatchError("element and state live over different graphs")
-    residual = _stack_residuals(
-        state, *(_shape_stacks(_word_batches(b)) for b in (b1, b2)), 1)[0]
+    residual = _stack_residuals(state, (b1.stacks, b1.positions),
+                                (b2.stacks, b2.positions), 1)[0]
     return Check("kms-condition", residual <= tol, residual)
 
 
 def kms_condition_residuals(state: KMSState, pairs) -> np.ndarray:
     """``|phi(b1 sigma(b2)) - phi(b2 b1)|`` for many pairs in one state.
 
-    Each entry of ``pairs`` gives ``b1`` and ``b2`` as word stacks over the
-    state's graph on a common trial axis, as
-    :func:`~graphcorr.toeplitz._word_batches` lists them for one trial; the
-    residuals of all trials come back entry by entry.  Entries of the same
-    word shapes are joined on the trial axis for :func:`_stack_residuals`.
+    Each entry of ``pairs`` gives ``b1`` and ``b2`` over the state's graph
+    as ``(stacks, positions)``, as :class:`~graphcorr.toeplitz.ToeplitzElement`
+    holds them (one stack per shape, and per stack the places of its words
+    in word order), every stack on a common trial axis; the residuals of
+    all trials come back entry by entry.  Entries of the same shapes and
+    positions are joined on the trial axis for :func:`_stack_residuals`.
     A residual is bitwise the per-pair route's unless two product words
     coincide, which the product element merges first.  ``DomainError`` for
     an element that is not gauge homogeneous, and for ``b2`` of negative
@@ -293,51 +292,47 @@ def kms_condition_residuals(state: KMSState, pairs) -> np.ndarray:
     start = 0
     for b1, b2 in pairs:
         rows = range(start, start + max(
-            (len(bt[2]) for bt in (*b1, *b2)), default=1))
+            (len(bt[2]) for bt in (*b1[0], *b2[0])), default=1))
         start = rows.stop
-        shape = tuple(tuple((m, n, mid is not None) for m, n, _, _, mid, _
-                            in b) for b in (b1, b2))
-        groups.setdefault(shape, []).append((rows, b1, b2))
+        key = tuple((tuple((m, n, mid is not None) for m, n, _, _, mid, _
+                           in stacks), tuple(map(tuple, at)))
+                    for stacks, at in (b1, b2))
+        groups.setdefault(key, []).append((rows, b1[0], b2[0]))
     out = np.zeros(start)
-    for rows, b1s, b2s in (zip(*group) for group in groups.values()):
+    for (e1, e2), group in groups.items():
+        rows, s1, s2 = zip(*group)
         at = [t for r in rows for t in r]
-        out[at] = _stack_residuals(state, *(
-            _shape_stacks(_join_trials(b)) for b in (b1s, b2s)), len(at))
+        out[at] = _stack_residuals(state, (_join_trials(s1), e1[1]),
+                                   (_join_trials(s2), e2[1]), len(at))
     return out
 
 
 def _stack_residuals(state: KMSState, e1, e2, trials: int) -> list:
-    """Per trial, the residual of two elements given by :func:`_shape_stacks`,
-    with ``x**deg`` folded into ``b2``'s coefficients by Python's complex
-    product, bitwise ``_cmul``'s; 0 when no product word is balanced."""
+    """Per trial, the residual of two elements given as ``(stacks,
+    positions)``, with ``x**deg`` folded into ``b2``'s coefficients by
+    Python's complex product, bitwise ``_cmul``'s; 0 when no product word
+    is balanced."""
     d1, d2 = ({m - n for m, n, *_ in e[0]} for e in (e1, e2))
     if len(d1) > 1 or len(d2) > 1:
         raise DomainError("inputs must be gauge homogeneous")
     s = _gauge_weight(state.params.x, min(d2, default=0))
     if {a + b for a in d1 for b in d2} != {0}:
         return [0.0] * trials       # both sides are 0
+    e1, e2 = ((*e, [bt[2].tolist() for bt in e[0]]) for e in (e1, e2))
     twisted = [[[complex(c) * s for c in row] for row in cs] for cs in e2[2]]
     return [abs(lhs - rhs) for lhs, rhs in zip(
         _product_values(state, e1, (*e2[:2], twisted)),
         _product_values(state, e2, e1))]
 
 
-def _shape_stacks(words) -> tuple:
-    """:func:`~graphcorr.toeplitz._concat_batches` of word stacks, the word
-    positions each holds, and its coefficients as per-trial lists."""
-    at = list(_by_shape(words).values())
-    stacks = [_join([words[k] for k in ks], axis=1) for ks in at]
-    return stacks, at, [bt[2].tolist() for bt in stacks]
-
-
 def _product_values(state: KMSState, e1, e2) -> list:
     """Per trial, the state of the product of two trial-stacked elements
-    given by :func:`_shape_stacks`, whose degrees sum to 0, as
-    :func:`kms_eval` takes it on the product element: each pair of stacks
-    is formed as :func:`~graphcorr.toeplitz._batch_product` forms it, and a
-    term ``c x**k <g, dual>`` per product word with a nonzero coefficient
-    and factors, in Python complex arithmetic on the coefficients and the
-    row products, is summed in word-pair order."""
+    given as ``(stacks, positions, coefficient lists)``, whose degrees sum
+    to 0, as :func:`kms_eval` takes it on the product element: each pair
+    of stacks is formed as :func:`~graphcorr.toeplitz._batch_product` forms
+    it, and a term ``c x**k <g, dual>`` per product word with a nonzero
+    coefficient and factors, in Python complex arithmetic on the
+    coefficients and the row products, is summed in word-pair order."""
     x, u, g = state.params.x, state.dual, state.params.graph
     (stacks1, at1, cs1), (stacks2, at2, cs2) = e1, e2
     trials = max(len(bt[2]) for bt in (*stacks1, *stacks2))

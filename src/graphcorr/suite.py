@@ -79,8 +79,8 @@ def criterion_2_kms_condition(seed: int = 0):
         entries = []
         for (m1, n1, m2, n2), zs in draws.items():
             z1, z2 = (np.array(z) for z in zip(*zs))
-            entries.append((_word_stack(g, m1, n1, z1),
-                            _word_stack(g, m2, n2, z2)))
+            entries.append(((_word_stack(g, m1, n1, z1), ((0,),)),
+                            (_word_stack(g, m2, n2, z2), ((0,),))))
         residuals += kms_condition_residuals(state, entries).tolist()
     checks = [Check("kms-condition", r <= 1e-9, r) for r in residuals]
     return [summarize(f"2.kms-condition[{len(checks)} pairs]", checks)]

@@ -11,8 +11,22 @@ scalar words.  Products reduce by the annihilator-creator rules
 
 so the product of two words is again a single word (or zero).  The rules
 are written once, in :func:`_reduce`, on factor arrays of any leading
-shape: :func:`word_multiply` applies it to one pair of words and
-:func:`_batch_product` to stacks of them.
+shape.
+
+The words of one shape ``(m, n, has middle)`` are held as a stack ``(m,
+n, coeffs, lefts, middles or None, rights)`` of coefficients ``(trials,
+words)`` and factor arrays ``(trials, words, *)``.  A
+:class:`ToeplitzElement` is its stacks of one trial, built once, with the
+places of their words in word order; its operations and the readers
+below work on the stacks, and :class:`Word` records are formed only for
+``words``: the JSON boundary, norm bounds and the oracles.
+:func:`_pairs_stack` multiplies two stacks on all their word pairs, for
+the element product and :func:`word_multiply`, its one-pair case, and
+:func:`_batch_product` on the pairs that a recorded run finds nonzero.
+Stacks and delta-basis expansions carry a leading trial axis, each row
+with the bits of a one-trial run: numpy's complex array product is the
+same at every shape, and coefficients and expansions multiply by parts,
+bitwise as scalars.
 
 Exact symbolic identity checking expands elements over the edge-delta
 basis, whose spanning words multiply with 0/1 structure constants; the
@@ -21,13 +35,9 @@ identities verified here then cancel to exactly zero in floating point.
 Vertex representations are realized as matrices on the span of the paths
 of length at most ``L`` with a fixed source; column ``mu`` is exact (valid)
 iff ``|mu| + (number of creations) <= L``.  Words act on path indices
-through the prepend and strip tables of :class:`TruncatedFock`, batched by
-shape; :meth:`TruncatedFock.word_matrix`, the dense product of the factor
+through the prepend and strip tables of :class:`TruncatedFock`, stack by
+stack; :meth:`TruncatedFock.word_matrix`, the dense product of the factor
 matrices, is the reference the tests compare against.
-
-Shape batches and delta-basis expansions carry a leading trial axis, each
-row with the bits of a one-trial run: numpy's complex array product is the
-same at every shape, and expansions multiply by parts, bitwise as scalars.
 
 :func:`reconstruct_module_check` repeats the same chains of products on
 every block of trials, so each layer is split into a structure half and an
@@ -48,10 +58,9 @@ import numpy as np
 from .errors import DomainError, FormatError, MismatchError, SizeLimitError
 from .graphs import (FiniteGraph, check_trials, path_counts,
                      path_index_tuples)
-from .modules import (ModuleElement, VertexFunction, delta_edge,
-                      inner_product, left_action, module_norm,
-                      random_module_element, random_vertex_function,
-                      right_action)
+from .modules import (ModuleElement, VertexFunction, inner_product,
+                      left_action, module_norm, random_module_element,
+                      random_vertex_function, right_action)
 from .report import Check, summarize
 
 __all__ = [
@@ -112,26 +121,10 @@ class Word:
             b *= module_norm(y)
         return b
 
-    def adjoint(self) -> "Word":
-        mid = self.middle.conj() if self.middle is not None else None
-        return word(np.conj(self.coeff), tuple(self.right), mid,
-                    tuple(self.left))
-
-    def scaled(self, c: complex) -> "Word":
-        return Word(self.coeff * c, self.left, self.middle, self.right)
-
     def is_zero(self) -> bool:
-        # scanned once per word: a product is checked by ``word_multiply``
-        # and again when it enters a ``ToeplitzElement``
-        zero = self.__dict__.get("_zero")
-        if zero is None:
-            zero = self.__dict__["_zero"] = (
-                self.coeff == 0
-                or any(x.is_zero() for x in self.left)
-                or (self.middle is not None
-                    and not self.middle.values.any())
+        return (self.coeff == 0 or any(x.is_zero() for x in self.left)
+                or (self.middle is not None and not self.middle.values.any())
                 or any(y.is_zero() for y in self.right))
-        return zero
 
 
 def word(coeff, left=(), middle=None, right=()) -> Word:
@@ -154,7 +147,7 @@ def iota_word(x: ModuleElement, coeff=1.0) -> Word:
 
 def word_multiply(w1: Word, w2: Word):
     """Normal form of ``w1 w2``: a single word, or ``None`` when zero; the
-    factors are :func:`_reduce` of the words' value arrays."""
+    one-pair case of the element product, :func:`_pairs_stack`."""
     factors = [f for w in (w1, w2) for f in (*w.left, w.middle, *w.right)
                if f is not None]
     g = factors[0].graph if factors else None
@@ -162,14 +155,8 @@ def word_multiply(w1: Word, w2: Word):
         raise MismatchError("words live over different graphs")
     if g is not None and not isinstance(g, FiniteGraph):
         raise FormatError("the word algebra is defined for finite graphs")
-    left, middle, right = _reduce(*(
-        ([x.values for x in w.left],
-         None if w.middle is None else w.middle.values,
-         [y.values for y in w.right]) for w in (w1, w2)), g)
-    out = word(w1.coeff * w2.coeff, [ModuleElement(g, x) for x in left],
-               None if middle is None else VertexFunction(g, middle),
-               [ModuleElement(g, y) for y in right])
-    return None if out.is_zero() else out
+    bt = _pairs_stack(_word_stacks([w1])[0][0], _word_stacks([w2])[0][0], g)
+    return _row_word(g, bt, 0) if _live_words(*bt[2:])[0, 0] else None
 
 
 def _reduce(f1, f2, graph: FiniteGraph):
@@ -218,7 +205,13 @@ def _times(a, b):
 
 
 class ToeplitzElement:
-    """Finite formal sum of words over a fixed finite graph."""
+    """Finite formal sum of words over a fixed finite graph, held as its
+    shape stacks, built once: ``stacks``, one ``(m, n, coeffs, lefts,
+    middles or None, rights)`` of one trial per shape ``(m, n, has
+    middle)``, shapes as first seen, and ``positions``, the places of each
+    stack's words in word order.  Words with bitwise-identical factors are
+    merged, their coefficients summed in order, and zero words dropped.
+    ``words`` lists the words as :class:`Word` records, in order."""
 
     def __init__(self, graph: FiniteGraph, words=()):
         if not isinstance(graph, FiniteGraph):
@@ -227,32 +220,69 @@ class ToeplitzElement:
         words = tuple(words)
         if any(w.graph() not in (None, graph) for w in words):
             raise MismatchError("a word lives over a different graph")
-        self.words = _merge_words([w for w in words if not w.is_zero()])
+        self.stacks, self.positions = _normal_stacks(*_word_stacks(words))
+
+    @classmethod
+    def _of(cls, graph: FiniteGraph, stacks, order) -> "ToeplitzElement":
+        """The sum of the words of ``stacks`` taken in the order of their
+        keys ``order``, one sequence of integers per stack."""
+        elem = cls.__new__(cls)
+        elem.graph = graph
+        elem.stacks, elem.positions = _normal_stacks(stacks, order)
+        return elem
+
+    @property
+    def words(self) -> tuple:
+        """The same records on every call: the memos of a word sit in its
+        instance dict."""
+        if "_words" not in self.__dict__:
+            self._words = tuple(_row_word(self.graph, self.stacks[k], r)
+                                for k, r in self._rows())
+        return self._words
+
+    def _rows(self) -> list:
+        """``(stack, row)`` of every word, in word order."""
+        return [(k, r) for _, k, r in sorted(
+            (p, k, r) for k, at in enumerate(self.positions)
+            for r, p in enumerate(at))]
 
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "ToeplitzElement") -> "ToeplitzElement":
         self._check(other)
-        return ToeplitzElement(self.graph, list(self.words) + list(other.words))
+        k = sum(map(len, self.positions))
+        return ToeplitzElement._of(
+            self.graph, self.stacks + other.stacks,
+            self.positions + tuple([p + k for p in at]
+                                   for at in other.positions))
 
     def __sub__(self, other: "ToeplitzElement") -> "ToeplitzElement":
         return self + other.scaled(-1.0)
 
     def scaled(self, c) -> "ToeplitzElement":
-        return ToeplitzElement(self.graph, [w.scaled(c) for w in self.words])
+        return _rescaled(self, lambda m, n: c)
 
     def __mul__(self, other: "ToeplitzElement") -> "ToeplitzElement":
+        """The word pairs' products, in the order of a loop over the words
+        of ``self`` and, within, of ``other``, summed."""
         self._check(other)
-        out = []
-        for w1 in self.words:
-            for w2 in other.words:
-                w = word_multiply(w1, w2)
-                if w is not None:
-                    out.append(w)
-        return ToeplitzElement(self.graph, out)
+        k = sum(map(len, other.positions))
+        pairs = list(product(zip(self.stacks, self.positions),
+                             zip(other.stacks, other.positions)))
+        return ToeplitzElement._of(
+            self.graph, [_pairs_stack(bt1, bt2, self.graph)
+                         for (bt1, _), (bt2, _) in pairs],
+            [[p1 * k + p2 for p1 in at1 for p2 in at2]
+             for (_, at1), (_, at2) in pairs])
 
     def adjoint(self) -> "ToeplitzElement":
-        return ToeplitzElement(self.graph, [w.adjoint() for w in self.words])
+        stacks = []
+        for m, n, c, lefts, mid, rights in self.stacks:
+            left, mid = list(rights), None if mid is None else mid.conj()
+            if mid is not None and left:
+                left[-1], mid = left[-1] * mid[..., self.graph.src_idx], None
+            stacks.append((n, m, c.conj(), left, mid, list(lefts)))
+        return ToeplitzElement._of(self.graph, stacks, self.positions)
 
     def _check(self, other):
         if self.graph is not other.graph:
@@ -261,7 +291,7 @@ class ToeplitzElement:
     # -- grading ------------------------------------------------------------
 
     def degrees(self) -> set[int]:
-        return {w.degree for w in self.words}
+        return {m - n for m, n, *_ in self.stacks}
 
     def is_homogeneous(self) -> bool:
         return len(self.degrees()) <= 1
@@ -270,14 +300,88 @@ class ToeplitzElement:
         return sum(w.norm_bound() for w in self.words)
 
     def __repr__(self):
-        return f"ToeplitzElement({len(self.words)} words)"
+        return f"ToeplitzElement({sum(map(len, self.positions))} words)"
+
+
+def _word_stacks(words) -> tuple:
+    """The stacks of ``words`` by shape, shapes as first seen, and per
+    stack the places of its words in ``words``."""
+    groups: dict = {}
+    for i, w in enumerate(words):
+        groups.setdefault((len(w.left), len(w.right), w.middle is not None),
+                          []).append(i)
+    stacks = []
+    for (m, n, _), at in groups.items():
+        ws = [words[i] for i in at]
+        f = [None if fs[0] is None else np.array([[x.values for x in fs]])
+             for fs in zip(*[(*w.left, w.middle, *w.right) for w in ws])]
+        stacks.append((m, n, np.array([[w.coeff for w in ws]], dtype=complex),
+                       f[:m], f[m], f[m + 1:]))
+    return stacks, list(groups.values())
+
+
+def _row_word(graph, bt, r: int) -> Word:
+    """Word ``r`` of the one-trial stack ``bt``."""
+    _, _, c, lefts, middles, rights = bt
+    return Word(complex(c[0, r]),
+                tuple(ModuleElement(graph, x[0, r]) for x in lefts),
+                None if middles is None else VertexFunction(graph,
+                                                            middles[0, r]),
+                tuple(ModuleElement(graph, y[0, r]) for y in rights))
+
+
+def _take(bt, rows) -> tuple:
+    """The stack ``bt`` on its words ``rows``, indices or a slice."""
+    m, n, c, lefts, middles, rights = bt
+    return (m, n, c[:, rows], [x[:, rows] for x in lefts],
+            None if middles is None else middles[:, rows],
+            [y[:, rows] for y in rights])
+
+
+def _normal_stacks(stacks, order) -> tuple:
+    """The stacks and positions of the sum of the words of ``stacks`` (one
+    trial) taken in the order of their keys ``order``: zero words dropped,
+    words with bitwise-identical factors merged at the first, their
+    coefficients summed in order by Python's complex addition, and words
+    whose sum is zero dropped.  A stack none of whose words moves is kept
+    as it is."""
+    out = []
+    for ks in _by_shape(stacks).values():
+        bt = _join([stacks[k] for k in ks], axis=1)
+        keys = [p for k in ks for p in order[k]]
+        live = _live_words(*bt[2:])[0].tolist()
+        factors = np.concatenate([np.zeros((len(keys), 0))] + [
+            a[0] for a in (*bt[3], bt[4], *bt[5]) if a is not None], axis=1)
+        coeffs = bt[2][0].tolist()
+        first, sums = {}, {}
+        for r in sorted(range(len(keys)), key=keys.__getitem__):
+            if live[r]:
+                r0 = first.setdefault(factors[r].tobytes(), r)
+                sums[r0] = sums[r0] + coeffs[r] if r0 != r else coeffs[r]
+        at = [r for r, c in sums.items() if c != 0]
+        if at and at != list(range(len(keys))):
+            bt = (*bt[:2], np.array([[sums[r] for r in at]]),
+                  *_take(bt, at)[3:])
+        if at:
+            out.append((bt, [keys[r] for r in at]))
+    out.sort(key=lambda stack: stack[1][0])
+    rank = {p: i for i, p in enumerate(sorted(p for _, ps in out for p in ps))}
+    return (tuple(bt for bt, _ in out),
+            tuple(tuple(rank[p] for p in ps) for _, ps in out))
+
+
+def _rescaled(elem: ToeplitzElement, weight) -> ToeplitzElement:
+    """``elem`` with the coefficients of a stack of shape ``(m, n)`` times
+    ``weight(m, n)``, by Python's complex product as a word is scaled."""
+    return ToeplitzElement._of(elem.graph, [
+        (m, n, np.array([[x * weight(m, n) for x in c[0].tolist()]]), *f)
+        for m, n, c, *f in elem.stacks], elem.positions)
 
 
 def gauge_scale(elem: ToeplitzElement, z: complex) -> ToeplitzElement:
     """Gauge action: scale each word of degree ``n`` by ``z**n``."""
     weights = {n: _gauge_weight(z, n) for n in sorted(elem.degrees())}
-    return ToeplitzElement(
-        elem.graph, [w.scaled(weights[w.degree]) for w in elem.words])
+    return _rescaled(elem, lambda m, n: weights[m - n])
 
 
 def _gauge_weight(z: complex, n: int) -> complex:
@@ -290,23 +394,9 @@ def _gauge_weight(z: complex, n: int) -> complex:
 
 def spectral_component(elem: ToeplitzElement, n: int) -> ToeplitzElement:
     """Sub-sum of words of gauge degree ``n``."""
-    return ToeplitzElement(elem.graph,
-                           [w for w in elem.words if w.degree == n])
-
-
-def _merge_words(words):
-    """Combine words with bitwise-identical (left, middle, right) data."""
-    merged: dict = {}
-    for w in words:
-        key = (
-            tuple(x.values.tobytes() for x in w.left),
-            None if w.middle is None else w.middle.values.tobytes(),
-            tuple(y.values.tobytes() for y in w.right),
-        )
-        old = merged.get(key)
-        merged[key] = w if old is None else Word(
-            old.coeff + w.coeff, old.left, old.middle, old.right)
-    return tuple(w for w in merged.values() if w.coeff != 0)
+    keep = [k for k, bt in enumerate(elem.stacks) if bt[0] - bt[1] == n]
+    return ToeplitzElement._of(elem.graph, [elem.stacks[k] for k in keep],
+                               [elem.positions[k] for k in keep])
 
 
 def vacuum_projection(graph: FiniteGraph) -> ToeplitzElement:
@@ -315,13 +405,14 @@ def vacuum_projection(graph: FiniteGraph) -> ToeplitzElement:
     In every vertex representation this acts as the rank-one projection
     onto the empty path; it is selfadjoint and idempotent in the word
     algebra.  The singleton-edge indicators are the canonical partition of
-    unity over a finite edge set.
+    unity over a finite edge set, the rows of the identity.
     """
-    words = [word(1.0)]
-    for e in graph.edges:
-        d = delta_edge(graph, e)
-        words.append(word(-1.0, (d,), None, (d,)))
-    return ToeplitzElement(graph, words)
+    ne = graph.n_edges
+    deltas = np.eye(ne, dtype=complex)[None]
+    return ToeplitzElement._of(graph, [
+        (0, 0, np.ones((1, 1), dtype=complex), [], None, []),
+        (1, 1, np.full((1, ne), -1.0 + 0j), [deltas], None, [deltas])],
+        [[0], range(1, ne + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +589,14 @@ def element_delta_basis(elem: ToeplitzElement) -> dict:
     Keys are ``(mu, v, nu)`` with ``mu``/``nu`` edge-index path tuples and
     ``v`` a vertex index, in first-seen order; the value is the complex
     coefficient.  Each key stands for ``C(delta_mu) P(delta_v)
-    C(delta_nu)*``.  The one-trial row of the trial-stacked :func:`_expand`,
-    whose products, taken from the real and imaginary parts, are bitwise
-    scalar complex products.
+    C(delta_nu)*``.  The one-trial row of the trial-stacked :func:`_expand`
+    of the element's words in word order, each a one-row view of its
+    stack, so that the terms of a key add in word order; the products,
+    taken from the real and imaginary parts, are bitwise scalar complex
+    products.
     """
-    return _as_dict(_expand(_word_batches(elem), elem.graph))
+    return _as_dict(_expand([_take(elem.stacks[k], slice(r, r + 1))
+                             for k, r in elem._rows()], elem.graph))
 
 
 def delta_basis_multiply(m1: dict, m2: dict, graph: FiniteGraph) -> dict:
@@ -630,20 +724,6 @@ class TruncatedFock:
         return self._plans[key]
 
 
-def _word_batches(elem: ToeplitzElement) -> list:
-    """A batch ``(m, n, coeffs, lefts, middles or None, rights)`` per word,
-    coefficients ``(trials, words)`` and factors ``(trials, words, *)``."""
-    return [(w.creations, w.annihilations, np.array([[w.coeff]]),
-             [x.values[None, None] for x in w.left],
-             None if w.middle is None else w.middle.values[None, None],
-             [y.values[None, None] for y in w.right]) for w in elem.words]
-
-
-def _shape_batches(elem: ToeplitzElement) -> list:
-    """The :func:`_word_batches` of ``elem`` by ``(m, n, has middle)``."""
-    return _concat_batches(_word_batches(elem))
-
-
 def _concat_batches(batches) -> list:
     """Stacks of one shape joined on the word axis, shapes as first seen."""
     return [_join([batches[k] for k in at], axis=1)
@@ -734,7 +814,7 @@ def _unique_rows(a):
 
 def _apply_batches(focks, batches, ncols, plans: dict):
     """Per space of ``focks``, the entries on its columns ``0 ..
-    ncols[i]-1`` of the matrix of the element with :func:`_shape_batches`
+    ncols[i]-1`` of the matrix of the element with shape stacks
     ``batches``, per trial: the rows and columns of the entries the shapes
     reach, and their values ``(trials, entries)``; every other entry is
     zero.  Each shape's words are summed in order and the shapes added in
@@ -785,12 +865,12 @@ def fock_matrix(elem, v=None, depth: int | None = None,
             raise FormatError("vertex and depth required without a basis")
         fock = TruncatedFock(elem.graph, v, depth)
     depth = fock.depth
-    m_max = max((w.creations for w in elem.words), default=0)
+    m_max = max((bt[0] for bt in elem.stacks), default=0)
     if depth < m_max:
         raise SizeLimitError(
             f"depth {depth} below creation length {m_max}; no valid window")
-    (rows, cols, values), = _apply_batches([fock], _shape_batches(elem),
-                                           [fock.dim], {})
+    (rows, cols, values), = _apply_batches([fock], elem.stacks, [fock.dim],
+                                           {})
     M = np.zeros((fock.dim, fock.dim), dtype=np.complex128)
     M[rows, cols] = values[0]
     valid = fock.lengths + m_max <= depth
@@ -806,10 +886,9 @@ def vacuum_projection_checks(graph: FiniteGraph, depth: int) -> list:
     vacuum projection: the first two exactly in the delta basis, the last
     as the bitwise rank-one vacuum matrix at every vertex to ``depth``."""
     p = vacuum_projection(graph)
-    pb = _expand(_shape_batches(p), graph)
+    pb = _expand(p.stacks, graph)
     r_idem = float(_basis_residual(_basis_multiply(pb, pb, graph), pb)[0])
-    r_adj = float(_basis_residual(
-        _expand(_shape_batches(p.adjoint()), graph), pb)[0])
+    r_adj = float(_basis_residual(_expand(p.adjoint().stacks, graph), pb)[0])
     exact = all([np.array_equal(fm.matrix, np.diag(fm.fock.lengths == 0))
                  for fm in (fock_matrix(p, v, depth) for v in graph.vertices)])
     return [Check("idempotent", r_idem == 0.0, r_idem),
@@ -819,14 +898,14 @@ def vacuum_projection_checks(graph: FiniteGraph, depth: int) -> list:
 
 def _batch_product(batches1, batches2, graph: FiniteGraph,
                    plan: _Plan | None = None) -> list:
-    """The :func:`_shape_batches` of ``e1 * e2`` from those of ``e1`` and
-    ``e2``, trial by trial (a one-trial operand serves every trial): each
-    pair of stacks gives a stack of its word pairs whose products are
-    nonzero in some trial of the run that records ``plan`` (as through
-    orthogonal deltas), in the pair order of :meth:`ToeplitzElement.__mul__`,
-    factors by :func:`_reduce` and coefficients by :func:`_cmul`, so every
-    row is bitwise the word product :func:`word_multiply` gives; none
-    merged.  A replay forms those pairs, zero or not."""
+    """The shape stacks of ``e1 * e2`` from those of ``e1`` and ``e2``,
+    trial by trial (a one-trial operand serves every trial): each pair of
+    stacks gives a stack of its word pairs whose products are nonzero in
+    some trial of the run that records ``plan`` (as through orthogonal
+    deltas), in pair order, factors by :func:`_reduce` and coefficients by
+    :func:`_cmul`, so every row is bitwise the product of its two words
+    that :func:`_pairs_stack` forms; none merged.  A replay forms those
+    pairs, zero or not."""
     plan = plan or _Plan()
     out = []
     for bt1, bt2 in product(batches1, batches2):
@@ -836,6 +915,20 @@ def _batch_product(batches1, batches2, graph: FiniteGraph,
                     for bt in (bt1, bt2)))
         out.append((len(left), len(right), c, left, middle, right))
     return _concat_batches(out)
+
+
+def _pairs_stack(bt1, bt2, graph: FiniteGraph) -> tuple:
+    """The stack of the products of all word pairs of two one-trial
+    stacks, pair ``(i, j)`` at row ``i k2 + j``, zero products kept:
+    :func:`_stack_product` on the all-pairs views, then laid out flat."""
+    left, middle, right = _stack_product(bt1, bt2, graph)
+    c = _cmul(*(_on_pairs(bt[2], bt1, bt2, bt is bt1) for bt in (bt1, bt2)))
+
+    def flat(a):
+        return np.broadcast_to(a, c.shape + a.shape[3:]).reshape(
+            1, c.size, a.shape[-1])
+    return (len(left), len(right), c.reshape(1, -1), [flat(x) for x in left],
+            None if middle is None else flat(middle), [flat(y) for y in right])
 
 
 def _live_pairs(bt1, bt2, graph: FiniteGraph):
@@ -963,7 +1056,7 @@ class _Shared:
 
     def __init__(self, graph: FiniteGraph, depth: int):
         self.focks = [TruncatedFock(graph, v, depth) for v in graph.vertices]
-        self.p = _shape_batches(vacuum_projection(graph))
+        self.p = vacuum_projection(graph).stacks
         self.p_basis = _expand(self.p, graph)
         self.windows: dict = {}
         p = [(m, n, np.abs(c), *f) for m, n, c, *f in self.p]
@@ -1092,14 +1185,15 @@ def triple_iso_transport(iso, E: FiniteGraph, F: FiniteGraph,
     def theta_m(a: VertexFunction) -> VertexFunction:
         return VertexFunction(F, a.values[vertex_of])
 
-    def theta_word(w: Word) -> Word:
-        return Word(w.coeff, tuple(theta_x(x) for x in w.left),
-                    None if w.middle is None else theta_m(w.middle),
-                    tuple(theta_x(y) for y in w.right))
+    def theta(stacks) -> list:
+        return [(m, n, c, [x[..., edge_of] for x in lefts],
+                 None if middles is None else middles[..., vertex_of],
+                 [y[..., edge_of] for y in rights])
+                for m, n, c, lefts, middles, rights in stacks]
 
-    pe = ToeplitzElement(F, map(theta_word, vacuum_projection(E).words))
-    res = float(_basis_residual(*(_expand(_shape_batches(q), F) for q in (
-        pe, vacuum_projection(F))))[0])
+    res = float(_basis_residual(
+        _expand(theta(vacuum_projection(E).stacks), F),
+        _expand(vacuum_projection(F).stacks, F))[0])
     checks = [Check("theta(p) = p", res == 0.0, res)]
 
     for t in range(trials):
@@ -1115,7 +1209,7 @@ def triple_iso_transport(iso, E: FiniteGraph, F: FiniteGraph,
                  right_action(theta_x(xi), theta_m(a)))):
             r = np.max(np.abs(got.values - want.values), initial=0.0)
             checks.append(Check(f"{name}[{t}]", r <= tol, r))
-        wdeg = word(1.0, (xi,), None, (eta, xi))
-        ok = theta_word(wdeg).degree == wdeg.degree
+        wdeg = _word_stacks([word(1.0, (xi,), None, (eta, xi))])[0]
+        ok = [bt[:2] for bt in theta(wdeg)] == [bt[:2] for bt in wdeg]
         checks.append(Check(f"degree[{t}]", ok, 0.0 if ok else 1.0))
     return summarize("transport", checks)

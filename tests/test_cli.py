@@ -282,6 +282,29 @@ def test_double_cover_demo_script():
         in proc.stdout
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("--seed", "-1", "--trials", "1"), "--seed -1 is below 0"),
+    (("--trials", "0"), "--trials 0 is below 1")])
+def test_double_cover_demo_script_refuses_bad_draws(argv, error):
+    # numpy's generators end a negative seed in a ValueError traceback
+    proc = run_script("double_cover_demo.py", *argv, timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"input error: {error}\n"
+
+
+def test_acceptance_script_is_the_suite_command(tmp_path):
+    out = tmp_path / "report.json"
+    proc = run_script("run_acceptance.py", "--json", str(out), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    assert (report["command"], report["seed"]) == (
+        "graphcorr suite all --seed 42", 42)
+    assert all(c["passed"] for c in report["checks"])
+    proc = run_script("run_acceptance.py", "--seed", "-1", timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "input error: --seed -1 is below 0\n"
+
+
 def test_kms_sweep_script_refuses_zero_beta_step():
     proc = run_script("kms_sweep.py", "--betas", "1:2:0", timeout=10)
     assert proc.returncode == 2

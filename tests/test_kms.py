@@ -20,8 +20,8 @@ from graphcorr.kms import (KMSParameters, KMSState, _element_stack,
 from graphcorr.modules import (ModuleElement, delta_edge, delta_vertex,
                                random_module_element, random_vertex_function,
                                tensor_inner_product, unit_vertex_function)
-from graphcorr.toeplitz import (ToeplitzElement, _word_batches, gauge_scale,
-                                iota_word, pi_word, vacuum_projection, word)
+from graphcorr.toeplitz import (ToeplitzElement, gauge_scale, iota_word,
+                                pi_word, vacuum_projection, word)
 
 from strategies import finite_graphs
 
@@ -388,19 +388,6 @@ def test_stack_rows_are_the_word_profiles(g):
             assert got.tobytes() == want.tobytes()
 
 
-def test_stack_follows_reassigned_words():
-    g = fibonacci()
-    rng = np.random.default_rng(17)
-    st = point_state(g, 1.5, "a")
-    elem, other = mixed_element(g, rng), sized_element(g, rng, 8)
-    kms_eval(st, elem)
-    old = _element_stack(elem)[0]
-    elem.words = other.words
-    assert repr(kms_eval(st, elem)) == repr(kms_eval(st, other))
-    G = _element_stack(elem)[0]
-    assert G is not old and G.tobytes() == _element_stack(other)[0].tobytes()
-
-
 def per_call_eval(state, elem) -> complex:
     """``kms_eval`` with the weights, live rows and coefficient products
     formed on every call: the path that the temperature memo replaced."""
@@ -591,7 +578,8 @@ def assert_stacked_condition_matches_word_route(g, beta, rng):
              if beta < math.inf or degree_of(b2) >= 0]
     want = [word_route_condition(state, b1, b2) for b1, b2 in pairs]
     got = kms_condition_residuals(
-        state, [(_word_batches(b1), _word_batches(b2)) for b1, b2 in pairs])
+        state, [((b1.stacks, b1.positions), (b2.stacks, b2.positions))
+                for b1, b2 in pairs])
     assert got.tolist() == want
     assert [kms_condition_check(state, b1, b2).residual
             for b1, b2 in pairs] == want
@@ -619,7 +607,8 @@ def test_stacked_condition_matches_word_route_on_generated_graphs(g):
             word_route_condition(state, unit, ann)
         with pytest.raises(DomainError):
             kms_condition_residuals(
-                state, [(_word_batches(unit), _word_batches(ann))])
+                state, [((unit.stacks, unit.positions),
+                         (ann.stacks, ann.positions))])
 
 
 def test_stacked_condition_skips_weightless_words_at_infinity():
@@ -629,7 +618,7 @@ def test_stacked_condition_skips_weightless_words_at_infinity():
     state = point_state(g, math.inf)
     rng = np.random.default_rng(16)
     big = huge_element(g, rng)
-    pair = (_word_batches(big), _word_batches(big))
+    pair = ((big.stacks, big.positions), (big.stacks, big.positions))
     with np.errstate(over="ignore", invalid="ignore"):
         assert word_route_condition(state, big, big) == 0.0
         assert kms_condition_residuals(state, [pair]).tolist() == [0.0]
@@ -666,7 +655,7 @@ def test_stacked_trials_match_word_route_on_suite_draws():
                 assert mid is None or np.array_equal(w.middle.values,
                                                      mid[t, 0])
             want.append(word_route_condition(state, *elems))
-        entries.append(tuple(stacks))
+        entries.append(tuple((s, ((0,),)) for s in stacks))
     assert max(map(len, groups.values())) > 1
     assert kms_condition_residuals(state, entries).tolist() == want
 

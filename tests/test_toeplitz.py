@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -6,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphcorr import toeplitz
+from graphcorr.cli import dispatch
 from graphcorr.conjugacy import GraphIsomorphism
 from graphcorr.double_cover import run_verification
 from graphcorr.errors import FormatError, MismatchError, SizeLimitError
 from graphcorr.fixtures import (FINITE_FIXTURES, edgeless, fibonacci,
-                                k_loops, single_loop, ten_edge)
+                                fixture_path, k_loops, single_loop, ten_edge)
 from graphcorr.graphs import MAX_TRIALS, FiniteGraph, path_index_tuples
 from graphcorr.kms import KMSParameters, extremal_separation_check
 from graphcorr.modules import (ModuleElement, delta_edge, delta_vertex,
@@ -18,13 +21,14 @@ from graphcorr.modules import (ModuleElement, delta_edge, delta_vertex,
                                random_module_element, random_vertex_function,
                                unit_vertex_function)
 from graphcorr.report import Check, summarize
+from graphcorr.serialize import element_to_json, word_from_dict
 from graphcorr.suite import RECONSTRUCT_FIXTURES, relabeled_copy
 from graphcorr.toeplitz import (ToeplitzElement, TruncatedFock, Word,
                                 _apply_batches, _basis_multiply,
                                 _batch_product, _concat_batches, _expand,
-                                _join_trials, _shape_batches, _word_batches,
-                                delta_basis_multiply, delta_basis_residual,
-                                element_delta_basis, fock_matrix, gauge_scale,
+                                _join_trials, delta_basis_multiply,
+                                delta_basis_residual, element_delta_basis,
+                                fock_matrix, gauge_scale,
                                 iota_word, pi_word, reconstruct_module_check,
                                 spectral_component, triple_iso_transport,
                                 vacuum_projection, word, word_multiply)
@@ -458,7 +462,7 @@ def test_window_columns_match_full_matrix(name):
         e = _mixed_element(g, rng, n_words=6)
         fm = fock_matrix(e, fock=f)
         m_max = max(w.creations for w in e.words)
-        window = _dense(f, _shape_batches(e), f.window_size(m_max))
+        window = _dense(f, e.stacks, f.window_size(m_max))
         assert np.array_equal(window[0], fm.matrix[:, fm.valid_cols])
 
 
@@ -483,7 +487,7 @@ def test_apply_batches_matches_word_matrices_on_generated_graphs(g, seed):
                  if f.dim <= 120)
         dense = sum((f.word_matrix(w) for w in e.words),
                     np.zeros((f.dim, f.dim)))
-        got = _dense(f, _shape_batches(e), f.dim)[0]
+        got = _dense(f, e.stacks, f.dim)[0]
         scale = max(np.max(np.abs(dense)), 1.0)
         assert np.max(np.abs(got - dense)) <= 1e-12 * scale
 
@@ -699,7 +703,7 @@ def _word_route_checks(graph, trials, tol, seed, depth=4):
         m_max = max((w.creations for w in diff.words), default=0)
         num = 0.0
         if m_max <= depth:
-            batches = _shape_batches(diff)
+            batches = diff.stacks
             for fock in focks:
                 window = _dense(fock, batches, fock.window_size(m_max))
                 num = max(num, float(np.max(np.abs(window))))
@@ -888,20 +892,20 @@ def test_trial_rows_match_one_trial_runs(name):
     trials = 5
     e1s, e2s = (_trial_copies(_sparse_element(g, rng, n_words=5), rng,
                               trials) for _ in range(2))
-    s1, s2 = (_join_trials([_word_batches(e) for e in es])
+    s1, s2 = (_join_trials([e.stacks for e in es])
               for es in (e1s, e2s))
     x1, x2 = _expand(s1, g), _expand(s2, g)
-    p = _shape_batches(vacuum_projection(g))
+    p = vacuum_projection(g).stacks
     b1, b2 = _concat_batches(s1), _concat_batches(s2)
     stacked = [b1, _batch_product(b1, b2, g), _batch_product(p, b1, g)]
     for t in range(trials):
-        y1, y2 = (_expand(_word_batches(e[t]), g) for e in (e1s, e2s))
+        y1, y2 = (_expand(e[t].stacks, g) for e in (e1s, e2s))
         for (keys, c), (keys_t, c_t) in [
                 (x1, y1), (_basis_multiply(x1, x2, g),
                            _basis_multiply(y1, y2, g))]:
             _assert_bits_on(dict(zip(keys, c[t].tolist())),
                             dict(zip(keys_t, c_t[0].tolist())))
-        c1, c2 = _shape_batches(e1s[t]), _shape_batches(e2s[t])
+        c1, c2 = e1s[t].stacks, e2s[t].stacks
         single = [c1, _batch_product(c1, c2, g), _batch_product(p, c1, g)]
         for v in g.vertices:
             f = TruncatedFock(g, v, 4)
@@ -950,7 +954,7 @@ def test_plan_recorded_on_supports_replays_on_zeroed_values(g, seed):
                                                for _ in range(3)])
              for _ in range(2)]
     stacks = [_on_arrays(lambda a: a * (rng.random(a.shape) < 0.75),
-                         _join_trials([_word_batches(e) for e in
+                         _join_trials([e.stacks for e in
                                        _trial_copies(elem, rng, trials)]))
               for elem in elems]
 
@@ -1012,7 +1016,7 @@ def test_batch_product_matches_word_products(name):
     for _ in range(8):
         e1 = _sparse_element(g, rng, n_words=5)
         e2 = _sparse_element(g, rng, n_words=5)
-        got = _batch_product(_shape_batches(e1), _shape_batches(e2), g)
+        got = _batch_product(e1.stacks, e2.stacks, g)
         shapes |= {(m, n, mid is not None) for m, n, _, _, mid, _ in got}
         # every stacked row is bitwise the oracle's word product, and the
         # stack drops exactly the products the oracle finds zero
@@ -1091,7 +1095,7 @@ def test_batch_product_matches_oracle_on_generated_graphs(g, seed):
     rng = np.random.default_rng(seed)
     e1, e2 = (ToeplitzElement(g, [_drawn_word(g, rng) for _ in range(4)])
               for _ in range(2))
-    got = _batch_product(_shape_batches(e1), _shape_batches(e2), g)
+    got = _batch_product(e1.stacks, e2.stacks, g)
     assert _batch_rows(got) == _oracle_rows(e1, e2, got)
 
 
@@ -1125,6 +1129,143 @@ def test_element_refuses_a_word_over_another_graph():
     # unit words belong to every graph
     assert len(ToeplitzElement(g, [word(2.0),
                                    iota_word(delta_edge(g, "ab"))]).words) == 2
+
+
+# ---------------------------------------------------------------------------
+# elements held as shape stacks against the word route
+
+
+def _merged_sums(words) -> list:
+    """Words with bitwise-identical factors merged at the first, their
+    coefficients summed left to right."""
+    sums: dict = {}
+    for w in words:
+        key = _word_row(w)[3:]
+        old = sums.get(key)
+        sums[key] = w if old is None else Word(old.coeff + w.coeff, old.left,
+                                               old.middle, old.right)
+    return list(sums.values())
+
+
+def _merged(words) -> list:
+    """The word route's sum: zero words dropped, the rest merged by
+    :func:`_merged_sums`, and words whose sum is zero dropped."""
+    return [w for w in _merged_sums(w for w in words if not w.is_zero())
+            if w.coeff != 0]
+
+
+def _rescaled_words(words, weight):
+    return [Word(w.coeff * weight(w), w.left, w.middle, w.right)
+            for w in words]
+
+
+def _word_route_ops(e1, e2, c, z, n):
+    """Per element operation, the word route's words of its result."""
+    w1, w2 = list(e1.words), list(e2.words)
+    return {
+        "add": _merged(w1 + w2),
+        "sub": _merged(w1 + _rescaled_words(w2, lambda w: -1.0)),
+        "mul": _merged([p for a in w1 for b in w2
+                        if (p := _oracle_multiply(a, b)) is not None]),
+        "adjoint": _merged([word(np.conj(w.coeff), w.right, None
+                                 if w.middle is None else w.middle.conj(),
+                                 w.left) for w in w1]),
+        "scaled": _merged(_rescaled_words(w1, lambda w: c)),
+        "gauge": _merged(_rescaled_words(w1, lambda w: z ** w.degree)),
+        "component": _merged([w for w in w1 if w.degree == n])}
+
+
+def _assert_words_and_stacks(elem, want):
+    """``elem`` has bitwise the words ``want``, in order, and its stacks
+    hold them: one stack per shape, shapes as first seen, each row at
+    its word's position."""
+    rows = [_word_row(w) for w in elem.words]
+    assert rows == [_word_row(w) for w in want]
+    assert _batch_rows(elem.stacks) == [rows[p] for at in elem.positions
+                                        for p in at]
+    assert [at[0] for at in elem.positions] \
+        == sorted(at[0] for at in elem.positions)
+    assert len({bt[:2] + (bt[4] is None,) for bt in elem.stacks}) \
+        == len(elem.stacks)
+
+
+def _repeated_words(g, rng, n_words):
+    """:func:`_drawn_word` draws with some words repeated and some
+    repeated with the opposite coefficient, all shuffled."""
+    words = [_drawn_word(g, rng) for _ in range(n_words)]
+    for w in [words[int(i)] for i in rng.integers(n_words, size=2)]:
+        words.append(w if rng.random() < 0.5 else
+                     Word(-w.coeff, w.left, w.middle, w.right))
+    return [words[int(i)] for i in rng.permutation(len(words))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(g=finite_graphs(), seed=st.integers(0, 2 ** 32 - 1))
+def test_element_operations_match_word_route_on_generated_graphs(g, seed):
+    rng = np.random.default_rng(seed)
+    w1, w2 = (_repeated_words(g, rng, 4) for _ in range(2))
+    e1, e2 = ToeplitzElement(g, w1), ToeplitzElement(g, w2)
+    _assert_words_and_stacks(e1, _merged(w1))
+    c = complex(*rng.standard_normal(2)) if rng.random() < 0.8 else 0.0
+    z = complex(*rng.standard_normal(2))
+    n = int(rng.integers(-2, 3))
+    got = {"add": e1 + e2, "sub": e1 - e2, "mul": e1 * e2,
+           "adjoint": e1.adjoint(), "scaled": e1.scaled(c),
+           "gauge": gauge_scale(e1, z), "component": spectral_component(e1, n)}
+    for name, want in _word_route_ops(e1, e2, c, z, n).items():
+        _assert_words_and_stacks(got[name], want)
+    # one read-only view, the same records on every call
+    assert all(a is b for a, b in zip(e1.words, e1.words))
+    with pytest.raises(AttributeError):
+        e1.words = e2.words
+
+
+def test_construction_merges_in_first_seen_order_and_drops_zeros():
+    g = fibonacci()
+    d = {e: delta_edge(g, e) for e in g.edges}
+    zero = ModuleElement(g, np.zeros(g.n_edges))
+    words = [word(1.0, (d["ab"],)), word(0.5, (), None, (d["ba"],)),
+             word(2.0 + 1.0j, (d["ab"],)), word(3.0, (zero,)),
+             word(0.0, (d["ba"],)), word(-0.5, (), None, (d["ba"],)),
+             word(4.0), word(1.5j, (d["ab"],))]
+    elem = ToeplitzElement(g, words)
+    # ab's coefficients add left to right, ba's cancel, zeros go
+    assert [(w.coeff, len(w.left), len(w.right)) for w in elem.words] \
+        == [((1.0 + (2.0 + 1.0j)) + 1.5j, 1, 0), (4.0, 0, 0)]
+    assert elem.positions == ((0,), (1,))
+    _assert_words_and_stacks(elem, _merged(words))
+
+
+def test_fock_multiply_command_matches_word_route(capsys):
+    # seeded multi-word pairs over the finite fixtures; C(d)* P(1) and
+    # C(d)* times C(d) are both P(<d, d>), which then merge or cancel
+    rng = np.random.default_rng(23)
+    merged = cancelled = 0
+    for name in RECONSTRUCT_FIXTURES:
+        g = FINITE_FIXTURES[name]()
+        for t in range(6):
+            d = delta_edge(g, g.edges[t % g.n_edges])
+            c = complex(*rng.standard_normal(2))
+            pair = [[word(c, (), None, (d,)), word(c * (-1.0, 2.0)[t % 2],
+                                                   (), unit_vertex_function(g),
+                                                   (d,))], [word(1.0, (d,))]]
+            docs = [element_to_json(types.SimpleNamespace(
+                words=_repeated_words(g, rng, 3) + extra)) for extra in pair]
+            factors = [_merged(word_from_dict(g, w) for w in doc["words"])
+                       for doc in docs]
+            products = [p for a in factors[0] for b in factors[1]
+                        if (p := _oracle_multiply(a, b)) is not None]
+            want = element_to_json(types.SimpleNamespace(
+                words=_merged(products)))
+            assert dispatch(["fock", "multiply", fixture_path(name),
+                             "--w1", json.dumps(docs[0]),
+                             "--w2", json.dumps(docs[1])]) == 0
+            got, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+            assert got == want
+            kept = [w for w in products if not w.is_zero()]
+            merged += len(want["words"]) < len(kept)
+            cancelled += any(w.coeff == 0 for w in _merged_sums(kept))
+    assert merged and cancelled
 
 
 @pytest.mark.parametrize("seed", [0, 42])
