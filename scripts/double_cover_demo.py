@@ -5,14 +5,15 @@ Runs the verification at a few grid sizes to show that the isometry and
 action residuals sit at rounding level independently of the grid, i.e.
 the identities are exact up to floating point rather than discretization.
 As in the CLI, ``--trials`` below 1 or a negative ``--seed`` prints an
-``input error`` line and exits 2.
+``input error`` line and exits 2, and ``--trials`` above
+``graphs.MAX_TRIALS`` prints a ``FAIL  domain`` line and exits 1.
 """
 import argparse
 import sys
 
 from graphcorr.cli import check_draws
 from graphcorr.double_cover import nonisomorphism_witness, run_verification
-from graphcorr.errors import FormatError
+from graphcorr.errors import DomainError, FormatError, SizeLimitError
 
 
 def main():
@@ -25,12 +26,18 @@ def main():
     except FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         sys.exit(2)
+    try:
+        reports = [run_verification(grid=grid, trials=args.trials,
+                                    seed=args.seed)
+                   for grid in (128, 256, 512, 1024, 2048)]
+    except (DomainError, SizeLimitError) as exc:
+        print(f"FAIL  domain  ({exc})")
+        sys.exit(1)
 
     print(f"{'grid':>6} {'isometry':>12} {'right act':>12} {'left act':>12} "
           f"{'surject':>12} {'seam':>6}")
-    for grid in (128, 256, 512, 1024, 2048):
-        rep = run_verification(grid=grid, trials=args.trials, seed=args.seed)
-        print(f"{grid:6d} {rep.isometry:12.3e} {rep.action_right:12.3e} "
+    for rep in reports:
+        print(f"{rep.grid:6d} {rep.isometry:12.3e} {rep.action_right:12.3e} "
               f"{rep.action_left:12.3e} {rep.surjectivity:12.3e} "
               f"{'ok' if rep.endpoint_exact else 'BAD':>6}")
     two_loops, cover = nonisomorphism_witness()

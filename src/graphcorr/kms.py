@@ -22,10 +22,11 @@ a further state at that temperature costs one product ``G u`` and the sum.
 Truncated path sums, over profiles computed word by word, are kept as an
 independent oracle.  At ``beta = inf`` the same state is the vacuum vector
 state, which sees only the scalar part of a word.  The KMS condition is
-checked on the elements' own shape stacks and word positions, of many
-pairs on a trial axis or of one pair; the words of two stacks meet pair by
-pair as broadcast views, with no copy, and each product stack is
-evaluated with one row-wise product of its profiles.
+checked on the elements' own shape stacks and word positions, each pair
+on the trial axis its caller stacked it on; the words of two stacks meet
+pair by pair as broadcast views, with no copy, and each product stack is
+evaluated with one row-wise product of its profiles, which
+:func:`_profiles` forms as it forms an element's.
 """
 from __future__ import annotations
 
@@ -41,8 +42,8 @@ from .graphs import FiniteGraph, check_trials, spectral_radius
 from .modules import (delta_edge, delta_vertex, random_module_element,
                       tensor_inner_product)
 from .report import Check
-from .toeplitz import (ToeplitzElement, Word, _gauge_weight, _join_trials,
-                       _live_words, _stack_product, _tensor_inner, pi_word,
+from .toeplitz import (ToeplitzElement, Word, _gauge_weight, _live_words,
+                       _stack_product, _tensor_inner, pi_word,
                        vacuum_projection, word)
 
 
@@ -182,22 +183,29 @@ def _word_profile(w: Word):
     return profile
 
 
+def _profiles(left, middle, right, graph: FiniteGraph, shape: tuple):
+    """The profiles ``g``, ``shape + (vertices,)``, of balanced words from
+    their factors on leading shapes that broadcast to ``shape``: the
+    :func:`~graphcorr.toeplitz._tensor_inner` of the annihilations and
+    creations, else the middles, else 1; broadcast only where a factor's
+    shape falls short, so every row is bitwise that word's profile."""
+    G = _tensor_inner(right, left, graph) if left else middle
+    if G is None or G.shape[:-1] != shape:
+        G = np.broadcast_to(1.0 if G is None else G,
+                            shape + (graph.n_vertices,))
+    return G
+
+
 def _element_stack(elem: ToeplitzElement):
     """``(G, k, c)``: the profile ``g``, creation count and coefficient of
     each balanced word, in word order (the unit word's row is all ones),
     kept in the element's instance dict.  A balanced stack of the element
-    gives the rows of its words at once, its middles or, for ``k >= 1``,
-    one :func:`~graphcorr.toeplitz._tensor_inner` of its factors, so every
-    row is bitwise that word's profile."""
+    gives the rows of its words at once, by :func:`_profiles`."""
     if "_stack" not in elem.__dict__:
-        g, profiles = elem.graph, {}
-        for k, (m, n, _, lefts, middles, rights) in enumerate(elem.stacks):
-            if m == n and m:
-                profiles[k] = _tensor_inner([y[0] for y in rights],
-                                            [x[0] for x in lefts], g)
-            elif m == n:
-                profiles[k] = np.ones((1, g.n_vertices)) if middles is None \
-                    else middles[0]
+        g = elem.graph
+        profiles = {k: _profiles(ls, mid, rs, g, c.shape)[0]
+                    for k, (m, n, c, ls, mid, rs) in enumerate(elem.stacks)
+                    if m == n}
         rows = [(k, r) for k, r in elem._rows() if k in profiles]
         elem._stack = (np.array([profiles[k][r] for k, r in rows],
                                 dtype=np.complex128).reshape(-1, g.n_vertices),
@@ -221,14 +229,14 @@ def kms_eval(state: KMSState, elem) -> complex:
         raise MismatchError("element and state live over different graphs")
     G, k, c = _element_stack(elem)
     memo = elem.__dict__.get("_at")
-    if memo is None or memo[0] != x or memo[1] is not G:
+    if memo is None or memo[0] != x:
         weight = [x ** j for j in k]
         live = [i for i, w in enumerate(weight) if w]
         memo = elem.__dict__["_at"] = (
-            x, G, G if len(live) == len(k) else G[live],
+            x, G if len(live) == len(k) else G[live],
             [c[i] * weight[i] for i in live])
-    return sum(map(operator.mul, memo[3],
-                   np.einsum("ij,j->i", memo[2], u).tolist()), 0j)
+    return sum(map(operator.mul, memo[2],
+                   np.einsum("ij,j->i", memo[1], u).tolist()), 0j)
 
 
 def kms_eval_truncated(state: KMSState, elem, depth: int) -> complex:
@@ -260,8 +268,9 @@ def kms_eval_truncated(state: KMSState, elem, depth: int) -> complex:
 def kms_condition_check(state: KMSState, b1: ToeplitzElement,
                         b2: ToeplitzElement, tol: float = 1e-9) -> Check:
     """Residual of ``phi(b1 * sigma(b2)) = phi(b2 * b1)`` where ``sigma``
-    scales a degree-``n`` element by ``e^{-beta n}``: the one-pair case of
-    :func:`kms_condition_residuals`, on the elements' own shape stacks.
+    scales a degree-``n`` element by ``e^{-beta n}``, by
+    :func:`_stack_residuals` as :func:`kms_condition_residuals` takes each
+    entry, on the elements' own shape stacks.
 
     Both inputs must be gauge homogeneous (they are then analytic for the
     dynamics and the scaling is the analytic continuation evaluated at
@@ -269,8 +278,8 @@ def kms_condition_check(state: KMSState, b1: ToeplitzElement,
     """
     if b1.graph is not state.params.graph or b2.graph is not b1.graph:
         raise MismatchError("element and state live over different graphs")
-    residual = _stack_residuals(state, (b1.stacks, b1.positions),
-                                (b2.stacks, b2.positions), 1)[0]
+    residual, = _stack_residuals(state, (b1.stacks, b1.positions),
+                                 (b2.stacks, b2.positions))
     return Check("kms-condition", residual <= tol, residual)
 
 
@@ -280,34 +289,19 @@ def kms_condition_residuals(state: KMSState, pairs) -> np.ndarray:
     Each entry of ``pairs`` gives ``b1`` and ``b2`` over the state's graph
     as ``(stacks, positions)``, as :class:`~graphcorr.toeplitz.ToeplitzElement`
     holds them (one stack per shape, and per stack the places of its words
-    in word order), every stack on a common trial axis; the residuals of
-    all trials come back entry by entry.  Entries of the same shapes and
-    positions are joined on the trial axis for :func:`_stack_residuals`.
-    A residual is bitwise the per-pair route's unless two product words
-    coincide, which the product element merges first.  ``DomainError`` for
-    an element that is not gauge homogeneous, and for ``b2`` of negative
-    degree where ``e^{-beta}`` is 0.
+    in word order), every stack on the entry's trial axis; the residuals
+    of all trials come back entry by entry, each entry evaluated on its
+    own trial axis by :func:`_stack_residuals`.  A residual is bitwise the
+    per-pair route's unless two product words coincide, which the product
+    element merges first.  ``DomainError`` for an element that is not
+    gauge homogeneous, and for ``b2`` of negative degree where
+    ``e^{-beta}`` is 0.
     """
-    groups: dict = {}
-    start = 0
-    for b1, b2 in pairs:
-        rows = range(start, start + max(
-            (len(bt[2]) for bt in (*b1[0], *b2[0])), default=1))
-        start = rows.stop
-        key = tuple((tuple((m, n, mid is not None) for m, n, _, _, mid, _
-                           in stacks), tuple(map(tuple, at)))
-                    for stacks, at in (b1, b2))
-        groups.setdefault(key, []).append((rows, b1[0], b2[0]))
-    out = np.zeros(start)
-    for (e1, e2), group in groups.items():
-        rows, s1, s2 = zip(*group)
-        at = [t for r in rows for t in r]
-        out[at] = _stack_residuals(state, (_join_trials(s1), e1[1]),
-                                   (_join_trials(s2), e2[1]), len(at))
-    return out
+    return np.array([r for b1, b2 in pairs
+                     for r in _stack_residuals(state, b1, b2)], dtype=float)
 
 
-def _stack_residuals(state: KMSState, e1, e2, trials: int) -> list:
+def _stack_residuals(state: KMSState, e1, e2) -> list:
     """Per trial, the residual of two elements given as ``(stacks,
     positions)``, with ``x**deg`` folded into ``b2``'s coefficients by
     Python's complex product, bitwise ``_cmul``'s; 0 when no product word
@@ -317,7 +311,9 @@ def _stack_residuals(state: KMSState, e1, e2, trials: int) -> list:
         raise DomainError("inputs must be gauge homogeneous")
     s = _gauge_weight(state.params.x, min(d2, default=0))
     if {a + b for a in d1 for b in d2} != {0}:
-        return [0.0] * trials       # both sides are 0
+        # both sides are 0
+        return [0.0] * max((len(bt[2]) for bt in (*e1[0], *e2[0])),
+                           default=1)
     e1, e2 = ((*e, [bt[2].tolist() for bt in e[0]]) for e in (e1, e2))
     twisted = [[[complex(c) * s for c in row] for row in cs] for cs in e2[2]]
     return [abs(lhs - rhs) for lhs, rhs in zip(
@@ -345,10 +341,7 @@ def _product_values(state: KMSState, e1, e2) -> list:
             if not weight:
                 continue
             shape = (trials, len(i1), len(i2))
-            G = _tensor_inner(right, left, g) if left else middle
-            if G is None or G.shape[:-1] != shape:  # a side with no factor
-                G = np.broadcast_to(1.0 if G is None else G,
-                                    shape + (g.n_vertices,))
+            G = _profiles(left, middle, right, g, shape)
             d = np.einsum("ij,j->i", G.reshape(-1, g.n_vertices), u)
             live = _live_words(np.ones(shape, bool), left, middle, right)
             keys = [(a, b, i1[a] * k2 + i2[b]) for a in range(len(i1))

@@ -20,9 +20,10 @@ words)`` and factor arrays ``(trials, words, *)``.  A
 places of their words in word order; its operations and the readers
 below work on the stacks, and :class:`Word` records are formed only for
 ``words``: the JSON boundary, norm bounds and the oracles.
-:func:`_pairs_stack` multiplies two stacks on all their word pairs, for
-the element product and :func:`word_multiply`, its one-pair case, and
-:func:`_batch_product` on the pairs that a recorded run finds nonzero.
+:func:`_pair_product` multiplies two stacks on given word pairs, for
+the element product and :func:`word_multiply` on all pairs in loop order
+and for :func:`_batch_product` on the pairs that a recorded run finds
+nonzero, or on all pairs as broadcast views, for that run's mask.
 Stacks and delta-basis expansions carry a leading trial axis, each row
 with the bits of a one-trial run: numpy's complex array product is the
 same at every shape, and coefficients and expansions multiply by parts,
@@ -147,7 +148,7 @@ def iota_word(x: ModuleElement, coeff=1.0) -> Word:
 
 def word_multiply(w1: Word, w2: Word):
     """Normal form of ``w1 w2``: a single word, or ``None`` when zero; the
-    one-pair case of the element product, :func:`_pairs_stack`."""
+    one-pair case of the element product."""
     factors = [f for w in (w1, w2) for f in (*w.left, w.middle, *w.right)
                if f is not None]
     g = factors[0].graph if factors else None
@@ -155,7 +156,8 @@ def word_multiply(w1: Word, w2: Word):
         raise MismatchError("words live over different graphs")
     if g is not None and not isinstance(g, FiniteGraph):
         raise FormatError("the word algebra is defined for finite graphs")
-    bt = _pairs_stack(_word_stacks([w1])[0][0], _word_stacks([w2])[0][0], g)
+    bt = _pair_product(_word_stacks([w1])[0][0], _word_stacks([w2])[0][0], g,
+                       ([0], [0]))
     return _row_word(g, bt, 0) if _live_words(*bt[2:])[0, 0] else None
 
 
@@ -270,8 +272,9 @@ class ToeplitzElement:
         pairs = list(product(zip(self.stacks, self.positions),
                              zip(other.stacks, other.positions)))
         return ToeplitzElement._of(
-            self.graph, [_pairs_stack(bt1, bt2, self.graph)
-                         for (bt1, _), (bt2, _) in pairs],
+            self.graph, [_pair_product(bt1, bt2, self.graph, np.divmod(
+                np.arange(len(at1) * len(at2)), len(at2)))
+                for (bt1, at1), (bt2, at2) in pairs],
             [[p1 * k + p2 for p1 in at1 for p2 in at2]
              for (_, at1), (_, at2) in pairs])
 
@@ -347,7 +350,7 @@ def _normal_stacks(stacks, order) -> tuple:
     as it is."""
     out = []
     for ks in _by_shape(stacks).values():
-        bt = _join([stacks[k] for k in ks], axis=1)
+        bt = _join([stacks[k] for k in ks])
         keys = [p for k in ks for p in order[k]]
         live = _live_words(*bt[2:])[0].tolist()
         factors = np.concatenate([np.zeros((len(keys), 0))] + [
@@ -726,22 +729,16 @@ class TruncatedFock:
 
 def _concat_batches(batches) -> list:
     """Stacks of one shape joined on the word axis, shapes as first seen."""
-    return [_join([batches[k] for k in at], axis=1)
+    return [_join([batches[k] for k in at])
             for at in _by_shape(batches).values()]
 
 
-def _join_trials(elems) -> list:
-    """The word stacks of elements of one word-shape sequence joined on
-    the trial axis."""
-    return [_join(stacks, axis=0) for stacks in zip(*elems)]
-
-
-def _join(stacks, axis: int):
-    """Stacks of one shape joined on ``axis``, 0 for trials, 1 for words."""
+def _join(stacks):
+    """Stacks of one shape joined on the word axis."""
     if len(stacks) == 1:
         return stacks[0]
     m, n, _, _, mid, _ = stacks[0]
-    cat = functools.partial(np.concatenate, axis=axis)
+    cat = functools.partial(np.concatenate, axis=1)
     return (m, n, cat([s[2] for s in stacks]),
             [cat(f) for f in zip(*(s[3] for s in stacks))],
             None if mid is None else cat([s[4] for s in stacks]),
@@ -845,6 +842,11 @@ def _apply_batches(focks, batches, ncols, plans: dict):
     return out
 
 
+#: entries of the largest dense matrix :func:`fock_matrix` builds: 2**24
+#: complex entries take 256 MiB
+MAX_FOCK_ENTRIES = 2**24
+
+
 @dataclass
 class FockMatrix:
     """A truncated matrix together with its valid-window column mask."""
@@ -858,12 +860,17 @@ def fock_matrix(elem, v=None, depth: int | None = None,
     """Matrix of an element on the depth-``L`` truncated basis.
 
     Raises when the window cannot hold even the empty path column, i.e.
-    when ``L`` is smaller than the creation count of some word.
+    when ``L`` is smaller than the creation count of some word, and when
+    the dense matrix would have more than :data:`MAX_FOCK_ENTRIES` entries.
     """
     if fock is None:
         if v is None or depth is None:
             raise FormatError("vertex and depth required without a basis")
         fock = TruncatedFock(elem.graph, v, depth)
+    if fock.dim ** 2 > MAX_FOCK_ENTRIES:
+        raise SizeLimitError(
+            f"a {fock.dim} x {fock.dim} matrix exceeds the "
+            f"{MAX_FOCK_ENTRIES} entry limit")
     depth = fock.depth
     m_max = max((bt[0] for bt in elem.stacks), default=0)
     if depth < m_max:
@@ -902,41 +909,30 @@ def _batch_product(batches1, batches2, graph: FiniteGraph,
     trial by trial (a one-trial operand serves every trial): each pair of
     stacks gives a stack of its word pairs whose products are nonzero in
     some trial of the run that records ``plan`` (as through orthogonal
-    deltas), in pair order, factors by :func:`_reduce` and coefficients by
-    :func:`_cmul`, so every row is bitwise the product of its two words
-    that :func:`_pairs_stack` forms; none merged.  A replay forms those
-    pairs, zero or not."""
+    deltas), in pair order, by :func:`_pair_product`, so every row is
+    bitwise the product of its two words that the element product forms;
+    none merged.  A replay forms those pairs, zero or not."""
     plan = plan or _Plan()
-    out = []
-    for bt1, bt2 in product(batches1, batches2):
-        pairs = plan.step(_live_pairs, bt1, bt2, graph)
-        left, middle, right = _stack_product(bt1, bt2, graph, pairs)
-        c = _cmul(*(_on_pairs(bt[2], bt1, bt2, bt is bt1, pairs)
-                    for bt in (bt1, bt2)))
-        out.append((len(left), len(right), c, left, middle, right))
-    return _concat_batches(out)
+    return _concat_batches([
+        _pair_product(bt1, bt2, graph, plan.step(_live_pairs, bt1, bt2, graph))
+        for bt1, bt2 in product(batches1, batches2)])
 
 
-def _pairs_stack(bt1, bt2, graph: FiniteGraph) -> tuple:
-    """The stack of the products of all word pairs of two one-trial
-    stacks, pair ``(i, j)`` at row ``i k2 + j``, zero products kept:
-    :func:`_stack_product` on the all-pairs views, then laid out flat."""
-    left, middle, right = _stack_product(bt1, bt2, graph)
-    c = _cmul(*(_on_pairs(bt[2], bt1, bt2, bt is bt1) for bt in (bt1, bt2)))
-
-    def flat(a):
-        return np.broadcast_to(a, c.shape + a.shape[3:]).reshape(
-            1, c.size, a.shape[-1])
-    return (len(left), len(right), c.reshape(1, -1), [flat(x) for x in left],
-            None if middle is None else flat(middle), [flat(y) for y in right])
+def _pair_product(bt1, bt2, graph: FiniteGraph, pairs=None) -> tuple:
+    """The stack of the products of the words of two stacks on the word
+    pairs ``pairs`` or, given none, on all pairs as :func:`_on_pairs`'s
+    broadcast views: factors by :func:`_reduce` and coefficients by
+    :func:`_cmul`, zero products kept."""
+    left, middle, right = _stack_product(bt1, bt2, graph, pairs)
+    c = _cmul(_on_pairs(bt1[2], bt1, bt2, True, pairs),
+              _on_pairs(bt2[2], bt1, bt2, False, pairs))
+    return len(left), len(right), c, left, middle, right
 
 
 def _live_pairs(bt1, bt2, graph: FiniteGraph):
     """The word pairs ``(i, j)`` of two stacks whose products are nonzero
     in some trial."""
-    left, middle, right = _stack_product(bt1, bt2, graph)
-    c = _cmul(*(_on_pairs(bt[2], bt1, bt2, bt is bt1) for bt in (bt1, bt2)))
-    live = _live_words(c, left, middle, right).any(axis=0)
+    live = _live_words(*_pair_product(bt1, bt2, graph)[2:]).any(axis=0)
     return np.divmod(np.flatnonzero(live), bt2[2].shape[1])
 
 
@@ -1185,14 +1181,8 @@ def triple_iso_transport(iso, E: FiniteGraph, F: FiniteGraph,
     def theta_m(a: VertexFunction) -> VertexFunction:
         return VertexFunction(F, a.values[vertex_of])
 
-    def theta(stacks) -> list:
-        return [(m, n, c, [x[..., edge_of] for x in lefts],
-                 None if middles is None else middles[..., vertex_of],
-                 [y[..., edge_of] for y in rights])
-                for m, n, c, lefts, middles, rights in stacks]
-
     res = float(_basis_residual(
-        _expand(theta(vacuum_projection(E).stacks), F),
+        _expand(_theta(vacuum_projection(E).stacks, edge_of, vertex_of), F),
         _expand(vacuum_projection(F).stacks, F))[0])
     checks = [Check("theta(p) = p", res == 0.0, res)]
 
@@ -1209,7 +1199,18 @@ def triple_iso_transport(iso, E: FiniteGraph, F: FiniteGraph,
                  right_action(theta_x(xi), theta_m(a)))):
             r = np.max(np.abs(got.values - want.values), initial=0.0)
             checks.append(Check(f"{name}[{t}]", r <= tol, r))
-        wdeg = _word_stacks([word(1.0, (xi,), None, (eta, xi))])[0]
-        ok = [bt[:2] for bt in theta(wdeg)] == [bt[:2] for bt in wdeg]
+        w = word(1.0, (xi,), None, (eta, xi))
+        ok = [len(ls) - len(rs) for _, _, _, ls, _, rs in _theta(
+            _word_stacks([w])[0], edge_of, vertex_of)] == [w.degree]
         checks.append(Check(f"degree[{t}]", ok, 0.0 if ok else 1.0))
     return summarize("transport", checks)
+
+
+def _theta(stacks, edge_of, vertex_of) -> list:
+    """``stacks`` carried along an isomorphism: every edge array gathered
+    by ``edge_of`` and every vertex array by ``vertex_of``, the edge and
+    vertex of the source graph behind each of the target's."""
+    return [(m, n, c, [x[..., edge_of] for x in lefts],
+             None if middles is None else middles[..., vertex_of],
+             [y[..., edge_of] for y in rights])
+            for m, n, c, lefts, middles, rights in stacks]

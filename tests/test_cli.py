@@ -292,6 +292,29 @@ def test_double_cover_demo_script_refuses_bad_draws(argv, error):
     assert proc.stderr == f"input error: {error}\n"
 
 
+def test_double_cover_demo_script_reports_trials_above_the_limit(capsys):
+    # the line that `graphcorr example-s5 verify` prints, not a traceback
+    trials = str(MAX_TRIALS + 1)
+    assert run("example-s5", "verify", "--trials", trials) == 1
+    line = f"FAIL  domain  (trials {trials} exceeds the {MAX_TRIALS} limit)\n"
+    assert line in capsys.readouterr().out
+    proc = run_script("double_cover_demo.py", "--trials", trials, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, line, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("fock", "matrix", fixture_path("three-loops"), "--word",
+     '{"coeff": [1, 0]}', "--vertex", "v", "--depth", "8"),
+    ("fock", "p-check", fixture_path("three-loops"), "--depth", "8")])
+def test_fock_matrix_above_the_entry_limit_is_refused(argv, capsys):
+    # 9841 paths to depth 8: the dense matrix would take 1.4 GiB
+    t0 = time.perf_counter()
+    assert run(*argv) == 1
+    assert time.perf_counter() - t0 < 1.0
+    out = capsys.readouterr().out
+    assert "FAIL  domain" in out and "9841 x 9841 matrix exceeds" in out
+
+
 def test_acceptance_script_is_the_suite_command(tmp_path):
     out = tmp_path / "report.json"
     proc = run_script("run_acceptance.py", "--json", str(out), timeout=60)

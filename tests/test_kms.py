@@ -428,7 +428,7 @@ def test_temperature_memo_matches_a_fresh_element_and_the_per_call_path(
                         for v in [got, *want]}) == 1
         # one memo per temperature; at infinity it keeps fewer rows
         assert memos[0] is memos[1]
-        assert (len(memos[0][3]) < rows) == (beta == math.inf)
+        assert (len(memos[0][-1]) < rows) == (beta == math.inf)
 
 
 def test_mismatch_is_raised_before_a_stack_is_built():

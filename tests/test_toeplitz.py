@@ -26,7 +26,7 @@ from graphcorr.suite import RECONSTRUCT_FIXTURES, relabeled_copy
 from graphcorr.toeplitz import (ToeplitzElement, TruncatedFock, Word,
                                 _apply_batches, _basis_multiply,
                                 _batch_product, _concat_batches, _expand,
-                                _join_trials, delta_basis_multiply,
+                                delta_basis_multiply,
                                 delta_basis_residual, element_delta_basis,
                                 fock_matrix, gauge_scale,
                                 iota_word, pi_word, reconstruct_module_check,
@@ -145,6 +145,18 @@ def test_depth_too_small_rejected():
     xs = tuple(random_module_element(g, rng) for _ in range(3))
     with pytest.raises(SizeLimitError):
         fock_matrix(ToeplitzElement(g, [word(1.0, xs, None, ())]), "a", 2)
+
+
+def test_dense_matrix_above_the_entry_limit_is_refused():
+    # three loops: 3280 paths to depth 7 fit the limit, 9841 to depth 8
+    # would take 1.4 GiB dense
+    g = k_loops(3)
+    unit = ToeplitzElement(g, [word(1.0)])
+    assert fock_matrix(unit, "v", 7).fock.dim ** 2 <= toeplitz.MAX_FOCK_ENTRIES
+    with pytest.raises(SizeLimitError, match="9841 x 9841 matrix exceeds"):
+        fock_matrix(unit, "v", 8)
+    with pytest.raises(SizeLimitError):
+        fock_matrix(unit, fock=TruncatedFock(g, "v", 8))
 
 
 def test_vanishing_vacuum_expectation():
@@ -343,6 +355,20 @@ def test_transport_random_relabeling():
     F, iso = relabeled_copy(g, rng)
     rep = triple_iso_transport(iso, g, F, trials=5, tol=1e-12, seed=1)
     assert rep.passed
+
+
+def test_transport_degree_reads_the_carried_factors(monkeypatch):
+    # a relabeling that loses the last annihilation of the two-annihilation
+    # degree word, and keeps its (m, n) header, fails the degree check;
+    # the vacuum projection, with one annihilation, is carried intact
+    real = toeplitz._theta
+
+    def lossy(stacks, edge_of, vertex_of):
+        return [(m, n, c, ls, mid, rs[:-1] if len(rs) > 1 else rs)
+                for m, n, c, ls, mid, rs in real(stacks, edge_of, vertex_of)]
+    monkeypatch.setattr(toeplitz, "_theta", lossy)
+    rep = _identity_transport(trials=3)
+    assert not rep.passed and rep.residual == 1.0
 
 
 def test_transport_rejects_non_isomorphism():
@@ -664,23 +690,21 @@ def _pointwise(a, b):
     return a.pointwise(b)
 
 
-def _oracle_product(e1, e2):
-    """``e1 * e2`` with its word products by :func:`_oracle_multiply`."""
-    prods = (_oracle_multiply(w1, w2) for w1 in e1.words for w2 in e2.words)
-    return ToeplitzElement(e1.graph, [w for w in prods if w is not None])
-
-
-def _elem_product(factors, graph):
-    """The Word route: elements multiplied word by word and merged."""
+def _word_product(factors) -> list:
+    """The Word route: word lists multiplied pair by pair by
+    :func:`_oracle_multiply`, each product merged by :func:`_merged`."""
     out = None
     for f in factors:
-        out = f if out is None else _oracle_product(out, f)
-    return out if out is not None else ToeplitzElement(graph, [])
+        out = f if out is None else _merged(
+            [p for a in out for b in f
+             if (p := _oracle_multiply(a, b)) is not None])
+    return out if out is not None else []
 
 
 def _word_route_reconstruct(graph, trials, tol, seed, depth=4):
     """``reconstruct_module_check`` with its numeric side evaluated on the
-    merged ``lhs - rhs`` of Word products."""
+    merged ``lhs - rhs`` of Word products, all word lists: no element
+    operation of the library merges them."""
     checks = _word_route_checks(graph, trials, tol, seed, depth)
     first = next((c for c in checks if not c.passed), None)
     return summarize("reconstruction", checks,
@@ -690,22 +714,23 @@ def _word_route_reconstruct(graph, trials, tol, seed, depth=4):
 def _word_route_checks(graph, trials, tol, seed, depth=4):
     """The per-trial checks of :func:`_word_route_reconstruct`."""
     rng = np.random.default_rng(seed)
-    p = vacuum_projection(graph)
+    p = list(vacuum_projection(graph).words)
     checks = []
     focks = [TruncatedFock(graph, v, depth) for v in graph.vertices]
 
     def record(name, lhs_factors, rhs_factors, sym_lhs=None):
-        sym = delta_basis_residual(
-            basis_product(sym_lhs or lhs_factors, graph),
-            basis_product(rhs_factors, graph))
-        diff = (_elem_product(lhs_factors, graph)
-                - _elem_product(rhs_factors, graph))
-        m_max = max((w.creations for w in diff.words), default=0)
+        sym = delta_basis_residual(*(
+            basis_product([ToeplitzElement(graph, f) for f in factors], graph)
+            for factors in (sym_lhs or lhs_factors, rhs_factors)))
+        diff = _merged(_word_product(lhs_factors) + _rescaled_words(
+            _word_product(rhs_factors), lambda w: -1.0))
+        m_max = max((w.creations for w in diff), default=0)
         num = 0.0
         if m_max <= depth:
-            batches = diff.stacks
+            # stacked by shape as they stand: _word_stacks merges nothing
+            stacks = toeplitz._word_stacks(diff)[0]
             for fock in focks:
-                window = _dense(fock, batches, fock.window_size(m_max))
+                window = _dense(fock, stacks, fock.window_size(m_max))
                 num = max(num, float(np.max(np.abs(window))))
         checks.append(Check(name, sym == 0.0 and num <= tol, max(sym, num)))
 
@@ -713,23 +738,22 @@ def _word_route_checks(graph, trials, tol, seed, depth=4):
         a = random_vertex_function(graph, rng)
         xi = random_module_element(graph, rng)
         eta = random_module_element(graph, rng)
-        pa = ToeplitzElement(graph, [pi_word(a)])
+        pa = [pi_word(a)]
         record(f"commute[{t}]", [p, pa], [pa, p])
-        ann_xi = ToeplitzElement(graph, [word(1.0, (), None, (xi,))])
-        crt_eta = ToeplitzElement(graph, [iota_word(eta)])
-        rhs0 = ToeplitzElement(graph, [pi_word(inner_product(xi, eta))])
+        ann_xi = [word(1.0, (), None, (xi,))]
+        crt_eta = [iota_word(eta)]
+        rhs0 = [pi_word(inner_product(xi, eta))]
         record(f"compress[{t}]", [p, ann_xi, crt_eta, p], [rhs0, p],
-               sym_lhs=[p, _oracle_product(ann_xi, crt_eta), p])
+               sym_lhs=[p, _word_product([ann_xi, crt_eta]), p])
         for n in (1, 2):
             xs = tuple(random_module_element(graph, rng) for _ in range(n + 1))
             ys = tuple(random_module_element(graph, rng) for _ in range(n))
-            wrd = ToeplitzElement(graph, [word(1.0, xs, None, ys)])
-            record(f"annihilate[n={n},{t}]", [wrd, p],
-                   [ToeplitzElement(graph, [])])
-        crt_xi = ToeplitzElement(graph, [iota_word(xi)])
-        crt_axi = ToeplitzElement(graph, [iota_word(left_action(a, xi))])
+            record(f"annihilate[n={n},{t}]", [[word(1.0, xs, None, ys)], p],
+                   [[]])
+        crt_xi = [iota_word(xi)]
+        crt_axi = [iota_word(left_action(a, xi))]
         record(f"bimodule[{t}]", [pa, crt_xi, p], [crt_axi, p],
-               sym_lhs=[_oracle_product(pa, crt_xi), p])
+               sym_lhs=[_word_product([pa, crt_xi]), p])
     return checks
 
 
@@ -883,6 +907,19 @@ def _trial_copies(elem, rng, trials):
              None if w.middle is None else scaled(w.middle),
              tuple(map(scaled, w.right))) for w in elem.words])
         for _ in range(trials)]
+
+
+def _join_trials(elems) -> list:
+    """The word stacks of elements of one word-shape sequence joined on
+    the trial axis."""
+    out = []
+    for stacks in zip(*elems):
+        (m, n, _, _, mid, _), cat = stacks[0], np.concatenate
+        cs, lefts, mids, rights = zip(*(s[2:] for s in stacks))
+        out.append((m, n, cat(cs), [cat(f) for f in zip(*lefts)],
+                    None if mid is None else cat(mids),
+                    [cat(f) for f in zip(*rights)]))
+    return out
 
 
 @pytest.mark.parametrize("name", RECONSTRUCT_FIXTURES)
@@ -1097,6 +1134,22 @@ def test_batch_product_matches_oracle_on_generated_graphs(g, seed):
               for _ in range(2))
     got = _batch_product(e1.stacks, e2.stacks, g)
     assert _batch_rows(got) == _oracle_rows(e1, e2, got)
+
+
+def test_square_meets_its_own_stacks_on_every_pair():
+    # e * e hands the same stack to both sides of each pair product: word
+    # i of the left side still meets every word j of the right side
+    g = fibonacci()
+    rng = np.random.default_rng(23)
+    e = ToeplitzElement(g, [iota_word(random_module_element(g, rng),
+                                      complex(*rng.standard_normal(2)))
+                            for _ in range(3)])
+    assert len(e.stacks) == 1
+    w = list(e.words)
+    _assert_words_and_stacks(e * e, _merged(
+        [p for a in w for b in w if (p := _oracle_multiply(a, b)) is not None]))
+    got = _batch_product(e.stacks, e.stacks, g)
+    assert _batch_rows(got) == _oracle_rows(e, e, got)
 
 
 @GENERATED
