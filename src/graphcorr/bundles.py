@@ -32,8 +32,8 @@ from .report import Check
 __all__ = [
     "ArcCover", "PermCocycle", "Monodromy", "cocycle_check",
     "cocycle_from_graph", "monodromy", "graph_from_cocycle",
-    "global_frame_over_circle", "refine_cover", "has_global_basis",
-    "cocycle_to_dict", "cocycle_from_dict", "load_cocycle",
+    "global_frame_over_circle", "cocycle_to_dict", "cocycle_from_dict",
+    "load_cocycle",
 ]
 
 
@@ -262,11 +262,6 @@ def monodromy(c: PermCocycle) -> Monodromy:
     return Monodromy(permutation=total, cycle_type=tuple(lengths))
 
 
-def has_global_basis(c: PermCocycle) -> bool:
-    """Identity monodromy is equivalent to ``k`` disjoint global sections."""
-    return monodromy(c).is_identity
-
-
 def graph_from_cocycle(c: PermCocycle) -> CircleCoveringGraph:
     """The covering of the circle classified by the monodromy.
 
@@ -278,30 +273,6 @@ def graph_from_cocycle(c: PermCocycle) -> CircleCoveringGraph:
                            range_degree=len(orb), range_offset=0.0)
              for orb in mono.cycles()]
     return CircleCoveringGraph(comps)
-
-
-def refine_cover(c: PermCocycle) -> PermCocycle:
-    """Split every arc into two overlapping halves, inheriting transitions.
-
-    Transitions between children of the same parent are the identity; all
-    others restrict the parent transition to the smaller overlap.
-    """
-    cover = ArcCover([Arc(wrap_angle(arc.start + s * arc.length),
-                          0.6 * arc.length)
-                      for arc in c.cover.arcs for s in (0.0, 0.4)])
-    transitions = {}
-    for (i, j), comps in cover.overlaps.items():
-        for cidx, piece in enumerate(comps):
-            pi, pj = i // 2, j // 2     # children 2a and 2a + 1 of arc a
-            if pi == pj:
-                transitions[(i, j, cidx)] = tuple(range(c.rank))
-                continue
-            t = piece.midpoint()
-            pcomp = c.cover.pair_component_at(pi, pj, t)
-            if pcomp is None:
-                raise FormatError("refined overlap escapes its parents")
-            transitions[(i, j, cidx)] = c.sigma(pj, pi, pcomp)
-    return PermCocycle(rank=c.rank, cover=cover, transitions=transitions)
 
 
 # ---------------------------------------------------------------------------

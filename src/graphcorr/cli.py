@@ -243,7 +243,9 @@ def cmd_fock_matrix(args, report):
     fm = fock_matrix(elem, args.vertex, args.depth)
     print(f"basis dim {fm.fock.dim}, valid columns "
           f"{int(fm.valid_cols.sum())}/{fm.fock.dim}")
-    print(np.round(fm.matrix, 10))
+    for part in (fm.matrix.real, fm.matrix.imag):  # complex out= copies
+        np.round(part, 10, out=part)
+    print(fm.matrix)
     report.add("fock-matrix", True)
 
 

@@ -25,8 +25,7 @@ from .graphs import (ANGLE_TOL, MAX_SEARCH, TWO_PI, Arc, CircleCoveringGraph,
                      FiniteGraph, angle_dist, s_section_decomposition,
                      wrap_angle)
 from .modules import (DEFAULT_BASE_GRID, ModuleElement, VertexFunction,
-                      _range_index, _source_index, delta_edge, delta_vertex,
-                      inner_product)
+                      _range_index, _source_index, inner_product)
 from .report import Check
 
 
@@ -409,16 +408,6 @@ def bump_frame(graph: CircleCoveringGraph,
         alphas[-1][src[on]] = rng[on]
         gens.append(ModuleElement._from_values(graph, vals, base_n))
     return FrameData(h=h, gens=tuple(gens), alphas=tuple(alphas))
-
-
-def finite_frame(graph: FiniteGraph, v) -> FrameData:
-    """Trivial frame at a vertex: ``h = delta_v``, edge deltas over its fiber."""
-    vi = graph.vertex_index(v)
-    fiber = graph.edges_from_index(vi)
-    alphas = np.full((fiber.size, graph.n_vertices), -1)
-    alphas[:, vi] = graph.rng_idx[fiber]
-    gens = tuple(delta_edge(graph, graph.edges[int(ei)]) for ei in fiber)
-    return FrameData(h=delta_vertex(graph, v), gens=gens, alphas=tuple(alphas))
 
 
 # ---------------------------------------------------------------------------

@@ -238,11 +238,6 @@ class VerificationReport:
     endpoint_exact: bool = True
     components: tuple = (2, 1)
 
-    def max_residual(self) -> float:
-        return max(self.unitarity, self.boundary_start, self.boundary_end,
-                   self.isometry, self.action_right, self.action_left,
-                   self.surjectivity)
-
     def checks(self, tol: float) -> list:
         """The verdicts: boundary, unitarity, surjectivity and the seam at
         their pinned tolerances, isometry and module actions within

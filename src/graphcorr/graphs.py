@@ -137,10 +137,6 @@ class FiniteGraph:
         """Vertex-by-vertex multiplicity matrix (int64 copy)."""
         return self._adj.copy()
 
-    def edges_from_index(self, vi: int) -> np.ndarray:
-        """Indices of edges with source vertex index ``vi``."""
-        return self._edges_from[vi]
-
     def fiber_count(self, v) -> int:
         """Size of the source fiber ``|s^{-1}(v)|``."""
         return int(self._edges_from[self.vertex_index(v)].size)
@@ -161,16 +157,6 @@ class Path:
 
     def __len__(self):
         return len(self.edges)
-
-    def source(self, graph: FiniteGraph):
-        if not self.edges:
-            return self.vertex
-        return graph.src[graph.edge_index(self.edges[-1])]
-
-    def range(self, graph: FiniteGraph):
-        if not self.edges:
-            return self.vertex
-        return graph.rng[graph.edge_index(self.edges[0])]
 
 
 def path_counts(graph: FiniteGraph, v, n: int) -> list[int]:
@@ -256,17 +242,25 @@ def spectral_radius(graph: FiniteGraph, tol: float = 1e-10) -> float:
     bracket of :func:`_collatz_wielandt` closes to ``tol * max(1, hi)``;
     the midpoint, less the shift, is returned.  A bracket that does not
     close (typically a reducible graph whose vertices see different
-    radii) raises :class:`SizeLimitError`.
+    radii) raises :class:`SizeLimitError`.  The radius is kept per ``tol``
+    in the graph's instance dict; a refusal is not.
     """
     if not 0 < tol < math.inf:
         raise FormatError("tol must be finite and positive")
+    radii = graph.__dict__.setdefault("_radii", {})
+    if tol in radii:
+        return radii[tol]
     if graph.n_edges == 0:
-        return 0.0
-    A = graph._adj.astype(np.float64)
-    if A.shape[0] <= 64:
-        return float(np.max(np.abs(np.linalg.eigvals(A))))
-    lo, hi = _collatz_wielandt(A, tol)
-    return max(0.5 * (lo + hi) - 1.0, 0.0)
+        rho = 0.0
+    else:
+        A = graph._adj.astype(np.float64)
+        if A.shape[0] <= 64:
+            rho = float(np.max(np.abs(np.linalg.eigvals(A))))
+        else:
+            lo, hi = _collatz_wielandt(A, tol)
+            rho = max(0.5 * (lo + hi) - 1.0, 0.0)
+    radii[tol] = rho
+    return rho
 
 
 def _collatz_wielandt(A: np.ndarray, tol: float) -> tuple[float, float]:

@@ -39,12 +39,11 @@ import numpy as np
 
 from .errors import DomainError, FormatError, MismatchError
 from .graphs import FiniteGraph, check_trials, spectral_radius
-from .modules import (delta_edge, delta_vertex, random_module_element,
-                      tensor_inner_product)
+from .modules import (_tensor_inner, delta_edge, delta_vertex,
+                      random_module_element, tensor_inner_product)
 from .report import Check
 from .toeplitz import (ToeplitzElement, Word, _gauge_weight, _live_words,
-                       _stack_product, _tensor_inner, pi_word,
-                       vacuum_projection, word)
+                       _stack_product, pi_word, vacuum_projection, word)
 
 
 @dataclass
@@ -166,8 +165,8 @@ def _word_profile(w: Word):
     """``(g, k)`` for the evaluation formula (``g`` None for the unit
     word), or None if the word has unequal creation/annihilation length
     and so vanishes in every state.  Computed once per word: the memo sits
-    in the frozen word's instance dict, as :meth:`Word.is_zero`'s does.
-    Only the truncated oracle reads it; :func:`kms_eval` reads the stack."""
+    in the frozen word's instance dict.  Only the truncated oracle reads
+    it; :func:`kms_eval` reads the stack."""
     try:
         return w.__dict__["_profile"]
     except KeyError:
@@ -186,7 +185,7 @@ def _word_profile(w: Word):
 def _profiles(left, middle, right, graph: FiniteGraph, shape: tuple):
     """The profiles ``g``, ``shape + (vertices,)``, of balanced words from
     their factors on leading shapes that broadcast to ``shape``: the
-    :func:`~graphcorr.toeplitz._tensor_inner` of the annihilations and
+    :func:`~graphcorr.modules._tensor_inner` of the annihilations and
     creations, else the middles, else 1; broadcast only where a factor's
     shape falls short, so every row is bitwise that word's profile."""
     G = _tensor_inner(right, left, graph) if left else middle

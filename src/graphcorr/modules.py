@@ -198,16 +198,31 @@ def _circle_index(components, base_n: int, of_range: bool) -> np.ndarray:
     return out
 
 
+def _tensor_inner(ys, xs, graph, base_n: int | None = None):
+    """``<y_1 ... y_k, x_1 ... x_k>`` over the shorter of two lists of
+    sample arrays in ``values`` order on any common leading shape, by the
+    recursion ``c_1 = <y_1, x_1>``, ``c_j = <y_j, c_{j-1} . x_j>`` (``None``
+    for none).  The range map is read only from ``k = 2`` on, so a length-1
+    tensor over a circle component needs no ``d | m``."""
+    c = None
+    for y, x in zip(ys, xs):
+        if c is not None:
+            x = c[..., _range_index(graph, base_n)] * x
+        x = y.conj() * x        # rebound, so no product outlives its step
+        c = np.zeros(x.shape[:-1] + (_base_size(graph, base_n),),
+                     dtype=np.complex128)
+        np.add.at(c, (..., _source_index(graph, base_n)), x)
+    return c
+
+
 def inner_product(x: ModuleElement, y: ModuleElement) -> VertexFunction:
     """``<x, y>(v) = sum_{s(e) = v} conj(x(e)) y(e)``.
 
     Conjugate-linear in ``x``, linear in ``y``; empty fibers contribute 0.
     """
     _check_same_base(x, y)
-    g, n = x.graph, x.base_n
-    out = np.zeros(_base_size(g, n), dtype=np.complex128)
-    np.add.at(out, _source_index(g, n), x.values.conj() * y.values)
-    return VertexFunction(g, out, n)
+    return VertexFunction(x.graph, _tensor_inner([x.values], [y.values],
+                                                 x.graph, x.base_n), x.base_n)
 
 
 def right_action(x: ModuleElement, a: VertexFunction) -> ModuleElement:
@@ -239,7 +254,7 @@ def module_norm(x: ModuleElement) -> float:
 def tensor_inner_product(xs, ys) -> VertexFunction:
     """Inner product of elementary tensors of equal length ``k >= 1``.
 
-    Computed by the recursion ``c_1 = <x_1, y_1>``,
+    Computed by :func:`_tensor_inner`'s recursion ``c_1 = <x_1, y_1>``,
     ``c_j = <x_j, c_{j-1} . y_j>`` (left action on the second argument),
     which agrees with the sum over length-``k`` paths.
     """
@@ -249,10 +264,11 @@ def tensor_inner_product(xs, ys) -> VertexFunction:
     if not xs:
         raise MismatchError("degree-0 tensors are vertex functions; use them "
                             "directly")
-    c = inner_product(xs[0], ys[0])
-    for xj, yj in zip(xs[1:], ys[1:]):
-        c = inner_product(xj, left_action(c, yj))
-    return c
+    for f in xs[1:] + ys:
+        _check_same_base(xs[0], f)
+    g, n = xs[0].graph, xs[0].base_n
+    return VertexFunction(g, _tensor_inner([x.values for x in xs],
+                                           [y.values for y in ys], g, n), n)
 
 
 def fiber_evaluation(x: ModuleElement, v) -> np.ndarray:
@@ -279,27 +295,6 @@ def delta_vertex(graph: FiniteGraph, v) -> VertexFunction:
     a = np.zeros(graph.n_vertices, dtype=np.complex128)
     a[graph.vertex_index(v)] = 1.0
     return VertexFunction(graph, a)
-
-
-def unit_vertex_function(graph, base_n: int | None = None) -> VertexFunction:
-    return VertexFunction(graph, np.ones(_base_size(graph, base_n)), base_n)
-
-
-def element_from_function(graph: CircleCoveringGraph, base_n: int,
-                          funcs) -> ModuleElement:
-    """Sample callables (one per component, argument = angle) on the grids."""
-    comps = []
-    for comp, f in zip(graph.components, funcs):
-        u = TWO_PI * np.arange(comp.source_degree * base_n) \
-            / (comp.source_degree * base_n)
-        comps.append(np.asarray(f(u), dtype=np.complex128))
-    return ModuleElement(graph, tuple(comps), base_n)
-
-
-def vertex_function_from_function(graph: CircleCoveringGraph, base_n: int,
-                                  f) -> VertexFunction:
-    t = TWO_PI * np.arange(base_n) / base_n
-    return VertexFunction(graph, np.asarray(f(t), dtype=np.complex128), base_n)
 
 
 def random_module_element(graph, rng: np.random.Generator,

@@ -59,9 +59,10 @@ import numpy as np
 from .errors import DomainError, FormatError, MismatchError, SizeLimitError
 from .graphs import (FiniteGraph, check_trials, path_counts,
                      path_index_tuples)
-from .modules import (ModuleElement, VertexFunction, inner_product,
-                      left_action, module_norm, random_module_element,
-                      random_vertex_function, right_action)
+from .modules import (ModuleElement, VertexFunction, _tensor_inner,
+                      inner_product, left_action, module_norm,
+                      random_module_element, random_vertex_function,
+                      right_action)
 from .report import Check, summarize
 
 __all__ = [
@@ -122,11 +123,6 @@ class Word:
             b *= module_norm(y)
         return b
 
-    def is_zero(self) -> bool:
-        return (self.coeff == 0 or any(x.is_zero() for x in self.left)
-                or (self.middle is not None and not self.middle.values.any())
-                or any(y.is_zero() for y in self.right))
-
 
 def word(coeff, left=(), middle=None, right=()) -> Word:
     """Build a word in normal form (middle absorbed into the last creation)."""
@@ -166,9 +162,10 @@ def _reduce(f1, f2, graph: FiniteGraph):
     normal form of ``w1 w2``, less the coefficient, from those of ``w1``
     and ``w2``, lists of edge arrays and a vertex array or ``None`` on any
     common leading shape.  The meeting annihilations and creations chain
-    into inner products; the rest acts on the first surviving creation by
-    the left action, or conjugated on the first surviving annihilation,
-    and a middle beside creations is absorbed into the last one."""
+    into inner products by :func:`~graphcorr.modules._tensor_inner`; the
+    rest acts on the first surviving creation by the left action, or
+    conjugated on the first surviving annihilation, and a middle beside
+    creations is absorbed into the last one."""
     (l1, mid1, r1), (l2, mid2, r2) = f1, f2
     cc = _tensor_inner(r1, l2, graph)
     if len(r1) <= len(l2):
@@ -185,20 +182,6 @@ def _reduce(f1, f2, graph: FiniteGraph):
     if middle is not None and left:
         left[-1], middle = left[-1] * middle[..., graph.src_idx], None
     return left, middle, right
-
-
-def _tensor_inner(ys, xs, graph: FiniteGraph):
-    """``<y_1 ... y_k, x_1 ... x_k>`` over the shorter of the two factor
-    lists, edge arrays on any common leading shape (``None`` for none), by
-    :func:`~graphcorr.modules.tensor_inner_product`'s recursion ``c_1 =
-    <y_1, x_1>``, ``c_j = <y_j, c_{j-1} . x_j>``: every row is bitwise that
-    function's value on the row's factors."""
-    c = None
-    for y, x in zip(ys, xs):
-        t = y.conj() * (x if c is None else c[..., graph.rng_idx] * x)
-        c = np.zeros(t.shape[:-1] + (graph.n_vertices,), dtype=np.complex128)
-        np.add.at(c, (..., graph.src_idx), t)
-    return c
 
 
 def _times(a, b):
@@ -295,9 +278,6 @@ class ToeplitzElement:
 
     def degrees(self) -> set[int]:
         return {m - n for m, n, *_ in self.stacks}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     def norm_bound(self) -> float:
         return sum(w.norm_bound() for w in self.words)
@@ -609,11 +589,6 @@ def delta_basis_multiply(m1: dict, m2: dict, graph: FiniteGraph) -> dict:
     return _as_dict(_basis_multiply(_from_dict(m1), _from_dict(m2), graph))
 
 
-def delta_basis_residual(m1: dict, m2: dict) -> float:
-    """Largest coefficient of the difference of two expansions."""
-    return float(_basis_residual(_from_dict(m1), _from_dict(m2))[0])
-
-
 # ---------------------------------------------------------------------------
 # truncated Fock representation
 
@@ -686,9 +661,6 @@ class TruncatedFock:
         for y in reversed(w.right):
             M = M @ self.creation_matrix(y).conj().T
         return M
-
-    def vacuum_index(self) -> int:
-        return self.index[()]
 
     def _plan(self, m: int, n: int, ncols: int):
         """Index arrays for words with ``m`` creations and ``n``
@@ -855,23 +827,18 @@ class FockMatrix:
     fock: TruncatedFock
 
 
-def fock_matrix(elem, v=None, depth: int | None = None,
-                fock: TruncatedFock | None = None) -> FockMatrix:
-    """Matrix of an element on the depth-``L`` truncated basis.
+def fock_matrix(elem, v, depth: int) -> FockMatrix:
+    """Matrix of an element on the depth-``L`` truncated basis at ``v``.
 
     Raises when the window cannot hold even the empty path column, i.e.
     when ``L`` is smaller than the creation count of some word, and when
     the dense matrix would have more than :data:`MAX_FOCK_ENTRIES` entries.
     """
-    if fock is None:
-        if v is None or depth is None:
-            raise FormatError("vertex and depth required without a basis")
-        fock = TruncatedFock(elem.graph, v, depth)
+    fock = TruncatedFock(elem.graph, v, depth)
     if fock.dim ** 2 > MAX_FOCK_ENTRIES:
         raise SizeLimitError(
             f"a {fock.dim} x {fock.dim} matrix exceeds the "
             f"{MAX_FOCK_ENTRIES} entry limit")
-    depth = fock.depth
     m_max = max((bt[0] for bt in elem.stacks), default=0)
     if depth < m_max:
         raise SizeLimitError(
@@ -1120,8 +1087,7 @@ def _reconstruction_block(graph, rng, block, shared: _Shared, tol, depth):
     a = z[:, :nv] + 1j * z[:, nv:2 * nv]
     z = z[:, 2 * nv:].reshape(len(block), 10, 2, ne)
     xi, eta, *fs = (z[:, :, 0] + 1j * z[:, :, 1]).transpose(1, 0, 2)
-    ip = np.zeros_like(a)
-    np.add.at(ip, (slice(None), graph.src_idx), xi.conj() * eta)
+    ip = _tensor_inner([xi], [eta], graph)
     axi = a[:, graph.rng_idx] * xi
     identities = _identities(shared.p, a, xi, eta, fs, ip, axi)
 

@@ -10,14 +10,15 @@ from graphcorr.bundles import (Arc, ArcCover, FrameResult, PermCocycle,
                                cocycle_from_dict, cocycle_from_graph,
                                cocycle_to_dict, compose,
                                global_frame_over_circle, graph_from_cocycle,
-                               has_global_basis, inverse, monodromy,
-                               refine_cover)
+                               inverse, monodromy)
 from graphcorr.errors import FormatError
 from graphcorr.fixtures import (COCYCLE_FIXTURES, circle_double_cover,
                                 circle_triple_cover, circle_two_loops,
                                 identity_cocycle, swap_cocycle,
                                 three_cycle_cocycle, two_plus_one_cocycle)
 from graphcorr.graphs import TWO_PI, CircleCoveringGraph, EdgeComponent
+
+from oracles import refine_cover
 
 # ---------------------------------------------------------------------------
 # oracle: follow one lifted point around the circle in small steps
@@ -158,13 +159,12 @@ def test_offset_components_still_match():
 def test_identity_monodromy():
     m = monodromy(identity_cocycle(4))
     assert m.is_identity and m.cycle_type == (1, 1, 1, 1)
-    assert has_global_basis(identity_cocycle(4))
 
 
 def test_swap_monodromy():
     m = monodromy(swap_cocycle())
     assert m.cycle_type == (2,)
-    assert not has_global_basis(swap_cocycle())
+    assert not m.is_identity
 
 
 def test_block_of_two_swaps():
@@ -363,8 +363,8 @@ def test_frame_grid_divisibility():
 
 
 def test_global_basis_iff_identity_monodromy():
-    assert has_global_basis(identity_cocycle(2))
-    assert not has_global_basis(swap_cocycle())
+    assert monodromy(identity_cocycle(2)).is_identity
+    assert not monodromy(swap_cocycle()).is_identity
     # the frame still exists in the twisted case: bundle-trivial regardless
     fr = global_frame_over_circle(swap_cocycle(), 24)
     assert fr.unitarity <= 1e-12

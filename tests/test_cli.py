@@ -842,6 +842,22 @@ def test_fock_matrix_command(capsys):
     assert "basis dim 4" in capsys.readouterr().out
 
 
+def test_fock_matrix_command_holds_one_copy_of_its_matrix(capsys):
+    # 1093 paths to depth 6 on three loops: the matrix takes 19 MB, and is
+    # rounded for printing in place
+    matrix = 1093 ** 2 * 16
+    tracemalloc.start()
+    try:
+        assert run("fock", "matrix", fixture_path("three-loops"), "--word",
+                   '{"left":["e1"],"right":["e1"]}', "--vertex", "v",
+                   "--depth", "6") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "basis dim 1093" in capsys.readouterr().out
+    assert peak < 1.5 * matrix
+
+
 def test_iso_check_command(capsys):
     assert run("iso", "check", FIB, FIB) == 0
 

@@ -12,9 +12,9 @@ from graphcorr.conjugacy import (ArcMatching, FrameData, GraphIsomorphism,
                                  Refutation, RigidCircleMap,
                                  _arc_compat, _augmenting_matching,
                                  _refine_colors, bimodule_invariants,
-                                 bump_frame, finite_frame,
-                                 finite_graph_isomorphism, frame_verify,
-                                 local_conjugacy_check, nonzero_permutation)
+                                 bump_frame, finite_graph_isomorphism,
+                                 frame_verify, local_conjugacy_check,
+                                 nonzero_permutation)
 from graphcorr.errors import (FormatError, NoMatchingError,
                               SingularMatrixError, SizeLimitError)
 from graphcorr.fixtures import (FINITE_FIXTURES, circle_double_cover,
@@ -30,6 +30,7 @@ from graphcorr.suite import (CYCLE_PARTITIONS, _cycle_graph_union,
                              _exhaustive_isomorphic, _random_graph,
                              relabeled_copy)
 
+from oracles import finite_frame
 from strategies import circle_pairs, finite_graphs
 
 # ---------------------------------------------------------------------------
@@ -416,17 +417,34 @@ def _action_transfer(graph, fd):
     return rep.max_residuals["action-transfer"]
 
 
-@pytest.mark.parametrize("builder", [fibonacci, lambda: k_loops(3), ten_edge])
-def test_finite_action_transfer_matches_indicator_oracle(builder):
-    g = builder()
+def _finite_action_transfer_matches_indicator_oracle(g):
+    """At every vertex, the trivial frame of :func:`oracles.finite_frame`
+    and its broken copies: condition (3) as ``frame_verify`` computes it
+    equals the indicator oracle's, and is 0 on the frame itself; a vertex
+    with an empty source fiber has no generators and is refused."""
     for v in g.vertices:
-        if g.fiber_count(v) == 0:
-            continue
         fd = finite_frame(g, v)
+        if g.fiber_count(v) == 0:
+            with pytest.raises(FormatError):
+                frame_verify(g, fd, tol=1e-9)
+            continue
         for frame in [fd] + _broken(fd):
             assert _action_transfer(g, frame) \
                 == action_transfer_oracle(g, frame)
         assert _action_transfer(g, fd) == 0.0
+
+
+@pytest.mark.parametrize("builder", [fibonacci, lambda: k_loops(3), ten_edge])
+def test_finite_action_transfer_matches_indicator_oracle(builder):
+    _finite_action_transfer_matches_indicator_oracle(builder())
+
+
+@GENERATED
+@given(g=finite_graphs())
+def test_finite_action_transfer_matches_indicator_oracle_on_generated_graphs(
+        g):
+    # sources, sinks, isolated vertices and graphs with no edges
+    _finite_action_transfer_matches_indicator_oracle(g)
 
 
 @pytest.mark.parametrize("builder", [circle_double_cover, circle_triple_cover,

@@ -240,7 +240,9 @@ def test_three_trivial_loops_components():
 
 def test_full_verification_small_grid():
     rep = run_verification(grid=128, trials=20, seed=5)
-    assert rep.max_residual() < 1e-12
+    assert max(rep.unitarity, rep.boundary_start, rep.boundary_end,
+               rep.isometry, rep.action_right, rep.action_left,
+               rep.surjectivity) < 1e-12
     assert rep.endpoint_exact
     assert rep.components == (2, 1)
 

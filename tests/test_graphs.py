@@ -129,7 +129,7 @@ def test_paths_consecutive_compatibility():
             ei = g.edge_index(p.edges[i])
             ej = g.edge_index(p.edges[i + 1])
             assert g.src[ei] == g.rng[ej]
-        assert p.source(g) == "v0"
+        assert g.src[g.edge_index(p.edges[-1])] == "v0"
 
 
 @settings(max_examples=25, deadline=None)
@@ -257,6 +257,7 @@ def test_collatz_wielandt_refuses_unclosed_bracket_quickly():
         with pytest.raises(SizeLimitError, match=why):
             spectral_radius(g)
         assert time.perf_counter() - t0 < 2.0
+        assert not vars(g).get("_radii")        # refusals are not kept
 
 
 def test_growth_sequence_upper_bounds_radius():

@@ -17,9 +17,9 @@ from graphcorr.kms import (KMSParameters, KMSState, _element_stack,
                            kms_eval_truncated,
                            kms_limit_sweep, limit_sweep_words,
                            partition_tail_bound, truncated_partition_sum)
-from graphcorr.modules import (ModuleElement, delta_edge, delta_vertex,
-                               random_module_element, random_vertex_function,
-                               tensor_inner_product, unit_vertex_function)
+from graphcorr.modules import (ModuleElement, VertexFunction, delta_edge,
+                               delta_vertex, random_module_element,
+                               random_vertex_function, tensor_inner_product)
 from graphcorr.toeplitz import (ToeplitzElement, gauge_scale, iota_word,
                                 pi_word, vacuum_projection, word)
 
@@ -210,7 +210,8 @@ def test_beta_domain_enforced():
 def test_state_is_unital():
     for g in (single_loop(), fibonacci()):
         st = point_state(g, 1.5)
-        one = ToeplitzElement(g, [pi_word(unit_vertex_function(g))])
+        one = ToeplitzElement(g, [pi_word(VertexFunction(
+            g, np.ones(g.n_vertices)))])
         assert abs(kms_eval(st, one) - 1.0) <= 1e-14
         bare = ToeplitzElement(g, [word(1.0)])
         assert abs(kms_eval(st, bare) - 1.0) <= 1e-14
@@ -538,7 +539,7 @@ def word_route_condition(state, b1, b2) -> float:
     """Both products as elements, through ``word_multiply`` and the
     element's merge, each evaluated by ``kms_eval``: the per-pair route
     that :func:`kms_condition_residuals` stacks."""
-    if not (b1.is_homogeneous() and b2.is_homogeneous()):
+    if len(b1.degrees()) > 1 or len(b2.degrees()) > 1:
         raise DomainError("inputs must be gauge homogeneous")
     twisted = gauge_scale(b2, state.params.x)
     return abs(kms_eval(state, b1 * twisted) - kms_eval(state, b2 * b1))
@@ -826,6 +827,28 @@ def test_sweep_evaluates_each_limit_once(monkeypatch):
     kms_limit_sweep(g, "a", words, [1.0, 2.0, 3.0])
     assert calls.count(math.inf) == len(words)
     assert len(calls) == 4 * len(words)
+
+
+def test_sweep_computes_the_radius_once(monkeypatch):
+    # the radius is kept in the graph per tol: a 10-point sweep solves for
+    # the eigenvalues once, and every row is bitwise (by repr) the row of
+    # a sweep point that computes the radius afresh
+    g = fibonacci()
+    words = limit_sweep_words(g)
+    betas = [1.0 + 0.5 * i for i in range(10)]
+    want = []
+    for beta in betas:
+        vars(g).pop("_radii", None)
+        table = kms_limit_sweep(g, "a", words, [beta])
+        want += table.to_csv().splitlines()[1:]
+    vars(g).pop("_radii", None)
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: calls.append(a) or eigvals(a))
+    got = kms_limit_sweep(g, "a", words, betas).to_csv().splitlines()[1:]
+    assert len(calls) == 1
+    assert got == want
 
 
 def test_sweep_rejects_beta_in_forbidden_range():

@@ -12,12 +12,12 @@ from graphcorr.graphs import (TWO_PI, CircleCoveringGraph, EdgeComponent,
 from graphcorr.modules import (ModuleElement, VertexFunction, _circle_index,
                                _range_index, _source_index, delta_edge,
                                delta_vertex, element_from_dict,
-                               element_from_function, element_to_dict,
-                               fiber_evaluation, inner_product, left_action,
-                               module_norm, random_module_element,
-                               random_vertex_function, right_action,
-                               tensor_inner_product, unit_vertex_function,
-                               vertex_function_from_function)
+                               element_to_dict, fiber_evaluation,
+                               inner_product, left_action, module_norm,
+                               random_module_element, random_vertex_function,
+                               right_action, tensor_inner_product)
+
+from oracles import element_from_function, vertex_function_from_function
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -136,7 +136,7 @@ def test_unit_acts_trivially():
     g = fibonacci()
     rng = np.random.default_rng(2)
     x = random_module_element(g, rng)
-    one = unit_vertex_function(g)
+    one = VertexFunction(g, np.ones(g.n_vertices))
     assert np.array_equal(right_action(x, one).values, x.values)
     assert np.array_equal(left_action(one, x).values, x.values)
 
@@ -242,6 +242,21 @@ def test_tensor_length_mismatch():
         tensor_inner_product([random_module_element(g, rng)], [])
     with pytest.raises(MismatchError):
         tensor_inner_product([], [])
+
+
+def test_tensor_reads_the_range_map_only_from_length_two():
+    # d = 2 does not divide m = 3, so ranges of grid samples leave the grid;
+    # only the left action inside a tensor of length >= 2 reads them
+    g = CircleCoveringGraph([EdgeComponent(2, 0.0, 3, 0.0)])
+    rng = np.random.default_rng(12)
+    x, y = (random_module_element(g, rng, 16) for _ in range(2))
+    assert np.array_equal(tensor_inner_product([x], [y]).values,
+                          inner_product(x, y).values)
+    with pytest.raises(MismatchError, match="not divisible"):
+        tensor_inner_product([x, y], [y, x])
+    z = random_module_element(g, rng, 32)
+    with pytest.raises(MismatchError, match="different sample grids"):
+        tensor_inner_product([x, x], [y, z])
 
 
 # ---------------------------------------------------------------------------
