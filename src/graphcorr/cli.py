@@ -652,6 +652,11 @@ def dispatch(argv) -> int:
             if not 0 < getattr(args, "tol", 1.0) < math.inf:
                 raise FormatError(f"--tol {args.tol} is not a finite "
                                   "positive number")
+            # a nan would reach the checks as a value and fail one of them
+            for dest, value in vars(args).items():
+                if isinstance(value, float) and math.isnan(value):
+                    raise FormatError(f"--{dest.replace('_', '-')} {value} "
+                                      "is not a number")
             for dest in ("grid", "grid_n"):
                 n = getattr(args, dest, 1)
                 if not 1 <= n <= MAX_GRID:

@@ -1,20 +1,46 @@
 """Bundled test fixtures: graphs and cocycles used across the suite.
 
-Builders return fresh objects; the same data ships as JSON under
-``graphcorr/fixtures/`` for the command line (see :func:`fixture_path`).
+Each named fixture is defined once, by its JSON file under
+``graphcorr/fixtures/`` (see :func:`fixture_path`): the builders here read
+that file, once per process, and return a fresh object on every call, so
+the library, the tests and the command line see the same data.  Only the
+families ``k_loops(k)``, ``edgeless(n)`` and ``identity_cocycle(k)`` are
+built in code; their shipped members (``three-loops``, ``edgeless``,
+``cocycle-identity-rank2``) are files like every other fixture.
 """
 from __future__ import annotations
 
-import math
+import functools
 from importlib import resources
 
-from .bundles import Arc, ArcCover, PermCocycle
-from .graphs import CircleCoveringGraph, EdgeComponent, FiniteGraph
+from .bundles import PermCocycle, cocycle_from_dict
+from .graphs import (CircleCoveringGraph, FiniteGraph, graph_from_dict,
+                     load_json)
+
+
+def fixture_path(name: str) -> str:
+    """Filesystem path of a bundled fixture JSON file."""
+    ref = resources.files("graphcorr") / "fixtures" / f"{name}.json"
+    return str(ref)
+
+
+@functools.cache
+def _document(name: str) -> dict:
+    """The parsed file of fixture ``name``; callers must not mutate it."""
+    return load_json(fixture_path(name))
+
+
+def _graph(name: str):
+    return graph_from_dict(_document(name))
+
+
+def _cocycle(name: str) -> PermCocycle:
+    return cocycle_from_dict(_document(f"cocycle-{name}"))
 
 
 def single_loop() -> FiniteGraph:
     """One vertex, one loop edge."""
-    return FiniteGraph(vertices=["v"], edges=["e"], src=["v"], rng=["v"])
+    return _graph("single-loop")
 
 
 def k_loops(k: int) -> FiniteGraph:
@@ -34,56 +60,26 @@ def fibonacci() -> FiniteGraph:
     Path counts from either vertex follow the Fibonacci recurrence and the
     spectral radius is the golden ratio.
     """
-    return FiniteGraph(
-        vertices=["a", "b"],
-        edges=["aa", "ab", "ba"],
-        src=["a", "a", "b"],     # aa: a->a, ab: a->b, ba: b->a
-        rng=["a", "b", "a"])
+    return _graph("fibonacci")
 
 
 def ten_edge() -> FiniteGraph:
     """Five vertices, ten edges, with parallel edges and a loop."""
-    edges = [
-        ("p0", "v0", "v1"),
-        ("p1", "v0", "v1"),      # parallel pair v0 -> v1
-        ("e2", "v1", "v2"),
-        ("e3", "v2", "v0"),
-        ("e4", "v2", "v3"),
-        ("e5", "v3", "v4"),
-        ("e6", "v4", "v0"),
-        ("e7", "v1", "v3"),
-        ("e8", "v3", "v1"),
-        ("e9", "v4", "v4"),      # loop
-    ]
-    return FiniteGraph(
-        vertices=[f"v{i}" for i in range(5)],
-        edges=[e for e, _, _ in edges],
-        src=[s for _, s, _ in edges],
-        rng=[r for _, _, r in edges])
+    return _graph("ten-edge")
 
 
 def circle_two_loops() -> CircleCoveringGraph:
     """Edge space = two circles, each mapping identically to the base."""
-    return CircleCoveringGraph([
-        EdgeComponent(source_degree=1, range_degree=1),
-        EdgeComponent(source_degree=1, range_degree=1)])
+    return _graph("two-loops")
 
 
 def circle_double_cover() -> CircleCoveringGraph:
     """One component with range = source = the squaring double cover."""
-    return CircleCoveringGraph([
-        EdgeComponent(source_degree=2, range_degree=2)])
+    return _graph("double-cover")
 
 
 def circle_triple_cover() -> CircleCoveringGraph:
-    return CircleCoveringGraph([
-        EdgeComponent(source_degree=3, range_degree=3)])
-
-
-def _two_arc_cover() -> ArcCover:
-    d = math.pi / 8
-    return ArcCover([Arc(-d, math.pi + 2 * d),
-                     Arc(math.pi - d, math.pi + 2 * d)])
+    return _graph("triple-cover")
 
 
 def swap_cocycle() -> PermCocycle:
@@ -91,61 +87,32 @@ def swap_cocycle() -> PermCocycle:
 
     The classical transition data of the connected double cover.
     """
-    cover = _two_arc_cover()
-    # component 0 of the (0, 1) overlap is the lens at angle 0 (sorted by
-    # start); the swap sits there, identity on the lens at pi
-    return PermCocycle(rank=2, cover=cover, transitions={
-        (0, 1, 0): (1, 0),
-        (0, 1, 1): (0, 1)})
+    return _cocycle("swap")
 
 
 def three_cycle_cocycle() -> PermCocycle:
     """Rank 3 with 3-cycle monodromy (a connected triple cover)."""
-    cover = _two_arc_cover()
-    return PermCocycle(rank=3, cover=cover, transitions={
-        (0, 1, 0): (1, 2, 0),
-        (0, 1, 1): (0, 1, 2)})
+    return _cocycle("three-cycle")
 
 
 def two_plus_one_cocycle() -> PermCocycle:
     """Rank 3 with cycle type 2 + 1 (double cover next to a trivial loop)."""
-    cover = _two_arc_cover()
-    return PermCocycle(rank=3, cover=cover, transitions={
-        (0, 1, 0): (1, 0, 2),
-        (0, 1, 1): (0, 1, 2)})
+    return _cocycle("two-plus-one")
 
 
 def identity_cocycle(k: int) -> PermCocycle:
-    cover = _two_arc_cover()
+    """Rank ``k``, identity transitions on the two-arc cover of the
+    shipped rank-2 identity cocycle."""
     ident = tuple(range(k))
-    return PermCocycle(rank=k, cover=cover, transitions={
-        (0, 1, 0): ident,
-        (0, 1, 1): ident})
+    return PermCocycle(rank=k, cover=_cocycle("identity-rank2").cover,
+                       transitions={(0, 1, 0): ident, (0, 1, 1): ident})
 
 
-FINITE_FIXTURES = {
-    "single-loop": single_loop,
-    "three-loops": lambda: k_loops(3),
-    "fibonacci": fibonacci,
-    "ten-edge": ten_edge,
-    "edgeless": edgeless,
-}
+FINITE_FIXTURES = {name: functools.partial(_graph, name) for name in (
+    "single-loop", "three-loops", "fibonacci", "ten-edge", "edgeless")}
 
-CIRCLE_FIXTURES = {
-    "two-loops": circle_two_loops,
-    "double-cover": circle_double_cover,
-    "triple-cover": circle_triple_cover,
-}
+CIRCLE_FIXTURES = {name: functools.partial(_graph, name) for name in (
+    "two-loops", "double-cover", "triple-cover")}
 
-COCYCLE_FIXTURES = {
-    "swap": swap_cocycle,
-    "three-cycle": three_cycle_cocycle,
-    "two-plus-one": two_plus_one_cocycle,
-    "identity-rank2": lambda: identity_cocycle(2),
-}
-
-
-def fixture_path(name: str) -> str:
-    """Filesystem path of a bundled fixture JSON file."""
-    ref = resources.files("graphcorr") / "fixtures" / f"{name}.json"
-    return str(ref)
+COCYCLE_FIXTURES = {name: functools.partial(_cocycle, name) for name in (
+    "swap", "three-cycle", "two-plus-one", "identity-rank2")}

@@ -174,6 +174,38 @@ def test_malformed_complex_pairs_are_input_errors(argv, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def _argv_with(path, arguments, flag, value):
+    """``path`` with ``flag value`` and every other required argument."""
+    argv = path.split()
+    for flags, kwargs in arguments:
+        if flags[0] == flag:
+            argv += [flag, value]
+        elif not flags[0].startswith("-"):
+            argv.append(FIB)
+        elif kwargs.get("required"):
+            argv += [flags[0], "2" if "type" in kwargs
+                     else kwargs.get("choices", ["x"])[0]]
+    return argv
+
+
+@pytest.mark.parametrize("flag", ["--beta", "--center", "--threshold",
+                                  "--tol", "--width"])
+def test_nan_float_option_is_input_error(flag, capsys):
+    specs = [(path, arguments) for path, _, arguments, _ in COMMANDS
+             if any(flags[0] == flag and kwargs.get("type") is float
+                    for flags, kwargs in arguments)]
+    floats = {flags[0] for _, _, arguments, _ in COMMANDS
+              for flags, kwargs in arguments if kwargs.get("type") is float}
+    assert floats == {"--beta", "--center", "--threshold", "--tol",
+                      "--width"} and specs
+    want = f"input error: {flag} nan is not a number\n"
+    if flag == "--tol":     # the tolerance keeps its own refusal
+        want = "input error: --tol nan is not a finite positive number\n"
+    for path, arguments in specs:
+        assert run(*_argv_with(path, arguments, flag, "nan")) == 2, path
+        assert capsys.readouterr() == ("", want), path
+
+
 #: a double-cover element on the size-4 grid (2 * 4 samples)
 DOUBLE_X = json.dumps({"n": 4, "components": [[[1, 0]] * 8]})
 

@@ -1,4 +1,5 @@
 import math
+import os
 import time
 
 import numpy as np
@@ -6,15 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphcorr.bundles import PermCocycle, cocycle_to_dict
 from graphcorr.errors import FormatError, SizeLimitError
-from graphcorr.fixtures import (circle_double_cover, circle_triple_cover,
-                                circle_two_loops, edgeless, fibonacci,
-                                k_loops, single_loop, ten_edge)
+from graphcorr.fixtures import (CIRCLE_FIXTURES, COCYCLE_FIXTURES,
+                                FINITE_FIXTURES, circle_double_cover,
+                                circle_triple_cover, circle_two_loops,
+                                edgeless, fibonacci, fixture_path,
+                                identity_cocycle, k_loops, single_loop,
+                                ten_edge)
 from graphcorr.graphs import (Arc, CircleCoveringGraph, EdgeComponent,
                               FiniteGraph, MAX_PATHS, TWO_PI,
                               _collatz_wielandt, arcs_cover_circle,
                               enumerate_paths, graph_from_dict, graph_to_dict,
-                              growth_sequence, path_index_tuples,
+                              growth_sequence, load_json, path_index_tuples,
                               s_section_decomposition, spectral_radius,
                               wrap_angle)
 
@@ -389,6 +394,56 @@ def test_json_round_trip_circle():
     assert (c.source_degree, c.range_degree) == (c2.source_degree,
                                                  c2.range_degree)
     assert abs(c.source_offset - c2.source_offset) < 1e-15
+
+
+#: every shipped fixture file name -> the registry builder of its fixture
+SHIPPED = {**FINITE_FIXTURES, **CIRCLE_FIXTURES,
+           **{f"cocycle-{name}": build
+              for name, build in COCYCLE_FIXTURES.items()}}
+
+
+def _hexed(x):
+    """``x`` with every float replaced by its ``float.hex``."""
+    if isinstance(x, float):
+        return float.hex(x)
+    if isinstance(x, dict):
+        return {k: _hexed(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_hexed(v) for v in x]
+    return x
+
+
+def assert_is_file(fixture, name):
+    """``fixture`` holds, bitwise, what the shipped file ``name`` reads."""
+    doc = load_json(fixture_path(name))
+    if not isinstance(fixture, PermCocycle):
+        assert _hexed(graph_to_dict(fixture)) == _hexed(doc)
+        return
+    got = cocycle_to_dict(fixture)
+    assert (got["rank"], got["transitions"]) == (doc["rank"],
+                                                 doc["transitions"])
+    assert [(a.start.hex(), a.length.hex()) for a in fixture.cover.arcs] \
+        == [(a.hex(), (b - a).hex()) for a, b in doc["arcs"]]
+
+
+def test_every_shipped_file_has_a_registry_entry():
+    folder = os.path.dirname(fixture_path("fibonacci"))
+    assert {f.removesuffix(".json") for f in os.listdir(folder)} \
+        == set(SHIPPED)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_registry_entry_is_its_shipped_file(name):
+    assert_is_file(SHIPPED[name](), name)
+
+
+@pytest.mark.parametrize("name,build", [
+    ("three-loops", lambda: k_loops(3)),
+    ("edgeless", edgeless),
+    ("cocycle-identity-rank2", lambda: identity_cocycle(2)),
+])
+def test_family_member_is_its_shipped_file(name, build):
+    assert_is_file(build(), name)
 
 
 def test_bad_kind_rejected():
