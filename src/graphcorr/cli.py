@@ -279,8 +279,7 @@ def cmd_fock_p_check(args, report):
 def cmd_fock_reconstruct(args, report):
     g = _load_finite(args.graph, report)
     report.checks.append(reconstruct_module_check(
-        g, trials=args.trials, tol=args.tol, seed=args.seed,
-        depth=args.depth))
+        g, trials=args.trials, tol=args.tol, seed=args.seed))
 
 
 def cmd_fock_transport(args, report):
@@ -544,8 +543,8 @@ COMMANDS = [
     ("fock p-check", cmd_fock_p_check,
      GRAPH + (_opt("--depth", 5),), ("vacuum_projection",)),
     ("fock reconstruct-check", cmd_fock_reconstruct,
-     GRAPH + (_opt("--trials", 100), _opt("--tol", 1e-12), SEED,
-              _opt("--depth", 4)), ("reconstruct_module_check",)),
+     GRAPH + (_opt("--trials", 100), _opt("--tol", 1e-12), SEED),
+     ("reconstruct_module_check",)),
     ("fock transport", cmd_fock_transport,
      GRAPH_PAIR + (_opt("--trials", 20), SEED), ("triple_iso_transport",)),
     ("kms partition", cmd_kms_partition, GRAPH + (BETA, VERTEX),

@@ -38,6 +38,7 @@ table lives for the call only (1.08 MB at ``N = 1024``, degree 16).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,8 +50,14 @@ from .graphs import TWO_PI, check_trials
 from .modules import ModuleElement
 from .report import Check
 
-#: the connected double cover ``F``, over which the cover samples live
-COVER = circle_double_cover()
+
+@functools.cache
+def cover():
+    """The connected double cover ``F``, over which the cover samples live:
+    built from its fixture file on first use, so that importing the
+    package reads no file."""
+    return circle_double_cover()
+
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
@@ -127,8 +134,8 @@ def endpoint_identity_exact(twist: TwistPath, f: np.ndarray) -> bool:
 
 def cover_element(f: np.ndarray, n: int) -> ModuleElement:
     """The cover samples ``f`` as an element of the correspondence of
-    :data:`COVER` over the size-``n`` base grid."""
-    return ModuleElement(COVER, (f,), n)
+    :func:`cover` over the size-``n`` base grid."""
+    return ModuleElement(cover(), (f,), n)
 
 
 def verify_isometry(twist: TwistPath, f1: np.ndarray,
@@ -190,7 +197,7 @@ def nonisomorphism_witness() -> tuple[int, int]:
     the graphs are not isomorphic even though the correspondence checks in
     this module certify an isomorphism of their bimodules.
     """
-    return circle_two_loops().component_count(), COVER.component_count()
+    return circle_two_loops().component_count(), cover().component_count()
 
 
 def _trig_table(n_samples: int, degree: int = 16) -> np.ndarray:

@@ -35,18 +35,19 @@ identities verified here then cancel to exactly zero in floating point.
 
 Vertex representations are realized as matrices on the span of the paths
 of length at most ``L`` with a fixed source; column ``mu`` is exact (valid)
-iff ``|mu| + (number of creations) <= L``.  Words act on path indices
-through the prepend and strip tables of :class:`TruncatedFock`, stack by
-stack; :meth:`TruncatedFock.word_matrix`, the dense product of the factor
-matrices, is the reference the tests compare against.
+iff ``|mu| + (number of creations) <= L``.  :func:`fock_matrix` builds
+them from the prepend and strip tables of :class:`TruncatedFock`, stack
+by stack; :meth:`TruncatedFock.word_matrix`, the dense product of the
+factor matrices, is the reference the tests compare against.
 
-:func:`reconstruct_module_check` repeats the same chains of products on
-every block of trials, so each layer is split into a structure half and an
-arithmetic half that a block runs: the word pairs of each product and the
+:func:`reconstruct_module_check` checks its identities in the delta basis
+alone: exactly, and by a product-rule residual that compares each word
+product the library forms with the delta-basis product of its factors'
+expansions.  It repeats the same chains of products on every block of
+trials, so each layer is split into a structure half and an arithmetic
+half that a block runs: the word pairs of each product and the
 delta-basis keys, gathers and term pairs are recorded in a :class:`_Plan`
-by one support run of the identity, which no drawn value enters, and
-windows are summed on the matrix entries the words reach, each value
-formed once (:func:`_window_plan`).
+by one support run of the identity, which no drawn value enters.
 """
 from __future__ import annotations
 
@@ -635,11 +636,6 @@ class TruncatedFock:
         self.child_start = 1 + np.cumsum(self.n_children) - self.n_children
         self._plans: dict = {}
 
-    def window_size(self, creations):
-        """Number of columns ``|mu| + creations <= depth`` (a prefix)."""
-        return np.searchsorted(self.lengths, self.depth - creations,
-                               side="right")
-
     def creation_matrix(self, x: ModuleElement) -> np.ndarray:
         M = np.zeros((self.dim, self.dim), dtype=np.complex128)
         M[np.arange(1, self.dim), self.parent[1:]] = x.values[self.first[1:]]
@@ -662,9 +658,9 @@ class TruncatedFock:
             M = M @ self.creation_matrix(y).conj().T
         return M
 
-    def _plan(self, m: int, n: int, ncols: int):
+    def _plan(self, m: int, n: int):
         """Index arrays for words with ``m`` creations and ``n``
-        annihilations on the columns ``0 .. ncols-1``.
+        annihilations.
 
         A column ``mu`` with ``|mu| >= n`` is stripped to a path ``s`` and
         then extended by every ``m``-edge path ``f_1 ... f_m`` that fits in
@@ -674,9 +670,9 @@ class TruncatedFock:
         column behind each entry, the created edges (one array per
         creation, over the entries) and the entries' rows and columns.
         """
-        key = (m, n, ncols)
+        key = (m, n)
         if key not in self._plans:
-            cols = np.arange(np.searchsorted(self.lengths, n), ncols)
+            cols = np.arange(np.searchsorted(self.lengths, n), self.dim)
             cur, stripped = cols, []
             for _ in range(n):
                 stripped.append(self.first[cur])
@@ -726,94 +722,6 @@ def _by_shape(batches) -> dict:
     return groups
 
 
-def _window_plan(focks, shapes, ncols):
-    """How words of the shapes ``(m, n)`` are summed on the columns ``0 ..
-    ncols[i]-1`` of ``focks[i]``.
-
-    An entry of a word's matrix reads one entry of each factor: the
-    stripped edges, the range of the stripped path (for the middle) and
-    the created edges.  Entries that read the same ones have the same
-    value, so a shape's values are formed once per distinct combination,
-    for every space.  Returns per shape the combinations as index arrays
-    (stripped edges, one array per annihilation; ranges; created edges,
-    one array per creation), and per space the rows and columns of the
-    distinct entries its shapes reach and per shape the position among
-    them of each entry of its :meth:`~TruncatedFock._plan`, with the
-    combination that entry reads.
-    """
-    plans = [[f._plan(m, n, k) for m, n in shapes]
-             for f, k in zip(focks, ncols)]
-    combos, reads = [], []
-    for s, (m, n) in enumerate(shapes):
-        sigs = [np.stack([*(e[source] for e in stripped), ranges[source],
-                          *created], axis=-1)
-                for stripped, ranges, source, created, _, _ in
-                (p[s] for p in plans)]
-        uniq, inverse = _unique_rows(np.concatenate(
-            [np.zeros((0, m + n + 1), dtype=np.intp)] + sigs))
-        combos.append((uniq.T[:n], uniq.T[n], uniq.T[n + 1:]))
-        reads.append(_split(inverse, sigs))
-    spaces = []
-    for i, k in enumerate(ncols):
-        codes = [rows * k + cols for *_, rows, cols in plans[i]]
-        entries, inverse = np.unique(
-            np.concatenate([np.zeros(0, dtype=np.intp)] + codes),
-            return_inverse=True)
-        spaces.append((*np.divmod(entries, k), list(zip(
-            _split(inverse, codes), (read[i] for read in reads)))))
-    return combos, spaces
-
-
-def _split(a, parts) -> list:
-    """``a`` cut into pieces as long as the arrays ``parts``."""
-    return np.split(a, np.cumsum([len(p) for p in parts])[:-1])
-
-
-def _unique_rows(a):
-    """The distinct rows of the integer array ``a`` in lexicographic order,
-    and the position among them of each row of ``a``."""
-    order = np.lexsort(a.T[::-1])
-    ordered = a[order]
-    new = np.ones(len(a), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(a), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return ordered[new], inverse
-
-
-def _apply_batches(focks, batches, ncols, plans: dict):
-    """Per space of ``focks``, the entries on its columns ``0 ..
-    ncols[i]-1`` of the matrix of the element with shape stacks
-    ``batches``, per trial: the rows and columns of the entries the shapes
-    reach, and their values ``(trials, entries)``; every other entry is
-    zero.  Each shape's words are summed in order and the shapes added in
-    order, on the combinations of :func:`_window_plan`, kept in
-    ``plans``."""
-    key = (tuple(bt[:2] for bt in batches), tuple(ncols))
-    if key not in plans:
-        plans[key] = _window_plan(focks, *key)
-    combos, spaces = plans[key]
-    sums = []
-    for (m, n, coeffs, lefts, middles, rights), (stripped, ranges, created) \
-            in zip(batches, combos):
-        c = np.repeat(coeffs[..., None], ranges.size, axis=-1)
-        for y, edges in zip(rights, stripped):
-            c = c * y[..., edges].conj()
-        if middles is not None:
-            c = c * middles[..., ranges]
-        for x, edges in zip(lefts, created):
-            c = c * x[..., edges]
-        sums.append(c.sum(axis=1))
-    trials = max((bt[2].shape[0] for bt in batches), default=1)
-    out = []
-    for rows, cols, reads in spaces:
-        values = np.zeros((trials, rows.size), dtype=np.complex128)
-        for total, (pos, combo) in zip(sums, reads):
-            values[:, pos] += total[:, combo]
-        out.append((rows, cols, values))
-    return out
-
-
 #: entries of the largest dense matrix :func:`fock_matrix` builds: 2**24
 #: complex entries take 256 MiB
 MAX_FOCK_ENTRIES = 2**24
@@ -843,10 +751,22 @@ def fock_matrix(elem, v, depth: int) -> FockMatrix:
     if depth < m_max:
         raise SizeLimitError(
             f"depth {depth} below creation length {m_max}; no valid window")
-    (rows, cols, values), = _apply_batches([fock], elem.stacks, [fock.dim],
-                                           {})
     M = np.zeros((fock.dim, fock.dim), dtype=np.complex128)
-    M[rows, cols] = values[0]
+    for m, n, coeffs, lefts, middles, rights in elem.stacks:
+        # each shape's words summed in order on its entries, which are
+        # distinct, and the shapes added in order; each factor goes through
+        # the call _times, so that numpy cannot reuse it as a temporary and
+        # multiply in place as ``factor * c``, which swaps the operands and
+        # can round otherwise
+        stripped, ranges, source, created, rows, cols = fock._plan(m, n)
+        c = np.repeat(coeffs[..., None], rows.size, axis=-1)
+        for y, edges in zip(rights, stripped):
+            c = _times(c, y[..., edges[source]].conj())
+        if middles is not None:
+            c = _times(c, middles[..., ranges[source]])
+        for x, edges in zip(lefts, created):
+            c = _times(c, x[..., edges])
+        M[rows, cols] += c.sum(axis=1)[0]
     valid = fock.lengths + m_max <= depth
     return FockMatrix(matrix=M, valid_cols=valid, fock=fock)
 
@@ -950,23 +870,14 @@ def _live_words(c, ls, mid, rs) -> np.ndarray:
     return live
 
 
-def _creation_bound(batches, trials: int) -> np.ndarray:
-    """Per trial, the largest creation count of a live word, else 0."""
-    out = np.zeros(trials, dtype=np.intp)
-    for m, _, *bt in batches:
-        out = np.maximum(out, m * _live_words(*bt).any(axis=1))
-    return out
-
-
 #: trials stacked at once: a block's Python work is the same at any size, as
 #: the structure of the identities is planned once a call, while a trial's
-#: arrays take up to some 70 kB on the larger fixtures
+#: arrays take up to some 40 kB on the larger fixtures
 TRIAL_BLOCK = 25
 
 
 def reconstruct_module_check(graph: FiniteGraph, trials: int = 100,
-                             tol: float = 1e-12, seed: int = 0,
-                             depth: int = 4) -> Check:
+                             tol: float = 1e-12, seed: int = 0) -> Check:
     """Verify the identities that cut the module back out of the algebra.
 
     For random module elements ``xi``, ``eta`` and coefficients ``a``:
@@ -977,25 +888,28 @@ def reconstruct_module_check(graph: FiniteGraph, trials: int = 100,
           projection: ``C^{n+1}(x) C^{n}(y)* p = 0`` for n = 1, 2;
     (iv)  ``P(a) C(xi) p = C(a . xi) p``.
 
-    Trials are drawn in order and stacked :data:`TRIAL_BLOCK` at a time on
-    a trial axis (:func:`_reconstruction_block`), every trial with the bits
-    of a one-trial run.  The structure of each identity is planned once a
-    call and shared by the blocks: the word pairs of its products and its
-    delta-basis keys, gathers and term pairs in a :class:`_Plan`, recorded
-    by a support run that no block's values choose (:class:`_Shared`);
-    its window residuals on the Fock entries the words reach, each formed
-    once per combination of factor entries it reads
-    (:func:`_window_plan`).  The check returned carries the largest
+    Each identity is checked in the delta basis alone, twice: exactly,
+    where it must cancel to ``0.0``, and by the product rule, where the
+    word product that the library forms of some of its left factors
+    (``p P(a)``, ``C(xi)* C(eta)``, ``P(a) C(xi)``; none for (iii)) must
+    expand to the delta-basis product of those factors' expansions within
+    ``tol``.  Trials are drawn in order and stacked :data:`TRIAL_BLOCK` at
+    a time on a trial axis (:func:`_reconstruction_block`), every trial
+    with the bits of a one-trial run.  The structure of each identity is
+    planned once a call and shared by the blocks: the word pairs of its
+    products and its delta-basis keys, gathers and term pairs in a
+    :class:`_Plan`, recorded by a support run that no block's values
+    choose (:class:`_Shared`).  The check returned carries the largest
     residual and names the first failing identity, or counts them.
     """
     check_trials(trials)
-    shared = _Shared(graph, depth)
+    shared = _Shared(graph)
     rng = np.random.default_rng(seed)
     checks = []
     for start in range(0, trials, TRIAL_BLOCK):
         checks += _reconstruction_block(
             graph, rng, range(start, min(start + TRIAL_BLOCK, trials)),
-            shared, tol, depth)
+            shared, tol)
     first = next((c for c in checks if not c.passed), None)
     return summarize("reconstruction", checks,
                      first.name if first else f"{len(checks)} identities")
@@ -1003,10 +917,8 @@ def reconstruct_module_check(graph: FiniteGraph, trials: int = 100,
 
 class _Shared:
     """What the trial blocks of one :func:`reconstruct_module_check` call
-    share: the Fock spaces at every vertex, the vacuum projection's stacks
-    and expansion, per identity the :class:`_Plan` of its word products
-    and delta-basis steps, and the window plans of :func:`_apply_batches`,
-    filled on first use.
+    share: the vacuum projection's stacks and expansion, and per identity
+    the :class:`_Plan` of its word products and delta-basis steps.
 
     Each identity's plan is recorded by a support run of it: the vacuum
     projection enters with its 0/1 entries (the absolute values of its
@@ -1017,11 +929,9 @@ class _Shared:
     ``x + 0 = x`` leaves every sum, so every residual, bitwise as it is.
     """
 
-    def __init__(self, graph: FiniteGraph, depth: int):
-        self.focks = [TruncatedFock(graph, v, depth) for v in graph.vertices]
+    def __init__(self, graph: FiniteGraph):
         self.p = vacuum_projection(graph).stacks
         self.p_basis = _expand(self.p, graph)
-        self.windows: dict = {}
         p = [(m, n, np.abs(c), *f) for m, n, c, *f in self.p]
         p_basis = (self.p_basis[0], np.abs(self.p_basis[1]))
         v, e = np.ones((1, graph.n_vertices)), np.ones((1, graph.n_edges))
@@ -1036,51 +946,57 @@ def _identities(p, a, xi, eta, fs, ip, axi) -> list:
     projection's stacks ``p`` and ``(trials, *)`` arrays: the coefficient
     ``a``, the module elements ``xi`` and ``eta``, the eight factors ``fs``
     of the annihilate words, ``ip = <xi, eta>`` and ``axi = a . xi``.  Per
-    identity: its name, the factors of both sides, and the slice of left
-    factors that the symbolic side multiplies out first, so that both sides
-    share their floating-point arrays and cancel through 0/1 constants
-    only."""
+    identity: its name, the factors of both sides, the slice of left
+    factors whose word product the product rule checks, or ``None``, and
+    whether the symbolic side takes that word product in place of those
+    factors, so that both sides share their floating-point arrays and
+    cancel through 0/1 constants only."""
     stack = _one_word_stack
     pa, crt_xi = stack(middle=a), stack(left=[xi])
     return [
-        ("commute[{}]", [p, pa], [pa, p], None),
+        ("commute[{}]", [p, pa], [pa, p], slice(0, 2), False),
         ("compress[{}]", [p, stack(right=[xi]), stack(left=[eta]), p],
-         [stack(middle=ip), p], slice(1, 3)),
-        ("annihilate[n=1,{}]", [stack(fs[:2], None, fs[2:3]), p], [[]], None),
-        ("annihilate[n=2,{}]", [stack(fs[3:6], None, fs[6:]), p], [[]], None),
+         [stack(middle=ip), p], slice(1, 3), True),
+        ("annihilate[n=1,{}]", [stack(fs[:2], None, fs[2:3]), p], [[]], None,
+         False),
+        ("annihilate[n=2,{}]", [stack(fs[3:6], None, fs[6:]), p], [[]], None,
+         False),
         ("bimodule[{}]", [pa, crt_xi, p], [stack(left=[axi]), p],
-         slice(0, 2))]
+         slice(0, 2), True)]
 
 
-def _identity_run(lhs, rhs, pre, p, p_basis, graph: FiniteGraph,
+def _identity_run(lhs, rhs, rule, substitute, p, p_basis, graph: FiniteGraph,
                   plan: _Plan):
-    """The word products of the factors ``lhs`` and ``rhs`` of an
-    identity's sides, each chain by :func:`_batch_product` in turn, and
-    per trial its delta-basis residual, each side's factors expanded
-    (``p`` by ``p_basis``) and multiplied in turn, the left factors
-    ``pre`` by their word product; every step on ``plan``."""
-    def words(factors):
+    """Per trial, an identity's delta-basis residual and its product-rule
+    residual (0.0 with no ``rule``): each side's factors ``lhs`` and
+    ``rhs`` expanded (``p`` by ``p_basis``) and multiplied in turn, and
+    the expansion of the word product of the left factors ``rule``, formed
+    by :func:`_batch_product`, against the delta-basis product of theirs.
+    The left side takes that word product in their place if ``substitute``,
+    and their delta-basis product otherwise; every step on ``plan``."""
+    def expand(factors):
+        return [p_basis if f is p else _expand(f, graph, plan)
+                for f in factors]
+
+    def basis(expansions):
         return functools.reduce(
-            lambda b1, b2: _batch_product(b1, b2, graph, plan), factors)
+            lambda e1, e2: _basis_multiply(e1, e2, graph, plan), expansions)
+    sym = expand(lhs)
+    residual = 0.0
+    if rule is not None:
+        words = _expand(functools.reduce(
+            lambda b1, b2: _batch_product(b1, b2, graph, plan), lhs[rule]),
+            graph, plan)
+        product = basis(sym[rule])
+        residual = _basis_residual(words, product, plan)
+        sym[rule] = [words if substitute else product]
+    return _basis_residual(basis(sym), basis(expand(rhs)), plan), residual
 
-    def basis(factors):
-        return functools.reduce(
-            lambda e1, e2: _basis_multiply(e1, e2, graph, plan),
-            [p_basis if f is p else _expand(f, graph, plan) for f in factors])
-    sides = words(lhs), words(rhs)
-    sym = list(lhs)
-    if pre:
-        sym[pre] = [words(lhs[pre])]
-    return (*sides, _basis_residual(basis(sym), basis(rhs), plan))
 
-
-def _reconstruction_block(graph, rng, block, shared: _Shared, tol, depth):
-    """The checks of trials ``block`` stacked on a trial axis: exact in the
-    delta basis, and at every vertex on a trial's window ``|mu| + m_max <=
-    depth`` of ``lhs - rhs`` (``m_max`` by :func:`_creation_bound`; below it
-    ``SizeLimitError`` names the first identity in trial order).  Each
-    identity's residuals are finished before the next one's stacks are
-    formed."""
+def _reconstruction_block(graph, rng, block, shared: _Shared, tol):
+    """The checks of trials ``block`` stacked on a trial axis: a trial's
+    identity passes when its delta-basis residual is ``0.0`` and its
+    product-rule residual at most ``tol``, and carries the larger."""
     # per trial: a, xi, eta, the words' factors, as modules.random_* draw them
     nv, ne = graph.n_vertices, graph.n_edges
     z = rng.standard_normal((len(block), 2 * nv + 20 * ne))
@@ -1093,28 +1009,9 @@ def _reconstruction_block(graph, rng, block, shared: _Shared, tol, depth):
 
     sym = np.zeros((len(block), len(identities)))
     num = np.zeros_like(sym)
-    overflow = []       # per identity: (first trial, identity, bound)
     for i, ((_, *sides), plan) in enumerate(zip(identities, shared.plans)):
-        lhs, rhs, sym[:, i] = _identity_run(
+        sym[:, i], num[:, i] = _identity_run(
             *sides, shared.p, shared.p_basis, graph, plan.replay())
-        diff = _concat_batches(lhs + [(m, n, -c, *f) for m, n, c, *f in rhs])
-        bound = _creation_bound(diff, len(block))
-        over = np.flatnonzero(bound > depth)
-        if over.size:
-            overflow.append((over[0], i, bound[over[0]]))
-        if overflow:
-            continue
-        ncols = [fock.window_size(bound) for fock in shared.focks]
-        for (_, cols, values), k in zip(_apply_batches(
-                shared.focks, diff, [k.max() for k in ncols],
-                shared.windows), ncols):
-            res = np.where(cols < k[:, None], np.abs(values), 0.0)
-            num[:, i] = np.fmax(num[:, i], res.max(axis=1, initial=0.0))
-    if overflow:
-        t, i, b = min(overflow)
-        raise SizeLimitError(
-            f"identity {identities[i][0].format(block[t])}: depth {depth} "
-            f"below creation length {b}; no valid window")
     return [Check(name.format(t), s == 0.0 and r <= tol, max(s, r))
             for t, sym_t, num_t in zip(block, sym.tolist(), num.tolist())
             for (name, *_), s, r in zip(identities, sym_t, num_t)]

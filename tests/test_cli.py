@@ -136,6 +136,27 @@ def test_import_does_not_load_scipy():
                    env=env, check=True)
 
 
+def test_import_opens_no_fixture_file():
+    # a missing package-data file must not break every command, --help
+    # included: the fixtures are read on first use, not at import
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = (
+        "import os, sys\n"
+        "opened = []\n"
+        "sys.addaudithook(lambda event, args: opened.append(args[0])\n"
+        "                 if event == 'open' else None)\n"
+        "import graphcorr.cli\n"
+        "folder = os.path.dirname(os.path.realpath(\n"
+        "    graphcorr.fixtures.fixture_path('fibonacci')))\n"
+        "print([p for p in map(os.fsdecode, (p for p in opened\n"
+        "                                   if not isinstance(p, int)))\n"
+        "       if os.path.dirname(os.path.realpath(p)) == folder])\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
+
+
 @pytest.mark.parametrize("measure", ['{"a":NaN,"b":1}', '{"a":"x"}',
                                      "[1,2]"])
 def test_malformed_measure_is_input_error(measure, capsys):
@@ -271,14 +292,19 @@ def test_bump_frame_without_two_support_points_is_input_error(grid_n,
 
 
 def test_reconstruction_window_must_hold_every_identity(capsys):
-    # the annihilate[n=2] words create three edges
+    # no truncation window bounds what is checked: the annihilate[n=2]
+    # words, which create three edges, are checked in the delta basis with
+    # the rest, and the residual is the product rule's
     argv = ("fock", "reconstruct-check", FIB, "--trials", "5")
-    assert run(*argv, "--depth", "2") == 1
-    out = capsys.readouterr().out
-    assert "FAIL  domain" in out and "annihilate[n=2,0]: depth 2" in out
-    assert run(*argv, "--depth", "3") == 0
-    assert "PASS  reconstruction  residual 1.831e-15" \
+    assert run(*argv) == 0
+    assert "PASS  reconstruction  residual 1.144e-16  (25 identities)" \
         in capsys.readouterr().out
+
+
+def test_reconstruction_takes_no_depth(capsys):
+    # the depth of the Fock windows went with them
+    assert run("fock", "reconstruct-check", FIB, "--depth", "4") == 2
+    assert "unrecognized arguments: --depth 4" in capsys.readouterr().err
 
 
 def test_transport_on_a_graph_with_no_edges(capsys):

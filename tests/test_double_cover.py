@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from graphcorr import double_cover
-from graphcorr.double_cover import (COVER, SWAP, VerificationReport,
-                                    _trig_table, build_twist, cover_element,
-                                    endpoint_identity_exact,
+from graphcorr.double_cover import (SWAP, VerificationReport,
+                                    _trig_table, build_twist, cover,
+                                    cover_element, endpoint_identity_exact,
                                     nonisomorphism_witness, random_trig_poly,
                                     rho_map, run_verification,
                                     surjectivity_solve, verify_bimodule,
@@ -165,7 +165,7 @@ def test_module_layer_matches_bare_array_formulas(n):
     # the double-cover formulas on bare sample arrays are the oracle for
     # the module layer on the fixture: w = e^{i pi j / N} lies over base
     # index j mod N, and the branches over t_j are samples j and j + N
-    assert graph_to_dict(COVER) == graph_to_dict(circle_double_cover())
+    assert graph_to_dict(cover()) == graph_to_dict(circle_double_cover())
     rng = np.random.default_rng(n)
     j, jj = np.arange(n), np.arange(2 * n)
     for _ in range(5):
@@ -173,7 +173,7 @@ def test_module_layer_matches_bare_array_formulas(n):
         f2 = random_trig_poly(rng, 2 * n, degree=3)
         a = random_trig_poly(rng, n, degree=3)
         x1, x2 = cover_element(f1, n), cover_element(f2, n)
-        base = VertexFunction(COVER, a, n)
+        base = VertexFunction(cover(), a, n)
         assert np.array_equal(
             inner_product(x1, x2).values,
             f1[j].conj() * f2[j] + f1[j + n].conj() * f2[j + n])

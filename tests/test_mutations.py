@@ -1,0 +1,64 @@
+"""The suite can fail: each row patches one library binding, on every
+module that imports it, and names the criterion whose checks must then
+fail."""
+import inspect
+import sys
+import textwrap
+
+import pytest
+
+from graphcorr import modules, suite, toeplitz
+
+
+def _everywhere(monkeypatch, module, name, patched):
+    """Set ``name`` to ``patched`` on every graphcorr module that holds
+    ``module``'s binding of it."""
+    original = getattr(module, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.partition(".")[0] == "graphcorr" \
+                and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, patched)
+
+
+def _edited(module, name, old, new):
+    """``module.name`` recompiled from its source with the one occurrence
+    of ``old`` replaced by ``new``, in a copy of the module's namespace."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"),
+         namespace)
+    return namespace[name]
+
+
+def _on_result(f, change):
+    """``f`` with ``change`` applied to its result, ``None`` kept."""
+    def patched(*args, **kwargs):
+        out = f(*args, **kwargs)
+        return None if out is None else change(out)
+    return patched
+
+
+# per row: the module and name of the binding, its patched value from the
+# original, and the criterion that must fail
+ROWS = {
+    "tensor-inner-scaled": (
+        modules, "_tensor_inner",
+        lambda f: _on_result(f, lambda c: c * (1 + 1e-10)), 5),
+    "tensor-inner-conjugated": (
+        modules, "_tensor_inner", lambda f: _on_result(f, lambda c: c.conj()),
+        5),
+    "cmul-imaginary-sign": (
+        toeplitz, "_cmul", lambda f: _on_result(f, lambda c: c.conj()), 5),
+    "reduce-unconjugated-middle": (
+        toeplitz, "_reduce",
+        lambda f: _edited(toeplitz, "_reduce", "b.conj()", "b"), 5),
+}
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_criterion_fails_under_mutation(row, monkeypatch):
+    module, name, mutate, criterion = ROWS[row]
+    _everywhere(monkeypatch, module, name, mutate(getattr(module, name)))
+    checks = suite.run_criterion(criterion, 0)
+    assert not all(c.passed for c in checks), [c.name for c in checks]

@@ -1,3 +1,4 @@
+import functools
 import json
 import tracemalloc
 import types
@@ -23,8 +24,8 @@ from graphcorr.report import Check, summarize
 from graphcorr.serialize import element_to_json, word_from_dict
 from graphcorr.suite import RECONSTRUCT_FIXTURES, relabeled_copy
 from graphcorr.toeplitz import (ToeplitzElement, TruncatedFock, Word,
-                                _apply_batches, _basis_multiply,
-                                _batch_product, _concat_batches, _expand,
+                                _basis_multiply, _batch_product,
+                                _concat_batches, _expand,
                                 delta_basis_multiply, element_delta_basis,
                                 fock_matrix, gauge_scale,
                                 iota_word, pi_word, reconstruct_module_check,
@@ -477,7 +478,8 @@ def test_fock_matrix_matches_dense_word_products(name, depth):
 
 @pytest.mark.parametrize("name", RECONSTRUCT_FIXTURES)
 def test_window_columns_match_full_matrix(name):
-    # the reconstruction check evaluates only the valid window columns
+    # the tests' window sums, the word route's numeric oracle, agree with
+    # fock_matrix on the valid window columns
     g = FINITE_FIXTURES[name]()
     rng = np.random.default_rng(13)
     for v in g.vertices:
@@ -485,32 +487,53 @@ def test_window_columns_match_full_matrix(name):
         e = _mixed_element(g, rng, n_words=6)
         fm = fock_matrix(e, v, 4)
         m_max = max(w.creations for w in e.words)
-        window = _dense(f, e.stacks, f.window_size(m_max))
+        window = _dense(f, e.stacks, _window_size(f, m_max))
         assert np.array_equal(window[0], fm.matrix[:, fm.valid_cols])
 
 
+def _window_size(fock, creations) -> int:
+    """Number of columns ``|mu| + creations <= depth`` (a prefix)."""
+    return int(np.count_nonzero(fock.lengths + creations <= fock.depth))
+
+
 def _dense(fock, batches, ncols):
-    """The matrices ``(trials, dim, ncols)`` whose entries
-    :func:`_apply_batches` gives, zero elsewhere."""
-    (rows, cols, values), = _apply_batches([fock], batches, [ncols], {})
-    out = np.zeros((len(values), fock.dim, ncols), dtype=np.complex128)
-    out[:, rows, cols] = values
-    return out
+    """The matrices ``(trials, dim, ncols)`` of the trial-stacked shape
+    stacks ``batches`` on the columns ``0 .. ncols-1`` of ``fock``: each
+    shape's words summed in order on the entries of ``fock``'s plan for
+    it, which are distinct, and the shapes added in order; every factor
+    passed through ``_times``, as :func:`fock_matrix` does, so that numpy
+    never multiplies a large temporary in place with the operands swapped,
+    which rounds otherwise."""
+    trials = max((bt[2].shape[0] for bt in batches), default=1)
+    out = np.zeros((trials, fock.dim, fock.dim), dtype=np.complex128)
+    for m, n, coeffs, lefts, middles, rights in batches:
+        stripped, ranges, source, created, rows, cols = fock._plan(m, n)
+        c = np.repeat(coeffs[..., None], rows.size, axis=-1)
+        for y, edges in zip(rights, stripped):
+            c = toeplitz._times(c, y[..., edges[source]].conj())
+        if middles is not None:
+            c = toeplitz._times(c, middles[..., ranges[source]])
+        for x, edges in zip(lefts, created):
+            c = toeplitz._times(c, x[..., edges])
+        out[:, rows, cols] += c.sum(axis=1)
+    return out[:, :, :ncols]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(g=finite_graphs(), seed=st.integers(0, 2 ** 32 - 1))
-def test_apply_batches_matches_word_matrices_on_generated_graphs(g, seed):
+def test_fock_matrix_matches_word_matrices_on_generated_graphs(g, seed):
     # the deepest truncation up to 3 whose basis stays small enough for
-    # dense factor matrices
+    # dense factor matrices, on the words that it holds
     rng = np.random.default_rng(seed)
     e = _mixed_element(g, rng, n_words=6)
     for v in g.vertices:
         f = next(f for f in (TruncatedFock(g, v, d) for d in (3, 2, 1, 0))
                  if f.dim <= 120)
-        dense = sum((f.word_matrix(w) for w in e.words),
+        held = ToeplitzElement(g, [w for w in e.words
+                                   if w.creations <= f.depth])
+        dense = sum((f.word_matrix(w) for w in held.words),
                     np.zeros((f.dim, f.dim)))
-        got = _dense(f, e.stacks, f.dim)[0]
+        got = fock_matrix(held, v, f.depth).matrix
         scale = max(np.max(np.abs(dense)), 1.0)
         assert np.max(np.abs(got - dense)) <= 1e-12 * scale
 
@@ -550,10 +573,10 @@ def _scan_multiply(m1, m2, graph):
     return {k: v for k, v in out.items() if v != 0}
 
 
-def _loop_expansion(elem):
-    """The delta-basis expansion as a loop of scalar complex products, word
-    by word, vertex by vertex and path by path, entering nonzero terms."""
-    graph = elem.graph
+def _loop_expansion(graph, words):
+    """The delta-basis expansion of a list of words over ``graph`` as a
+    loop of scalar complex products, word by word, vertex by vertex and
+    path by path, entering nonzero terms."""
     paths: dict = {}
 
     def paths_from(vi, k):
@@ -562,7 +585,7 @@ def _loop_expansion(elem):
         return paths[vi, k]
 
     out: dict = {}
-    for w in elem.words:
+    for w in words:
         mid = w.middle.values if w.middle is not None else None
         for vi in range(graph.n_vertices):
             rts = paths_from(vi, len(w.right))
@@ -614,7 +637,7 @@ def test_expansion_and_product_match_loop_oracle(name):
     for _ in range(6):
         elems = [_random_element(g, rng, n_words=3),
                  _sparse_element(g, rng, n_words=6)]
-        want = [_loop_expansion(e) for e in elems]
+        want = [_loop_expansion(g, e.words) for e in elems]
         for e, w in zip(elems, want):
             got = element_delta_basis(e)
             _assert_bits_on(got, w)
@@ -698,60 +721,92 @@ def _word_product(factors) -> list:
     return out if out is not None else []
 
 
-def _word_route_reconstruct(graph, trials, tol, seed, depth=4):
-    """``reconstruct_module_check`` with its numeric side evaluated on the
-    merged ``lhs - rhs`` of Word products, all word lists: no element
-    operation of the library merges them."""
-    checks = _word_route_checks(graph, trials, tol, seed, depth)
+def _word_route_reconstruct(graph, trials, tol, seed):
+    """``reconstruct_module_check`` by the word route: products of word
+    lists by :func:`_oracle_multiply`, expansions by :func:`_loop_expansion`
+    and their products by :func:`_scan_multiply`, with no element
+    operation of the library merging them."""
+    checks = _word_route_checks(graph, trials, tol, seed)
     first = next((c for c in checks if not c.passed), None)
     return summarize("reconstruction", checks,
                      first.name if first else f"{len(checks)} identities")
 
 
-def _word_route_checks(graph, trials, tol, seed, depth=4):
-    """The per-trial checks of :func:`_word_route_reconstruct`."""
+def _word_route_identities(graph, trials, seed):
+    """Per trial, the identities of ``reconstruct_module_check`` on word
+    lists, drawn as it draws them: the name, the factors of both sides, the
+    slice of left factors whose product the product rule checks, or
+    ``None``, and whether the symbolic side takes that product in their
+    place."""
     rng = np.random.default_rng(seed)
     p = list(vacuum_projection(graph).words)
-    checks = []
-    focks = [TruncatedFock(graph, v, depth) for v in graph.vertices]
-
-    def record(name, lhs_factors, rhs_factors, sym_lhs=None):
-        sym = delta_basis_residual(*(
-            basis_product([ToeplitzElement(graph, f) for f in factors], graph)
-            for factors in (sym_lhs or lhs_factors, rhs_factors)))
-        diff = _merged(_word_product(lhs_factors) + _rescaled_words(
-            _word_product(rhs_factors), lambda w: -1.0))
-        m_max = max((w.creations for w in diff), default=0)
-        num = 0.0
-        if m_max <= depth:
-            # stacked by shape as they stand: _word_stacks merges nothing
-            stacks = toeplitz._word_stacks(diff)[0]
-            for fock in focks:
-                window = _dense(fock, stacks, fock.window_size(m_max))
-                num = max(num, float(np.max(np.abs(window))))
-        checks.append(Check(name, sym == 0.0 and num <= tol, max(sym, num)))
-
     for t in range(trials):
         a = random_vertex_function(graph, rng)
         xi = random_module_element(graph, rng)
         eta = random_module_element(graph, rng)
         pa = [pi_word(a)]
-        record(f"commute[{t}]", [p, pa], [pa, p])
-        ann_xi = [word(1.0, (), None, (xi,))]
-        crt_eta = [iota_word(eta)]
-        rhs0 = [pi_word(inner_product(xi, eta))]
-        record(f"compress[{t}]", [p, ann_xi, crt_eta, p], [rhs0, p],
-               sym_lhs=[p, _word_product([ann_xi, crt_eta]), p])
+        yield f"commute[{t}]", [p, pa], [pa, p], slice(0, 2), False
+        yield (f"compress[{t}]",
+               [p, [word(1.0, (), None, (xi,))], [iota_word(eta)], p],
+               [[pi_word(inner_product(xi, eta))], p], slice(1, 3), True)
         for n in (1, 2):
             xs = tuple(random_module_element(graph, rng) for _ in range(n + 1))
             ys = tuple(random_module_element(graph, rng) for _ in range(n))
-            record(f"annihilate[n={n},{t}]", [[word(1.0, xs, None, ys)], p],
-                   [[]])
-        crt_xi = [iota_word(xi)]
-        crt_axi = [iota_word(left_action(a, xi))]
-        record(f"bimodule[{t}]", [pa, crt_xi, p], [crt_axi, p],
-               sym_lhs=[_word_product([pa, crt_xi]), p])
+            yield (f"annihilate[n={n},{t}]", [[word(1.0, xs, None, ys)], p],
+                   [[]], None, False)
+        yield (f"bimodule[{t}]", [pa, [iota_word(xi)], p],
+               [[iota_word(left_action(a, xi))], p], slice(0, 2), True)
+
+
+def _residual(m1: dict, m2: dict) -> float:
+    """Largest ``|coefficient|`` of the difference of two expansions."""
+    return max((abs(m1.get(k, 0) - m2.get(k, 0)) for k in m1.keys() | m2),
+               default=0.0)
+
+
+def _word_route_checks(graph, trials, tol, seed):
+    """The per-trial checks of :func:`_word_route_reconstruct`: the exact
+    residual of the two sides' expansions, and the product-rule residual
+    of the expanded word product against the product of the expansions."""
+    def expand(words):
+        return _loop_expansion(graph, words)
+
+    def times(expansions):
+        return functools.reduce(lambda m1, m2: _scan_multiply(m1, m2, graph),
+                                expansions)
+    checks = []
+    for name, lhs, rhs, rule, substitute in _word_route_identities(
+            graph, trials, seed):
+        sym = [expand(f) for f in lhs]
+        num = 0.0
+        if rule is not None:
+            words, prod = expand(_word_product(lhs[rule])), times(sym[rule])
+            num = _residual(words, prod)
+            sym[rule] = [words if substitute else prod]
+        res = _residual(times(sym), times([expand(f) for f in rhs]))
+        checks.append(Check(name, res == 0.0 and num <= tol, max(res, num)))
     return checks
+
+
+@pytest.mark.parametrize("name", RECONSTRUCT_FIXTURES)
+def test_word_route_windows_hold_every_identity(name):
+    # the old numeric side, kept as an oracle: the merged lhs - rhs of the
+    # word route's whole-side products, at every vertex, on the window
+    # |mu| + m_max <= 4 (the annihilate[n=2] words create three edges)
+    g = FINITE_FIXTURES[name]()
+    focks = [TruncatedFock(g, v, 4) for v in g.vertices]
+    worst = 0.0
+    for _, lhs, rhs, *_ in _word_route_identities(g, trials=20, seed=0):
+        diff = _merged(_word_product(lhs) + _rescaled_words(
+            _word_product(rhs), lambda w: -1.0))
+        m_max = max((w.creations for w in diff), default=0)
+        assert m_max <= 3
+        # stacked by shape as they stand: _word_stacks merges nothing
+        stacks = toeplitz._word_stacks(diff)[0]
+        for fock in focks:
+            window = _dense(fock, stacks, _window_size(fock, m_max))
+            worst = max(worst, float(np.max(np.abs(window), initial=0.0)))
+    assert 0.0 < worst <= 1e-12
 
 
 def _zero_draw(calls, edges=slice(None), draw_element=random_module_element):
@@ -795,11 +850,11 @@ class _ZeroedDraw:
 
 
 def test_each_trial_reads_its_own_window(monkeypatch):
-    # trial 1 then creates nothing and reads every column, trial 0 creates
-    # three edges and reads a narrower window; both give the word route's
+    # trial 1's annihilate[n=2] word is zero and trial 0's is not; stacked
+    # in one block, each trial still gives the word route's checks
     g = fibonacci()
     checks = toeplitz._reconstruction_block(
-        g, _ZeroedDraw(g, 0), range(2), toeplitz._Shared(g, 4), 1e-12, 4)
+        g, _ZeroedDraw(g, 0), range(2), toeplitz._Shared(g), 1e-12)
     monkeypatch.setitem(globals(), "random_module_element", _zero_draw({15}))
     assert summarize("reconstruction", checks, "10 identities") \
         == _word_route_reconstruct(g, trials=2, tol=1e-12, seed=0)
@@ -820,6 +875,24 @@ def test_reconstruction_memory_stays_pinned(name, peak_mb):
     finally:
         tracemalloc.stop()
     assert peak <= peak_mb * 1e6
+
+
+def test_reconstruction_memory_at_scale():
+    # a seeded random graph of 160 vertices and 320 edges at one trial: the
+    # delta basis alone peaks at about 35 MB traced, where Fock windows on
+    # the whole sides' word products took 1.1 GB
+    rng = np.random.default_rng(320)
+    vs = [f"v{i}" for i in range(160)]
+    ends = rng.integers(160, size=(2, 320))
+    g = FiniteGraph(vs, [f"e{j}" for j in range(320)],
+                    [vs[i] for i in ends[0]], [vs[i] for i in ends[1]])
+    tracemalloc.start()
+    try:
+        assert reconstruct_module_check(g, trials=1).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
 
 
 @pytest.mark.parametrize("element, first_vertex_only", [(2, False),
@@ -955,7 +1028,7 @@ def test_expansion_and_product_match_loop_oracle_on_generated_graphs(g,
     rng = np.random.default_rng(seed)
     elems = [ToeplitzElement(g, [_drawn_word(g, rng) for _ in range(3)])
              for _ in range(2)]
-    want = [_loop_expansion(e) for e in elems]
+    want = [_loop_expansion(g, e.words) for e in elems]
     for e, w in zip(elems, want):
         got = element_delta_basis(e)
         _assert_bits_on(got, w)
