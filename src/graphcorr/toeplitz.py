@@ -20,10 +20,9 @@ words)`` and factor arrays ``(trials, words, *)``.  A
 places of their words in word order; its operations and the readers
 below work on the stacks, and :class:`Word` records are formed only for
 ``words``: the JSON boundary, norm bounds and the oracles.
-:func:`_pair_product` multiplies two stacks on given word pairs, for
-the element product and :func:`word_multiply` on all pairs in loop order
-and for :func:`_batch_product` on the pairs that a recorded run finds
-nonzero, or on all pairs as broadcast views, for that run's mask.
+:func:`_pair_product` multiplies two stacks on every word pair, pair
+``(i, j)`` at word ``i * k2 + j``, for the element product,
+:func:`word_multiply` and :func:`_batch_product` alike.
 Stacks and delta-basis expansions carry a leading trial axis, each row
 with the bits of a one-trial run: numpy's complex array product is the
 same at every shape, and coefficients and expansions multiply by parts,
@@ -45,9 +44,9 @@ alone: exactly, and by a product-rule residual that compares each word
 product the library forms with the delta-basis product of its factors'
 expansions.  It repeats the same chains of products on every block of
 trials, so each layer is split into a structure half and an arithmetic
-half that a block runs: the word pairs of each product and the
-delta-basis keys, gathers and term pairs are recorded in a :class:`_Plan`
-by one support run of the identity, which no drawn value enters.
+half that a block runs: the delta-basis keys, gathers and term pairs
+are recorded in a :class:`_Plan` by one support run of the identity,
+which no drawn value enters.
 """
 from __future__ import annotations
 
@@ -64,7 +63,7 @@ from .modules import (ModuleElement, VertexFunction, _tensor_inner,
                       inner_product, left_action, module_norm,
                       random_module_element, random_vertex_function,
                       right_action)
-from .report import Check, summarize
+from .report import Check
 
 __all__ = [
     "Word", "ToeplitzElement", "word", "pi_word", "iota_word",
@@ -153,8 +152,7 @@ def word_multiply(w1: Word, w2: Word):
         raise MismatchError("words live over different graphs")
     if g is not None and not isinstance(g, FiniteGraph):
         raise FormatError("the word algebra is defined for finite graphs")
-    bt = _pair_product(_word_stacks([w1])[0][0], _word_stacks([w2])[0][0], g,
-                       ([0], [0]))
+    bt = _pair_product(_word_stacks([w1])[0][0], _word_stacks([w2])[0][0], g)
     return _row_word(g, bt, 0) if _live_words(*bt[2:])[0, 0] else None
 
 
@@ -256,9 +254,8 @@ class ToeplitzElement:
         pairs = list(product(zip(self.stacks, self.positions),
                              zip(other.stacks, other.positions)))
         return ToeplitzElement._of(
-            self.graph, [_pair_product(bt1, bt2, self.graph, np.divmod(
-                np.arange(len(at1) * len(at2)), len(at2)))
-                for (bt1, at1), (bt2, at2) in pairs],
+            self.graph, [_pair_product(bt1, bt2, self.graph)
+                         for (bt1, _), (bt2, _) in pairs],
             [[p1 * k + p2 for p1 in at1 for p2 in at2]
              for (_, at1), (_, at2) in pairs])
 
@@ -415,10 +412,10 @@ def _cmul(a, b):
 
 
 class _Plan:
-    """The structure of a chain of word products and delta-basis steps:
-    recorded in call order while the chain runs the first time, each
-    :meth:`step` keeping what it builds from keys, shapes and the zero
-    masks of that run, and replayed in that order after :meth:`replay`."""
+    """The structure of a chain of delta-basis steps: recorded in call
+    order while the chain runs the first time, each :meth:`step` keeping
+    what it builds from keys, shapes and the zero masks of that run, and
+    replayed in that order after :meth:`replay`."""
 
     def __init__(self):
         self.steps: list = []
@@ -790,64 +787,44 @@ def vacuum_projection_checks(graph: FiniteGraph, depth: int) -> list:
             Check("rank-one", exact, 0.0 if exact else 1.0)]
 
 
-def _batch_product(batches1, batches2, graph: FiniteGraph,
-                   plan: _Plan | None = None) -> list:
+def _batch_product(batches1, batches2, graph: FiniteGraph) -> list:
     """The shape stacks of ``e1 * e2`` from those of ``e1`` and ``e2``,
     trial by trial (a one-trial operand serves every trial): each pair of
-    stacks gives a stack of its word pairs whose products are nonzero in
-    some trial of the run that records ``plan`` (as through orthogonal
-    deltas), in pair order, by :func:`_pair_product`, so every row is
-    bitwise the product of its two words that the element product forms;
-    none merged.  A replay forms those pairs, zero or not."""
-    plan = plan or _Plan()
-    return _concat_batches([
-        _pair_product(bt1, bt2, graph, plan.step(_live_pairs, bt1, bt2, graph))
-        for bt1, bt2 in product(batches1, batches2)])
+    stacks gives the stack of all its word pairs by :func:`_pair_product`,
+    so every row is bitwise the product of its two words that the element
+    product forms, zero or not; none merged."""
+    return _concat_batches([_pair_product(bt1, bt2, graph)
+                            for bt1, bt2 in product(batches1, batches2)])
 
 
-def _pair_product(bt1, bt2, graph: FiniteGraph, pairs=None) -> tuple:
-    """The stack of the products of the words of two stacks on the word
-    pairs ``pairs`` or, given none, on all pairs as :func:`_on_pairs`'s
-    broadcast views: factors by :func:`_reduce` and coefficients by
-    :func:`_cmul`, zero products kept."""
-    left, middle, right = _stack_product(bt1, bt2, graph, pairs)
-    c = _cmul(_on_pairs(bt1[2], bt1, bt2, True, pairs),
-              _on_pairs(bt2[2], bt1, bt2, False, pairs))
-    return len(left), len(right), c, left, middle, right
+def _pair_product(bt1, bt2, graph: FiniteGraph) -> tuple:
+    """The stack of the products of every word ``i`` of ``bt1`` with every
+    word ``j`` of ``bt2``, pair ``(i, j)`` at word ``i * k2 + j``, read out
+    of :func:`_stack_product`'s broadcast views: factors by :func:`_reduce`
+    and coefficients by :func:`_cmul`, zero products kept."""
+    c = _cmul(bt1[2][:, :, None], bt2[2][:, None])
+    rows = (len(c), c.shape[1] * c.shape[2])
+
+    def flat(a):
+        return np.broadcast_to(a, c.shape + a.shape[3:]).reshape(
+            rows + a.shape[3:])
+    left, middle, right = _stack_product(bt1, bt2, graph)
+    return (len(left), len(right), flat(c), [flat(x) for x in left],
+            None if middle is None else flat(middle), [flat(y) for y in right])
 
 
-def _live_pairs(bt1, bt2, graph: FiniteGraph):
-    """The word pairs ``(i, j)`` of two stacks whose products are nonzero
-    in some trial."""
-    live = _live_words(*_pair_product(bt1, bt2, graph)[2:]).any(axis=0)
-    return np.divmod(np.flatnonzero(live), bt2[2].shape[1])
-
-
-def _stack_product(bt1, bt2, graph: FiniteGraph, pairs=None):
+def _stack_product(bt1, bt2, graph: FiniteGraph):
     """The factors ``(left, middle, right)`` by :func:`_reduce` of the
-    products of the words of two stacks, on :func:`_on_pairs`'s word
-    pairs, zero words kept."""
+    products of every word of ``bt1`` with every word of ``bt2``, zero
+    words kept: the stacks enter as views ``(trials, k1, 1, *)`` and
+    ``(trials, 1, k2, *)``, which meet on pair ``(i, j)`` at ``[:, i, j]``
+    by broadcasting, with no copy (a one-trial stack serves every trial)."""
     return _reduce(*(
-        ([_on_pairs(a, bt1, bt2, first, pairs) for a in ls],
-         None if mid is None else _on_pairs(mid, bt1, bt2, first, pairs),
-         [_on_pairs(a, bt1, bt2, first, pairs) for a in rs])
-        for (_, _, _, ls, mid, rs), first in ((bt1, True), (bt2, False))),
+        ([view(a) for a in ls], None if mid is None else view(mid),
+         [view(a) for a in rs])
+        for (_, _, _, ls, mid, rs), view in (
+            (bt1, lambda a: a[:, :, None]), (bt2, lambda a: a[:, None]))),
         graph)
-
-
-def _on_pairs(a, bt1, bt2, first: bool, pairs=None) -> np.ndarray:
-    """An array ``(trials, words, *)`` of the stack ``bt1`` (``first``) or
-    ``bt2`` on the word pairs ``w`` of their product, ``(pairs[0][w],
-    pairs[1][w])``, and on both stacks' trials (a one-trial stack serves
-    every trial).  Without ``pairs``, on all pairs: a view ``(trials, k1,
-    1, *)`` or ``(trials, 1, k2, *)``, which meets the other stack's view
-    on pair ``(i, j)`` at ``[:, i, j]`` by broadcasting, with no copy."""
-    if pairs is None:
-        return a[:, :, None] if first else a[:, None]
-    a = a[:, pairs[0 if first else 1]]
-    trials = max(len(bt1[2]), len(bt2[2]))
-    return a if len(a) == trials else np.broadcast_to(
-        a, (trials,) + a.shape[1:])
 
 
 def _one_word_stack(left=(), middle=None, right=()) -> list:
@@ -896,36 +873,40 @@ def reconstruct_module_check(graph: FiniteGraph, trials: int = 100,
     ``tol``.  Trials are drawn in order and stacked :data:`TRIAL_BLOCK` at
     a time on a trial axis (:func:`_reconstruction_block`), every trial
     with the bits of a one-trial run.  The structure of each identity is
-    planned once a call and shared by the blocks: the word pairs of its
-    products and its delta-basis keys, gathers and term pairs in a
-    :class:`_Plan`, recorded by a support run that no block's values
-    choose (:class:`_Shared`).  The check returned carries the largest
+    planned once a call and shared by the blocks: its delta-basis keys,
+    gathers and term pairs in a :class:`_Plan`, recorded by a support run
+    that no block's values choose (:class:`_Shared`).  A trial's identity
+    passes when its delta-basis residual is ``0.0`` and its product-rule
+    residual at most ``tol``.  The check returned carries the largest
     residual and names the first failing identity, or counts them.
     """
     check_trials(trials)
     shared = _Shared(graph)
     rng = np.random.default_rng(seed)
-    checks = []
-    for start in range(0, trials, TRIAL_BLOCK):
-        checks += _reconstruction_block(
-            graph, rng, range(start, min(start + TRIAL_BLOCK, trials)),
-            shared, tol)
-    first = next((c for c in checks if not c.passed), None)
-    return summarize("reconstruction", checks,
-                     first.name if first else f"{len(checks)} identities")
+    sym, num = map(np.concatenate, zip(*[
+        _reconstruction_block(graph, rng, min(TRIAL_BLOCK, trials - start),
+                              shared)
+        for start in range(0, trials, TRIAL_BLOCK)]))
+    failed = np.flatnonzero((sym != 0.0) | ~(num <= tol))
+    detail = f"{sym.size} identities"
+    if failed.size:
+        t, i = divmod(int(failed[0]), sym.shape[1])
+        detail = shared.names[i].format(t)
+    return Check("reconstruction", not failed.size,
+                 np.maximum(sym, num).max(), detail)
 
 
 class _Shared:
     """What the trial blocks of one :func:`reconstruct_module_check` call
     share: the vacuum projection's stacks and expansion, and per identity
-    the :class:`_Plan` of its word products and delta-basis steps.
+    its name and the :class:`_Plan` of its delta-basis steps.
 
     Each identity's plan is recorded by a support run of it: the vacuum
     projection enters with its 0/1 entries (the absolute values of its
     coefficients; its factors are edge deltas) and every drawn array with
     all entries 1.  That arithmetic adds nonnegative terms and cancels
-    nothing, so every word, term and key that any finite draw makes
-    nonzero is kept.  On a block's values the others are exact zeros, and
+    nothing, so every term and key that any finite draw makes nonzero is
+    kept.  On a block's values the others are exact zeros, and
     ``x + 0 = x`` leaves every sum, so every residual, bitwise as it is.
     """
 
@@ -936,6 +917,7 @@ class _Shared:
         p_basis = (self.p_basis[0], np.abs(self.p_basis[1]))
         v, e = np.ones((1, graph.n_vertices)), np.ones((1, graph.n_edges))
         support = _identities(p, v, e, e, [e] * 8, v, e)
+        self.names = [name for name, *_ in support]
         self.plans = [_Plan() for _ in support]
         for (_, *sides), plan in zip(support, self.plans):
             _identity_run(*sides, p, p_basis, graph, plan)
@@ -971,9 +953,10 @@ def _identity_run(lhs, rhs, rule, substitute, p, p_basis, graph: FiniteGraph,
     residual (0.0 with no ``rule``): each side's factors ``lhs`` and
     ``rhs`` expanded (``p`` by ``p_basis``) and multiplied in turn, and
     the expansion of the word product of the left factors ``rule``, formed
-    by :func:`_batch_product`, against the delta-basis product of theirs.
-    The left side takes that word product in their place if ``substitute``,
-    and their delta-basis product otherwise; every step on ``plan``."""
+    on all word pairs by :func:`_batch_product`, against the delta-basis
+    product of theirs.  The left side takes that word product in their
+    place if ``substitute``, and their delta-basis product otherwise; every
+    delta-basis step on ``plan``."""
     def expand(factors):
         return [p_basis if f is p else _expand(f, graph, plan)
                 for f in factors]
@@ -985,7 +968,7 @@ def _identity_run(lhs, rhs, rule, substitute, p, p_basis, graph: FiniteGraph,
     residual = 0.0
     if rule is not None:
         words = _expand(functools.reduce(
-            lambda b1, b2: _batch_product(b1, b2, graph, plan), lhs[rule]),
+            lambda b1, b2: _batch_product(b1, b2, graph), lhs[rule]),
             graph, plan)
         product = basis(sym[rule])
         residual = _basis_residual(words, product, plan)
@@ -993,28 +976,25 @@ def _identity_run(lhs, rhs, rule, substitute, p, p_basis, graph: FiniteGraph,
     return _basis_residual(basis(sym), basis(expand(rhs)), plan), residual
 
 
-def _reconstruction_block(graph, rng, block, shared: _Shared, tol):
-    """The checks of trials ``block`` stacked on a trial axis: a trial's
-    identity passes when its delta-basis residual is ``0.0`` and its
-    product-rule residual at most ``tol``, and carries the larger."""
+def _reconstruction_block(graph, rng, size: int, shared: _Shared):
+    """The next ``size`` trials stacked on a trial axis: arrays ``(size,
+    identities)`` of their delta-basis and product-rule residuals."""
     # per trial: a, xi, eta, the words' factors, as modules.random_* draw them
     nv, ne = graph.n_vertices, graph.n_edges
-    z = rng.standard_normal((len(block), 2 * nv + 20 * ne))
+    z = rng.standard_normal((size, 2 * nv + 20 * ne))
     a = z[:, :nv] + 1j * z[:, nv:2 * nv]
-    z = z[:, 2 * nv:].reshape(len(block), 10, 2, ne)
+    z = z[:, 2 * nv:].reshape(size, 10, 2, ne)
     xi, eta, *fs = (z[:, :, 0] + 1j * z[:, :, 1]).transpose(1, 0, 2)
     ip = _tensor_inner([xi], [eta], graph)
     axi = a[:, graph.rng_idx] * xi
     identities = _identities(shared.p, a, xi, eta, fs, ip, axi)
 
-    sym = np.zeros((len(block), len(identities)))
+    sym = np.zeros((size, len(identities)))
     num = np.zeros_like(sym)
     for i, ((_, *sides), plan) in enumerate(zip(identities, shared.plans)):
         sym[:, i], num[:, i] = _identity_run(
             *sides, shared.p, shared.p_basis, graph, plan.replay())
-    return [Check(name.format(t), s == 0.0 and r <= tol, max(s, r))
-            for t, sym_t, num_t in zip(block, sym.tolist(), num.tolist())
-            for (name, *_), s, r in zip(identities, sym_t, num_t)]
+    return sym, num
 
 
 # ---------------------------------------------------------------------------
@@ -1028,8 +1008,10 @@ def triple_iso_transport(iso, E: FiniteGraph, F: FiniteGraph,
     whose index arrays permute edges and vertices, and verify transport:
     the induced module map ``theta_X(xi) = xi . (edge map)^{-1}`` must
     carry the vacuum projection to the vacuum projection, preserve gauge
-    degrees, and intertwine inner products and both module actions; the
-    ``transport`` check returned carries the largest residual.
+    degrees, and intertwine inner products and both module actions, which
+    must also meet their definitions ``a(r(e)) xi(e)`` and ``xi(e)
+    a(s(e))`` on ``E``; the ``transport`` check returned carries the
+    largest residual.
     """
     check_trials(trials)
     iso.verify(E, F)
@@ -1044,29 +1026,30 @@ def triple_iso_transport(iso, E: FiniteGraph, F: FiniteGraph,
     def theta_m(a: VertexFunction) -> VertexFunction:
         return VertexFunction(F, a.values[vertex_of])
 
-    res = float(_basis_residual(
+    worst = float(_basis_residual(
         _expand(_theta(vacuum_projection(E).stacks, edge_of, vertex_of), F),
         _expand(vacuum_projection(F).stacks, F))[0])
-    checks = [Check("theta(p) = p", res == 0.0, res)]
+    passed = worst == 0.0
 
-    for t in range(trials):
+    for _ in range(trials):
         xi = random_module_element(E, rng)
         eta = random_module_element(E, rng)
         a = random_vertex_function(E, rng)
-        for name, got, want in (
-                ("inner-product", inner_product(theta_x(xi), theta_x(eta)),
-                 theta_m(inner_product(xi, eta))),
-                ("left-action", theta_x(left_action(a, xi)),
-                 left_action(theta_m(a), theta_x(xi))),
-                ("right-action", theta_x(right_action(xi, a)),
-                 right_action(theta_x(xi), theta_m(a)))):
-            r = np.max(np.abs(got.values - want.values), initial=0.0)
-            checks.append(Check(f"{name}[{t}]", r <= tol, r))
+        ax, xa = left_action(a, xi), right_action(xi, a)
+        res = [np.max(np.abs(got - want), initial=0.0) for got, want in (
+            (inner_product(theta_x(xi), theta_x(eta)).values,
+             theta_m(inner_product(xi, eta)).values),
+            (theta_x(ax).values, left_action(theta_m(a), theta_x(xi)).values),
+            (theta_x(xa).values,
+             right_action(theta_x(xi), theta_m(a)).values),
+            (ax.values, a.values[E.rng_idx] * xi.values),
+            (xa.values, xi.values * a.values[E.src_idx]))]
         w = word(1.0, (xi,), None, (eta, xi))
         ok = [len(ls) - len(rs) for _, _, _, ls, _, rs in _theta(
             _word_stacks([w])[0], edge_of, vertex_of)] == [w.degree]
-        checks.append(Check(f"degree[{t}]", ok, 0.0 if ok else 1.0))
-    return summarize("transport", checks)
+        passed = passed and all(r <= tol for r in res) and ok
+        worst = max(worst, *res, 0.0 if ok else 1.0)
+    return Check("transport", passed, worst)
 
 
 def _theta(stacks, edge_of, vertex_of) -> list:

@@ -53,6 +53,26 @@ ROWS = {
     "reduce-unconjugated-middle": (
         toeplitz, "_reduce",
         lambda f: _edited(toeplitz, "_reduce", "b.conj()", "b"), 5),
+    "left-action-source-map": (
+        modules, "left_action",
+        lambda f: _edited(modules, "left_action", "_range_index",
+                          "_source_index"), 6),
+    "right-action-range-map": (
+        modules, "right_action",
+        lambda f: _edited(modules, "right_action", "_source_index",
+                          "_range_index"), 6),
+    "transport-edge-map-not-inverted": (
+        toeplitz, "triple_iso_transport",
+        lambda f: _edited(toeplitz, "triple_iso_transport",
+                          "np.argsort(iso.edges)", "iso.edges"), 6),
+    "gauge-weight-absolute-degree": (
+        toeplitz, "_gauge_weight",
+        lambda f: _edited(toeplitz, "_gauge_weight", "z ** n", "z ** abs(n)"),
+        2),
+    "vacuum-edge-coefficient": (
+        toeplitz, "vacuum_projection",
+        lambda f: _edited(toeplitz, "vacuum_projection", "-1.0 + 0j",
+                          "-1 + 1e-12j"), 4),
 }
 
 

@@ -726,7 +726,8 @@ def _word_route_reconstruct(graph, trials, tol, seed):
     lists by :func:`_oracle_multiply`, expansions by :func:`_loop_expansion`
     and their products by :func:`_scan_multiply`, with no element
     operation of the library merging them."""
-    checks = _word_route_checks(graph, trials, tol, seed)
+    checks = [Check(name, res == 0.0 and num <= tol, max(res, num))
+              for name, res, num in _word_route_residuals(graph, trials, seed)]
     first = next((c for c in checks if not c.passed), None)
     return summarize("reconstruction", checks,
                      first.name if first else f"{len(checks)} identities")
@@ -764,17 +765,18 @@ def _residual(m1: dict, m2: dict) -> float:
                default=0.0)
 
 
-def _word_route_checks(graph, trials, tol, seed):
-    """The per-trial checks of :func:`_word_route_reconstruct`: the exact
-    residual of the two sides' expansions, and the product-rule residual
-    of the expanded word product against the product of the expansions."""
+def _word_route_residuals(graph, trials, seed):
+    """Per trial and identity of :func:`_word_route_identities`: its name,
+    the exact residual of the two sides' expansions, and the product-rule
+    residual of the expanded word product against the product of the
+    expansions."""
     def expand(words):
         return _loop_expansion(graph, words)
 
     def times(expansions):
         return functools.reduce(lambda m1, m2: _scan_multiply(m1, m2, graph),
                                 expansions)
-    checks = []
+    out = []
     for name, lhs, rhs, rule, substitute in _word_route_identities(
             graph, trials, seed):
         sym = [expand(f) for f in lhs]
@@ -783,9 +785,23 @@ def _word_route_checks(graph, trials, tol, seed):
             words, prod = expand(_word_product(lhs[rule])), times(sym[rule])
             num = _residual(words, prod)
             sym[rule] = [words if substitute else prod]
-        res = _residual(times(sym), times([expand(f) for f in rhs]))
-        checks.append(Check(name, res == 0.0 and num <= tol, max(res, num)))
-    return checks
+        out.append((name, _residual(times(sym),
+                                    times([expand(f) for f in rhs])), num))
+    return out
+
+
+def _word_route_arrays(graph, trials, seed) -> list:
+    """The exact and the product-rule residuals of
+    :func:`_word_route_residuals` as arrays ``(trials, identities)``, as
+    the library's trial blocks give them."""
+    rows = _word_route_residuals(graph, trials, seed)
+    return [np.array([r[k] for r in rows]).reshape(trials, -1)
+            for k in (1, 2)]
+
+
+def _assert_arrays_bitwise(got, want):
+    assert [(a.shape, a.tobytes()) for a in got] \
+        == [(a.shape, a.tobytes()) for a in want]
 
 
 @pytest.mark.parametrize("name", RECONSTRUCT_FIXTURES)
@@ -851,13 +867,12 @@ class _ZeroedDraw:
 
 def test_each_trial_reads_its_own_window(monkeypatch):
     # trial 1's annihilate[n=2] word is zero and trial 0's is not; stacked
-    # in one block, each trial still gives the word route's checks
+    # in one block, each trial still gives the word route's residuals
     g = fibonacci()
-    checks = toeplitz._reconstruction_block(
-        g, _ZeroedDraw(g, 0), range(2), toeplitz._Shared(g), 1e-12)
+    got = toeplitz._reconstruction_block(g, _ZeroedDraw(g, 0), 2,
+                                         toeplitz._Shared(g))
     monkeypatch.setitem(globals(), "random_module_element", _zero_draw({15}))
-    assert summarize("reconstruction", checks, "10 identities") \
-        == _word_route_reconstruct(g, trials=2, tol=1e-12, seed=0)
+    _assert_arrays_bitwise(got, _word_route_arrays(g, trials=2, seed=0))
 
 
 # the whole-call traced peak of 100 trials at TRIAL_BLOCK = 25 (1.23 MB and
@@ -911,16 +926,18 @@ def test_plans_are_not_taken_from_one_block(name, element,
     edges = np.flatnonzero(g.src_idx == 0) if first_vertex_only \
         else slice(None)
     draw = _ZeroedDraw(g, 0, element=element, rows=range(2), edges=edges)
-    seen = []
+    seen, block = [], toeplitz._reconstruction_block
     monkeypatch.setattr(toeplitz, "TRIAL_BLOCK", 2)
     with monkeypatch.context() as m:
         m.setattr(np.random, "default_rng", lambda seed: draw)
-        m.setattr(toeplitz, "summarize",
-                  lambda name, checks, detail: seen.append(checks))
+        m.setattr(toeplitz, "_reconstruction_block",
+                  lambda *args: seen.append(block(*args)) or seen[-1])
         reconstruct_module_check(g, trials=6, tol=1e-12, seed=0)
     monkeypatch.setitem(globals(), "random_module_element",
                         _zero_draw({element, 10 + element}, edges))
-    assert seen == [_word_route_checks(g, trials=6, tol=1e-12, seed=0)]
+    assert len(seen) == 3
+    _assert_arrays_bitwise(map(np.concatenate, zip(*seen)),
+                           _word_route_arrays(g, trials=6, seed=0))
 
 
 def test_identities_are_planned_once_a_call(monkeypatch):
@@ -1089,17 +1106,38 @@ def _word_row(w):
 
 
 def _batch_rows(batches, t=0):
-    """:func:`_word_row` of every word of trial ``t`` of ``batches``."""
-    return [(m, n, c[t, k].tobytes(), tuple(x[t, k].tobytes() for x in ls),
-             None if mid is None else mid[t, k].tobytes(),
-             tuple(y[t, k].tobytes() for y in rs))
-            for m, n, c, ls, mid, rs in batches for k in range(c.shape[1])]
+    """:func:`_word_row` of every word of trial ``t`` of ``batches``, or
+    ``None`` for a zero word: a zero coefficient or an all-zero factor."""
+    rows = []
+    for m, n, c, ls, mid, rs in batches:
+        factors = ls + rs + ([] if mid is None else [mid])
+        for k in range(c.shape[1]):
+            zero = c[t, k] == 0 or not all(f[t, k].any() for f in factors)
+            rows.append(None if zero else (
+                m, n, c[t, k].tobytes(), tuple(x[t, k].tobytes() for x in ls),
+                None if mid is None else mid[t, k].tobytes(),
+                tuple(y[t, k].tobytes() for y in rs)))
+    return rows
+
+
+def _product_shape(w1, w2) -> tuple:
+    """The shape ``(creations, annihilations, has middle)`` of the normal
+    form of ``w1 w2``, zero or not: the meeting annihilations and creations
+    cancel, and a middle stands only beside no creation."""
+    m1, n1 = w1.creations, w1.annihilations
+    m2, n2 = w2.creations, w2.annihilations
+    if n1 > m2:
+        return m1, n2 + n1 - m2, w1.middle is not None
+    m = m1 + m2 - n1
+    return m, n2, m == 0 and (n1 > 0 or w1.middle is not None
+                              or w2.middle is not None)
 
 
 def _oracle_rows(e1, e2, got):
-    """:func:`_word_row` of the oracle products of ``e1`` and ``e2`` in the
-    order of their stacked product ``got``: by pair of shape stacks, pair
-    order within, then grouped by the product shapes in ``got``'s order."""
+    """:func:`_word_row` of the oracle product of every word pair of ``e1``
+    and ``e2``, ``None`` where it is zero, in the order of their stacked
+    product ``got``: by pair of shape stacks, pair ``(i, j)`` at ``i * k2 +
+    j`` within, then grouped by the product shapes in ``got``'s order."""
     def stacks(e):
         groups: dict = {}
         for w in e.words:
@@ -1107,32 +1145,33 @@ def _oracle_rows(e1, e2, got):
             groups.setdefault(key, []).append(w)
         return list(groups.values())
 
-    prods = [w for s1 in stacks(e1) for s2 in stacks(e2)
-             for w1 in s1 for w2 in s2
-             if (w := _oracle_multiply(w1, w2)) is not None]
-    return [_word_row(w) for m, n, _, _, mid, _ in got for w in prods
-            if (w.creations, w.annihilations, w.middle is not None)
-            == (m, n, mid is not None)]
+    prods = [(_product_shape(w1, w2), _oracle_multiply(w1, w2))
+             for s1 in stacks(e1) for s2 in stacks(e2)
+             for w1 in s1 for w2 in s2]
+    return [None if w is None else _word_row(w)
+            for m, n, _, _, mid, _ in got for shape, w in prods
+            if shape == (m, n, mid is not None)]
 
 
 @pytest.mark.parametrize("name", RECONSTRUCT_FIXTURES)
 def test_batch_product_matches_word_products(name):
     g = FINITE_FIXTURES[name]()
     rng = np.random.default_rng(15)
-    shapes, pairs, kept = set(), 0, 0
+    shapes, zeros = set(), 0
     for _ in range(8):
         e1 = _sparse_element(g, rng, n_words=5)
         e2 = _sparse_element(g, rng, n_words=5)
         got = _batch_product(e1.stacks, e2.stacks, g)
         shapes |= {(m, n, mid is not None) for m, n, _, _, mid, _ in got}
-        # every stacked row is bitwise the oracle's word product, and the
-        # stack drops exactly the products the oracle finds zero
-        assert _batch_rows(got) == _oracle_rows(e1, e2, got)
-        pairs += len(e1.words) * len(e2.words)
-        kept += sum(c.size for _, _, c, *_ in got)
+        # every word pair has its row: a nonzero row is bitwise the
+        # oracle's word product, and the zero rows are exactly the
+        # products the oracle finds zero
+        rows = _batch_rows(got)
+        assert rows == _oracle_rows(e1, e2, got)
+        zeros += rows.count(None)
     # middles, pure annihilations and pure creations all occur
     assert {(0, 0, True), (0, 1, True), (1, 0, False)} <= shapes
-    assert kept < pairs or g.n_edges == 1    # one edge: no orthogonal deltas
+    assert zeros or g.n_edges == 1    # one edge: no orthogonal deltas
 
 
 def _drawn_word(g, rng):
@@ -1176,24 +1215,33 @@ def test_word_multiply_matches_oracle_on_generated_graphs(g, seed):
 
 @pytest.mark.parametrize("trials", [(1, 1), (3, 3), (1, 3), (3, 1)])
 def test_all_pairs_views_match_repeat_and_tile(trials):
-    # pair (i, j) of two stacks' all-pairs views, broadcast and read as
-    # word i * k2 + j, is word i of the first stack and word j of the
-    # second, coefficients and factors alike, on both stacks' trials
+    # word i * k2 + j of the pair product of a creation stack and an
+    # annihilation stack has word i's coefficient and creation and word
+    # j's coefficient and annihilation, on both stacks' trials; the
+    # factors reach it as views of the stacks' arrays, with no copy
+    g = fibonacci()
     rng = np.random.default_rng(19)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     for k1, k2 in ((1, 1), (1, 3), (3, 1), (2, 4)):
-        bt1, bt2 = ((0, 0, rng.standard_normal((t, k)) + 0j, [],
-                     rng.standard_normal((t, k, 5)), [])
-                    for t, k in zip(trials, (k1, k2)))
-        for first, bt in ((True, bt1), (False, bt2)):
-            for a in (bt[2], bt[4]):
-                want = np.repeat(a, k2, axis=1) if first else \
-                    np.tile(a, (1, k1) + (1,) * (a.ndim - 2))
-                want = np.broadcast_to(want, (max(trials),) + want.shape[1:])
-                got = toeplitz._on_pairs(a, bt1, bt2, first)
-                assert np.shares_memory(got, a)
-                got = np.broadcast_to(got, (max(trials), k1, k2)
-                                      + a.shape[2:]).reshape(want.shape)
-                assert got.tobytes() == want.tobytes()
+        (t1, t2), ne = trials, g.n_edges
+        c1, x, c2, y = draw(t1, k1), draw(t1, k1, ne), draw(t2, k2), \
+            draw(t2, k2, ne)
+
+        def rows(a, first):
+            a = np.repeat(a, k2, axis=1) if first else \
+                np.tile(a, (1, k1) + (1,) * (a.ndim - 2))
+            return np.broadcast_to(a, (max(trials),) + a.shape[1:])
+        bt1, bt2 = (1, 0, c1, [x], None, []), (0, 1, c2, [], None, [y])
+        left, _, right = toeplitz._stack_product(bt1, bt2, g)
+        assert np.shares_memory(left[0], x) and np.shares_memory(right[0], y)
+        got = toeplitz._pair_product(bt1, bt2, g)
+        assert got[:2] == (1, 1) and got[4] is None
+        _assert_arrays_bitwise(
+            [got[2], *got[3], *got[5]],
+            [toeplitz._cmul(rows(c1, True), rows(c2, False)), rows(x, True),
+             rows(y, False)])
 
 
 @GENERATED
