@@ -47,7 +47,6 @@ import numpy as np
 from .errors import FormatError, MismatchError
 from .fixtures import circle_double_cover, circle_two_loops
 from .graphs import TWO_PI, check_trials
-from .modules import ModuleElement
 from .report import Check
 
 
@@ -132,19 +131,13 @@ def endpoint_identity_exact(twist: TwistPath, f: np.ndarray) -> bool:
     return bool(np.all(at0 == at2pi))
 
 
-def cover_element(f: np.ndarray, n: int) -> ModuleElement:
-    """The cover samples ``f`` as an element of the correspondence of
-    :func:`cover` over the size-``n`` base grid."""
-    return ModuleElement(cover(), (f,), n)
-
-
 def verify_isometry(twist: TwistPath, f1: np.ndarray,
                     f2: np.ndarray) -> float:
     """Max residual of ``<rho f1, rho f2> = <f1, f2>`` over the grid.
 
     The cover inner product at ``t_j`` sums the two branches ``j`` and
-    ``j + N``, as :func:`~graphcorr.modules.inner_product` does on
-    :func:`cover_element`.
+    ``j + N``, as :func:`~graphcorr.modules.inner_product` does on the
+    cover samples as a ``ModuleElement`` of :func:`cover`.
     """
     n = twist.n
     f1, f2 = (_check_cover_samples(f, n) for f in (f1, f2))
@@ -160,8 +153,9 @@ def verify_bimodule(twist: TwistPath, f: np.ndarray,
 
     On the double cover ``(f . a)(w) = f(w) a(w^2)``, where ``w^2`` of the
     samples ``j`` and ``j + N`` is base sample ``j``, as
-    :func:`~graphcorr.modules.right_action` has it on :func:`cover_element`,
-    and the left action agrees with the right one since range = source;
+    :func:`~graphcorr.modules.right_action` has it on the cover samples as
+    a ``ModuleElement`` of :func:`cover`, and the left action agrees with
+    the right one since range = source;
     downstairs the actions are pointwise multiplication by ``a``.
     """
     n = twist.n

@@ -22,8 +22,8 @@ a further state at that temperature costs one product ``G u`` and the sum.
 Truncated path sums, over profiles computed word by word, are kept as an
 independent oracle.  At ``beta = inf`` the same state is the vacuum vector
 state, which sees only the scalar part of a word.  The KMS condition is
-checked on the elements' own shape stacks and word positions, each pair
-on the trial axis its caller stacked it on; the words of two stacks meet
+checked on the elements' own shape stacks, each pair on the trial axis
+its caller stacked it on; the words of two stacks meet
 pair by pair as broadcast views, with no copy, and each product stack is
 evaluated with one row-wise product of its profiles, which
 :func:`_profiles` forms as it forms an element's.
@@ -202,14 +202,13 @@ def _element_stack(elem: ToeplitzElement):
     gives the rows of its words at once, by :func:`_profiles`."""
     if "_stack" not in elem.__dict__:
         g = elem.graph
-        profiles = {k: _profiles(ls, mid, rs, g, c.shape)[0]
-                    for k, (m, n, c, ls, mid, rs) in enumerate(elem.stacks)
-                    if m == n}
-        rows = [(k, r) for k, r in elem._rows() if k in profiles]
-        elem._stack = (np.array([profiles[k][r] for k, r in rows],
-                                dtype=np.complex128).reshape(-1, g.n_vertices),
-                       [elem.stacks[k][0] for k, _ in rows],
-                       [complex(elem.stacks[k][2][0, r]) for k, r in rows])
+        balanced = [bt for bt in elem.stacks if bt[0] == bt[1]]
+        elem._stack = (
+            np.concatenate([np.empty((0, g.n_vertices))] + [
+                _profiles(ls, mid, rs, g, c.shape)[0]
+                for _, _, c, ls, mid, rs in balanced], dtype=np.complex128),
+            [m for m, _, c, *_ in balanced for _ in range(c.shape[1])],
+            [x for bt in balanced for x in bt[2][0].tolist()])
     return elem._stack
 
 
@@ -277,8 +276,7 @@ def kms_condition_check(state: KMSState, b1: ToeplitzElement,
     """
     if b1.graph is not state.params.graph or b2.graph is not b1.graph:
         raise MismatchError("element and state live over different graphs")
-    residual, = _stack_residuals(state, (b1.stacks, b1.positions),
-                                 (b2.stacks, b2.positions))
+    residual, = _stack_residuals(state, b1.stacks, b2.stacks)
     return Check("kms-condition", residual <= tol, residual)
 
 
@@ -286,11 +284,11 @@ def kms_condition_residuals(state: KMSState, pairs) -> np.ndarray:
     """``|phi(b1 sigma(b2)) - phi(b2 b1)|`` for many pairs in one state.
 
     Each entry of ``pairs`` gives ``b1`` and ``b2`` over the state's graph
-    as ``(stacks, positions)``, as :class:`~graphcorr.toeplitz.ToeplitzElement`
-    holds them (one stack per shape, and per stack the places of its words
-    in word order), every stack on the entry's trial axis; the residuals
-    of all trials come back entry by entry, each entry evaluated on its
-    own trial axis by :func:`_stack_residuals`.  A residual is bitwise the
+    as lists of stacks, as :class:`~graphcorr.toeplitz.ToeplitzElement`
+    holds them (one stack per shape, its words in order), every stack on
+    the entry's trial axis; the residuals of all trials come back entry by
+    entry, each entry evaluated on its own trial axis by
+    :func:`_stack_residuals`.  A residual is bitwise the
     per-pair route's unless two product words coincide, which the product
     element merges first.  ``DomainError`` for an element that is not
     gauge homogeneous, and for ``b2`` of negative degree where
@@ -301,58 +299,60 @@ def kms_condition_residuals(state: KMSState, pairs) -> np.ndarray:
 
 
 def _stack_residuals(state: KMSState, e1, e2) -> list:
-    """Per trial, the residual of two elements given as ``(stacks,
-    positions)``, with ``x**deg`` folded into ``b2``'s coefficients by
-    Python's complex product, bitwise ``_cmul``'s; 0 when no product word
-    is balanced."""
-    d1, d2 = ({m - n for m, n, *_ in e[0]} for e in (e1, e2))
+    """Per trial, the residual of two elements given as lists of stacks,
+    with ``x**deg`` folded into ``b2``'s coefficients by Python's complex
+    product, bitwise ``_cmul``'s; 0 when no product word is balanced."""
+    d1, d2 = ({m - n for m, n, *_ in e} for e in (e1, e2))
     if len(d1) > 1 or len(d2) > 1:
         raise DomainError("inputs must be gauge homogeneous")
     s = _gauge_weight(state.params.x, min(d2, default=0))
     if {a + b for a in d1 for b in d2} != {0}:
         # both sides are 0
-        return [0.0] * max((len(bt[2]) for bt in (*e1[0], *e2[0])),
-                           default=1)
-    e1, e2 = ((*e, [bt[2].tolist() for bt in e[0]]) for e in (e1, e2))
-    twisted = [[[complex(c) * s for c in row] for row in cs] for cs in e2[2]]
+        return [0.0] * max((len(bt[2]) for bt in (*e1, *e2)), default=1)
+    e1, e2 = ((e, [bt[2].tolist() for bt in e]) for e in (e1, e2))
+    twisted = [[[complex(c) * s for c in row] for row in cs] for cs in e2[1]]
     return [abs(lhs - rhs) for lhs, rhs in zip(
-        _product_values(state, e1, (*e2[:2], twisted)),
+        _product_values(state, e1, (e2[0], twisted)),
         _product_values(state, e2, e1))]
 
 
 def _product_values(state: KMSState, e1, e2) -> list:
     """Per trial, the state of the product of two trial-stacked elements
-    given as ``(stacks, positions, coefficient lists)``, whose degrees sum
-    to 0, as :func:`kms_eval` takes it on the product element: each pair
-    of stacks is formed as :func:`~graphcorr.toeplitz._batch_product` forms
-    it, and a term ``c x**k <g, dual>`` per product word with a nonzero
-    coefficient and factors, in Python complex arithmetic on the
-    coefficients and the row products, is summed in word-pair order."""
+    given as ``(stacks, coefficient lists)``, whose degrees sum to 0, as
+    :func:`kms_eval` takes it on the product element: each pair of stacks
+    is formed as :func:`~graphcorr.toeplitz._batch_product` forms it, and a
+    term ``c x**k <g, dual>`` per product word with a nonzero coefficient
+    and factors, in Python complex arithmetic on the coefficients and the
+    row products, is summed in the product element's order: by product
+    shape as first seen, the pairs of stacks of a shape in order, and pair
+    ``(i, j)`` of two stacks at word ``i * k2 + j``."""
     x, u, g = state.params.x, state.dual, state.params.graph
-    (stacks1, at1, cs1), (stacks2, at2, cs2) = e1, e2
+    (stacks1, cs1), (stacks2, cs2) = e1, e2
     trials = max(len(bt[2]) for bt in (*stacks1, *stacks2))
-    k2 = sum(map(len, at2))
-    terms: list = [{} for _ in range(trials)]
-    for bt1, i1, c1s in zip(stacks1, at1, cs1):
-        for bt2, i2, c2s in zip(stacks2, at2, cs2):
-            left, middle, right = _stack_product(bt1, bt2, g)
-            weight = x ** len(left)
-            if not weight:
-                continue
-            shape = (trials, len(i1), len(i2))
-            G = _profiles(left, middle, right, g, shape)
-            d = np.einsum("ij,j->i", G.reshape(-1, g.n_vertices), u)
-            live = _live_words(np.ones(shape, bool), left, middle, right)
-            keys = [(a, b, i1[a] * k2 + i2[b]) for a in range(len(i1))
-                    for b in range(len(i2))]
-            for t, (c1, c2, live_t, d_t) in enumerate(zip(
-                    c1s, c2s, live.reshape(trials, -1).tolist(),
-                    d.reshape(trials, -1).tolist())):
-                for (a, b, p), ok, dw in zip(keys, live_t, d_t):
-                    c = c1[a] * c2[b]
-                    if ok and c1[a] and c2[b] and c:
-                        terms[t][p] = c * weight * dw
-    return [sum((t[p] for p in sorted(t)), 0j) for t in terms]
+    terms: dict = {}        # product shape -> per trial, its terms in order
+    for (bt1, c1s), (bt2, c2s) in itertools.product(zip(stacks1, cs1),
+                                                    zip(stacks2, cs2)):
+        left, middle, right = _stack_product(bt1, bt2, g)
+        shape_terms = terms.setdefault(
+            (len(left), len(right), middle is not None),
+            [[] for _ in range(trials)])
+        weight = x ** len(left)
+        if not weight:
+            continue
+        shape = (trials, bt1[2].shape[1], bt2[2].shape[1])
+        G = _profiles(left, middle, right, g, shape)
+        d = np.einsum("ij,j->i", G.reshape(-1, g.n_vertices), u)
+        live = _live_words(np.ones(shape, bool), left, middle, right)
+        for out, c1, c2, live_t, d_t in zip(
+                shape_terms, c1s, c2s, live.reshape(trials, -1).tolist(),
+                d.reshape(trials, -1).tolist()):
+            for (a, b), ok, dw in zip(itertools.product(c1, c2), live_t,
+                                      d_t):
+                c = a * b
+                if ok and a and b and c:
+                    out.append(c * weight * dw)
+    return [sum((v for ts in terms.values() for v in ts[t]), 0j)
+            for t in range(trials)]
 
 
 @dataclass

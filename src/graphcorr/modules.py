@@ -137,10 +137,6 @@ class ModuleElement:
     def is_zero(self) -> bool:
         return not self.values.any()
 
-    def scaled(self, c: complex) -> "ModuleElement":
-        return ModuleElement._from_values(self.graph, c * self.values,
-                                          self.base_n)
-
     def __repr__(self):
         if self.is_circle:
             return f"ModuleElement(circle, N={self.base_n})"

@@ -16,8 +16,8 @@ shape.
 The words of one shape ``(m, n, has middle)`` are held as a stack ``(m,
 n, coeffs, lefts, middles or None, rights)`` of coefficients ``(trials,
 words)`` and factor arrays ``(trials, words, *)``.  A
-:class:`ToeplitzElement` is its stacks of one trial, built once, with the
-places of their words in word order; its operations and the readers
+:class:`ToeplitzElement` is its stacks of one trial, built once, and its
+word order is their rows read in order; its operations and the readers
 below work on the stacks, and :class:`Word` records are formed only for
 ``words``: the JSON boundary, norm bounds and the oracles.
 :func:`_pair_product` multiplies two stacks on every word pair, pair
@@ -152,7 +152,7 @@ def word_multiply(w1: Word, w2: Word):
         raise MismatchError("words live over different graphs")
     if g is not None and not isinstance(g, FiniteGraph):
         raise FormatError("the word algebra is defined for finite graphs")
-    bt = _pair_product(_word_stacks([w1])[0][0], _word_stacks([w2])[0][0], g)
+    bt = _pair_product(_word_stacks([w1])[0], _word_stacks([w2])[0], g)
     return _row_word(g, bt, 0) if _live_words(*bt[2:])[0, 0] else None
 
 
@@ -192,10 +192,11 @@ class ToeplitzElement:
     """Finite formal sum of words over a fixed finite graph, held as its
     shape stacks, built once: ``stacks``, one ``(m, n, coeffs, lefts,
     middles or None, rights)`` of one trial per shape ``(m, n, has
-    middle)``, shapes as first seen, and ``positions``, the places of each
-    stack's words in word order.  Words with bitwise-identical factors are
-    merged, their coefficients summed in order, and zero words dropped.
-    ``words`` lists the words as :class:`Word` records, in order."""
+    middle)``, shapes as first seen.  Its words are the stacks' rows read
+    in order, each shape's words in the order given.  Words with
+    bitwise-identical factors are merged at the first, their coefficients
+    summed in order, and zero words dropped.  ``words`` lists the words as
+    :class:`Word` records, in that order."""
 
     def __init__(self, graph: FiniteGraph, words=()):
         if not isinstance(graph, FiniteGraph):
@@ -204,15 +205,14 @@ class ToeplitzElement:
         words = tuple(words)
         if any(w.graph() not in (None, graph) for w in words):
             raise MismatchError("a word lives over a different graph")
-        self.stacks, self.positions = _normal_stacks(*_word_stacks(words))
+        self.stacks = _normal_stacks(_word_stacks(words))
 
     @classmethod
-    def _of(cls, graph: FiniteGraph, stacks, order) -> "ToeplitzElement":
-        """The sum of the words of ``stacks`` taken in the order of their
-        keys ``order``, one sequence of integers per stack."""
+    def _of(cls, graph: FiniteGraph, stacks) -> "ToeplitzElement":
+        """The sum of the words of ``stacks``, in order."""
         elem = cls.__new__(cls)
         elem.graph = graph
-        elem.stacks, elem.positions = _normal_stacks(stacks, order)
+        elem.stacks = _normal_stacks(stacks)
         return elem
 
     @property
@@ -220,25 +220,16 @@ class ToeplitzElement:
         """The same records on every call: the memos of a word sit in its
         instance dict."""
         if "_words" not in self.__dict__:
-            self._words = tuple(_row_word(self.graph, self.stacks[k], r)
-                                for k, r in self._rows())
+            self._words = tuple(_row_word(self.graph, bt, r)
+                                for bt in self.stacks
+                                for r in range(bt[2].shape[1]))
         return self._words
-
-    def _rows(self) -> list:
-        """``(stack, row)`` of every word, in word order."""
-        return [(k, r) for _, k, r in sorted(
-            (p, k, r) for k, at in enumerate(self.positions)
-            for r, p in enumerate(at))]
 
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "ToeplitzElement") -> "ToeplitzElement":
         self._check(other)
-        k = sum(map(len, self.positions))
-        return ToeplitzElement._of(
-            self.graph, self.stacks + other.stacks,
-            self.positions + tuple([p + k for p in at]
-                                   for at in other.positions))
+        return ToeplitzElement._of(self.graph, self.stacks + other.stacks)
 
     def __sub__(self, other: "ToeplitzElement") -> "ToeplitzElement":
         return self + other.scaled(-1.0)
@@ -247,17 +238,10 @@ class ToeplitzElement:
         return _rescaled(self, lambda m, n: c)
 
     def __mul__(self, other: "ToeplitzElement") -> "ToeplitzElement":
-        """The word pairs' products, in the order of a loop over the words
-        of ``self`` and, within, of ``other``, summed."""
+        """The word pairs' products by :func:`_batch_product`, summed."""
         self._check(other)
-        k = sum(map(len, other.positions))
-        pairs = list(product(zip(self.stacks, self.positions),
-                             zip(other.stacks, other.positions)))
         return ToeplitzElement._of(
-            self.graph, [_pair_product(bt1, bt2, self.graph)
-                         for (bt1, _), (bt2, _) in pairs],
-            [[p1 * k + p2 for p1 in at1 for p2 in at2]
-             for (_, at1), (_, at2) in pairs])
+            self.graph, _batch_product(self.stacks, other.stacks, self.graph))
 
     def adjoint(self) -> "ToeplitzElement":
         stacks = []
@@ -266,7 +250,7 @@ class ToeplitzElement:
             if mid is not None and left:
                 left[-1], mid = left[-1] * mid[..., self.graph.src_idx], None
             stacks.append((n, m, c.conj(), left, mid, list(lefts)))
-        return ToeplitzElement._of(self.graph, stacks, self.positions)
+        return ToeplitzElement._of(self.graph, stacks)
 
     def _check(self, other):
         if self.graph is not other.graph:
@@ -281,24 +265,24 @@ class ToeplitzElement:
         return sum(w.norm_bound() for w in self.words)
 
     def __repr__(self):
-        return f"ToeplitzElement({sum(map(len, self.positions))} words)"
+        words = sum(bt[2].shape[1] for bt in self.stacks)
+        return f"ToeplitzElement({words} words)"
 
 
-def _word_stacks(words) -> tuple:
-    """The stacks of ``words`` by shape, shapes as first seen, and per
-    stack the places of its words in ``words``."""
+def _word_stacks(words) -> list:
+    """The stacks of ``words`` by shape, shapes as first seen, each shape's
+    words in the order given."""
     groups: dict = {}
-    for i, w in enumerate(words):
+    for w in words:
         groups.setdefault((len(w.left), len(w.right), w.middle is not None),
-                          []).append(i)
+                          []).append(w)
     stacks = []
-    for (m, n, _), at in groups.items():
-        ws = [words[i] for i in at]
+    for (m, n, _), ws in groups.items():
         f = [None if fs[0] is None else np.array([[x.values for x in fs]])
              for fs in zip(*[(*w.left, w.middle, *w.right) for w in ws])]
         stacks.append((m, n, np.array([[w.coeff for w in ws]], dtype=complex),
                        f[:m], f[m], f[m + 1:]))
-    return stacks, list(groups.values())
+    return stacks
 
 
 def _row_word(graph, bt, r: int) -> Word:
@@ -312,43 +296,37 @@ def _row_word(graph, bt, r: int) -> Word:
 
 
 def _take(bt, rows) -> tuple:
-    """The stack ``bt`` on its words ``rows``, indices or a slice."""
+    """The stack ``bt`` on its words ``rows``, a list of indices."""
     m, n, c, lefts, middles, rights = bt
     return (m, n, c[:, rows], [x[:, rows] for x in lefts],
             None if middles is None else middles[:, rows],
             [y[:, rows] for y in rights])
 
 
-def _normal_stacks(stacks, order) -> tuple:
-    """The stacks and positions of the sum of the words of ``stacks`` (one
-    trial) taken in the order of their keys ``order``: zero words dropped,
-    words with bitwise-identical factors merged at the first, their
-    coefficients summed in order by Python's complex addition, and words
-    whose sum is zero dropped.  A stack none of whose words moves is kept
-    as it is."""
+def _normal_stacks(stacks) -> tuple:
+    """The stacks of the sum of the words of ``stacks`` (one trial): the
+    stacks of a shape joined in order, shapes as first seen, zero words
+    dropped, words with bitwise-identical factors merged at the first,
+    their coefficients summed in order by Python's complex addition, and
+    words whose sum is zero dropped.  A stack none of whose words moves is
+    kept as it is."""
     out = []
-    for ks in _by_shape(stacks).values():
-        bt = _join([stacks[k] for k in ks])
-        keys = [p for k in ks for p in order[k]]
-        live = _live_words(*bt[2:])[0].tolist()
-        factors = np.concatenate([np.zeros((len(keys), 0))] + [
-            a[0] for a in (*bt[3], bt[4], *bt[5]) if a is not None], axis=1)
+    for bt in _concat_batches(stacks):
         coeffs = bt[2][0].tolist()
+        factors = np.concatenate([np.zeros((len(coeffs), 0))] + [
+            a[0] for a in (*bt[3], bt[4], *bt[5]) if a is not None], axis=1)
         first, sums = {}, {}
-        for r in sorted(range(len(keys)), key=keys.__getitem__):
-            if live[r]:
+        for r, live in enumerate(_live_words(*bt[2:])[0].tolist()):
+            if live:
                 r0 = first.setdefault(factors[r].tobytes(), r)
                 sums[r0] = sums[r0] + coeffs[r] if r0 != r else coeffs[r]
         at = [r for r, c in sums.items() if c != 0]
-        if at and at != list(range(len(keys))):
+        if at and at != list(range(len(coeffs))):
             bt = (*bt[:2], np.array([[sums[r] for r in at]]),
                   *_take(bt, at)[3:])
         if at:
-            out.append((bt, [keys[r] for r in at]))
-    out.sort(key=lambda stack: stack[1][0])
-    rank = {p: i for i, p in enumerate(sorted(p for _, ps in out for p in ps))}
-    return (tuple(bt for bt, _ in out),
-            tuple(tuple(rank[p] for p in ps) for _, ps in out))
+            out.append(bt)
+    return tuple(out)
 
 
 def _rescaled(elem: ToeplitzElement, weight) -> ToeplitzElement:
@@ -356,7 +334,7 @@ def _rescaled(elem: ToeplitzElement, weight) -> ToeplitzElement:
     ``weight(m, n)``, by Python's complex product as a word is scaled."""
     return ToeplitzElement._of(elem.graph, [
         (m, n, np.array([[x * weight(m, n) for x in c[0].tolist()]]), *f)
-        for m, n, c, *f in elem.stacks], elem.positions)
+        for m, n, c, *f in elem.stacks])
 
 
 def gauge_scale(elem: ToeplitzElement, z: complex) -> ToeplitzElement:
@@ -375,9 +353,8 @@ def _gauge_weight(z: complex, n: int) -> complex:
 
 def spectral_component(elem: ToeplitzElement, n: int) -> ToeplitzElement:
     """Sub-sum of words of gauge degree ``n``."""
-    keep = [k for k, bt in enumerate(elem.stacks) if bt[0] - bt[1] == n]
-    return ToeplitzElement._of(elem.graph, [elem.stacks[k] for k in keep],
-                               [elem.positions[k] for k in keep])
+    return ToeplitzElement._of(
+        elem.graph, [bt for bt in elem.stacks if bt[0] - bt[1] == n])
 
 
 def vacuum_projection(graph: FiniteGraph) -> ToeplitzElement:
@@ -392,8 +369,7 @@ def vacuum_projection(graph: FiniteGraph) -> ToeplitzElement:
     deltas = np.eye(ne, dtype=complex)[None]
     return ToeplitzElement._of(graph, [
         (0, 0, np.ones((1, 1), dtype=complex), [], None, []),
-        (1, 1, np.full((1, ne), -1.0 + 0j), [deltas], None, [deltas])],
-        [[0], range(1, ne + 1)])
+        (1, 1, np.full((1, ne), -1.0 + 0j), [deltas], None, [deltas])])
 
 
 # ---------------------------------------------------------------------------
@@ -571,13 +547,11 @@ def element_delta_basis(elem: ToeplitzElement) -> dict:
     ``v`` a vertex index, in first-seen order; the value is the complex
     coefficient.  Each key stands for ``C(delta_mu) P(delta_v)
     C(delta_nu)*``.  The one-trial row of the trial-stacked :func:`_expand`
-    of the element's words in word order, each a one-row view of its
-    stack, so that the terms of a key add in word order; the products,
-    taken from the real and imaginary parts, are bitwise scalar complex
-    products.
+    of the element's stacks, so that the terms of a key add in word order;
+    the products, taken from the real and imaginary parts, are bitwise
+    scalar complex products.
     """
-    return _as_dict(_expand([_take(elem.stacks[k], slice(r, r + 1))
-                             for k, r in elem._rows()], elem.graph))
+    return _as_dict(_expand(elem.stacks, elem.graph))
 
 
 def delta_basis_multiply(m1: dict, m2: dict, graph: FiniteGraph) -> dict:
@@ -1046,7 +1020,7 @@ def triple_iso_transport(iso, E: FiniteGraph, F: FiniteGraph,
             (xa.values, xi.values * a.values[E.src_idx]))]
         w = word(1.0, (xi,), None, (eta, xi))
         ok = [len(ls) - len(rs) for _, _, _, ls, _, rs in _theta(
-            _word_stacks([w])[0], edge_of, vertex_of)] == [w.degree]
+            _word_stacks([w]), edge_of, vertex_of)] == [w.degree]
         passed = passed and all(r <= tol for r in res) and ok
         worst = max(worst, *res, 0.0 if ok else 1.0)
     return Check("transport", passed, worst)

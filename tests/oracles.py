@@ -1,10 +1,12 @@
 """Reference constructions that only the tests use: sampled circle
-elements, the trivial frame of a finite graph, the refined cocycle cover,
-delta-basis residuals of dict expansions, and the zero test of a word."""
+elements, cover samples as module elements, the trivial frame of a finite
+graph, the refined cocycle cover, delta-basis residuals of dict
+expansions, and the zero test of a word."""
 import numpy as np
 
 from graphcorr.bundles import ArcCover, PermCocycle
 from graphcorr.conjugacy import FrameData
+from graphcorr.double_cover import cover
 from graphcorr.errors import FormatError
 from graphcorr.graphs import TWO_PI, Arc, wrap_angle
 from graphcorr.modules import (ModuleElement, VertexFunction, delta_edge,
@@ -28,6 +30,12 @@ def vertex_function_from_function(graph, base_n: int, f) -> VertexFunction:
     t = TWO_PI * np.arange(base_n) / base_n
     return VertexFunction(graph, np.asarray(f(t), dtype=np.complex128),
                           base_n)
+
+
+def cover_element(f: np.ndarray, n: int) -> ModuleElement:
+    """The cover samples ``f`` as an element of the correspondence of
+    :func:`~graphcorr.double_cover.cover` over the size-``n`` base grid."""
+    return ModuleElement(cover(), (f,), n)
 
 
 def finite_frame(graph, v) -> FrameData:

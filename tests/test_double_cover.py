@@ -7,7 +7,7 @@ import pytest
 from graphcorr import double_cover
 from graphcorr.double_cover import (SWAP, VerificationReport,
                                     _trig_table, build_twist, cover,
-                                    cover_element, endpoint_identity_exact,
+                                    endpoint_identity_exact,
                                     nonisomorphism_witness, random_trig_poly,
                                     rho_map, run_verification,
                                     surjectivity_solve, verify_bimodule,
@@ -17,6 +17,8 @@ from graphcorr.fixtures import circle_double_cover
 from graphcorr.graphs import CircleCoveringGraph, EdgeComponent, graph_to_dict
 from graphcorr.modules import (VertexFunction, inner_product, left_action,
                                right_action)
+
+from oracles import cover_element
 
 TWO_PI = 2.0 * math.pi
 

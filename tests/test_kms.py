@@ -579,8 +579,7 @@ def assert_stacked_condition_matches_word_route(g, beta, rng):
              if beta < math.inf or degree_of(b2) >= 0]
     want = [word_route_condition(state, b1, b2) for b1, b2 in pairs]
     got = kms_condition_residuals(
-        state, [((b1.stacks, b1.positions), (b2.stacks, b2.positions))
-                for b1, b2 in pairs])
+        state, [(b1.stacks, b2.stacks) for b1, b2 in pairs])
     assert got.tolist() == want
     assert [kms_condition_check(state, b1, b2).residual
             for b1, b2 in pairs] == want
@@ -607,9 +606,7 @@ def test_stacked_condition_matches_word_route_on_generated_graphs(g):
         with pytest.raises(DomainError):
             word_route_condition(state, unit, ann)
         with pytest.raises(DomainError):
-            kms_condition_residuals(
-                state, [((unit.stacks, unit.positions),
-                         (ann.stacks, ann.positions))])
+            kms_condition_residuals(state, [(unit.stacks, ann.stacks)])
 
 
 def test_stacked_condition_skips_weightless_words_at_infinity():
@@ -619,7 +616,7 @@ def test_stacked_condition_skips_weightless_words_at_infinity():
     state = point_state(g, math.inf)
     rng = np.random.default_rng(16)
     big = huge_element(g, rng)
-    pair = ((big.stacks, big.positions), (big.stacks, big.positions))
+    pair = (big.stacks, big.stacks)
     with np.errstate(over="ignore", invalid="ignore"):
         assert word_route_condition(state, big, big) == 0.0
         assert kms_condition_residuals(state, [pair]).tolist() == [0.0]
@@ -656,7 +653,7 @@ def test_stacked_trials_match_word_route_on_suite_draws():
                 assert mid is None or np.array_equal(w.middle.values,
                                                      mid[t, 0])
             want.append(word_route_condition(state, *elems))
-        entries.append(tuple((s, ((0,),)) for s in stacks))
+        entries.append(tuple(stacks))
     assert max(map(len, groups.values())) > 1
     assert kms_condition_residuals(state, entries).tolist() == want
 

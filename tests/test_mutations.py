@@ -5,9 +5,11 @@ import inspect
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
-from graphcorr import modules, suite, toeplitz
+from graphcorr import (bundles, conjugacy, double_cover, graphs, kms, modules,
+                       suite, toeplitz)
 
 
 def _everywhere(monkeypatch, module, name, patched):
@@ -73,6 +75,39 @@ ROWS = {
         toeplitz, "vacuum_projection",
         lambda f: _edited(toeplitz, "vacuum_projection", "-1.0 + 0j",
                           "-1 + 1e-12j"), 4),
+    "kms-weight-power-plus-one": (
+        kms, "kms_eval",
+        lambda f: _edited(kms, "kms_eval", "x ** j for j in k",
+                          "x ** (j + (j > 0)) for j in k"), 1),
+    "vacuum-unit-coefficient": (
+        toeplitz, "vacuum_projection",
+        lambda f: _edited(toeplitz, "vacuum_projection",
+                          "np.ones((1, 1), dtype=complex)",
+                          "np.full((1, 1), 1 + 1e-12, dtype=complex)"), 3),
+    "spectral-radius-scaled": (
+        graphs, "spectral_radius",
+        lambda f: _on_result(f, lambda rho: rho * (1 + 1e-9)), 7),
+    "permutation-margin-max": (
+        conjugacy, "nonzero_permutation",
+        lambda f: _edited(conjugacy, "nonzero_permutation",
+                          "margin = float(min(", "margin = float(max("), 8),
+    "isomorphism-cycle-test-inverted": (
+        conjugacy, "finite_graph_isomorphism",
+        lambda f: _edited(conjugacy, "finite_graph_isomorphism",
+                          "if sorted(ce) != sorted(cf):",
+                          "if sorted(ce) == sorted(cf):"), 9),
+    "twist-off-diagonal-scaled": (
+        double_cover, "build_twist",
+        lambda f: _on_result(f, lambda tw: double_cover.TwistPath(
+            tw.n, tw.matrices * np.array([[1, 1 + 1e-9], [1, 1]]))), 10),
+    "monodromy-cycles-of-identity": (
+        bundles, "monodromy",
+        lambda f: _edited(bundles, "monodromy", "Monodromy(total, ()).cycles()",
+                          "Monodromy(tuple(range(c.rank)), ()).cycles()"),
+        11),
+    "bump-frame-unsquared": (
+        conjugacy, "bump_frame",
+        lambda f: _edited(conjugacy, "bump_frame", "np.sqrt(", "("), 12),
 }
 
 

@@ -818,7 +818,7 @@ def test_word_route_windows_hold_every_identity(name):
         m_max = max((w.creations for w in diff), default=0)
         assert m_max <= 3
         # stacked by shape as they stand: _word_stacks merges nothing
-        stacks = toeplitz._word_stacks(diff)[0]
+        stacks = toeplitz._word_stacks(diff)
         for fock in focks:
             window = _dense(fock, stacks, _window_size(fock, m_max))
             worst = max(worst, float(np.max(np.abs(window), initial=0.0)))
@@ -1133,21 +1133,35 @@ def _product_shape(w1, w2) -> tuple:
                               or w2.middle is not None)
 
 
+def _shape(w) -> tuple:
+    """A word's shape ``(creations, annihilations, has middle)``."""
+    return w.creations, w.annihilations, w.middle is not None
+
+
+def _shape_groups(shaped) -> list:
+    """The words of ``(shape, word or None)`` pairs grouped by shape,
+    shapes as first seen, each group in order."""
+    groups: dict = {}
+    for k, w in shaped:
+        groups.setdefault(k, []).append(w)
+    return list(groups.values())
+
+
+def _oracle_pairs(w1, w2) -> list:
+    """``(shape, product or None)`` of every pair of the words ``w1`` and
+    ``w2`` by :func:`_oracle_multiply`: by pair of shape groups, pair ``(i,
+    j)`` at ``i * k2 + j`` within."""
+    g1, g2 = (_shape_groups((_shape(w), w) for w in ws) for ws in (w1, w2))
+    return [(_product_shape(a, b), _oracle_multiply(a, b))
+            for s1 in g1 for s2 in g2 for a in s1 for b in s2]
+
+
 def _oracle_rows(e1, e2, got):
     """:func:`_word_row` of the oracle product of every word pair of ``e1``
     and ``e2``, ``None`` where it is zero, in the order of their stacked
     product ``got``: by pair of shape stacks, pair ``(i, j)`` at ``i * k2 +
     j`` within, then grouped by the product shapes in ``got``'s order."""
-    def stacks(e):
-        groups: dict = {}
-        for w in e.words:
-            key = (w.creations, w.annihilations, w.middle is not None)
-            groups.setdefault(key, []).append(w)
-        return list(groups.values())
-
-    prods = [(_product_shape(w1, w2), _oracle_multiply(w1, w2))
-             for s1 in stacks(e1) for s2 in stacks(e2)
-             for w1 in s1 for w2 in s2]
+    prods = _oracle_pairs(e1.words, e2.words)
     return [None if w is None else _word_row(w)
             for m, n, _, _, mid, _ in got for shape, w in prods
             if shape == (m, n, mid is not None)]
@@ -1263,9 +1277,7 @@ def test_square_meets_its_own_stacks_on_every_pair():
                                       complex(*rng.standard_normal(2)))
                             for _ in range(3)])
     assert len(e.stacks) == 1
-    w = list(e.words)
-    _assert_words_and_stacks(e * e, _merged(
-        [p for a in w for b in w if (p := _oracle_multiply(a, b)) is not None]))
+    _assert_words_and_stacks(e * e, _element_product(e.words, e.words))
     got = _batch_product(e.stacks, e.stacks, g)
     assert _batch_rows(got) == _oracle_rows(e, e, got)
 
@@ -1325,6 +1337,21 @@ def _merged(words) -> list:
             if w.coeff != 0]
 
 
+def _element_words(words) -> list:
+    """The word route's element of ``words``: grouped by shape as first
+    seen, zero words included, then :func:`_merged`."""
+    return _merged(w for ws in _shape_groups((_shape(w), w) for w in words)
+                   for w in ws)
+
+
+def _element_product(w1, w2) -> list:
+    """The word route's product of two elements' words: the products of
+    :func:`_oracle_pairs` grouped by product shape as first seen, zero
+    products included, then :func:`_merged`."""
+    return _merged(p for ps in _shape_groups(_oracle_pairs(w1, w2))
+                   for p in ps if p is not None)
+
+
 def _rescaled_words(words, weight):
     return [Word(w.coeff * weight(w), w.left, w.middle, w.right)
             for w in words]
@@ -1334,28 +1361,24 @@ def _word_route_ops(e1, e2, c, z, n):
     """Per element operation, the word route's words of its result."""
     w1, w2 = list(e1.words), list(e2.words)
     return {
-        "add": _merged(w1 + w2),
-        "sub": _merged(w1 + _rescaled_words(w2, lambda w: -1.0)),
-        "mul": _merged([p for a in w1 for b in w2
-                        if (p := _oracle_multiply(a, b)) is not None]),
-        "adjoint": _merged([word(np.conj(w.coeff), w.right, None
-                                 if w.middle is None else w.middle.conj(),
-                                 w.left) for w in w1]),
-        "scaled": _merged(_rescaled_words(w1, lambda w: c)),
-        "gauge": _merged(_rescaled_words(w1, lambda w: z ** w.degree)),
-        "component": _merged([w for w in w1 if w.degree == n])}
+        "add": _element_words(w1 + w2),
+        "sub": _element_words(w1 + _rescaled_words(w2, lambda w: -1.0)),
+        "mul": _element_product(w1, w2),
+        "adjoint": _element_words([word(np.conj(w.coeff), w.right, None
+                                        if w.middle is None
+                                        else w.middle.conj(), w.left)
+                                   for w in w1]),
+        "scaled": _element_words(_rescaled_words(w1, lambda w: c)),
+        "gauge": _element_words(_rescaled_words(w1, lambda w: z ** w.degree)),
+        "component": _element_words([w for w in w1 if w.degree == n])}
 
 
 def _assert_words_and_stacks(elem, want):
     """``elem`` has bitwise the words ``want``, in order, and its stacks
-    hold them: one stack per shape, shapes as first seen, each row at
-    its word's position."""
+    hold them: one stack per shape, its rows read in order."""
     rows = [_word_row(w) for w in elem.words]
     assert rows == [_word_row(w) for w in want]
-    assert _batch_rows(elem.stacks) == [rows[p] for at in elem.positions
-                                        for p in at]
-    assert [at[0] for at in elem.positions] \
-        == sorted(at[0] for at in elem.positions)
+    assert _batch_rows(elem.stacks) == rows
     assert len({bt[:2] + (bt[4] is None,) for bt in elem.stacks}) \
         == len(elem.stacks)
 
@@ -1376,7 +1399,7 @@ def test_element_operations_match_word_route_on_generated_graphs(g, seed):
     rng = np.random.default_rng(seed)
     w1, w2 = (_repeated_words(g, rng, 4) for _ in range(2))
     e1, e2 = ToeplitzElement(g, w1), ToeplitzElement(g, w2)
-    _assert_words_and_stacks(e1, _merged(w1))
+    _assert_words_and_stacks(e1, _element_words(w1))
     c = complex(*rng.standard_normal(2)) if rng.random() < 0.8 else 0.0
     z = complex(*rng.standard_normal(2))
     n = int(rng.integers(-2, 3))
@@ -1403,8 +1426,14 @@ def test_construction_merges_in_first_seen_order_and_drops_zeros():
     # ab's coefficients add left to right, ba's cancel, zeros go
     assert [(w.coeff, len(w.left), len(w.right)) for w in elem.words] \
         == [((1.0 + (2.0 + 1.0j)) + 1.5j, 1, 0), (4.0, 0, 0)]
-    assert elem.positions == ((0,), (1,))
-    _assert_words_and_stacks(elem, _merged(words))
+    assert [bt[:2] for bt in elem.stacks] == [(1, 0), (0, 0)]
+    _assert_words_and_stacks(elem, _element_words(words))
+    # interleaved shapes: a shape's words come together, at its first
+    interleaved = [word(1.0, (d["ab"],)), word(4.0),
+                   word(2.0, (d["ba"],)), word(0.5, (), None, (d["aa"],))]
+    elem = ToeplitzElement(g, interleaved)
+    assert [w.coeff for w in elem.words] == [1.0, 2.0, 4.0, 0.5]
+    _assert_words_and_stacks(elem, _element_words(interleaved))
 
 
 def test_fock_multiply_command_matches_word_route(capsys):
@@ -1423,12 +1452,12 @@ def test_fock_multiply_command_matches_word_route(capsys):
                     [word(1.0, (d,))]]
             docs = [element_to_json(types.SimpleNamespace(
                 words=_repeated_words(g, rng, 3) + extra)) for extra in pair]
-            factors = [_merged(word_from_dict(g, w) for w in doc["words"])
-                       for doc in docs]
-            products = [p for a in factors[0] for b in factors[1]
-                        if (p := _oracle_multiply(a, b)) is not None]
+            factors = [_element_words(word_from_dict(g, w)
+                                      for w in doc["words"]) for doc in docs]
+            products = [p for _, p in _oracle_pairs(*factors)
+                        if p is not None]
             want = element_to_json(types.SimpleNamespace(
-                words=_merged(products)))
+                words=_element_product(*factors)))
             assert dispatch(["fock", "multiply", fixture_path(name),
                              "--w1", json.dumps(docs[0]),
                              "--w2", json.dumps(docs[1])]) == 0
