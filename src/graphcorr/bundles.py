@@ -157,8 +157,8 @@ def cocycle_check(c: PermCocycle) -> Check:
 # graph <-> cocycle
 
 
-def cocycle_from_graph(graph: CircleCoveringGraph, n_arcs: int = 2,
-                       overlap: float = 0.25) -> PermCocycle:
+def cocycle_from_graph(graph: CircleCoveringGraph,
+                       n_arcs: int = 2) -> PermCocycle:
     """Transition data of the source covering over a standard arc cover.
 
     Sections over each arc are ordered component-major; on each overlap
@@ -169,7 +169,7 @@ def cocycle_from_graph(graph: CircleCoveringGraph, n_arcs: int = 2,
     if n_arcs < 2:
         raise FormatError("need at least two arcs")
     k = graph.total_fiber_degree()
-    delta = overlap * math.pi / n_arcs
+    delta = 0.25 * math.pi / n_arcs
     arcs = [Arc(wrap_angle(TWO_PI * a / n_arcs - delta),
                 TWO_PI / n_arcs + 2 * delta) for a in range(n_arcs)]
     cover = ArcCover(arcs)

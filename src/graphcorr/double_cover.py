@@ -191,7 +191,7 @@ def nonisomorphism_witness() -> tuple[int, int]:
     the graphs are not isomorphic even though the correspondence checks in
     this module certify an isomorphism of their bimodules.
     """
-    return circle_two_loops().component_count(), cover().component_count()
+    return circle_two_loops().n_components, cover().n_components
 
 
 def _trig_table(n_samples: int, degree: int = 16) -> np.ndarray:

@@ -159,9 +159,9 @@ class Path:
         return len(self.edges)
 
 
-def path_counts(graph: FiniteGraph, v, n: int) -> list[int]:
-    """``[|E^0 v|, ..., |E^n v|]`` computed from adjacency powers."""
-    vi = graph.vertex_index(v)
+def path_counts(graph: FiniteGraph, vi: int, n: int) -> list[int]:
+    """``[|E^0 v|, ..., |E^n v|]`` for the vertex ``v`` of index ``vi``,
+    computed from adjacency powers."""
     w = np.zeros(graph.n_vertices, dtype=np.int64)
     w[vi] = 1
     counts = [1]
@@ -175,16 +175,16 @@ def path_counts(graph: FiniteGraph, v, n: int) -> list[int]:
     return counts
 
 
-def _check_path_budget(graph: FiniteGraph, v, n: int) -> None:
+def _check_path_budget(graph: FiniteGraph, vi: int, n: int) -> None:
     """Raise ``SizeLimitError`` when ``n * |E^n v| > MAX_PATHS``."""
-    count = path_counts(graph, v, min(n, graph.n_vertices))[-1]
+    count = path_counts(graph, vi, min(n, graph.n_vertices))[-1]
     if n > graph.n_vertices and count:
         # a path of length |V| runs through a cycle, so there are paths of
         # every greater length too
         if n > MAX_PATHS:
             raise SizeLimitError(
                 f"paths of length {n} exceed the {MAX_PATHS} limit")
-        count = path_counts(graph, v, n)[-1]
+        count = path_counts(graph, vi, n)[-1]
     if n * count > MAX_PATHS:
         raise SizeLimitError(
             f"paths of length {n} exceed the {MAX_PATHS} limit")
@@ -205,7 +205,7 @@ def path_index_tuples(graph: FiniteGraph, vi: int, n: int) -> list[tuple]:
         raise FormatError("path length must be nonnegative")
     # |E^n v| <= d^n for the largest out-degree d settles short requests
     if not (n <= 20 and n * graph._max_out ** n <= MAX_PATHS):
-        _check_path_budget(graph, graph.vertices[vi], n)
+        _check_path_budget(graph, vi, n)
     succ, rng = graph._succ, graph._rng_list
     # per level, (position of the parent path, front edge) for every path;
     # tuples are read back at the end, so long paths cost no re-copying
@@ -436,10 +436,6 @@ class CircleCoveringGraph:
         """|s^{-1}(v)|; constant over the connected base circle."""
         wrap_angle(v)
         return self.total_fiber_degree()
-
-    def component_count(self) -> int:
-        """Connected components of the edge space."""
-        return self.n_components
 
     def __repr__(self):
         degs = [c.source_degree for c in self.components]

@@ -93,19 +93,18 @@ def truncated_partition_sum(graph: FiniteGraph, beta: float, v,
     return total
 
 
-def partition_tail_bound(graph: FiniteGraph, beta: float, depth: int,
-                         block: int = 20) -> float:
+def partition_tail_bound(graph: FiniteGraph, beta: float, depth: int) -> float:
     """Upper bound on the discarded tail ``sum_{n > depth} e^{-beta n} a_n``
     with ``a_n = max_v |E^n v|``.
 
-    Submultiplicativity gives ``a_n <= a_B g^n`` for ``g = a_B^{1/B}``, so
-    the tail is below ``a_B (e^{-beta} g)^{depth+1} / (1 - e^{-beta} g)``.
-    When ``a_B = 0`` the graph is acyclic, no path is longer than
-    ``|V| - 1``, and the tail is the finite sum itself.
+    Submultiplicativity gives ``a_n <= a_B g^n`` for ``g = a_B^{1/B}``, here
+    with ``B = 20``, so the tail is below ``a_B (e^{-beta} g)^{depth+1} /
+    (1 - e^{-beta} g)``.  When ``a_B = 0`` the graph is acyclic, no path is
+    longer than ``|V| - 1``, and the tail is the finite sum itself.
     """
     A = graph.adjacency().astype(np.float64)
     counts = np.ones(graph.n_vertices)
-    for _ in range(block):
+    for _ in range(20):
         counts = counts @ A
     a_block = float(counts.max())
     if a_block == 0.0:
@@ -116,7 +115,7 @@ def partition_tail_bound(graph: FiniteGraph, beta: float, depth: int,
             if n > depth:
                 tail += math.exp(-beta * n) * float(counts.max())
         return tail
-    g = max(a_block ** (1.0 / block), 1.0)
+    g = max(a_block ** (1.0 / 20), 1.0)
     q = math.exp(-beta) * g
     if q >= 1.0:
         return math.inf
@@ -124,8 +123,8 @@ def partition_tail_bound(graph: FiniteGraph, beta: float, depth: int,
 
 
 def choose_truncation_depth(graph: FiniteGraph, beta: float,
-                            eps: float = 1e-13, cap: int = 2000) -> int:
-    for depth in range(1, cap):
+                            eps: float = 1e-13) -> int:
+    for depth in range(1, 2000):
         if partition_tail_bound(graph, beta, depth) < eps:
             return depth
     raise DomainError("no truncation depth meets the tail bound; "
@@ -286,7 +285,8 @@ def kms_condition_residuals(state: KMSState, pairs) -> np.ndarray:
     Each entry of ``pairs`` gives ``b1`` and ``b2`` over the state's graph
     as lists of stacks, as :class:`~graphcorr.toeplitz.ToeplitzElement`
     holds them (one stack per shape, its words in order), every stack on
-    the entry's trial axis; the residuals of all trials come back entry by
+    the entry's trial axis or of one trial, which then serves every trial
+    of the entry; the residuals of all trials come back entry by
     entry, each entry evaluated on its own trial axis by
     :func:`_stack_residuals`.  A residual is bitwise the
     per-pair route's unless two product words coincide, which the product
@@ -306,10 +306,13 @@ def _stack_residuals(state: KMSState, e1, e2) -> list:
     if len(d1) > 1 or len(d2) > 1:
         raise DomainError("inputs must be gauge homogeneous")
     s = _gauge_weight(state.params.x, min(d2, default=0))
+    trials = max((len(bt[2]) for bt in (*e1, *e2)), default=1)
     if {a + b for a in d1 for b in d2} != {0}:
         # both sides are 0
-        return [0.0] * max((len(bt[2]) for bt in (*e1, *e2)), default=1)
-    e1, e2 = ((e, [bt[2].tolist() for bt in e]) for e in (e1, e2))
+        return [0.0] * trials
+    # a one-trial stack serves every trial, as _stack_product broadcasts it
+    e1, e2 = ((e, [np.broadcast_to(bt[2], (trials, bt[2].shape[1])).tolist()
+                   for bt in e]) for e in (e1, e2))
     twisted = [[[complex(c) * s for c in row] for row in cs] for cs in e2[1]]
     return [abs(lhs - rhs) for lhs, rhs in zip(
         _product_values(state, e1, (e2[0], twisted)),

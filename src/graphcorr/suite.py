@@ -211,6 +211,10 @@ def criterion_8_permutation_lemma(seed: int = 0):
     agree = True
     for t in range(500):
         B = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        if t % 10 == 9:
+            # the matching on an all-true pattern is (5, 4, 3, 2, 1, 0), so
+            # zeros there are matched unless the threshold is applied
+            B[np.arange(6), np.arange(5, -1, -1)] = 0
         try:
             w = nonzero_permutation(B)
         except (SingularMatrixError, NoMatchingError):

@@ -94,6 +94,19 @@ def test_triple_overlap_cocycle_law():
     assert cocycle_check(c).passed
 
 
+def test_triple_overlap_cocycle_law_violation_fails():
+    # every transition the swap: each is its own inverse, but on a triple
+    # overlap two swaps compose to the identity, not to the third swap
+    cover = ArcCover([Arc(0.0, 4.5), Arc(2.0, 4.5), Arc(4.0, 4.5)])
+    c = PermCocycle(rank=2, cover=cover, transitions={
+        (i, j, cidx): (1, 0) for (i, j), comps in cover.overlaps.items()
+        for cidx in range(len(comps))})
+    rep = cocycle_check(c)
+    assert not rep.passed
+    assert "inverse" not in rep.detail
+    assert "cocycle law fails on triple (0,1,2)" in rep.detail
+
+
 # ---------------------------------------------------------------------------
 # graph -> cocycle
 

@@ -379,6 +379,33 @@ def test_perturbed_frame_fails_orthogonality():
     assert rep.failed_condition == "(1) orthogonality"
 
 
+def test_frame_with_a_fiber_of_the_wrong_size_fails_spanning():
+    # one generator over a vertex with two edges: orthogonal with the
+    # weight, but its fiber matrices are 2 samples by 1 generator
+    g = fibonacci()
+    fd = finite_frame(g, "a")
+    rep = frame_verify(g, FrameData(h=fd.h, gens=fd.gens[:1],
+                                    alphas=fd.alphas[:1]), tol=1e-9)
+    assert not rep.passed
+    assert rep.failed_condition == "(2) spanning"
+    assert rep.detail == "fiber size 2 != 1 generators at base point 0"
+
+
+def test_rank_deficient_fiber_matrix_fails_spanning():
+    # the same generator twice, on a weight just above tol: every inner
+    # product is within tol of its target, but the fiber matrix at the
+    # vertex has two equal rows
+    g = fibonacci()
+    fd = finite_frame(g, "a")
+    twice = (ModuleElement(g, math.sqrt(0.9e-9) * fd.gens[0].values),) * 2
+    h = VertexFunction(g, 1.5e-9 * fd.h.values)
+    rep = frame_verify(g, FrameData(h=h, gens=twice, alphas=fd.alphas),
+                       tol=1e-9)
+    assert not rep.passed
+    assert rep.failed_condition == "(2) spanning"
+    assert rep.detail == "rank-deficient fiber matrix at base point 0"
+
+
 def test_wrong_alpha_fails_action_transfer():
     g = circle_double_cover()
     fd = bump_frame(g, base_n=128)

@@ -237,7 +237,7 @@ def test_component_counts():
 
 def test_three_trivial_loops_components():
     g = CircleCoveringGraph([EdgeComponent(1, 0, 1, 0)] * 3)
-    assert g.component_count() == 3
+    assert g.n_components == 3
 
 
 def test_full_verification_small_grid():

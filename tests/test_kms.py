@@ -10,8 +10,9 @@ from graphcorr.errors import (DomainError, FormatError, MismatchError,
 from graphcorr.fixtures import (FINITE_FIXTURES, edgeless, fibonacci, k_loops,
                                 single_loop, ten_edge)
 from graphcorr.graphs import FiniteGraph, spectral_radius
-from graphcorr.kms import (KMSParameters, KMSState, _element_stack,
-                           _word_profile, choose_truncation_depth,
+from graphcorr.kms import (KMSParameters, KMSState, SweepRow, SweepTable,
+                           _element_stack, _word_profile,
+                           choose_truncation_depth,
                            extremal_separation_check, kms_condition_check,
                            kms_condition_residuals, kms_eval,
                            kms_eval_truncated,
@@ -658,6 +659,29 @@ def test_stacked_trials_match_word_route_on_suite_draws():
     assert kms_condition_residuals(state, entries).tolist() == want
 
 
+def test_one_trial_operand_serves_every_trial():
+    # b1 drawn once and b2 twice, as criterion 2 draws them: the one-trial
+    # b1 stack meets each b2 trial, as when repeated to two trials and as
+    # in one-trial entries
+    g = fibonacci()
+    state = point_state(g, 2.0)
+    rng = np.random.default_rng(0)
+    m1, n1, z1 = suite._draw_word(g, rng)
+    draws = [suite._draw_word(g, rng, n1 - m1) for _ in range(2)]
+    assert (m1, n1) == (2, 1) and [d[:2] for d in draws] == [(0, 1)] * 2
+    z2 = np.array([z for *_, z in draws])
+    b2 = suite._word_stack(g, 0, 1, z2)
+    one, repeated = (
+        kms_condition_residuals(
+            state, [(suite._word_stack(g, m1, n1, z), b2)]).tolist()
+        for z in (z1[None], np.array([z1, z1])))
+    per_trial = kms_condition_residuals(state, [
+        (suite._word_stack(g, m1, n1, z1[None]),
+         suite._word_stack(g, 0, 1, z[None])) for z in z2]).tolist()
+    assert one == repeated == per_trial
+    assert all(r > 0.0 for r in per_trial)
+
+
 def per_call_homogeneous(g, rng, degree=None) -> ToeplitzElement:
     """The one-word element drawn by per-call ``modules.random_*`` draws,
     the middle only without creations: criterion 2's former draws."""
@@ -813,6 +837,16 @@ def test_sweep_fibonacci_monotone_and_bounded():
     for row in table.rows:
         assert row.residual <= 3.0 * math.exp(-row.beta) \
             * words[row.word_id].norm_bound()
+
+
+def test_sweep_with_one_rising_residual_is_not_monotone():
+    # word "w" rises by 1e-9 from beta 2 to beta 3, rows given out of
+    # beta order; word "u" falls
+    rows = [SweepRow(2.0, "w", 0j, 0.25), SweepRow(1.0, "w", 0j, 0.5),
+            SweepRow(1.0, "u", 0j, 1.0), SweepRow(2.0, "u", 0j, 0.5),
+            SweepRow(3.0, "w", 0j, 0.25 + 1e-9)]
+    assert SweepTable(rows[:4]).monotone_decreasing()
+    assert not SweepTable(rows).monotone_decreasing()
 
 
 def test_sweep_evaluates_each_limit_once(monkeypatch):

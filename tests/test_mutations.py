@@ -91,6 +91,10 @@ ROWS = {
         conjugacy, "nonzero_permutation",
         lambda f: _edited(conjugacy, "nonzero_permutation",
                           "margin = float(min(", "margin = float(max("), 8),
+    "permutation-threshold-ignored": (
+        conjugacy, "nonzero_permutation",
+        lambda f: _edited(conjugacy, "nonzero_permutation",
+                          "np.abs(B) > threshold", "np.abs(B) >= 0"), 8),
     "isomorphism-cycle-test-inverted": (
         conjugacy, "finite_graph_isomorphism",
         lambda f: _edited(conjugacy, "finite_graph_isomorphism",
