@@ -23,10 +23,10 @@ Truncated path sums, over profiles computed word by word, are kept as an
 independent oracle.  At ``beta = inf`` the same state is the vacuum vector
 state, which sees only the scalar part of a word.  The KMS condition is
 checked on the elements' own shape stacks, each pair on the trial axis
-its caller stacked it on; the words of two stacks meet
-pair by pair as broadcast views, with no copy, and each product stack is
-evaluated with one row-wise product of its profiles, which
-:func:`_profiles` forms as it forms an element's.
+its caller stacked it on: both products come from the word algebra's one
+product route, :func:`~graphcorr.toeplitz._batch_product`, and each
+product stack is evaluated with one row-wise product of its profiles,
+which :func:`_profiles` forms as it forms an element's.
 """
 from __future__ import annotations
 
@@ -42,8 +42,9 @@ from .graphs import FiniteGraph, check_trials, spectral_radius
 from .modules import (_tensor_inner, delta_edge, delta_vertex,
                       random_module_element, tensor_inner_product)
 from .report import Check
-from .toeplitz import (ToeplitzElement, Word, _gauge_weight, _live_words,
-                       _stack_product, pi_word, vacuum_projection, word)
+from .toeplitz import (ToeplitzElement, Word, _batch_product, _cmul,
+                       _gauge_weight, _live_words, _on_trials, pi_word,
+                       vacuum_projection, word)
 
 
 @dataclass
@@ -183,15 +184,12 @@ def _word_profile(w: Word):
 
 def _profiles(left, middle, right, graph: FiniteGraph, shape: tuple):
     """The profiles ``g``, ``shape + (vertices,)``, of balanced words from
-    their factors on leading shapes that broadcast to ``shape``: the
+    their factors on the leading shape ``shape``: the
     :func:`~graphcorr.modules._tensor_inner` of the annihilations and
-    creations, else the middles, else 1; broadcast only where a factor's
-    shape falls short, so every row is bitwise that word's profile."""
+    creations, else the middles, else 1."""
     G = _tensor_inner(right, left, graph) if left else middle
-    if G is None or G.shape[:-1] != shape:
-        G = np.broadcast_to(1.0 if G is None else G,
-                            shape + (graph.n_vertices,))
-    return G
+    return np.broadcast_to(1.0, shape + (graph.n_vertices,)) if G is None \
+        else G
 
 
 def _element_stack(elem: ToeplitzElement):
@@ -288,20 +286,23 @@ def kms_condition_residuals(state: KMSState, pairs) -> np.ndarray:
     the entry's trial axis or of one trial, which then serves every trial
     of the entry; the residuals of all trials come back entry by
     entry, each entry evaluated on its own trial axis by
-    :func:`_stack_residuals`.  A residual is bitwise the
-    per-pair route's unless two product words coincide, which the product
-    element merges first.  ``DomainError`` for an element that is not
-    gauge homogeneous, and for ``b2`` of negative degree where
-    ``e^{-beta}`` is 0.
+    :func:`_stack_residuals`, whose products are
+    :func:`~graphcorr.toeplitz._batch_product`'s stacks, unmerged.  A
+    residual is bitwise the per-pair route's unless two product words
+    coincide, which the product element merges first.  ``DomainError``
+    for an element that is not gauge homogeneous, and for ``b2`` of
+    negative degree where ``e^{-beta}`` is 0.
     """
     return np.array([r for b1, b2 in pairs
                      for r in _stack_residuals(state, b1, b2)], dtype=float)
 
 
 def _stack_residuals(state: KMSState, e1, e2) -> list:
-    """Per trial, the residual of two elements given as lists of stacks,
-    with ``x**deg`` folded into ``b2``'s coefficients by Python's complex
-    product, bitwise ``_cmul``'s; 0 when no product word is balanced."""
+    """Per trial, the residual of two elements given as lists of stacks:
+    ``b2``'s coefficients times ``x**deg`` by :func:`_cmul`, bitwise the
+    scalar product, and both sides formed by
+    :func:`~graphcorr.toeplitz._batch_product` and evaluated by
+    :func:`_product_state`; 0 when no product word is balanced."""
     d1, d2 = ({m - n for m, n, *_ in e} for e in (e1, e2))
     if len(d1) > 1 or len(d2) > 1:
         raise DomainError("inputs must be gauge homogeneous")
@@ -310,52 +311,32 @@ def _stack_residuals(state: KMSState, e1, e2) -> list:
     if {a + b for a in d1 for b in d2} != {0}:
         # both sides are 0
         return [0.0] * trials
-    # a one-trial stack serves every trial, as _stack_product broadcasts it
-    e1, e2 = ((e, [np.broadcast_to(bt[2], (trials, bt[2].shape[1])).tolist()
-                   for bt in e]) for e in (e1, e2))
-    twisted = [[[complex(c) * s for c in row] for row in cs] for cs in e2[1]]
+    g = state.params.graph
+    twisted = [(m, n, _cmul(c, s), *f) for m, n, c, *f in e2]
     return [abs(lhs - rhs) for lhs, rhs in zip(
-        _product_values(state, e1, (e2[0], twisted)),
-        _product_values(state, e2, e1))]
+        _product_state(state, _batch_product(e1, twisted, g), trials),
+        _product_state(state, _batch_product(e2, e1, g), trials))]
 
 
-def _product_values(state: KMSState, e1, e2) -> list:
-    """Per trial, the state of the product of two trial-stacked elements
-    given as ``(stacks, coefficient lists)``, whose degrees sum to 0, as
-    :func:`kms_eval` takes it on the product element: each pair of stacks
-    is formed as :func:`~graphcorr.toeplitz._batch_product` forms it, and a
-    term ``c x**k <g, dual>`` per product word with a nonzero coefficient
-    and factors, in Python complex arithmetic on the coefficients and the
-    row products, is summed in the product element's order: by product
-    shape as first seen, the pairs of stacks of a shape in order, and pair
-    ``(i, j)`` of two stacks at word ``i * k2 + j``."""
+def _product_state(state: KMSState, stacks, trials: int) -> list:
+    """Per trial, :func:`kms_eval` of the element whose words are those of
+    the degree-0 ``stacks``, unmerged (a one-trial stack serves every
+    trial): a term ``c x**k <g, dual>`` per live word of nonzero weight,
+    in Python complex arithmetic, summed in word order."""
     x, u, g = state.params.x, state.dual, state.params.graph
-    (stacks1, cs1), (stacks2, cs2) = e1, e2
-    trials = max(len(bt[2]) for bt in (*stacks1, *stacks2))
-    terms: dict = {}        # product shape -> per trial, its terms in order
-    for (bt1, c1s), (bt2, c2s) in itertools.product(zip(stacks1, cs1),
-                                                    zip(stacks2, cs2)):
-        left, middle, right = _stack_product(bt1, bt2, g)
-        shape_terms = terms.setdefault(
-            (len(left), len(right), middle is not None),
-            [[] for _ in range(trials)])
-        weight = x ** len(left)
+    terms = [[] for _ in range(trials)]
+    for m, _, c, left, middle, right in stacks:
+        weight = x ** m
         if not weight:
             continue
-        shape = (trials, bt1[2].shape[1], bt2[2].shape[1])
-        G = _profiles(left, middle, right, g, shape)
-        d = np.einsum("ij,j->i", G.reshape(-1, g.n_vertices), u)
-        live = _live_words(np.ones(shape, bool), left, middle, right)
-        for out, c1, c2, live_t, d_t in zip(
-                shape_terms, c1s, c2s, live.reshape(trials, -1).tolist(),
-                d.reshape(trials, -1).tolist()):
-            for (a, b), ok, dw in zip(itertools.product(c1, c2), live_t,
-                                      d_t):
-                c = a * b
-                if ok and a and b and c:
-                    out.append(c * weight * dw)
-    return [sum((v for ts in terms.values() for v in ts[t]), 0j)
-            for t in range(trials)]
+        d = np.einsum("ij,j->i", _profiles(left, middle, right, g, c.shape)
+                      .reshape(-1, g.n_vertices), u).reshape(c.shape)
+        live = _live_words(c, left, middle, right)
+        for out, c_t, live_t, d_t in zip(terms, *(
+                _on_trials(a, trials).tolist() for a in (c, live, d))):
+            out += [ct * weight * dt
+                    for ct, ok, dt in zip(c_t, live_t, d_t) if ok]
+    return [sum(ts, 0j) for ts in terms]
 
 
 @dataclass
@@ -409,7 +390,9 @@ def kms_limit_sweep(graph: FiniteGraph, v, words: dict, betas) -> SweepTable:
     """Residuals ``|phi_v^beta(w) - phi_v^inf(w)|`` over a grid of betas.
 
     Also fits the smallest ``C`` with residual ``<= C e^{-beta}`` per row
-    family, reporting the largest over all words.
+    family, reporting the largest over all words.  A zero residual bounds
+    no ``C`` and is skipped: above beta ~ 745, where ``e^{-beta}`` is 0,
+    the state is the vacuum state and every residual is 0.
     """
     table = SweepTable()
     limit = KMSState.point_mass(KMSParameters(graph, math.inf), v)
@@ -420,7 +403,8 @@ def kms_limit_sweep(graph: FiniteGraph, v, words: dict, betas) -> SweepTable:
         for wid, elem in words.items():
             val = kms_eval(state, elem)
             res = abs(val - limits[wid])
-            c_fit = max(c_fit, res / math.exp(-float(beta)))
+            if res:
+                c_fit = max(c_fit, res / math.exp(-float(beta)))
             table.rows.append(SweepRow(float(beta), wid, val, res))
     table.fitted_constant = c_fit
     return table

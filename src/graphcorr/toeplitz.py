@@ -672,15 +672,27 @@ def _concat_batches(batches) -> list:
 
 
 def _join(stacks):
-    """Stacks of one shape joined on the word axis."""
+    """Stacks of one shape joined on the word axis, a one-trial stack
+    broadcast to the trial count of the others, so that it serves each of
+    their trials."""
     if len(stacks) == 1:
         return stacks[0]
     m, n, _, _, mid, _ = stacks[0]
-    cat = functools.partial(np.concatenate, axis=1)
+    trials = max(len(s[2]) for s in stacks)
+
+    def cat(arrays):
+        return np.concatenate([_on_trials(a, trials) for a in arrays], axis=1)
     return (m, n, cat([s[2] for s in stacks]),
             [cat(f) for f in zip(*(s[3] for s in stacks))],
             None if mid is None else cat([s[4] for s in stacks]),
             [cat(f) for f in zip(*(s[5] for s in stacks))])
+
+
+def _on_trials(a, trials: int):
+    """``a`` on ``trials`` trials: a one-trial array, which serves every
+    trial, broadcast to them."""
+    return a if len(a) == trials else np.broadcast_to(
+        a, (trials,) + a.shape[1:])
 
 
 #: entries of the largest dense matrix :func:`fock_matrix` builds: 2**24
@@ -756,39 +768,39 @@ def _batch_product(batches1, batches2, graph: FiniteGraph) -> list:
     trial by trial (a one-trial operand serves every trial): each pair of
     stacks gives the stack of all its word pairs by :func:`_pair_product`,
     so every row is bitwise the product of its two words that the element
-    product forms, zero or not; none merged."""
+    product forms, zero or not; none merged.  The pairs' stacks of one
+    product shape are joined by :func:`_join`, in order.  The element
+    product, the reconstruction's product rule and the KMS condition all
+    multiply here."""
     return _concat_batches([_pair_product(bt1, bt2, graph)
                             for bt1, bt2 in product(batches1, batches2)])
 
 
 def _pair_product(bt1, bt2, graph: FiniteGraph) -> tuple:
     """The stack of the products of every word ``i`` of ``bt1`` with every
-    word ``j`` of ``bt2``, pair ``(i, j)`` at word ``i * k2 + j``, read out
-    of :func:`_stack_product`'s broadcast views: factors by :func:`_reduce`
-    and coefficients by :func:`_cmul`, zero products kept."""
+    word ``j`` of ``bt2``, pair ``(i, j)`` at word ``i * k2 + j``, zero
+    products kept: factors by :func:`_reduce` and coefficients by
+    :func:`_cmul`.  The stacks enter as views ``(trials, k1, 1, *)`` and
+    ``(trials, 1, k2, *)``, which meet on pair ``(i, j)`` at ``[:, i, j]``
+    by broadcasting (a one-trial stack serves every trial), and the
+    products are read out flat, ``(trials, k1 * k2, *)``."""
     c = _cmul(bt1[2][:, :, None], bt2[2][:, None])
     rows = (len(c), c.shape[1] * c.shape[2])
 
     def flat(a):
-        return np.broadcast_to(a, c.shape + a.shape[3:]).reshape(
-            rows + a.shape[3:])
-    left, middle, right = _stack_product(bt1, bt2, graph)
-    return (len(left), len(right), flat(c), [flat(x) for x in left],
-            None if middle is None else flat(middle), [flat(y) for y in right])
-
-
-def _stack_product(bt1, bt2, graph: FiniteGraph):
-    """The factors ``(left, middle, right)`` by :func:`_reduce` of the
-    products of every word of ``bt1`` with every word of ``bt2``, zero
-    words kept: the stacks enter as views ``(trials, k1, 1, *)`` and
-    ``(trials, 1, k2, *)``, which meet on pair ``(i, j)`` at ``[:, i, j]``
-    by broadcasting, with no copy (a one-trial stack serves every trial)."""
-    return _reduce(*(
+        if a.shape[:3] != c.shape:
+            full = np.empty(c.shape + a.shape[3:], a.dtype)
+            full[...] = a
+            a = full
+        return a.reshape(rows + a.shape[3:])
+    left, middle, right = _reduce(*(
         ([view(a) for a in ls], None if mid is None else view(mid),
          [view(a) for a in rs])
         for (_, _, _, ls, mid, rs), view in (
             (bt1, lambda a: a[:, :, None]), (bt2, lambda a: a[:, None]))),
         graph)
+    return (len(left), len(right), flat(c), [flat(x) for x in left],
+            None if middle is None else flat(middle), [flat(y) for y in right])
 
 
 def _one_word_stack(left=(), middle=None, right=()) -> list:

@@ -1,7 +1,7 @@
 """Reference constructions that only the tests use: sampled circle
 elements, cover samples as module elements, the trivial frame of a finite
 graph, the refined cocycle cover, delta-basis residuals of dict
-expansions, and the zero test of a word."""
+expansions, the zero test of a word, and stacks of mixed trial counts."""
 import numpy as np
 
 from graphcorr.bundles import ArcCover, PermCocycle
@@ -11,6 +11,7 @@ from graphcorr.errors import FormatError
 from graphcorr.graphs import TWO_PI, Arc, wrap_angle
 from graphcorr.modules import (ModuleElement, VertexFunction, delta_edge,
                                delta_vertex)
+from graphcorr.suite import _word_stack
 from graphcorr.toeplitz import _basis_residual, _from_dict
 
 
@@ -84,3 +85,31 @@ def word_is_zero(w) -> bool:
     return (w.coeff == 0 or any(x.is_zero() for x in w.left)
             or (w.middle is not None and not w.middle.values.any())
             or any(y.is_zero() for y in w.right))
+
+
+def mixed_trial_entry(graph) -> tuple:
+    """A KMS-condition entry with one three-trial stack among one-trial
+    ones: ``b1`` a one-trial ``(1, 0)`` and a three-trial ``(2, 1)``
+    stack, ``b2`` one-trial ``(1, 2)`` and ``(0, 1)`` stacks (the last
+    with a middle), coefficient 1, their factors' normals drawn in that
+    order from ``default_rng(0)``, one row per trial."""
+    rng = np.random.default_rng(0)
+    ne, nv = graph.n_edges, graph.n_vertices
+    b1, b2 = [], []
+    for out, (m, n, trials) in zip((b1, b1, b2, b2), ((1, 0, 1), (2, 1, 3),
+                                                      (1, 2, 1), (0, 1, 1))):
+        z = rng.standard_normal((trials, 2 * (m + n) * ne
+                                 + (0 if m else 2 * nv)))
+        out += _word_stack(graph, m, n, z)
+    return b1, b2
+
+
+def trial_of(stack, t: int) -> tuple:
+    """Trial ``t`` of a stack as a one-trial stack; a one-trial stack
+    serves every trial and is returned as it is."""
+    m, n, c, lefts, middles, rights = stack
+    if len(c) == 1:
+        return stack
+    at = slice(t, t + 1)
+    return (m, n, c[at], [x[at] for x in lefts],
+            None if middles is None else middles[at], [y[at] for y in rights])

@@ -117,6 +117,16 @@ def test_beta_grid_that_never_advances_or_is_empty_is_input_error(betas,
         assert proc.stderr == f"input error: {error}\n"
 
 
+def test_sweep_above_beta_745_is_the_vacuum_state():
+    # e^{-beta} is 0.0 there, so the state is the vacuum state: every
+    # residual is 0.0, which bounds no constant C
+    proc = run_module("graphcorr.cli", "kms", "sweep", FIB, "--vertex", "a",
+                      "--betas", "800:800:1", timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS  sweep-monotone" in proc.stdout
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
 def test_overlong_path_request_refused_at_once(capsys):
     t0 = time.perf_counter()
     code = run("graph", "paths", LOOP, "--vertex", "v",

@@ -24,6 +24,7 @@ from graphcorr.modules import (ModuleElement, VertexFunction, delta_edge,
 from graphcorr.toeplitz import (ToeplitzElement, gauge_scale, iota_word,
                                 pi_word, vacuum_projection, word)
 
+from oracles import mixed_trial_entry, trial_of
 from strategies import finite_graphs
 
 
@@ -155,6 +156,18 @@ def test_partition_matches_truncated_sum():
         assert abs(exact - truncated_partition_sum(g, 1.0, v, depth)) <= 1e-12
 
 
+def test_partition_counts_paths_by_source_on_an_unsymmetric_graph():
+    # ten-edge's adjacency is not symmetric, so a resolvent transposed by
+    # mistake counts paths by range and misses the truncated path sum
+    g = ten_edge()
+    assert not np.array_equal(g.adjacency(), g.adjacency().T)
+    params = KMSParameters(g, 1.0)
+    depth = choose_truncation_depth(g, 1.0)
+    for v in g.vertices:
+        assert abs(params.partition_sum(v)
+                   - truncated_partition_sum(g, 1.0, v, depth)) <= 1e-12
+
+
 def test_truncated_sum_matches_explicit_enumeration():
     # at small depth the damped-power oracle equals a literal path sum
     from graphcorr.graphs import enumerate_paths
@@ -216,6 +229,15 @@ def test_state_is_unital():
         assert abs(kms_eval(st, one) - 1.0) <= 1e-14
         bare = ToeplitzElement(g, [word(1.0)])
         assert abs(kms_eval(st, bare) - 1.0) <= 1e-14
+
+
+def test_mixed_state_is_unital_on_an_unsymmetric_graph():
+    # the unit word reads sum_v Omega(v) N_v^{-1} N_v = 1 only when the
+    # partition sums and the dual vector count paths by source
+    g = ten_edge()
+    m = np.random.default_rng(4).random(g.n_vertices)
+    st = KMSState(KMSParameters(g, 1.0), m / m.sum())
+    assert abs(kms_eval(st, ToeplitzElement(g, [word(1.0)])) - 1.0) <= 1e-12
 
 
 def test_single_loop_edge_word_closed_form():
@@ -680,6 +702,19 @@ def test_one_trial_operand_serves_every_trial():
          suite._word_stack(g, 0, 1, z[None])) for z in z2]).tolist()
     assert one == repeated == per_trial
     assert all(r > 0.0 for r in per_trial)
+
+
+def test_mixed_trial_entry_keeps_its_residuals():
+    # a one-trial and a three-trial pair of stacks meet on one product
+    # shape: each trial's residual is that of its own one-trial entry
+    g = fibonacci()
+    state = point_state(g, 2.0)
+    b1, b2 = mixed_trial_entry(g)
+    got = kms_condition_residuals(state, [(b1, b2)]).tolist()
+    assert [r.hex() for r in got] == [
+        "0x0.0p+0", "0x1.0000000000000p-53", "0x1.6a09e667f3bcdp-51"]
+    assert got == kms_condition_residuals(state, [
+        ([trial_of(bt, t) for bt in b1], b2) for t in range(3)]).tolist()
 
 
 def per_call_homogeneous(g, rng, degree=None) -> ToeplitzElement:

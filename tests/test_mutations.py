@@ -79,6 +79,10 @@ ROWS = {
         kms, "kms_eval",
         lambda f: _edited(kms, "kms_eval", "x ** j for j in k",
                           "x ** (j + (j > 0)) for j in k"), 1),
+    "kms-condition-product-order": (
+        kms, "_stack_residuals",
+        lambda f: _edited(kms, "_stack_residuals", "_batch_product(e2, e1, g)",
+                          "_batch_product(e1, e2, g)"), 2),
     "vacuum-unit-coefficient": (
         toeplitz, "vacuum_projection",
         lambda f: _edited(toeplitz, "vacuum_projection",

@@ -32,7 +32,8 @@ from graphcorr.toeplitz import (ToeplitzElement, TruncatedFock, Word,
                                 spectral_component, triple_iso_transport,
                                 vacuum_projection, word, word_multiply)
 
-from oracles import delta_basis_residual, word_is_zero
+from oracles import (delta_basis_residual, mixed_trial_entry, trial_of,
+                     word_is_zero)
 from strategies import finite_graphs
 
 # ---------------------------------------------------------------------------
@@ -1231,8 +1232,9 @@ def test_word_multiply_matches_oracle_on_generated_graphs(g, seed):
 def test_all_pairs_views_match_repeat_and_tile(trials):
     # word i * k2 + j of the pair product of a creation stack and an
     # annihilation stack has word i's coefficient and creation and word
-    # j's coefficient and annihilation, on both stacks' trials; the
-    # factors reach it as views of the stacks' arrays, with no copy
+    # j's coefficient and annihilation, on both stacks' trials: the
+    # broadcast views of the two stacks read out as np.repeat and np.tile
+    # lay them out
     g = fibonacci()
     rng = np.random.default_rng(19)
 
@@ -1248,14 +1250,25 @@ def test_all_pairs_views_match_repeat_and_tile(trials):
                 np.tile(a, (1, k1) + (1,) * (a.ndim - 2))
             return np.broadcast_to(a, (max(trials),) + a.shape[1:])
         bt1, bt2 = (1, 0, c1, [x], None, []), (0, 1, c2, [], None, [y])
-        left, _, right = toeplitz._stack_product(bt1, bt2, g)
-        assert np.shares_memory(left[0], x) and np.shares_memory(right[0], y)
         got = toeplitz._pair_product(bt1, bt2, g)
         assert got[:2] == (1, 1) and got[4] is None
         _assert_arrays_bitwise(
             [got[2], *got[3], *got[5]],
             [toeplitz._cmul(rows(c1, True), rows(c2, False)), rows(x, True),
              rows(y, False)])
+
+
+def test_one_trial_pair_shares_a_product_shape_with_a_many_trial_pair():
+    # (1, 0)(1, 2) of one trial and (2, 1)(1, 2) of three both give (2, 2)
+    # words: the one-trial stack serves each trial of the joined stack,
+    # whose trial t is the product of trial t of the operands
+    g = fibonacci()
+    e1, e2 = mixed_trial_entry(g)
+    got = _batch_product(e1, e2, g)
+    assert [(bt[:2], len(bt[2])) for bt in got] == [((2, 2), 3), ((1, 1), 1)]
+    for t in range(3):
+        assert _batch_rows([trial_of(bt, t) for bt in got]) == _batch_rows(
+            _batch_product([trial_of(bt, t) for bt in e1], e2, g))
 
 
 @GENERATED
