@@ -45,20 +45,14 @@ from .toeplitz import (fock_matrix, spectral_component,
                        vacuum_projection_checks)
 
 
-def _load_any(path: str, report: RunReport):
-    g = load_graph(path)
+def _load(path: str, report: RunReport, parse=load_graph):
+    loaded = parse(path)
     report.inputs.append((path, digest_file(path)))
-    return g
-
-
-def _load_cocycle(path: str, report: RunReport):
-    c = load_cocycle(path)
-    report.inputs.append((path, digest_file(path)))
-    return c
+    return loaded
 
 
 def _load_finite(path: str, report: RunReport) -> FiniteGraph:
-    g = _load_any(path, report)
+    g = _load(path, report)
     if not isinstance(g, FiniteGraph):
         raise FormatError(f"{path}: a finite graph is required here")
     return g
@@ -134,7 +128,7 @@ def _parse_betas(text: str):
 
 
 def cmd_graph_validate(args, report):
-    g = _load_any(args.graph, report)
+    g = _load(args.graph, report)
     if isinstance(g, FiniteGraph):
         print(f"finite graph: {g.n_vertices} vertices, {g.n_edges} edges")
         report.add("validate", True, detail="finite")
@@ -161,14 +155,14 @@ def cmd_graph_paths(args, report):
 
 
 def cmd_graph_fiber_count(args, report):
-    g = _load_any(args.graph, report)
+    g = _load(args.graph, report)
     n = g.fiber_count(_vertex_arg(g, args.vertex))
     print(f"fiber count at {args.vertex}: {n}")
     report.add("fiber-count", True, detail=str(n))
 
 
 def cmd_graph_sections(args, report):
-    g = _load_any(args.graph, report)
+    g = _load(args.graph, report)
     if isinstance(g, FiniteGraph):
         raise FormatError("sections apply to circle graphs")
     W, secs = s_section_decomposition(g, _vertex_arg(g, args.vertex),
@@ -191,7 +185,7 @@ def cmd_graph_sections(args, report):
 
 
 def cmd_module_inner_product(args, report):
-    g = _load_any(args.graph, report)
+    g = _load(args.graph, report)
     x = element_from_dict(g, _json_arg_or_id(args.x))
     y = element_from_dict(g, _json_arg_or_id(args.y))
     ip = inner_product(x, y)
@@ -200,14 +194,14 @@ def cmd_module_inner_product(args, report):
 
 
 def cmd_module_norm(args, report):
-    g = _load_any(args.graph, report)
+    g = _load(args.graph, report)
     x = element_from_dict(g, _json_arg_or_id(args.x))
     print(f"norm: {module_norm(x)!r}")
     report.add("norm", True)
 
 
 def cmd_module_tensor_ip(args, report):
-    g = _load_any(args.graph, report)
+    g = _load(args.graph, report)
     xs = [element_from_dict(g, d) for d in _json_arg(args.xs)]
     ys = [element_from_dict(g, d) for d in _json_arg(args.ys)]
     ip = tensor_inner_product(xs, ys)
@@ -216,7 +210,7 @@ def cmd_module_tensor_ip(args, report):
 
 
 def cmd_module_fiber_eval(args, report):
-    g = _load_any(args.graph, report)
+    g = _load(args.graph, report)
     x = element_from_dict(g, _json_arg_or_id(args.x))
     v = _vertex_arg(g, args.vertex)
     vec = fiber_evaluation(x, v)
@@ -229,7 +223,7 @@ def cmd_module_fiber_eval(args, report):
 
 
 def cmd_module_act(args, report):
-    g = _load_any(args.graph, report)
+    g = _load(args.graph, report)
     x = element_from_dict(g, _json_arg_or_id(args.x))
     a = vertex_function_from_dict(g, _json_arg_or_id(args.a))
     out = left_action(a, x) if args.side == "left" else right_action(x, a)
@@ -398,8 +392,8 @@ def cmd_bimodule_invariants(args, report):
 
 
 def cmd_localconj_check(args, report):
-    E = _load_any(args.graph_e, report)
-    F = _load_any(args.graph_f, report)
+    E = _load(args.graph_e, report)
+    F = _load(args.graph_f, report)
     res = local_conjugacy_check(E, F, tol=args.tol, grid=args.grid)
     if isinstance(res, LocalConjugacyCertificate):
         kind = "reflection" if res.vertex_map.reflect else "rotation"
@@ -414,7 +408,7 @@ def cmd_localconj_check(args, report):
 
 
 def cmd_localconj_frame(args, report):
-    g = _load_any(args.graph, report)
+    g = _load(args.graph, report)
     if isinstance(g, FiniteGraph):
         raise FormatError("the bump-frame construction needs a circle graph")
     fd = bump_frame(g, base_n=args.grid_n, center=args.center,
@@ -429,7 +423,7 @@ def cmd_example_s5(args, report):
 
 
 def cmd_bundle_from_graph(args, report):
-    g = _load_any(args.file, report)
+    g = _load(args.file, report)
     if isinstance(g, FiniteGraph):
         raise FormatError("a circle graph is required")
     c = cocycle_from_graph(g)
@@ -438,7 +432,7 @@ def cmd_bundle_from_graph(args, report):
 
 
 def cmd_bundle_check(args, report):
-    res = cocycle_check(_load_cocycle(args.file, report))
+    res = cocycle_check(_load(args.file, report, load_cocycle))
     violations = res.detail.splitlines()
     for v in violations:
         print(f"violation: {v}")
@@ -447,20 +441,21 @@ def cmd_bundle_check(args, report):
 
 
 def cmd_bundle_monodromy(args, report):
-    m = monodromy(_load_cocycle(args.file, report))
+    m = monodromy(_load(args.file, report, load_cocycle))
     print(f"permutation: {list(m.permutation)}  "
           f"cycle type: {list(m.cycle_type)}")
     report.add("monodromy", True, detail=f"cycle type {m.cycle_type}")
 
 
 def cmd_bundle_to_graph(args, report):
-    g = graph_from_cocycle(_load_cocycle(args.file, report))
+    g = graph_from_cocycle(_load(args.file, report, load_cocycle))
     print(json.dumps(graph_to_dict(g), indent=1, sort_keys=True))
     report.add("to-graph", True)
 
 
 def cmd_bundle_frame(args, report):
-    fr = global_frame_over_circle(_load_cocycle(args.file, report), args.grid)
+    fr = global_frame_over_circle(_load(args.file, report, load_cocycle),
+                                  args.grid)
     print(f"unitarity {fr.unitarity:.3e}, transitions "
           f"{fr.transition_residual:.3e}, seam exact: {fr.endpoint_exact}")
     report.checks.append(fr.check())

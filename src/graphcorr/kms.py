@@ -43,8 +43,8 @@ from .modules import (_tensor_inner, delta_edge, delta_vertex,
                       random_module_element, tensor_inner_product)
 from .report import Check
 from .toeplitz import (ToeplitzElement, Word, _batch_product, _cmul,
-                       _gauge_weight, _live_words, _on_trials, pi_word,
-                       vacuum_projection, word)
+                       _gauge_weight, _live_words, pi_word, vacuum_projection,
+                       word)
 
 
 @dataclass
@@ -282,32 +282,39 @@ def kms_condition_residuals(state: KMSState, pairs) -> np.ndarray:
 
     Each entry of ``pairs`` gives ``b1`` and ``b2`` over the state's graph
     as lists of stacks, as :class:`~graphcorr.toeplitz.ToeplitzElement`
-    holds them (one stack per shape, its words in order), every stack on
-    the entry's trial axis or of one trial, which then serves every trial
-    of the entry; the residuals of all trials come back entry by
-    entry, each entry evaluated on its own trial axis by
+    holds them (one stack per shape, its words in order).  All stacks of
+    one operand carry one trial count, and an operand of one trial serves
+    every trial of the other; the residuals of all trials come back entry
+    by entry, each entry evaluated on its own trial axis by
     :func:`_stack_residuals`, whose products are
     :func:`~graphcorr.toeplitz._batch_product`'s stacks, unmerged.  A
     residual is bitwise the per-pair route's unless two product words
-    coincide, which the product element merges first.  ``DomainError``
-    for an element that is not gauge homogeneous, and for ``b2`` of
-    negative degree where ``e^{-beta}`` is 0.
+    coincide, which the product element merges first.  ``MismatchError``
+    for an entry that breaks the trial-count rule, naming each operand's
+    counts; ``DomainError`` for an element that is not gauge homogeneous,
+    and for ``b2`` of negative degree where ``e^{-beta}`` is 0.
     """
     return np.array([r for b1, b2 in pairs
                      for r in _stack_residuals(state, b1, b2)], dtype=float)
 
 
 def _stack_residuals(state: KMSState, e1, e2) -> list:
-    """Per trial, the residual of two elements given as lists of stacks:
-    ``b2``'s coefficients times ``x**deg`` by :func:`_cmul`, bitwise the
-    scalar product, and both sides formed by
+    """Per trial, the residual of two elements given as lists of stacks,
+    each operand of one trial count, 1 or the other's (else
+    ``MismatchError``): ``b2``'s coefficients times ``x**deg`` by
+    :func:`_cmul`, bitwise the scalar product, and both sides formed by
     :func:`~graphcorr.toeplitz._batch_product` and evaluated by
     :func:`_product_state`; 0 when no product word is balanced."""
+    t1, t2 = ({len(bt[2]) for bt in e} for e in (e1, e2))
+    if len(t1) > 1 or len(t2) > 1 or len((t1 | t2) - {1}) > 1:
+        raise MismatchError(
+            f"b1 carries {sorted(t1)} trials and b2 {sorted(t2)}: each "
+            "operand needs one trial count, 1 or the other's")
     d1, d2 = ({m - n for m, n, *_ in e} for e in (e1, e2))
     if len(d1) > 1 or len(d2) > 1:
         raise DomainError("inputs must be gauge homogeneous")
     s = _gauge_weight(state.params.x, min(d2, default=0))
-    trials = max((len(bt[2]) for bt in (*e1, *e2)), default=1)
+    trials = max(t1 | t2, default=1)
     if {a + b for a in d1 for b in d2} != {0}:
         # both sides are 0
         return [0.0] * trials
@@ -320,9 +327,10 @@ def _stack_residuals(state: KMSState, e1, e2) -> list:
 
 def _product_state(state: KMSState, stacks, trials: int) -> list:
     """Per trial, :func:`kms_eval` of the element whose words are those of
-    the degree-0 ``stacks``, unmerged (a one-trial stack serves every
-    trial): a term ``c x**k <g, dual>`` per live word of nonzero weight,
-    in Python complex arithmetic, summed in word order."""
+    the degree-0 ``stacks``, unmerged, each stack of ``trials`` trials, as
+    :func:`~graphcorr.toeplitz._batch_product` gives them: a term ``c
+    x**k <g, dual>`` per live word of nonzero weight, in Python complex
+    arithmetic, summed in word order."""
     x, u, g = state.params.x, state.dual, state.params.graph
     terms = [[] for _ in range(trials)]
     for m, _, c, left, middle, right in stacks:
@@ -332,8 +340,8 @@ def _product_state(state: KMSState, stacks, trials: int) -> list:
         d = np.einsum("ij,j->i", _profiles(left, middle, right, g, c.shape)
                       .reshape(-1, g.n_vertices), u).reshape(c.shape)
         live = _live_words(c, left, middle, right)
-        for out, c_t, live_t, d_t in zip(terms, *(
-                _on_trials(a, trials).tolist() for a in (c, live, d))):
+        for out, c_t, live_t, d_t in zip(
+                terms, c.tolist(), live.tolist(), d.tolist()):
             out += [ct * weight * dt
                     for ct, ok, dt in zip(c_t, live_t, d_t) if ok]
     return [sum(ts, 0j) for ts in terms]
@@ -411,13 +419,14 @@ def kms_limit_sweep(graph: FiniteGraph, v, words: dict, betas) -> SweepTable:
 
 
 def extremal_separation_check(params: KMSParameters, trials: int = 100,
-                              seed: int = 0, tol: float = 1e-12) -> list:
+                              seed: int = 0) -> list:
     """Point-mass states separate vertices, and evaluation is affine.
 
     Separation: for each pair of distinct vertices some vertex indicator
     takes different values in the two point-mass states.  Affinity: for
     random measures ``Omega`` and random scalar-or-balanced words, the
-    state of ``Omega`` equals the ``Omega``-average of point-mass states.
+    state of ``Omega`` equals the ``Omega``-average of point-mass states
+    within ``1e-12``.
     """
     check_trials(trials)
     g = params.graph
@@ -445,5 +454,5 @@ def extremal_separation_check(params: KMSParameters, trials: int = 100,
         rhs = sum(m[g.vertex_index(v)] * kms_eval(point_states[v], elem)
                   for v in g.vertices)
         res = abs(lhs - rhs)
-        checks.append(Check(f"affine[{t}]", res <= tol, res))
+        checks.append(Check(f"affine[{t}]", res <= 1e-12, res))
     return checks

@@ -184,8 +184,7 @@ def criterion_6_transport(seed: int = 0):
     checks = []
     for t in range(20):
         F, iso = relabeled_copy(g, rng)
-        checks.append(triple_iso_transport(iso, g, F, trials=5, tol=1e-12,
-                                           seed=seed + t))
+        checks.append(triple_iso_transport(iso, g, F, trials=5, seed=seed + t))
     return [summarize("6.triple-iso-transport[20 relabelings]", checks)]
 
 

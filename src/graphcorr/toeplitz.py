@@ -26,7 +26,9 @@ below work on the stacks, and :class:`Word` records are formed only for
 Stacks and delta-basis expansions carry a leading trial axis, each row
 with the bits of a one-trial run: numpy's complex array product is the
 same at every shape, and coefficients and expansions multiply by parts,
-bitwise as scalars.
+bitwise as scalars.  All stacks of one operand carry one trial count,
+and an operand of one trial serves every trial of the other, by the
+broadcasting of :func:`_pair_product`.
 
 Exact symbolic identity checking expands elements over the edge-delta
 basis, whose spanning words multiply with 0/1 structure constants; the
@@ -672,27 +674,16 @@ def _concat_batches(batches) -> list:
 
 
 def _join(stacks):
-    """Stacks of one shape joined on the word axis, a one-trial stack
-    broadcast to the trial count of the others, so that it serves each of
-    their trials."""
+    """Stacks of one shape, all of one trial count, joined on the word
+    axis."""
     if len(stacks) == 1:
         return stacks[0]
     m, n, _, _, mid, _ = stacks[0]
-    trials = max(len(s[2]) for s in stacks)
-
-    def cat(arrays):
-        return np.concatenate([_on_trials(a, trials) for a in arrays], axis=1)
+    cat = functools.partial(np.concatenate, axis=1)
     return (m, n, cat([s[2] for s in stacks]),
             [cat(f) for f in zip(*(s[3] for s in stacks))],
             None if mid is None else cat([s[4] for s in stacks]),
             [cat(f) for f in zip(*(s[5] for s in stacks))])
-
-
-def _on_trials(a, trials: int):
-    """``a`` on ``trials`` trials: a one-trial array, which serves every
-    trial, broadcast to them."""
-    return a if len(a) == trials else np.broadcast_to(
-        a, (trials,) + a.shape[1:])
 
 
 #: entries of the largest dense matrix :func:`fock_matrix` builds: 2**24
@@ -765,13 +756,15 @@ def vacuum_projection_checks(graph: FiniteGraph, depth: int) -> list:
 
 def _batch_product(batches1, batches2, graph: FiniteGraph) -> list:
     """The shape stacks of ``e1 * e2`` from those of ``e1`` and ``e2``,
-    trial by trial (a one-trial operand serves every trial): each pair of
+    trial by trial: all stacks of one operand carry one trial count, and
+    an operand of one trial serves every trial of the other.  Each pair of
     stacks gives the stack of all its word pairs by :func:`_pair_product`,
     so every row is bitwise the product of its two words that the element
-    product forms, zero or not; none merged.  The pairs' stacks of one
-    product shape are joined by :func:`_join`, in order.  The element
-    product, the reconstruction's product rule and the KMS condition all
-    multiply here."""
+    product forms, zero or not; none merged.  Every pair's stack then has
+    the larger of the two counts, and those of one product shape are
+    joined by :func:`_join`, in order.  The element product, the
+    reconstruction's product rule and the KMS condition all multiply
+    here."""
     return _concat_batches([_pair_product(bt1, bt2, graph)
                             for bt1, bt2 in product(batches1, batches2)])
 
@@ -979,18 +972,17 @@ def _reconstruction_block(graph, rng, size: int, shared: _Shared):
 
 
 def triple_iso_transport(iso, E: FiniteGraph, F: FiniteGraph,
-                         trials: int = 20, tol: float = 1e-12,
-                         seed: int = 0) -> Check:
+                         trials: int = 20, seed: int = 0) -> Check:
     """Relabel the algebra along ``iso``, a ``GraphIsomorphism`` ``E -> F``
     whose index arrays permute edges and vertices, and verify transport:
     the induced module map ``theta_X(xi) = xi . (edge map)^{-1}`` must
     carry the vacuum projection to the vacuum projection, preserve gauge
     degrees, and intertwine inner products and both module actions, which
     must also meet their definitions ``a(r(e)) xi(e)`` and ``xi(e)
-    a(s(e))`` on ``E``; the ``transport`` check returned carries the
-    largest residual.  The vacuum projection and a word of one creation
-    and two annihilations, whose degree is checked, are carried once a
-    call, as no drawn value can change their outcome.
+    a(s(e))`` on ``E``, each within ``1e-12``; the ``transport`` check
+    returned carries the largest residual.  The vacuum projection and a
+    word of one creation and two annihilations, whose degree is checked,
+    are carried once a call, as no drawn value can change their outcome.
     """
     check_trials(trials)
     iso.verify(E, F)
@@ -1028,7 +1020,7 @@ def triple_iso_transport(iso, E: FiniteGraph, F: FiniteGraph,
              right_action(theta_x(xi), theta_m(a)).values),
             (ax.values, a.values[E.rng_idx] * xi.values),
             (xa.values, xi.values * a.values[E.src_idx]))]
-        passed = passed and all(r <= tol for r in res)
+        passed = passed and all(r <= 1e-12 for r in res)
         worst = max(worst, *res)
     return Check("transport", passed, worst)
 

@@ -24,7 +24,6 @@ from graphcorr.modules import (ModuleElement, VertexFunction, delta_edge,
 from graphcorr.toeplitz import (ToeplitzElement, gauge_scale, iota_word,
                                 pi_word, vacuum_projection, word)
 
-from oracles import mixed_trial_entry, trial_of
 from strategies import finite_graphs
 
 
@@ -704,17 +703,25 @@ def test_one_trial_operand_serves_every_trial():
     assert all(r > 0.0 for r in per_trial)
 
 
-def test_mixed_trial_entry_keeps_its_residuals():
-    # a one-trial and a three-trial pair of stacks meet on one product
-    # shape: each trial's residual is that of its own one-trial entry
+@pytest.mark.parametrize("b1_shapes, b2_shapes, counts", [
+    ([(1, 0, 1), (2, 1, 3)], [(1, 2, 1), (0, 1, 1)],
+     r"b1 carries \[1, 3\] trials and b2 \[1\]"),
+    ([(1, 0, 2)], [(0, 1, 3)], r"b1 carries \[2\] trials and b2 \[3\]"),
+], ids=["one-and-three-trial-b1", "two-trial-b1-three-trial-b2"])
+def test_entry_breaking_the_trial_rule_is_refused(b1_shapes, b2_shapes,
+                                                  counts):
+    # each operand carries one trial count, 1 or the other's: a b1 whose
+    # stacks carry 1 and 3 trials, and a 2-trial b1 against a 3-trial b2,
+    # are refused with each operand's counts
     g = fibonacci()
     state = point_state(g, 2.0)
-    b1, b2 = mixed_trial_entry(g)
-    got = kms_condition_residuals(state, [(b1, b2)]).tolist()
-    assert [r.hex() for r in got] == [
-        "0x0.0p+0", "0x1.0000000000000p-53", "0x1.6a09e667f3bcdp-51"]
-    assert got == kms_condition_residuals(state, [
-        ([trial_of(bt, t) for bt in b1], b2) for t in range(3)]).tolist()
+    rng = np.random.default_rng(0)
+    b1, b2 = ([st for m, n, trials in shapes for st in suite._word_stack(
+        g, m, n, rng.standard_normal((trials, 2 * (m + n) * g.n_edges
+                                      + (0 if m else 2 * g.n_vertices))))]
+        for shapes in (b1_shapes, b2_shapes))
+    with pytest.raises(MismatchError, match=counts):
+        kms_condition_residuals(state, [(b1, b2)])
 
 
 def per_call_homogeneous(g, rng, degree=None) -> ToeplitzElement:

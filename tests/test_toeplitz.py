@@ -32,8 +32,7 @@ from graphcorr.toeplitz import (ToeplitzElement, TruncatedFock, Word,
                                 spectral_component, triple_iso_transport,
                                 vacuum_projection, word, word_multiply)
 
-from oracles import (delta_basis_residual, mixed_trial_entry, trial_of,
-                     word_is_zero)
+from oracles import delta_basis_residual, word_is_zero
 from strategies import finite_graphs
 
 # ---------------------------------------------------------------------------
@@ -352,7 +351,7 @@ def test_transport_random_relabeling():
     g = ten_edge()
     rng = np.random.default_rng(9)
     F, iso = relabeled_copy(g, rng)
-    rep = triple_iso_transport(iso, g, F, trials=5, tol=1e-12, seed=1)
+    rep = triple_iso_transport(iso, g, F, trials=5, seed=1)
     assert rep.passed
 
 
@@ -1256,19 +1255,6 @@ def test_all_pairs_views_match_repeat_and_tile(trials):
             [got[2], *got[3], *got[5]],
             [toeplitz._cmul(rows(c1, True), rows(c2, False)), rows(x, True),
              rows(y, False)])
-
-
-def test_one_trial_pair_shares_a_product_shape_with_a_many_trial_pair():
-    # (1, 0)(1, 2) of one trial and (2, 1)(1, 2) of three both give (2, 2)
-    # words: the one-trial stack serves each trial of the joined stack,
-    # whose trial t is the product of trial t of the operands
-    g = fibonacci()
-    e1, e2 = mixed_trial_entry(g)
-    got = _batch_product(e1, e2, g)
-    assert [(bt[:2], len(bt[2])) for bt in got] == [((2, 2), 3), ((1, 1), 1)]
-    for t in range(3):
-        assert _batch_rows([trial_of(bt, t) for bt in got]) == _batch_rows(
-            _batch_product([trial_of(bt, t) for bt in e1], e2, g))
 
 
 @GENERATED
