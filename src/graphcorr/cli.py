@@ -171,12 +171,11 @@ def cmd_graph_sections(args, report):
     worst, ok = 0.0, True
     for s in secs:
         samples = W.sample(256, margin=1e-9)
-        comp = g.components[s.component]
-        back = comp.source_map(s.lift(samples))
+        back = s.covering.source_map(s.lift(samples))
         err = float(np.max(angle_dist(back, samples)))
         worst = max(worst, err)
         # the round-off of source_map(lift(t)) grows with the degree
-        ok = ok and err <= 1e-12 * comp.source_degree
+        ok = ok and err <= 1e-12 * s.covering.source_degree
         z = s.arc
         print(f"  component {s.component} branch {s.branch}: "
               f"[{z.start:.6f}, {z.start + z.length:.6f})")
@@ -532,7 +531,7 @@ COMMANDS = [
     ("fock matrix", cmd_fock_matrix, GRAPH + _required("--word")
      + (VERTEX, _arg("--depth", type=int, required=True)), ("fock_matrix",)),
     ("fock multiply", cmd_fock_multiply, GRAPH + _required("--w1", "--w2"),
-     ("word_multiply",)),
+     ("ToeplitzElement.__mul__",)),
     ("fock component", cmd_fock_component, GRAPH + _required("--word")
      + (_arg("--degree", type=int, required=True),), ("spectral_component",)),
     ("fock p-check", cmd_fock_p_check,

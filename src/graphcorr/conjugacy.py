@@ -394,15 +394,14 @@ def bump_frame(graph: CircleCoveringGraph,
     _, sections = s_section_decomposition(graph, center, width=width)
     gens, alphas = [], []
     for sec in sections:
-        comp, sz = graph.components[sec.component], sizes[sec.component]
-        first = sum(sizes[:sec.component])
+        sz, first = sizes[sec.component], sum(sizes[:sec.component])
         u = TWO_PI * np.arange(sz) / sz
         rel = (u - sec.arc.start) % TWO_PI
         in_arc = (rel < sec.arc.length + ANGLE_TOL) \
             | (rel >= TWO_PI - ANGLE_TOL)
         vals = np.zeros(src.size, dtype=np.complex128)
         vals[first:first + sz][in_arc] = np.sqrt(
-            h_func(comp.source_map(u)[in_arc]).real)
+            h_func(sec.covering.source_map(u)[in_arc]).real)
         on = np.flatnonzero(vals)
         alphas.append(np.full(base_n, -1))
         alphas[-1][src[on]] = rng[on]

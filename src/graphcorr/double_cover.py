@@ -21,9 +21,13 @@ because ``U(t)`` is unitary, and intertwines both module actions.
 Grids: the base circle carries ``N`` samples ``t_j = 2pi j / N``; functions
 on the double cover carry ``2N`` samples at ``pi j / N`` so both square
 root branches of every base grid point are sample points.  These are the
-grids of :mod:`~graphcorr.modules` on the double-cover fixture, whose inner
-product and actions the checks below use.  All identities here are checked
-pointwise on these aligned grids, with no interpolation.
+grids of :mod:`~graphcorr.modules` on the double-cover fixture.  The checks
+below take its inner product and actions as formulas on the bare sample
+arrays, which the tests pin bitwise to :mod:`~graphcorr.modules`; wrapping
+the samples as module elements made :func:`run_verification` (grid 1024,
+100 trials) slower, 42.1 against 33.2 ms in the median of 10 alternating
+process pairs on a 2-vCPU Xeon.  All identities here are checked pointwise
+on these aligned grids, with no interpolation.
 
 Random test functions are trigonometric polynomials (degree 16 in the
 suite).  One :func:`run_verification` builds the rows ``exp(1j k t)``,

@@ -81,36 +81,34 @@ class FiniteGraph:
         edges = tuple(edges)
         src = tuple(src)
         rng = tuple(rng)
-        if len(set(vertices)) != len(vertices):
+        self._vidx = {v: i for i, v in enumerate(vertices)}
+        self._eidx = {e: i for i, e in enumerate(edges)}
+        if len(self._vidx) != len(vertices):
             raise FormatError("duplicate vertex ids")
-        if len(set(edges)) != len(edges):
+        if len(self._eidx) != len(edges):
             raise FormatError("duplicate edge ids")
         if not (len(src) == len(rng) == len(edges)):
             raise FormatError("src/rng must assign a vertex to every edge")
-        vset = set(vertices)
-        for e, v in zip(edges, src):
-            if v not in vset:
-                raise FormatError(f"edge {e!r}: unknown source vertex {v!r}")
-        for e, v in zip(edges, rng):
-            if v not in vset:
-                raise FormatError(f"edge {e!r}: unknown range vertex {v!r}")
+        for end, ends in (("source", src), ("range", rng)):
+            for e, v in zip(edges, ends):
+                if v not in self._vidx:
+                    raise FormatError(f"edge {e!r}: unknown {end} vertex "
+                                      f"{v!r}")
         self.vertices = vertices
         self.edges = edges
         self.src = src
         self.rng = rng
-        self._vidx = {v: i for i, v in enumerate(vertices)}
-        self._eidx = {e: i for i, e in enumerate(edges)}
-        self.src_idx = np.array([self._vidx[v] for v in src], dtype=np.intp)
-        self.rng_idx = np.array([self._vidx[v] for v in rng], dtype=np.intp)
+        src_list = [self._vidx[v] for v in src]
+        self._rng_list = [self._vidx[v] for v in rng]
+        self.src_idx = np.array(src_list, dtype=np.intp)
+        self.rng_idx = np.array(self._rng_list, dtype=np.intp)
         A = np.zeros((len(vertices), len(vertices)), dtype=np.int64)
         np.add.at(A, (self.rng_idx, self.src_idx), 1)
         self._adj = A
         # edge indices grouped by source vertex, in edge order
-        self._edges_from = [np.flatnonzero(self.src_idx == i)
-                            for i in range(len(vertices))]
-        # the same as lists, for path enumeration
-        self._succ = [a.tolist() for a in self._edges_from]
-        self._rng_list = self.rng_idx.tolist()
+        self._succ = [[] for _ in vertices]
+        for f, i in enumerate(src_list):
+            self._succ[i].append(f)
         self._max_out = max(map(len, self._succ), default=0)
 
     @property
@@ -139,7 +137,7 @@ class FiniteGraph:
 
     def fiber_count(self, v) -> int:
         """Size of the source fiber ``|s^{-1}(v)|``."""
-        return int(self._edges_from[self.vertex_index(v)].size)
+        return len(self._succ[self.vertex_index(v)])
 
     def __repr__(self):
         return (f"FiniteGraph({self.n_vertices} vertices, "
@@ -447,46 +445,39 @@ class SSection:
     """One branch of the inverse of a rigid covering source map over an arc.
 
     ``lift`` maps a base angle ``w`` in the arc ``base`` to the unique point
-    of the branch with ``s(lift(w)) = w``; ``range_at = r . lift``.
+    of the branch of ``covering`` with ``s(lift(w)) = w``;
+    ``range_at = r . lift``.
     """
     component: int
     branch: int
     base: Arc
-    degree: int
-    source_offset: float
-    range_degree: int
-    range_offset: float
+    covering: EdgeComponent
 
     @property
     def arc(self) -> Arc:
-        start = (self.base.start - self.source_offset
-                 + TWO_PI * self.branch) / self.degree
-        return Arc(wrap_angle(start), self.base.length / self.degree)
+        d = self.covering.source_degree
+        start = (self.base.start - self.covering.source_offset
+                 + TWO_PI * self.branch) / d
+        return Arc(wrap_angle(start), self.base.length / d)
 
     def lift(self, w):
         theta = self.base.start + (np.asarray(w, dtype=float)
                                    - self.base.start) % TWO_PI
-        u = (theta - self.source_offset + TWO_PI * self.branch) / self.degree
+        u = (theta - self.covering.source_offset
+             + TWO_PI * self.branch) / self.covering.source_degree
         return u % TWO_PI
 
     def range_at(self, w):
-        return (self.range_offset + self.range_degree * self.lift(w)) % TWO_PI
+        return self.covering.range_map(self.lift(w))
 
 
 def sections_over_arc(graph: CircleCoveringGraph, W: Arc) -> list[SSection]:
     """Disjoint sections exhausting ``s^{-1}(W)``, component-major order."""
     if W.length >= TWO_PI:
         raise FormatError("sections need an arc shorter than the circle")
-    sections = []
-    for ci, comp in enumerate(graph.components):
-        for k in range(comp.source_degree):
-            sections.append(SSection(
-                component=ci, branch=k, base=W,
-                degree=comp.source_degree,
-                source_offset=comp.source_offset,
-                range_degree=comp.range_degree,
-                range_offset=comp.range_offset))
-    return sections
+    return [SSection(component=ci, branch=k, base=W, covering=comp)
+            for ci, comp in enumerate(graph.components)
+            for k in range(comp.source_degree)]
 
 
 def s_section_decomposition(graph: CircleCoveringGraph, v: float,

@@ -124,10 +124,11 @@ def criterion_3_kms_limits():
     checks.append(Check("3.residuals-monotone", table.monotone_decreasing(),
                         table.fitted_constant,
                         detail=f"fitted C = {table.fitted_constant:.3f}"))
+    norms = {k: w.norm_bound() for k, w in words.items()}
     bound_ok = True
     worst_ratio = 0.0
     for row in table.rows:
-        bound = 3.0 * math.exp(-row.beta) * words[row.word_id].norm_bound()
+        bound = 3.0 * math.exp(-row.beta) * norms[row.word_id]
         worst_ratio = max(worst_ratio,
                           row.residual / bound if bound else 0.0)
         bound_ok = bound_ok and row.residual <= bound

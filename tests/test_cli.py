@@ -868,7 +868,7 @@ def test_every_operation_reachable():
         "s_section_decomposition",
         "inner_product", "right_action", "left_action", "module_norm",
         "tensor_inner_product", "fiber_evaluation",
-        "word_multiply", "fock_matrix", "vacuum_projection",
+        "ToeplitzElement.__mul__", "fock_matrix", "vacuum_projection",
         "spectral_component", "reconstruct_module_check",
         "triple_iso_transport",
         "partition_sum", "kms_eval", "kms_condition_check",

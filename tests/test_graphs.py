@@ -23,6 +23,8 @@ from graphcorr.graphs import (Arc, CircleCoveringGraph, EdgeComponent,
                               s_section_decomposition, spectral_radius,
                               wrap_angle)
 
+from strategies import finite_graphs
+
 # ---------------------------------------------------------------------------
 # oracles
 
@@ -91,6 +93,25 @@ def test_fiber_count_column_sum_oracle():
 def test_fiber_count_unknown_vertex():
     with pytest.raises(FormatError):
         single_loop().fiber_count("nope")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(g=finite_graphs())
+def test_edge_tables_recount_from_the_id_lists(g):
+    # every table the graph derives, recounted edge by edge from its ids
+    src = [g.vertices.index(v) for v in g.src]
+    rng = [g.vertices.index(v) for v in g.rng]
+    assert g.src_idx.tolist() == src and g.rng_idx.tolist() == rng
+    succ = [[f for f, i in enumerate(src) if i == vi]
+            for vi in range(g.n_vertices)]
+    assert g._succ == succ
+    assert g._max_out == max(map(len, succ), default=0)
+    A = np.zeros((g.n_vertices, g.n_vertices), dtype=np.int64)
+    for i, w in zip(src, rng):
+        A[w, i] += 1
+    assert np.array_equal(g.adjacency(), A)
+    for vi, v in enumerate(g.vertices):
+        assert g.fiber_count(v) == src.count(vi)
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +332,15 @@ def test_sections_inverse_identity_256_samples(graph, anchor):
     assert len(secs) == graph.total_fiber_degree()
     for s in secs:
         comp = graph.components[s.component]
+        assert s.covering is comp
         back = comp.source_map(s.lift(samples))
         err = np.minimum(np.abs(back - samples),
                          TWO_PI - np.abs(back - samples))
         assert float(err.max()) <= 1e-12
+        # r . lift, written out from the component's fields
+        assert np.array_equal(s.range_at(samples), (
+            comp.range_offset + comp.range_degree * s.lift(samples))
+            % TWO_PI)
 
 
 def test_sections_disjoint_within_component():
@@ -371,6 +397,17 @@ def test_duplicate_ids_rejected():
 def test_dangling_edge_rejected():
     with pytest.raises(FormatError):
         FiniteGraph(["v"], ["e"], ["w"], ["v"])
+
+
+def test_unknown_sources_are_reported_before_unknown_ranges():
+    # e0's range and e1's source are unknown: every source is checked
+    # before any range
+    with pytest.raises(FormatError, match=r"edge 'e1': unknown source "
+                       r"vertex 'x'"):
+        FiniteGraph(["v"], ["e0", "e1"], ["v", "x"], ["y", "v"])
+    with pytest.raises(FormatError, match=r"edge 'e0': unknown range "
+                       r"vertex 'y'"):
+        FiniteGraph(["v"], ["e0", "e1"], ["v", "v"], ["y", "v"])
 
 
 def test_component_validation():

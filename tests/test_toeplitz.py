@@ -1105,18 +1105,18 @@ def _word_row(w):
             tuple(y.values.tobytes() for y in w.right))
 
 
-def _batch_rows(batches, t=0):
-    """:func:`_word_row` of every word of trial ``t`` of ``batches``, or
+def _batch_rows(batches):
+    """:func:`_word_row` of every word of trial 0 of ``batches``, or
     ``None`` for a zero word: a zero coefficient or an all-zero factor."""
     rows = []
     for m, n, c, ls, mid, rs in batches:
         factors = ls + rs + ([] if mid is None else [mid])
         for k in range(c.shape[1]):
-            zero = c[t, k] == 0 or not all(f[t, k].any() for f in factors)
+            zero = c[0, k] == 0 or not all(f[0, k].any() for f in factors)
             rows.append(None if zero else (
-                m, n, c[t, k].tobytes(), tuple(x[t, k].tobytes() for x in ls),
-                None if mid is None else mid[t, k].tobytes(),
-                tuple(y[t, k].tobytes() for y in rs)))
+                m, n, c[0, k].tobytes(), tuple(x[0, k].tobytes() for x in ls),
+                None if mid is None else mid[0, k].tobytes(),
+                tuple(y[0, k].tobytes() for y in rs)))
     return rows
 
 
