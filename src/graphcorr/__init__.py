@@ -11,8 +11,9 @@ circle.
 __version__ = "0.1.0"
 
 from .graphs import (Arc, CircleCoveringGraph, EdgeComponent, FiniteGraph,
-                     Path, enumerate_paths, graph_from_dict, graph_to_dict,
-                     load_graph, s_section_decomposition, spectral_radius)
+                     Path, enumerate_paths, s_section_decomposition,
+                     spectral_radius)
+from .serialize import graph_from_dict, graph_to_dict, load_graph
 
 __all__ = [
     "Arc", "CircleCoveringGraph", "EdgeComponent", "FiniteGraph", "Path",

@@ -25,15 +25,13 @@ import numpy as np
 from .errors import FormatError, SizeLimitError
 from .graphs import (ANGLE_TOL, MAX_FRAME, TWO_PI, Arc, CircleCoveringGraph,
                      EdgeComponent, angle_dist, arcs_cover_circle,
-                     load_json, sections_over_arc, wrap_angle)
-from .modules import finite_real
+                     sections_over_arc, wrap_angle)
 from .report import Check
 
 __all__ = [
     "ArcCover", "PermCocycle", "Monodromy", "cocycle_check",
     "cocycle_from_graph", "monodromy", "graph_from_cocycle",
-    "global_frame_over_circle", "cocycle_to_dict", "cocycle_from_dict",
-    "load_cocycle",
+    "global_frame_over_circle",
 ]
 
 
@@ -387,51 +385,3 @@ def _transition_residual(c: PermCocycle, ix) -> float:
     frames = np.take_along_axis(_frame(ix, lambda p, j, d: (
         theta + TWO_PI * p) * j / d), np.array(rows)[..., None], axis=2)
     return float(np.max(np.abs(frames[:, 1] - frames[:, 0])))
-
-
-# ---------------------------------------------------------------------------
-# JSON
-
-
-def cocycle_to_dict(c: PermCocycle) -> dict:
-    trans = [{"i": i, "j": j, "component": cidx,
-              "perm": list(c.sigma(j, i, cidx))}
-             for (i, j), comps in sorted(c.cover.overlaps.items())
-             for cidx in range(len(comps))]
-    return {"rank": c.rank,
-            "arcs": [[a.start, a.start + a.length] for a in c.cover.arcs],
-            "transitions": trans}
-
-
-def _json_int(x, what: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise FormatError(f"cocycle {what} must be an integer, got {x!r}")
-    return x
-
-
-def cocycle_from_dict(data: dict) -> PermCocycle:
-    """Integers (not booleans) for ``rank``, ``i``, ``j``, ``component``
-    and the ``perm`` entries; arcs as ``[start, end]`` finite reals."""
-    try:
-        rank = _json_int(data["rank"], "rank")
-        ends = data["arcs"]
-        for p in ends:
-            if not (isinstance(p, list) and len(p) == 2
-                    and all(map(finite_real, p))):
-                raise FormatError(f"cocycle arc {p!r} is not a [start, end] "
-                                  "pair of finite numbers")
-        cover = ArcCover([Arc(start=a, length=b - a) for a, b in ends])
-        transitions = {}
-        for t in data["transitions"]:
-            key = tuple(_json_int(t[f], f) for f in ("i", "j", "component"))
-            if key in transitions:
-                raise FormatError(f"transition {key} is given twice")
-            transitions[key] = tuple(_json_int(p, "perm entry")
-                                     for p in t["perm"])
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad cocycle JSON: {exc!r}") from None
-    return PermCocycle(rank=rank, cover=cover, transitions=transitions)
-
-
-def load_cocycle(path: str) -> PermCocycle:
-    return cocycle_from_dict(load_json(path))

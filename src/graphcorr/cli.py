@@ -16,9 +16,8 @@ import sys
 
 import numpy as np
 
-from .bundles import (cocycle_check, cocycle_from_graph, cocycle_to_dict,
-                      global_frame_over_circle, graph_from_cocycle,
-                      load_cocycle, monodromy)
+from .bundles import (cocycle_check, cocycle_from_graph, graph_from_cocycle,
+                      global_frame_over_circle, monodromy)
 from .conjugacy import (GraphIsomorphism, LocalConjugacyCertificate,
                         Refutation, bump_frame, bimodule_invariants,
                         finite_graph_isomorphism, frame_verify,
@@ -26,27 +25,28 @@ from .conjugacy import (GraphIsomorphism, LocalConjugacyCertificate,
 from .double_cover import run_verification
 from .errors import (DomainError, FormatError, MismatchError, NoMatchingError,
                      SingularMatrixError, SizeLimitError, WorkbenchError)
-from .graphs import (FiniteGraph, angle_dist, enumerate_paths, graph_to_dict,
-                     load_graph, load_json, s_section_decomposition,
-                     spectral_radius)
+from .graphs import (FiniteGraph, angle_dist, enumerate_paths,
+                     s_section_decomposition, spectral_radius)
 from .kms import (KMSParameters, KMSState, kms_condition_check, kms_eval,
                   kms_limit_sweep, extremal_separation_check,
                   limit_sweep_words)
-from .modules import (element_from_dict, fiber_evaluation, inner_product,
-                      left_action, module_norm, right_action,
-                      tensor_inner_product, vertex_function_from_dict,
+from .modules import (fiber_evaluation, inner_product, left_action,
+                      module_norm, right_action, tensor_inner_product,
                       vertex_position)
 from .report import RunReport, Timer
-from .serialize import (digest_file, element_from_json, element_to_json,
-                        matrix_from_json)
+from .serialize import (cocycle_from_dict, cocycle_to_dict, digest_file,
+                        element_from_dict, element_from_json, element_to_json,
+                        graph_from_dict, graph_to_dict, load_argument,
+                        load_json, matrix_from_json, measure_from_json,
+                        tensor_from_json, vertex_function_from_dict)
 from .suite import run_all
 from .toeplitz import (fock_matrix, spectral_component,
                        reconstruct_module_check, triple_iso_transport,
                        vacuum_projection_checks)
 
 
-def _load(path: str, report: RunReport, parse=load_graph):
-    loaded = parse(path)
+def _load(path: str, report: RunReport, read=graph_from_dict):
+    loaded = read(load_json(path))
     report.inputs.append((path, digest_file(path)))
     return loaded
 
@@ -58,23 +58,11 @@ def _load_finite(path: str, report: RunReport) -> FiniteGraph:
     return g
 
 
-def _json_arg(value: str):
-    """Inline JSON if it looks like JSON, else a file path."""
-    s = value.strip()
-    if s.startswith("{") or s.startswith("["):
-        try:
-            return json.loads(s)
-        except ValueError as exc:   # also an integer over the digit limit
-            raise FormatError(str(exc)) from None
-    return load_json(value)
-
-
 def _json_arg_or_id(value: str):
-    """Like :func:`_json_arg`, but a bare token that names no file is an
-    edge/vertex id."""
+    """A JSON argument, or an edge/vertex id if it names no file."""
     s = value.strip()
     if s.startswith(("{", "[")) or os.path.exists(s):
-        return _json_arg(s)
+        return load_argument(s)
     return s
 
 
@@ -201,8 +189,8 @@ def cmd_module_norm(args, report):
 
 def cmd_module_tensor_ip(args, report):
     g = _load(args.graph, report)
-    xs = [element_from_dict(g, d) for d in _json_arg(args.xs)]
-    ys = [element_from_dict(g, d) for d in _json_arg(args.ys)]
+    xs = tensor_from_json(g, load_argument(args.xs))
+    ys = tensor_from_json(g, load_argument(args.ys))
     ip = tensor_inner_product(xs, ys)
     print(np.round(ip.values, 12))
     report.add("tensor-inner-product", True)
@@ -232,7 +220,7 @@ def cmd_module_act(args, report):
 
 def cmd_fock_matrix(args, report):
     g = _load_finite(args.graph, report)
-    elem = element_from_json(g, _json_arg(args.word))
+    elem = element_from_json(g, load_argument(args.word))
     fm = fock_matrix(elem, args.vertex, args.depth)
     print(f"basis dim {fm.fock.dim}, valid columns "
           f"{int(fm.valid_cols.sum())}/{fm.fock.dim}")
@@ -244,8 +232,8 @@ def cmd_fock_matrix(args, report):
 
 def cmd_fock_multiply(args, report):
     g = _load_finite(args.graph, report)
-    e1 = element_from_json(g, _json_arg(args.w1))
-    e2 = element_from_json(g, _json_arg(args.w2))
+    e1 = element_from_json(g, load_argument(args.w1))
+    e2 = element_from_json(g, load_argument(args.w2))
     prod = e1 * e2
     print(json.dumps(element_to_json(prod), indent=1))
     report.add("word-multiply", True,
@@ -254,7 +242,7 @@ def cmd_fock_multiply(args, report):
 
 def cmd_fock_component(args, report):
     g = _load_finite(args.graph, report)
-    elem = element_from_json(g, _json_arg(args.word))
+    elem = element_from_json(g, load_argument(args.word))
     comp = spectral_component(elem, args.degree)
     print(json.dumps(element_to_json(comp), indent=1))
     report.add("spectral-component", True,
@@ -300,18 +288,9 @@ def cmd_kms_eval(args, report):
     if args.measure is None:
         m = np.full(g.n_vertices, 1.0 / g.n_vertices)
     else:
-        data = _json_arg(args.measure)
-        if not isinstance(data, dict):
-            raise FormatError("--measure expects a JSON object mapping "
-                              "vertex ids to weights")
-        m = np.zeros(g.n_vertices)
-        for vid, wt in data.items():
-            if isinstance(wt, bool) or not isinstance(wt, (int, float)):
-                raise FormatError(f"--measure weight for {vid!r} is not a "
-                                  f"number: {wt!r}")
-            m[g.vertex_index(vid)] = wt
+        m = measure_from_json(g, load_argument(args.measure))
     state = KMSState(params, m)
-    elem = element_from_json(g, _json_arg(args.word))
+    elem = element_from_json(g, load_argument(args.word))
     val = kms_eval(state, elem)
     print(f"value: {val!r}")
     report.add("kms-eval", True, detail=repr(val))
@@ -321,15 +300,15 @@ def cmd_kms_condition(args, report):
     g = _load_finite(args.graph, report)
     params = KMSParameters(g, args.beta)
     state = KMSState.point_mass(params, args.vertex or g.vertices[0])
-    b1 = element_from_json(g, _json_arg(args.w1))
-    b2 = element_from_json(g, _json_arg(args.w2))
+    b1 = element_from_json(g, load_argument(args.w1))
+    b2 = element_from_json(g, load_argument(args.w2))
     report.checks.append(kms_condition_check(state, b1, b2, tol=args.tol))
 
 
 def cmd_kms_infty(args, report):
     g = _load_finite(args.graph, report)
     state = KMSState.point_mass(KMSParameters(g, math.inf), args.vertex)
-    elem = element_from_json(g, _json_arg(args.word))
+    elem = element_from_json(g, load_argument(args.word))
     val = kms_eval(state, elem)
     print(f"value: {val!r}")
     report.add("kms-infty", True, detail=repr(val))
@@ -373,7 +352,7 @@ def cmd_iso_check(args, report):
 
 
 def cmd_iso_nonzero_perm(args, report):
-    B = matrix_from_json(_json_arg(args.matrix))
+    B = matrix_from_json(load_argument(args.matrix))
     try:
         w = nonzero_permutation(B, threshold=args.threshold)
     except (SingularMatrixError, NoMatchingError) as exc:
@@ -431,7 +410,7 @@ def cmd_bundle_from_graph(args, report):
 
 
 def cmd_bundle_check(args, report):
-    res = cocycle_check(_load(args.file, report, load_cocycle))
+    res = cocycle_check(_load(args.file, report, cocycle_from_dict))
     violations = res.detail.splitlines()
     for v in violations:
         print(f"violation: {v}")
@@ -440,20 +419,20 @@ def cmd_bundle_check(args, report):
 
 
 def cmd_bundle_monodromy(args, report):
-    m = monodromy(_load(args.file, report, load_cocycle))
+    m = monodromy(_load(args.file, report, cocycle_from_dict))
     print(f"permutation: {list(m.permutation)}  "
           f"cycle type: {list(m.cycle_type)}")
     report.add("monodromy", True, detail=f"cycle type {m.cycle_type}")
 
 
 def cmd_bundle_to_graph(args, report):
-    g = graph_from_cocycle(_load(args.file, report, load_cocycle))
+    g = graph_from_cocycle(_load(args.file, report, cocycle_from_dict))
     print(json.dumps(graph_to_dict(g), indent=1, sort_keys=True))
     report.add("to-graph", True)
 
 
 def cmd_bundle_frame(args, report):
-    fr = global_frame_over_circle(_load(args.file, report, load_cocycle),
+    fr = global_frame_over_circle(_load(args.file, report, cocycle_from_dict),
                                   args.grid)
     print(f"unitarity {fr.unitarity:.3e}, transitions "
           f"{fr.transition_residual:.3e}, seam exact: {fr.endpoint_exact}")

@@ -13,9 +13,9 @@ from __future__ import annotations
 import functools
 from importlib import resources
 
-from .bundles import PermCocycle, cocycle_from_dict
-from .graphs import (CircleCoveringGraph, FiniteGraph, graph_from_dict,
-                     load_json)
+from .bundles import PermCocycle
+from .graphs import CircleCoveringGraph, FiniteGraph
+from .serialize import cocycle_from_dict, graph_from_dict, load_json
 
 
 def fixture_path(name: str) -> str:

@@ -10,8 +10,6 @@ intervals that may wrap.
 """
 from __future__ import annotations
 
-import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -490,67 +488,3 @@ def s_section_decomposition(graph: CircleCoveringGraph, v: float,
         raise FormatError("section width must lie in (0, 2pi)")
     W = Arc(wrap_angle(v - 0.5 * width), width)
     return W, sections_over_arc(graph, W)
-
-
-# ---------------------------------------------------------------------------
-# JSON format
-
-
-def graph_to_dict(graph) -> dict:
-    if isinstance(graph, FiniteGraph):
-        return {"kind": "finite",
-                "vertices": list(graph.vertices),
-                "edges": [{"id": e, "src": s, "rng": r}
-                          for e, s, r in zip(graph.edges, graph.src, graph.rng)]}
-    if isinstance(graph, CircleCoveringGraph):
-        return {"kind": "circle",
-                "components": [{"d": c.source_degree,
-                                "s_offset": c.source_offset,
-                                "m": c.range_degree,
-                                "r_offset": c.range_offset}
-                               for c in graph.components]}
-    raise FormatError(f"not a graph: {graph!r}")
-
-
-def graph_from_dict(data: dict):
-    if not isinstance(data, dict) or "kind" not in data:
-        raise FormatError("graph JSON must be an object with a 'kind' field")
-    kind = data["kind"]
-    if kind == "finite":
-        try:
-            edges = data["edges"]
-            return FiniteGraph(
-                vertices=data["vertices"],
-                edges=[e["id"] for e in edges],
-                src=[e["src"] for e in edges],
-                rng=[e["rng"] for e in edges])
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"bad finite graph JSON: {exc!r}") from None
-    if kind == "circle":
-        try:
-            fields = [(c["d"], c.get("s_offset", 0.0), c["m"],
-                       c.get("r_offset", 0.0)) for c in data["components"]]
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"bad circle graph JSON: {exc!r}") from None
-        for x in itertools.chain.from_iterable(fields):
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise FormatError(f"circle graph degrees and offsets must be "
-                                  f"numbers, got {x!r}")
-        return CircleCoveringGraph([EdgeComponent(*f) for f in fields])
-    raise FormatError(f"unknown graph kind {kind!r}")
-
-
-def load_json(path: str):
-    """The JSON document in the file ``path``; the one JSON file reader."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON at line {exc.lineno}, "
-                              f"column {exc.colno}") from None
-        except ValueError as exc:       # an integer over Python's digit limit
-            raise FormatError(f"{path}: {exc}") from None
-
-
-def load_graph(path: str):
-    return graph_from_dict(load_json(path))

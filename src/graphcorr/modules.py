@@ -13,7 +13,6 @@ on the grid; range compositions also need ``d | m`` per component).
 from __future__ import annotations
 
 import functools
-import sys
 
 import numpy as np
 
@@ -311,88 +310,3 @@ def random_vertex_function(graph, rng: np.random.Generator,
     size = _base_size(graph, base_n)
     v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     return VertexFunction(graph, v, base_n)
-
-
-# ---------------------------------------------------------------------------
-# JSON
-
-
-def finite_real(p) -> bool:
-    """Whether a JSON value is a finite real number (not a boolean)."""
-    return isinstance(p, (int, float)) and not isinstance(p, bool) \
-        and abs(p) <= sys.float_info.max
-
-
-def complex_from_json(pair) -> complex:
-    """A JSON ``[re, im]`` pair, exactly two finite real numbers that are
-    not booleans, as a complex number; ``FormatError`` for anything else."""
-    if isinstance(pair, list) and len(pair) == 2 \
-            and all(map(finite_real, pair)):
-        return complex(pair[0], pair[1])
-    raise FormatError(f"expected [re, im] of finite reals, got {pair!r}")
-
-
-def _grid_size(data) -> int:
-    """The ``n`` of a circle element or vertex function JSON object."""
-    n = data["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise FormatError(f"grid size n must be an integer >= 1, got {n!r}")
-    return n
-
-
-def _by_id(data, ids_to_index, size: int, what: str) -> np.ndarray:
-    """Vector from a JSON object of ``id: [re, im]`` entries."""
-    if not isinstance(data, dict):
-        raise FormatError(f"{what} JSON must be an object of [re, im] "
-                          f"pairs, got {data!r}")
-    v = np.zeros(size, dtype=np.complex128)
-    for key, pair in data.items():
-        v[ids_to_index(key)] = complex_from_json(pair)
-    return v
-
-
-def element_to_dict(x: ModuleElement) -> dict:
-    if not x.is_circle:
-        return {eid: [float(z.real), float(z.imag)]
-                for eid, z in zip(x.graph.edges, x.values)}
-    return {"n": x.base_n,
-            "components": [[[float(z.real), float(z.imag)] for z in arr]
-                           for arr in x.components]}
-
-
-def element_from_dict(graph, data) -> ModuleElement:
-    if isinstance(graph, FiniteGraph):
-        if isinstance(data, str):
-            return delta_edge(graph, data)
-        return ModuleElement(graph, _by_id(data, graph.edge_index,
-                                           graph.n_edges, "module element"))
-    try:
-        n = _grid_size(data)
-        comps = tuple(np.array([complex_from_json(p) for p in arr])
-                      for arr in data["components"])
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise FormatError(f"bad circle element JSON: {exc!r}") from None
-    return ModuleElement(graph, comps, n)
-
-
-def vertex_function_to_dict(a: VertexFunction) -> dict:
-    if not a.is_circle:
-        return {vid: [float(z.real), float(z.imag)]
-                for vid, z in zip(a.graph.vertices, a.values)}
-    return {"n": a.base_n,
-            "values": [[float(z.real), float(z.imag)] for z in a.values]}
-
-
-def vertex_function_from_dict(graph, data) -> VertexFunction:
-    if isinstance(graph, FiniteGraph):
-        if isinstance(data, str):
-            return delta_vertex(graph, data)
-        return VertexFunction(graph, _by_id(data, graph.vertex_index,
-                                            graph.n_vertices,
-                                            "vertex function"))
-    try:
-        n = _grid_size(data)
-        vals = np.array([complex_from_json(p) for p in data["values"]])
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise FormatError(f"bad vertex function JSON: {exc!r}") from None
-    return VertexFunction(graph, vals, n)

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from graphcorr.bundles import (Arc, ArcCover, FrameResult, PermCocycle,
                                _chart_transports, cocycle_check,
-                               cocycle_from_dict, cocycle_from_graph,
-                               cocycle_to_dict, compose,
+                               cocycle_from_graph, compose,
                                global_frame_over_circle, graph_from_cocycle,
                                inverse, monodromy)
 from graphcorr.errors import FormatError
@@ -17,6 +16,7 @@ from graphcorr.fixtures import (COCYCLE_FIXTURES, circle_double_cover,
                                 identity_cocycle, swap_cocycle,
                                 three_cycle_cocycle, two_plus_one_cocycle)
 from graphcorr.graphs import TWO_PI, CircleCoveringGraph, EdgeComponent
+from graphcorr.serialize import cocycle_from_dict, cocycle_to_dict
 
 from oracles import refine_cover
 

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from graphcorr.cli import (COMMAND_TABLE, COMMANDS, MAX_GRID, _parser,
                            build_parser, dispatch)
 from graphcorr.fixtures import fixture_path
-from graphcorr.graphs import (MAX_DEGREE, MAX_FRAME, MAX_TRIALS,
-                              graph_to_dict, load_json)
+from graphcorr.graphs import MAX_DEGREE, MAX_FRAME, MAX_TRIALS
+from graphcorr.serialize import graph_to_dict, load_json
 from graphcorr.suite import _cycle_graph_union
 
 FIB = fixture_path("fibonacci")
@@ -203,6 +203,52 @@ def test_malformed_measure_is_input_error(measure, capsys):
 def test_malformed_complex_pairs_are_input_errors(argv, capsys):
     assert run(*argv) == 2
     assert "input error" in capsys.readouterr().err
+
+
+#: stands for the path of the case's own document
+DOC = "<doc.json>"
+CIRCLE_X = {"n": 4, "components": [[[1, 0]] * 8]}
+
+
+@pytest.mark.parametrize("doc, argv", [
+    # a key outside the object's key set
+    (None, ("fock", "component", FIB, "--word", '{"lft": ["aa"]}',
+            "--degree", "0")),
+    ({"kind": "circle", "components": [{"d": 2, "m": 2, "soffset": 1.5}]},
+     ("graph", "validate", DOC)),
+    (None, ("module", "norm", DOUBLE, "--x", json.dumps(dict(CIRCLE_X,
+                                                             foo=1)))),
+    # a string where an array is needed, an id that is not a string
+    ({"kind": "finite", "vertices": "ab", "edges": []},
+     ("graph", "validate", DOC)),
+    ({"kind": "finite", "vertices": ["v"], "edges": [
+        {"id": e, "src": "v", "rng": "v"} for e in "ab"]},
+     ("fock", "multiply", DOC, "--w1", '{"left": "ab"}', "--w2", "{}")),
+    ({"kind": "finite", "vertices": ["a", 1], "edges": []},
+     ("graph", "validate", DOC)),
+    (None, ("module", "tensor-inner-product", FIB, "--xs", '{"aa": [1, 0]}',
+            "--ys", '["aa"]')),
+    # component and sample counts that do not fit the graph
+    (None, ("module", "norm", DOUBLE, "--x", '{"n": 4, "components": []}')),
+    (None, ("module", "norm", DOUBLE, "--x",
+            '{"n": 4, "components": [[[1, 0]]]}')),
+    (None, ("module", "act", DOUBLE, "--side", "left", "--a",
+            '{"n": 4, "values": [[1, 0]]}', "--x", json.dumps(CIRCLE_X))),
+    # a weight beyond the float range
+    (None, ("kms", "eval", FIB, "--beta", "2", "--measure",
+            '{"a": 1' + "0" * 400 + "}", "--word", "{}")),
+], ids=["word-key", "component-key", "circle-element-key", "vertices-string",
+        "left-string", "vertex-id-integer", "tensor-object",
+        "component-count", "sample-count", "vertex-function-samples",
+        "measure-overflow"])
+def test_misread_document_is_one_input_error(doc, argv, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    code = run(*(str(path) if a == DOC else a for a in argv))
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ") and err.count("\n") == 1
 
 
 def _argv_with(path, arguments, flag, value):

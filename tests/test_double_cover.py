@@ -14,9 +14,10 @@ from graphcorr.double_cover import (SWAP, VerificationReport,
                                     verify_isometry)
 from graphcorr.errors import FormatError, MismatchError
 from graphcorr.fixtures import circle_double_cover
-from graphcorr.graphs import CircleCoveringGraph, EdgeComponent, graph_to_dict
+from graphcorr.graphs import CircleCoveringGraph, EdgeComponent
 from graphcorr.modules import (VertexFunction, inner_product, left_action,
                                right_action)
+from graphcorr.serialize import graph_to_dict
 
 from oracles import cover_element
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphcorr.bundles import PermCocycle, cocycle_to_dict
+from graphcorr.bundles import PermCocycle
 from graphcorr.errors import FormatError, SizeLimitError
 from graphcorr.fixtures import (CIRCLE_FIXTURES, COCYCLE_FIXTURES,
                                 FINITE_FIXTURES, circle_double_cover,
@@ -18,10 +18,11 @@ from graphcorr.fixtures import (CIRCLE_FIXTURES, COCYCLE_FIXTURES,
 from graphcorr.graphs import (Arc, CircleCoveringGraph, EdgeComponent,
                               FiniteGraph, MAX_PATHS, TWO_PI,
                               _collatz_wielandt, arcs_cover_circle,
-                              enumerate_paths, graph_from_dict, graph_to_dict,
-                              growth_sequence, load_json, path_index_tuples,
-                              s_section_decomposition, spectral_radius,
-                              wrap_angle)
+                              enumerate_paths, growth_sequence,
+                              path_index_tuples, s_section_decomposition,
+                              spectral_radius, wrap_angle)
+from graphcorr.serialize import (cocycle_to_dict, graph_from_dict,
+                                 graph_to_dict, load_json)
 
 from strategies import finite_graphs
 

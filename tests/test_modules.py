@@ -11,11 +11,11 @@ from graphcorr.graphs import (TWO_PI, CircleCoveringGraph, EdgeComponent,
                               FiniteGraph, enumerate_paths)
 from graphcorr.modules import (ModuleElement, VertexFunction, _circle_index,
                                _range_index, _source_index, delta_edge,
-                               delta_vertex, element_from_dict,
-                               element_to_dict, fiber_evaluation,
+                               delta_vertex, fiber_evaluation,
                                inner_product, left_action, module_norm,
                                random_module_element, random_vertex_function,
                                right_action, tensor_inner_product)
+from graphcorr.serialize import element_from_dict, element_to_dict
 
 from oracles import element_from_function, vertex_function_from_function
 
